@@ -1,12 +1,11 @@
 """Single-qubit Clifford randomized benchmarking with interleaved feedback.
 
 The 24-element Clifford group is decomposed into physical pi and pi/2 pulses
-about the X and Y axes (virtual-Z entries are supported in custom tables but
-the built-in decomposition does not need them).  Every physical pulse
-occupies a fixed gate slot of t_pi: pi pulses fill it at full amplitude,
-pi/2 pulses are driven for t_pi/2 and idle for the remainder.  Fixed slots
-keep the decoherence cost per native gate uniform, so the fitted per-gate
-infidelity floor is t_gate*(1/T1 + 1/T_phi)/3.
+about the X and Y axes.  Every physical pulse occupies a fixed gate slot of
+t_pi: pi pulses fill it at full amplitude, pi/2 pulses are driven for t_pi/2
+and idle for the remainder.  Fixed slots keep the decoherence cost per
+native gate uniform, so the fitted per-gate infidelity floor is
+t_gate*(1/T1 + 1/T_phi)/3.
 
 Sequences run in the controller's rotating frame; a mistuned frame detunes
 every pulse by the mode splitting and lets frame phase errors accrue across
@@ -19,21 +18,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cache
+from itertools import accumulate
 
 import numpy as np
 from scipy.optimize import curve_fit
 
 from . import telegraph
 from .bloch import (
+    IDENTITY,
     BlochState,
     PulseSpec,
     QubitParams,
-    apply_pulse,
-    decoherence_factors,
+    compose,
     detuning,
-    free_evolve,
+    free_map,
     measure,
-    rotation_matrix,
+    pulse_map,
 )
 from .protocol import ControllerState, Environment, default_tau_probe, syndrome_cycle
 
@@ -48,13 +48,6 @@ class NativePulse:
     angle: float
 
 
-@dataclass(frozen=True)
-class VirtualZ:
-    """Zero-duration frame-phase increment applied to all subsequent pulses."""
-
-    phase: float
-
-
 @dataclass(frozen=True, eq=False)
 class CliffordElement:
     index: int
@@ -63,7 +56,7 @@ class CliffordElement:
 
     @property
     def n_pulses(self) -> int:
-        return sum(1 for g in self.pulses if isinstance(g, NativePulse))
+        return len(self.pulses)
 
 
 def _pulse_unitary(axis_phase: float, angle: float) -> np.ndarray:
@@ -74,18 +67,11 @@ def _pulse_unitary(axis_phase: float, angle: float) -> np.ndarray:
     )
 
 
-def _vz_unitary(phase: float) -> np.ndarray:
-    return np.array([[np.exp(-0.5j * phase), 0.0], [0.0, np.exp(0.5j * phase)]])
-
-
 def decomposition_unitary(pulses: tuple) -> np.ndarray:
-    """Composed unitary of a time-ordered gate list (virtual Z as a true Z)."""
+    """Composed unitary of a time-ordered pulse list."""
     u = np.eye(2, dtype=complex)
     for gate in pulses:
-        if isinstance(gate, VirtualZ):
-            u = _vz_unitary(gate.phase) @ u
-        else:
-            u = _pulse_unitary(gate.axis_phase, gate.angle) @ u
+        u = _pulse_unitary(gate.axis_phase, gate.angle) @ u
     return u
 
 
@@ -190,11 +176,12 @@ def random_sequence(length: int, rng: np.random.Generator) -> tuple[list[int], i
 class SequenceExecutor:
     """Runs Clifford sequences against the environment's defect trajectory.
 
-    Per (mode, frame) combination each element is precompiled into one affine
-    Bloch map covering its pulse slots, so the common no-switch case is a
-    single 3x3 apply per Clifford.  Sequences during which the mode switches
-    fall back to pulse-by-pulse execution (the mode is held fixed within one
-    48 ns slot; switches land at slot boundaries).
+    Each native pulse occupies one slot and runs in the mode at the slot's
+    start: the mode is held over a slot and switches take effect at slot
+    boundaries.  Per (mode, frame) combination every element is precompiled
+    into the affine Bloch maps of its slots and their composition, so an
+    element that one dwell segment covers costs a single map application and
+    only an element a switch lands inside is stepped slot by slot.
     """
 
     def __init__(self, env: Environment, table: tuple[CliffordElement, ...] | None = None):
@@ -202,82 +189,26 @@ class SequenceExecutor:
         self.table = table if table is not None else clifford_table()
         self.slot = env.qubit.t_pi
         self.durations = tuple(e.n_pulses * self.slot for e in self.table)
-        self._pulse_only = all(
-            all(isinstance(g, NativePulse) for g in e.pulses) for e in self.table
-        )
-        self._maps: dict[tuple[int, int], list[tuple]] = {}
+        self._maps: dict[tuple[int, float], list[tuple[tuple, tuple]]] = {}
 
-    def _frame_frequency(self, key: int) -> float:
-        return self.env.qubit.f_high if key == 0 else self.env.qubit.f_low
-
-    def _frame_key(self, f_c: float) -> int:
-        qp = self.env.qubit
-        if f_c == qp.f_high:
-            return 0
-        if f_c == qp.f_low:
-            return 1
-        raise ValueError("sequence frame must sit on one of the two mode frequencies")
-
-    def _element_affine(self, element: CliffordElement, delta_q: float) -> tuple:
-        qp = self.env.qubit
-        mat = np.eye(3)
-        off = np.zeros(3)
-
-        def push(a: np.ndarray, c: np.ndarray):
-            nonlocal mat, off
-            mat = a @ mat
-            off = a @ off + c
-
-        w_z = 2.0 * math.pi * delta_q
-        for gate in element.pulses:
-            pulse = PulseSpec.finite(gate.axis_phase, gate.angle, qp)
-            push(rotation_matrix(pulse, delta_q, qp), np.zeros(3))
-            e2, e1 = decoherence_factors(pulse.duration, qp)
-            push(np.diag([e2, e2, e1]), np.array([0.0, 0.0, 1.0 - e1]))
-            idle = self.slot - pulse.duration
-            if idle > 0.0:
-                theta = w_z * idle
-                c, s = math.cos(theta), math.sin(theta)
-                push(np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]), np.zeros(3))
-                e2, e1 = decoherence_factors(idle, qp)
-                push(np.diag([e2, e2, e1]), np.array([0.0, 0.0, 1.0 - e1]))
-        return (*mat.ravel(), *off)
-
-    def _map_table(self, xi: int, frame_key: int) -> list[tuple]:
-        key = (xi, frame_key)
+    def _map_table(self, xi: int, f_c: float) -> list[tuple[tuple, tuple]]:
+        """Per element: (its composed map,) and the maps of its slots, in mode xi and frame f_c."""
+        key = (xi, f_c)
         if key not in self._maps:
-            delta_q = detuning(self.env.qubit, self._frame_frequency(frame_key), xi)
-            self._maps[key] = [self._element_affine(e, delta_q) for e in self.table]
+            qp = self.env.qubit
+            delta_q = detuning(qp, f_c, xi)
+            entries = []
+            for element in self.table:
+                slots = []
+                for gate in element.pulses:
+                    pulse = PulseSpec.finite(gate.axis_phase, gate.angle, qp)
+                    steps = [pulse_map(pulse, delta_q, qp)]
+                    if self.slot > pulse.duration:
+                        steps.append(free_map(delta_q, self.slot - pulse.duration, qp))
+                    slots.append(compose(*steps))
+                entries.append(((compose(IDENTITY, *slots),), tuple(slots)))
+            self._maps[key] = entries
         return self._maps[key]
-
-    def _run_segmented(
-        self, indices: list[int], f_c: float, segments: list[tuple[int, float]]
-    ) -> BlochState:
-        qp = self.env.qubit
-        state = BlochState.ground()
-        seg_idx = 0
-        xi, seg_rem = segments[0]
-        frame_offset = 0.0
-        for ci in indices:
-            for gate in self.table[ci].pulses:
-                if isinstance(gate, VirtualZ):
-                    frame_offset += gate.phase
-                    continue
-                dq = detuning(qp, f_c, xi)
-                pulse = PulseSpec.finite(gate.axis_phase + frame_offset, gate.angle, qp)
-                state = apply_pulse(state, pulse, dq, qp)
-                idle = self.slot - pulse.duration
-                if idle > 0.0:
-                    state = free_evolve(state, dq, idle, qp)
-                # Consume one slot from the switching trajectory; mode changes
-                # take effect from the next slot.
-                spent = self.slot
-                while spent > seg_rem and seg_idx + 1 < len(segments):
-                    spent -= seg_rem
-                    seg_idx += 1
-                    xi, seg_rem = segments[seg_idx]
-                seg_rem = max(seg_rem - spent, 0.0)
-        return state
 
     def run(
         self, indices: list[int], f_c: float, clock: float, rng: np.random.Generator
@@ -289,28 +220,43 @@ class SequenceExecutor:
         """
         env = self.env
         qp = env.qubit
-        frame_key = self._frame_key(f_c)
+        if f_c not in (qp.f_high, qp.f_low):
+            raise ValueError("sequence frame must sit on one of the two mode frequencies")
         durations = self.durations
+        slot = self.slot
         total = 0.0
         for i in indices:
             total += durations[i]
         segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, total, rng)
-        if not segments:  # pulse-free sequence (identities only)
-            state = BlochState.ground()
-        elif len(segments) == 1 and self._pulse_only:
-            t = self._map_table(segments[0][0], frame_key)
-            x, y, z = 0.0, 0.0, 1.0
-            for i in indices:
-                m = t[i]
+        # Segment end times from the sequence start; the last segment covers the
+        # rest.  A pulse-free sequence has no segments and applies only identities.
+        ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
+        seg = 0
+        table = self._map_table(segments[0][0] if segments else env.tls.xi, f_c)
+        end = ends[0]
+        t = 0.0
+        x, y, z = 0.0, 0.0, 1.0
+        for i in indices:
+            if t + durations[i] - slot <= end:  # every slot starts in this segment
+                steps = table[i][0]
+            else:  # a switch lands inside the element: step it slot by slot
+                steps = []
+                for k in range(len(table[i][1])):
+                    while t + k * slot > end:
+                        seg += 1
+                        end = ends[seg]
+                        table = self._map_table(segments[seg][0], f_c)
+                    steps.append(table[i][1][k])
+            t += durations[i]
+            # bloch.apply, inlined: a call per step would dominate runs of a
+            # few million Cliffords.
+            for m in steps:
                 x, y, z = (
                     m[0] * x + m[1] * y + m[2] * z + m[9],
                     m[3] * x + m[4] * y + m[5] * z + m[10],
                     m[6] * x + m[7] * y + m[8] * z + m[11],
                 )
-            state = BlochState(x, y, z)
-        else:
-            state = self._run_segmented(indices, f_c, segments)
-        outcome, _ = measure(state, qp, rng)
+        outcome, _ = measure(BlochState(x, y, z), qp, rng)
         env.tls = telegraph.evolve(env.tls, env.tls_params, qp.t_wall, rng)
         return outcome, clock + total + qp.t_wall
 

@@ -20,6 +20,12 @@ Decoherence contracts (x, y) by exp(-dt/T2) and relaxes z toward +1 with
 exp(-dt/T1), where 1/T2 = 1/(2 T1) + 1/Tphi.  During a finite pulse the
 contraction is applied after the rotation (operator splitting; pulse
 durations are ~1e-3 of T1, T2, so the splitting error is negligible).
+
+Every propagation step is an affine map v -> M v + c held as 12 Python
+floats (the rows of M, then c); it is the single propagation form of the
+package.  ``pulse_map`` and ``free_map`` build the map of one step,
+``compose`` chains maps in time order and ``apply`` acts on a state, so a
+precompiled sequence and a step-by-step one run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -118,9 +124,6 @@ class BlochState:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
     @classmethod
     def ground(cls) -> "BlochState":
         return cls(0.0, 0.0, 1.0)
@@ -156,83 +159,97 @@ class PulseSpec:
         return cls(axis_phase, angle, True, abs(angle) / params.rabi_rate)
 
 
+# An affine Bloch map v -> M v + c is a tuple of 12 Python floats: the rows of
+# M, then c.
+IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+
+
 def detuning(params: QubitParams, f_c: float, xi: int) -> float:
     """Frame detuning f_c - f_q(xi) in Hz."""
     return f_c - params.mode_frequency(xi)
 
 
-def decoherence_factors(dt: float, params: QubitParams) -> tuple[float, float]:
-    """Transverse and longitudinal decay factors (exp(-dt/T2), exp(-dt/T1))."""
-    return math.exp(-dt / params.t2), math.exp(-dt / params.t1)
-
-
-def _contract(x: float, y: float, z: float, dt: float, params: QubitParams):
-    e2, e1 = decoherence_factors(dt, params)
-    return x * e2, y * e2, 1.0 + (z - 1.0) * e1
-
-
-def _axis_angle_matrix(nx: float, ny: float, nz: float, angle: float) -> np.ndarray:
-    """Right-handed rotation matrix about the unit axis (nx, ny, nz)."""
+def _rotation(nx: float, ny: float, nz: float, angle: float) -> tuple:
+    """Right-handed rotation by ``angle`` about the unit axis (nx, ny, nz), as an affine map."""
     c = math.cos(angle)
     s = math.sin(angle)
     k = 1.0 - c
-    return np.array(
-        [
-            [c + nx * nx * k, nx * ny * k - nz * s, nx * nz * k + ny * s],
-            [ny * nx * k + nz * s, c + ny * ny * k, ny * nz * k - nx * s],
-            [nz * nx * k - ny * s, nz * ny * k + nx * s, c + nz * nz * k],
-        ]
+    return (
+        c + nx * nx * k, nx * ny * k - nz * s, nx * nz * k + ny * s,
+        ny * nx * k + nz * s, c + ny * ny * k, ny * nz * k - nx * s,
+        nz * nx * k - ny * s, nz * ny * k + nx * s, c + nz * nz * k,
+        0.0, 0.0, 0.0,
     )
 
 
-def rotation_matrix(pulse: PulseSpec, delta_q: float, params: QubitParams) -> np.ndarray:
-    """Bloch rotation implemented by ``pulse`` at frame detuning ``delta_q``.
+def _decay(dt: float, params: QubitParams) -> tuple:
+    """Decay over ``dt``: (x, y) scale by exp(-dt/T2); z relaxes toward +1 by exp(-dt/T1)."""
+    e2 = math.exp(-dt / params.t2)
+    e1 = math.exp(-dt / params.t1)
+    return (e2, 0.0, 0.0, 0.0, e2, 0.0, 0.0, 0.0, e1, 0.0, 0.0, 1.0 - e1)
 
-    Excludes the decoherence contraction, which callers apply over the pulse
-    duration separately.
-    """
+
+def compose(*maps: tuple) -> tuple:
+    """The single affine map that applies ``maps`` in time order (first argument first)."""
+    m = maps[0]
+    for a in maps[1:]:
+        a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11 = a
+        m0, m1, m2, m3, m4, m5, m6, m7, m8, m9, m10, m11 = m
+        m = (
+            a0 * m0 + a1 * m3 + a2 * m6, a0 * m1 + a1 * m4 + a2 * m7, a0 * m2 + a1 * m5 + a2 * m8,
+            a3 * m0 + a4 * m3 + a5 * m6, a3 * m1 + a4 * m4 + a5 * m7, a3 * m2 + a4 * m5 + a5 * m8,
+            a6 * m0 + a7 * m3 + a8 * m6, a6 * m1 + a7 * m4 + a8 * m7, a6 * m2 + a7 * m5 + a8 * m8,
+            a0 * m9 + a1 * m10 + a2 * m11 + a9,
+            a3 * m9 + a4 * m10 + a5 * m11 + a10,
+            a6 * m9 + a7 * m10 + a8 * m11 + a11,
+        )
+    return m
+
+
+def apply(m: tuple, state: BlochState) -> BlochState:
+    """Image of ``state`` under the affine map ``m``."""
+    x, y, z = state.x, state.y, state.z
+    return BlochState(
+        m[0] * x + m[1] * y + m[2] * z + m[9],
+        m[3] * x + m[4] * y + m[5] * z + m[10],
+        m[6] * x + m[7] * y + m[8] * z + m[11],
+    )
+
+
+def pulse_map(pulse: PulseSpec, delta_q: float, params: QubitParams) -> tuple:
+    """Map of ``pulse`` at frame detuning ``delta_q``: rotation, then decay over the pulse."""
     cphi = math.cos(pulse.axis_phase)
     sphi = math.sin(pulse.axis_phase)
     if not pulse.finite_duration:
-        return _axis_angle_matrix(cphi, sphi, 0.0, pulse.nominal_angle)
+        return _rotation(cphi, sphi, 0.0, pulse.nominal_angle)
     if pulse.duration == 0.0:
-        return np.eye(3)
+        return IDENTITY
     w_drive = pulse.nominal_angle / pulse.duration
     w_detune = 2.0 * math.pi * delta_q
     w_total = math.hypot(w_drive, w_detune)
     if w_total == 0.0:
-        return np.eye(3)
-    return _axis_angle_matrix(
-        w_drive * cphi / w_total,
-        w_drive * sphi / w_total,
-        w_detune / w_total,
-        w_total * pulse.duration,
-    )
+        return _decay(pulse.duration, params)
+    axis = (w_drive * cphi / w_total, w_drive * sphi / w_total, w_detune / w_total)
+    return compose(_rotation(*axis, w_total * pulse.duration), _decay(pulse.duration, params))
+
+
+def free_map(delta_q: float, dt: float, params: QubitParams) -> tuple:
+    """Map of free evolution: precession about z by 2*pi*delta_q*dt, then decay over ``dt``."""
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    return compose(_rotation(0.0, 0.0, 1.0, 2.0 * math.pi * delta_q * dt), _decay(dt, params))
 
 
 def free_evolve(state: BlochState, delta_q: float, dt: float, params: QubitParams) -> BlochState:
     """Precess about z by 2*pi*delta_q*dt, then decohere over ``dt``."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    theta = 2.0 * math.pi * delta_q * dt
-    c = math.cos(theta)
-    s = math.sin(theta)
-    x = c * state.x - s * state.y
-    y = s * state.x + c * state.y
-    x, y, z = _contract(x, y, state.z, dt, params)
-    return BlochState(x, y, z)
+    return apply(free_map(delta_q, dt, params), state)
 
 
 def apply_pulse(
     state: BlochState, pulse: PulseSpec, delta_q: float, params: QubitParams
 ) -> BlochState:
     """Apply a drive pulse; finite pulses also decohere over their duration."""
-    rot = rotation_matrix(pulse, delta_q, params)
-    v = rot @ state.as_array()
-    x, y, z = float(v[0]), float(v[1]), float(v[2])
-    if pulse.finite_duration and pulse.duration > 0.0:
-        x, y, z = _contract(x, y, z, pulse.duration, params)
-    return BlochState(x, y, z)
+    return apply(pulse_map(pulse, delta_q, params), state)
 
 
 def rabi_transition_probability(delta_q: float, params: QubitParams) -> float:

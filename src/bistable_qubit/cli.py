@@ -129,6 +129,18 @@ _DEFAULTS: dict = {
 }
 
 _MODE_NAMES = {None: None, "H": 0, "L": 1, 0: 0, 1: 1}
+_MAY_BE_ZERO = {"seed", "ak.n_trajectories"}  # integer keys that accept 0; the others must be >= 1
+
+
+def _check_value(key: str, default, value) -> None:
+    """Reject a value of another JSON type than the default's (an int passes for a float)."""
+    kinds = {float: (int, float)}.get(type(default), (type(default),))
+    wrong_type = not isinstance(value, kinds) or isinstance(value, bool) != isinstance(default, bool)
+    if default is not None and wrong_type:
+        raise ConfigError(f"{key}: expected {type(default).__name__}, got {json.dumps(value)}")
+    least = 0 if key in _MAY_BE_ZERO else 1
+    if type(default) is int and value < least:
+        raise ConfigError(f"{key}: must be >= {least}")
 
 
 def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
@@ -141,6 +153,7 @@ def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
                     raise ConfigError(f"{path}{key}: expected an object")
                 merged[key] = _merge(default, value, f"{path}{key}.")
             else:
+                _check_value(f"{path}{key}", default, value)
                 merged[key] = value
         else:
             merged[key] = default.copy() if isinstance(default, dict) else default
@@ -202,11 +215,6 @@ def _config_from_dict(data: dict) -> RunConfig:
     proto = merged["protocol"]
     if proto["tau_probe_s"] < 0:
         raise ConfigError("protocol.tau_probe_s: must be nonnegative")
-    for field_name in ("seed", "replicas"):
-        if not isinstance(merged[field_name], int) or merged[field_name] < 0:
-            raise ConfigError(f"{field_name}: must be a nonnegative integer")
-    if merged["replicas"] < 1:
-        raise ConfigError("replicas: must be >= 1")
     section = experiment.replace("-", "_")
     return RunConfig(
         experiment=experiment,
@@ -678,7 +686,11 @@ def main(argv=None) -> int:
 
     data: dict = {}
     if args.config is not None:
-        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            print(f"configuration error: {args.config}: {exc}", file=sys.stderr)
+            return 2
         if not isinstance(data, dict):
             print("config root must be a JSON object", file=sys.stderr)
             return 2

@@ -82,7 +82,6 @@ class ControllerState:
     f_c: float
     frame_phase: float = 0.0
     clock: float = 0.0
-    last_syndrome: int | None = None
 
 
 @dataclass(frozen=True)
@@ -128,34 +127,38 @@ def _advance_tls(env: Environment, dt: float, rng: np.random.Generator) -> None:
     env.tls = telegraph.evolve(env.tls, env.tls_params, dt, rng)
 
 
-def _pulse(
+def _two_pulse_cycle(
     env: Environment,
-    state: BlochState,
     f_c: float,
-    axis_phase: float,
-    angle: float,
-    rng: np.random.Generator,
+    tau: float,
+    second_axis_phase: float,
+    clock: float,
+    rng: np.random.Generator | None,
 ) -> tuple[BlochState, float]:
-    """Apply one pulse in frame f_c; mode held fixed over the (short) pulse."""
+    """Reset, X(-pi/2), free evolution over tau, then X(-pi/2) about ``second_axis_phase``.
+
+    Runs in frame f_c against the defect trajectory: the mode is held over
+    each pulse (a switch takes effect afterwards) and may switch within the
+    free evolution.  Returns the state before readout and the clock advanced
+    by both pulses and tau.
+    """
     qp = env.qubit
-    if env.finite_pulses:
-        pulse = PulseSpec.finite(axis_phase, angle, qp)
-    else:
-        pulse = PulseSpec.instantaneous(axis_phase, angle)
-    state = apply_pulse(state, pulse, detuning(qp, f_c, env.tls.xi), qp)
-    if pulse.duration > 0.0:
-        _advance_tls(env, pulse.duration, rng)
-    return state, pulse.duration
-
-
-def _free_with_tls(
-    env: Environment, state: BlochState, f_c: float, tau: float, rng: np.random.Generator
-) -> BlochState:
-    """Free evolution over tau with the mode switching mid-interval if it does."""
-    segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, tau, rng)
-    for xi, dt in segments:
-        state = free_evolve(state, detuning(env.qubit, f_c, xi), dt, env.qubit)
-    return state
+    state = reset(qp)
+    for k, axis_phase in enumerate((0.0, second_axis_phase)):
+        if k == 1:
+            segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, tau, rng)
+            for xi, dt in segments:
+                state = free_evolve(state, detuning(qp, f_c, xi), dt, qp)
+            clock += tau
+        if env.finite_pulses:
+            pulse = PulseSpec.finite(axis_phase, -HALF_PI, qp)
+        else:
+            pulse = PulseSpec.instantaneous(axis_phase, -HALF_PI)
+        state = apply_pulse(state, pulse, detuning(qp, f_c, env.tls.xi), qp)
+        if pulse.duration > 0.0:
+            _advance_tls(env, pulse.duration, rng)
+        clock += pulse.duration
+    return state, clock
 
 
 def _noiseless(qp: QubitParams) -> QubitParams:
@@ -170,18 +173,12 @@ def _two_pulse_probability(
     second_axis_phase: float,
     finite_pulses: bool,
 ) -> float:
-    """Deterministic P(m=1) of the two-pulse cycle with the mode pinned."""
-    dq = detuning(qp, f_c, xi)
-    if finite_pulses:
-        first = PulseSpec.finite(0.0, -HALF_PI, qp)
-        second = PulseSpec.finite(second_axis_phase, -HALF_PI, qp)
-    else:
-        first = PulseSpec.instantaneous(0.0, -HALF_PI)
-        second = PulseSpec.instantaneous(second_axis_phase, -HALF_PI)
-    state = reset(qp)
-    state = apply_pulse(state, first, dq, qp)
-    state = free_evolve(state, dq, tau, qp)
-    state = apply_pulse(state, second, dq, qp)
+    """Deterministic P(m=1) of the two-pulse cycle with the mode pinned.
+
+    A frozen defect draws no random numbers, so no generator is needed.
+    """
+    env = Environment(qp, TelegraphParams(0.0, 0.0), TlsState(xi=xi), finite_pulses)
+    state, _ = _two_pulse_cycle(env, f_c, tau, second_axis_phase, 0.0, None)
     return reported_excited_probability(state.z, qp)
 
 
@@ -238,22 +235,10 @@ def syndrome_cycle(
     _check_f_c(ctrl, qp)
     decode = calibrate_decode_map(qp, tau_probe, env.finite_pulses)
 
-    clock = ctrl.clock
-    state = reset(qp)
-    state, dt = _pulse(env, state, qp.f_high, 0.0, -HALF_PI, rng)
-    clock += dt
-    state = _free_with_tls(env, state, qp.f_high, tau_probe, rng)
-    clock += tau_probe
-    state, dt = _pulse(env, state, qp.f_high, 0.0, -HALF_PI, rng)
-    clock += dt
+    state, clock = _two_pulse_cycle(env, qp.f_high, tau_probe, 0.0, ctrl.clock, rng)
     m, _ = measure(state, qp, rng)
     _advance_tls(env, qp.t_wall, rng)
-    clock += qp.t_wall
-
-    xi_est = decode[m]
-    new_ctrl = replace(
-        ctrl, f_c=qp.mode_frequency(xi_est), clock=clock, last_syndrome=m
-    )
+    new_ctrl = replace(ctrl, f_c=qp.mode_frequency(decode[m]), clock=clock + qp.t_wall)
     return m, new_ctrl
 
 
@@ -274,21 +259,12 @@ def ramsey_cycle(
     qp = env.qubit
     _check_f_c(ctrl, qp)
 
-    clock = ctrl.clock
     virtual_phase = 2.0 * math.pi * virtual_detuning * tau
-    state = reset(qp)
-    state, dt = _pulse(env, state, ctrl.f_c, 0.0, -HALF_PI, rng)
-    clock += dt
-    state = _free_with_tls(env, state, ctrl.f_c, tau, rng)
-    clock += tau
-    state, dt = _pulse(env, state, ctrl.f_c, virtual_phase, -HALF_PI, rng)
-    clock += dt
+    state, clock = _two_pulse_cycle(env, ctrl.f_c, tau, virtual_phase, ctrl.clock, rng)
     m, _ = measure(state, qp, rng)
     _advance_tls(env, qp.t_wall, rng)
-    clock += qp.t_wall
-
     new_ctrl = replace(
-        ctrl, clock=clock, frame_phase=ctrl.frame_phase + virtual_phase
+        ctrl, clock=clock + qp.t_wall, frame_phase=ctrl.frame_phase + virtual_phase
     )
     return m, new_ctrl
 

@@ -55,15 +55,10 @@ class TelegraphParams:
 
 @dataclass(frozen=True)
 class TlsState:
-    """Instantaneous defect configuration.
-
-    ``t`` is the process-local clock (s) and ``t_last_flip`` the absolute
-    time of the most recent mode switch.
-    """
+    """Instantaneous defect configuration; ``t`` is the process-local clock (s)."""
 
     xi: int
     t: float = 0.0
-    t_last_flip: float = 0.0
 
     def __post_init__(self):
         if self.xi not in (XI_H, XI_L):
@@ -117,7 +112,6 @@ def dwell_segments(
     segments: list[tuple[int, float]] = []
     xi = state.xi
     t = state.t
-    t_last_flip = state.t_last_flip
     remaining = dt
     while remaining > 0.0:
         rate = params.exit_rate(xi)
@@ -131,8 +125,7 @@ def dwell_segments(
             t += dwell
             remaining -= dwell
             xi = 1 - xi
-            t_last_flip = t
-    return segments, TlsState(xi=xi, t=t, t_last_flip=t_last_flip)
+    return segments, TlsState(xi=xi, t=t)
 
 
 def evolve(

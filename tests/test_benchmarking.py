@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from bistable_qubit import benchmarking as rb
-from bistable_qubit.bloch import QubitParams
+from bistable_qubit import telegraph
+from bistable_qubit.bloch import BlochState, PulseSpec, QubitParams, apply_pulse, detuning, free_evolve
 from bistable_qubit.protocol import make_environment
 from bistable_qubit.streams import substream
 from bistable_qubit.telegraph import TelegraphParams
@@ -17,6 +18,34 @@ IDEAL = QubitParams.defaults(
     t1=math.inf, t_phi=math.inf, readout_eps_0to1=0.0, readout_eps_1to0=0.0
 )
 FROZEN = TelegraphParams(0.0, 0.0)
+
+
+def _slot_by_slot(executor, indices, f_c, segments):
+    """Reference executor: one apply_pulse/free_evolve pair per slot.
+
+    The mode of each slot is the one in force at its start; a slot consumes
+    its duration from the dwell segments, and a switch takes effect from the
+    next slot.
+    """
+    qp = executor.env.qubit
+    state = BlochState.ground()
+    seg_idx = 0
+    xi, seg_rem = segments[0]
+    for ci in indices:
+        for gate in executor.table[ci].pulses:
+            dq = detuning(qp, f_c, xi)
+            pulse = PulseSpec.finite(gate.axis_phase, gate.angle, qp)
+            state = apply_pulse(state, pulse, dq, qp)
+            idle = executor.slot - pulse.duration
+            if idle > 0.0:
+                state = free_evolve(state, dq, idle, qp)
+            spent = executor.slot
+            while spent > seg_rem and seg_idx + 1 < len(segments):
+                spent -= seg_rem
+                seg_idx += 1
+                xi, seg_rem = segments[seg_idx]
+            seg_rem = max(seg_rem - spent, 0.0)
+    return state
 
 
 class TestCliffordTable:
@@ -112,24 +141,33 @@ class TestExecutor:
             m, _ = executor.run(indices + [recovery], IDEAL.f_high, 0.0, rng)
             assert m == 0
 
-    def test_fast_and_segmented_paths_agree(self):
-        rng = substream(506, "paths")
-        env = make_environment(QP, FROZEN, rng, pinned_mode=1)
-        executor = rb.SequenceExecutor(env)
-        seq = list(np.random.default_rng(8).integers(0, 24, size=64))
-        table = executor._map_table(1, 0)
-        x = y = 0.0
-        z = 1.0
-        for i in seq:
-            m = table[i]
-            x, y, z = (
-                m[0] * x + m[1] * y + m[2] * z + m[9],
-                m[3] * x + m[4] * y + m[5] * z + m[10],
-                m[6] * x + m[7] * y + m[8] * z + m[11],
+    @pytest.mark.parametrize("frame", ["high", "low"])
+    def test_run_matches_slot_by_slot_reference(self, frame, monkeypatch):
+        # Fast switching puts several mode switches inside each sequence.
+        fast = TelegraphParams(2e6, 2e6)
+        f_c = QP.f_high if frame == "high" else QP.f_low
+        captured = []
+        measure = rb.measure
+
+        def capture(state, qp, rng):  # the state the executor hands to readout
+            captured.append(state)
+            return measure(state, qp, rng)
+
+        monkeypatch.setattr(rb, "measure", capture)
+        switched = 0
+        for k in range(20):
+            env = make_environment(QP, fast, substream(506, "paths", k))
+            executor = rb.SequenceExecutor(env)
+            seq = [int(i) for i in np.random.default_rng(k).integers(0, 24, size=64)]
+            total = sum(executor.durations[i] for i in seq)
+            segments, _ = telegraph.dwell_segments(env.tls, fast, total, substream(506, "run", k))
+            switched += len(segments) > 1
+            executor.run(seq, f_c, 0.0, substream(506, "run", k))
+            expected = _slot_by_slot(executor, seq, f_c, segments)
+            assert (captured[-1].x, captured[-1].y, captured[-1].z) == pytest.approx(
+                (expected.x, expected.y, expected.z), abs=1e-12
             )
-        total = sum(executor.durations[i] for i in seq)
-        state = executor._run_segmented(seq, QP.f_high, [(1, total / 2), (1, total / 2 + 1e-12)])
-        assert (state.x, state.y, state.z) == pytest.approx((x, y, z), abs=1e-12)
+        assert switched >= 15
 
     def test_clock_advances_by_sequence_plus_dead_time(self):
         rng = substream(507, "clock")
@@ -139,30 +177,6 @@ class TestExecutor:
         total = sum(executor.durations[i] for i in seq)
         _, clock = executor.run(seq, QP.f_high, 5.0, rng)
         assert clock == pytest.approx(5.0 + total + QP.t_wall)
-
-    def test_virtual_z_element_equals_rotated_axis_pulse(self):
-        # [VZ(pi/2), X(pi/2)] acts as Y(pi/2) for ground-to-z circuits.
-        custom = (
-            rb.CliffordElement(
-                index=0,
-                pulses=(rb.VirtualZ(math.pi / 2), rb.NativePulse(0.0, math.pi / 2)),
-                unitary=rb.decomposition_unitary(
-                    (rb.VirtualZ(math.pi / 2), rb.NativePulse(0.0, math.pi / 2))
-                ),
-            ),
-            rb.CliffordElement(
-                index=1,
-                pulses=(rb.NativePulse(math.pi / 2, math.pi / 2),),
-                unitary=rb.decomposition_unitary((rb.NativePulse(math.pi / 2, math.pi / 2),)),
-            ),
-        )
-        rng = substream(508, "vz")
-        env = make_environment(QP, FROZEN, rng, pinned_mode=1)
-        executor = rb.SequenceExecutor(env, table=custom)
-        total = executor.durations[0]
-        state_vz = executor._run_segmented([0], QP.f_high, [(1, total)])
-        state_y = executor._run_segmented([1], QP.f_high, [(1, total)])
-        assert state_vz.z == pytest.approx(state_y.z, abs=1e-12)
 
 
 class TestFitExponential:

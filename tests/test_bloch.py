@@ -11,10 +11,14 @@ from bistable_qubit.bloch import (
     BlochState,
     PulseSpec,
     QubitParams,
+    apply,
     apply_pulse,
+    compose,
     detuning,
     free_evolve,
+    free_map,
     measure,
+    pulse_map,
     rabi_transition_probability,
     reported_excited_probability,
     reset,
@@ -269,6 +273,33 @@ def test_norm_never_exceeds_one(seed, n_ops):
             pulse = PulseSpec.finite(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-math.pi, math.pi)), qp)
             state = apply_pulse(state, pulse, float(rng.uniform(-2e6, 2e6)), qp)
         assert state.norm <= 1.0 + 1e-9
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_maps=st.integers(1, 12))
+def test_composed_map_equals_stepwise_application(seed, n_maps):
+    qp = QubitParams.defaults()
+    rng = np.random.default_rng(seed)
+    maps = []
+    for _ in range(n_maps):
+        kind = rng.integers(0, 3)
+        delta_q = float(rng.uniform(-2e6, 2e6))
+        axis, angle = float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-math.pi, math.pi))
+        if kind == 0:
+            maps.append(free_map(delta_q, float(rng.uniform(0, 2e-6)), qp))
+        elif kind == 1:
+            maps.append(pulse_map(PulseSpec.instantaneous(axis, angle), delta_q, qp))
+        else:
+            maps.append(pulse_map(PulseSpec.finite(axis, angle, qp), delta_q, qp))
+    start = rng.normal(size=3)
+    start *= rng.uniform(0, 1) / np.linalg.norm(start)
+    state = BlochState(*(float(v) for v in start))
+    composed = apply(compose(*maps), state)
+    for m in maps:
+        state = apply(m, state)
+    expected = (state.x, state.y, state.z)
+    assert (composed.x, composed.y, composed.z) == pytest.approx(expected, abs=1e-12)
+    assert composed.norm <= 1.0 + 1e-12
 
 
 class TestFinitePulseTimingOffset:

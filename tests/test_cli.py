@@ -182,12 +182,28 @@ class TestMain:
         assert rc == 2
         assert "--shots" in capsys.readouterr().err
 
-    def test_config_error_exit_code(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "experiment, text, extra, named",
+        [
+            ("perr", '{"experiment": "perr", "bogus": 1}', [], "bogus"),
+            ("perr", '{"experiment": "perr",', [], "c.json"),
+            ("perr", None, [], "c.json"),
+            ("ramsey", "{}", ["--shots", "0"], "ramsey.shots"),
+            ("ramsey", '{"ramsey": {"n_tau": "x"}}', [], "ramsey.n_tau"),
+            ("perr", '{"seed": true}', [], "seed"),
+        ],
+        ids=[
+            "unknown-key", "malformed-json", "missing-file", "zero-shots", "string-count", "boolean-seed"
+        ],
+    )
+    def test_config_error_exit_code(self, tmp_path, capsys, experiment, text, extra, named):
         config = tmp_path / "c.json"
-        config.write_text('{"experiment": "perr", "bogus": 1}')
-        rc = cli.main(["perr", "--config", str(config)])
+        if text is not None:
+            config.write_text(text)
+        rc = cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out"), *extra])
         assert rc == 2
-        assert "bogus" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_shots_flag_maps_to_cycles(self, tmp_path):
         rc = cli.main(

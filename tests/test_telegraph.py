@@ -92,12 +92,11 @@ def test_flip_probability_bounded_and_monotone(gamma_hl, gamma_lh, dt1, dt2, xi)
 
 
 def test_evolve_frozen_process():
-    state = TlsState(xi=telegraph.XI_L, t=1.0, t_last_flip=0.5)
+    state = TlsState(xi=telegraph.XI_L, t=1.0)
     rng = substream(103, "frozen")
     out = telegraph.evolve(state, TelegraphParams(0.0, 0.0), 5.0, rng)
     assert out.xi == telegraph.XI_L
     assert out.t == 6.0
-    assert out.t_last_flip == 0.5
 
 
 def test_evolve_marginal_matches_flip_probability():
