@@ -380,12 +380,17 @@ class RbConfig:
     tau_probe: float = 0.0  # 0 -> optimal probe time for the qubit params
 
     def __post_init__(self):
-        if len(self.depths) == 0:
-            raise ValueError("depths must be nonempty")
+        if len(self.depths) < 3:
+            raise ValueError("depths must hold at least 3 depths, one per fit parameter")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
             raise ValueError("depths must be strictly increasing")
-        if self.n_sequences < 1 or self.shots_per_sequence < 1 or self.n_windows < 1:
-            raise ValueError("counts must be positive")
+        if self.depths[0] < 0:
+            raise ValueError("depths must be nonnegative")
+        for name in ("n_sequences", "shots_per_sequence", "n_windows"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.idle_between_windows >= 0:
+            raise ValueError("idle_between_windows must be nonnegative")
 
 
 @dataclass(frozen=True)

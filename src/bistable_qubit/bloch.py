@@ -56,18 +56,17 @@ class QubitParams:
     t_reset: float = 6e-6
 
     def __post_init__(self):
-        if not self.f_high > self.f_low:
-            raise ValueError("f_high must exceed f_low")
-        if self.rabi_rate <= 0:
-            raise ValueError("rabi_rate must be positive")
-        if self.t1 <= 0 or self.t_phi <= 0:
-            raise ValueError("t1 and t_phi must be positive")
+        if not -math.inf < self.f_low < self.f_high < math.inf:
+            raise ValueError("f_high must exceed f_low, both finite")
+        for name in ("rabi_rate", "t1", "t_phi"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         for name in ("readout_eps_0to1", "readout_eps_1to0"):
-            eps = getattr(self, name)
-            if not 0.0 <= eps < 0.5:
+            if not 0.0 <= getattr(self, name) < 0.5:
                 raise ValueError(f"{name} must lie in [0, 0.5)")
-        if self.t_readout < 0 or self.t_reset < 0:
-            raise ValueError("t_readout and t_reset must be nonnegative")
+        for name in ("t_readout", "t_reset"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     @property
     def delta_tls(self) -> float:
@@ -290,7 +289,7 @@ def reported_excited_probability(z: float, params: QubitParams) -> float:
     return p_excited * (1.0 - params.readout_eps_1to0) + (1.0 - p_excited) * params.readout_eps_0to1
 
 
-def reset(params: QubitParams) -> BlochState:
+def reset() -> BlochState:
     """Re-initialize to the ground state.
 
     The caller is responsible for advancing its clock by t_readout + t_reset

@@ -1,7 +1,10 @@
 """Command-line interface: configuration, seeding, orchestration, file output.
 
 Experiments are configured by a JSON document (all keys optional except
-``experiment`` when no subcommand supplies it); unknown keys are rejected.
+``experiment`` when no subcommand supplies it).  ``SCHEMA`` declares every key
+once with its default and domain; ``parse_config`` rejects, naming the key
+path, an unknown key, a wrong JSON type, NaN or a value out of its domain, and
+builds the library types the sections feed, whose own checks also run.
 Outputs are UTF-8 CSV tables with header rows plus a JSON manifest that
 echoes the configuration, records derived quantities, and checksums every
 produced file.  For a fixed seed the data files are byte-identical across
@@ -11,9 +14,11 @@ runs; only the manifest's wall_time_s field varies.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -45,127 +50,161 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
 
 
-EXPERIMENTS = ("syndrome-sweep", "ramsey", "mitigate", "rb", "heatmap", "perr", "ak")
+# experiment -> the key of its section that --shots sets (None: no sampling knob)
+EXPERIMENTS = {"syndrome-sweep": "n_cycles", "ramsey": "shots", "mitigate": "n_reps", "rb": "n_sequences",
+               "heatmap": None, "perr": None, "ak": "n_trajectories"}
 
-_DEFAULTS: dict = {
-    "experiment": None,
-    "seed": 20260809,
-    "out_dir": "out",
-    "replicas": 1,
+_MODE_NAMES = {None: None, "H": 0, "L": 1, 0: 0, 1: 1}
+# A key's domain, named by the text that completes "must be ...", and its test.
+DOMAINS = {
+    "finite": math.isfinite,
+    "finite and > 0": lambda v: 0 < v < math.inf,
+    "finite and >= 0": lambda v: 0 <= v < math.inf,
+    ">= 1": lambda v: v >= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    '"high" or "low"': lambda v: v in ("high", "low"),
+    'null, "H", "L", 0 or 1': lambda v: any(v == m and type(v) is type(m) for m in _MODE_NAMES),
+    "a list of finite values >= 0": lambda v: all(0 <= x < math.inf for x in v),
+    "a nonempty list of finite values >= 0": lambda v: len(v) > 0 and all(0 <= x < math.inf for x in v),
+}
+
+# Every key as (default, domain).  The default fixes the JSON type.  A key whose
+# range the library type it feeds already checks has no domain here.
+_QUBIT = QubitParams.defaults()
+_RB = RbConfig()
+SCHEMA: dict = {
+    "experiment": ("", None),
+    "seed": (20260809, "finite and >= 0"),
+    "out_dir": ("out", None),
+    "replicas": (1, ">= 1"),
     "qubit": {
-        "f_high_hz": 5.10e9,
-        "f_low_hz": 5.10e9 - 374e3,
-        "rabi_rate_rad_s": math.pi / 48e-9,
-        "t1_s": 74e-6,
-        "t_phi_s": 61e-6,
-        "readout_eps_0to1": 0.03,
-        "readout_eps_1to0": 0.03,
-        "t_readout_s": 2e-6,
-        "t_reset_s": 6e-6,
+        "f_high_hz": (_QUBIT.f_high, None),
+        "f_low_hz": (_QUBIT.f_low, None),
+        "rabi_rate_rad_s": (_QUBIT.rabi_rate, None),
+        "t1_s": (_QUBIT.t1, None),
+        "t_phi_s": (_QUBIT.t_phi, None),
+        "readout_eps_0to1": (_QUBIT.readout_eps_0to1, None),
+        "readout_eps_1to0": (_QUBIT.readout_eps_1to0, None),
+        "t_readout_s": (_QUBIT.t_readout, None),
+        "t_reset_s": (_QUBIT.t_reset, None),
     },
     "tls": {
-        "gamma_hl_hz": 0.05,
-        "gamma_lh_hz": 0.05,
-        "pinned_mode": None,
+        "gamma_hl_hz": (0.05, None),
+        "gamma_lh_hz": (0.05, None),
+        "pinned_mode": (None, 'null, "H", "L", 0 or 1'),
     },
     "protocol": {
-        "tau_probe_s": 0.0,  # 0 -> optimal probe time for the qubit params
-        "finite_pulses": True,
+        "tau_probe_s": (0.0, "finite and >= 0"),  # 0 -> optimal probe time for the qubit params
+        "finite_pulses": (True, None),
     },
     "ramsey": {
-        "frame": "high",
-        "virtual_detuning_hz": 2.0e6,
-        "tau_max_s": 2.5e-6,
-        "n_tau": 50,
-        "shots": 200,
+        "frame": ("high", '"high" or "low"'),
+        "virtual_detuning_hz": (2.0e6, "finite"),
+        "tau_max_s": (2.5e-6, "finite and > 0"),
+        "n_tau": (50, ">= 1"),
+        "shots": (200, ">= 1"),
     },
     "mitigate": {
-        "n_tau": 50,
-        "n_reps": 10,
-        "tau_max_s": 2.5e-6,
-        "rows": 120,
-        "det_nofb_hz": 2.0e6,
-        "det_fb_hz": 2.33e6,
-        "idle_between_rows_s": 1.0,
-        "block_size": 1,
+        "n_tau": (50, ">= 1"),
+        "n_reps": (MitigationConfig.n_reps, None),
+        "tau_max_s": (2.5e-6, "finite and > 0"),
+        "rows": (120, None),
+        "det_nofb_hz": (MitigationConfig.det_nofb, "finite"),
+        "det_fb_hz": (MitigationConfig.det_fb, "finite"),
+        "idle_between_rows_s": (1.0, None),
+        "block_size": (MitigationConfig.block_size, None),
     },
     "rb": {
-        "depths": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048],
-        "n_sequences": 100,
-        "shots_per_sequence": 1,
-        "n_windows": 1,
-        "idle_between_windows_s": 0.0,
+        "depths": (list(_RB.depths), None),
+        "n_sequences": (_RB.n_sequences, None),
+        "shots_per_sequence": (_RB.shots_per_sequence, None),
+        "n_windows": (_RB.n_windows, None),
+        "idle_between_windows_s": (_RB.idle_between_windows, None),
     },
     "syndrome_sweep": {
-        "n_cycles": 100000,
-        "gammas_hz": [0.0],
-        "t_walls_s": [],  # empty -> the qubit's own readout + reset time
+        "n_cycles": (100000, ">= 1"),
+        "gammas_hz": ([0.0], "a nonempty list of finite values >= 0"),
+        "t_walls_s": ([], "a list of finite values >= 0"),  # empty -> the qubit's own readout + reset time
     },
     "perr": {
-        "gammas_hz": [0.0, 1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5],
-        "alpha": 0.94,
-        "t2_s": 61e-6,
-        "t_wall_s": 8e-6,
+        "gammas_hz": ([0.0, 1e2, 3e2, 1e3, 3e3, 1e4, 3e4, 1e5, 3e5], "a nonempty list of finite values >= 0"),
+        "alpha": (0.94, "in (0, 1]"),
+        "t2_s": (61e-6, "finite and > 0"),
+        "t_wall_s": (8e-6, "finite and >= 0"),
     },
     "heatmap": {
-        "splitting_min": 5e-3,
-        "splitting_max": 0.5,
-        "n_splitting": 40,
-        "switching_min": 1e-3,
-        "switching_max": 3.0,
-        "n_switching": 60,
-        "log_axes": True,
-        "alpha": 0.94,
-        "t_pi_s": 48e-9,
-        "t2_s": 61e-6,
-        "t_wall_s": 8e-6,
+        "splitting_min": (5e-3, "finite and > 0"),
+        "splitting_max": (0.5, "finite and > 0"),
+        "n_splitting": (40, ">= 1"),
+        "switching_min": (1e-3, "finite and > 0"),
+        "switching_max": (3.0, "finite and > 0"),
+        "n_switching": (60, ">= 1"),
+        "log_axes": (True, None),
+        "alpha": (0.94, "in (0, 1]"),
+        "t_pi_s": (48e-9, "finite and > 0"),
+        "t2_s": (61e-6, "finite and > 0"),
+        "t_wall_s": (8e-6, "finite and >= 0"),
     },
     "ak": {
-        "gamma_hz": 2.0e5,
-        "t_max_s": 0.0,  # 0 -> 3/delta_tls
-        "n_t": 200,
-        "n_trajectories": 0,
+        "gamma_hz": (2.0e5, "finite and >= 0"),
+        "t_max_s": (0.0, "finite and >= 0"),  # 0 -> 3/delta_tls
+        "n_t": (200, ">= 1"),
+        "n_trajectories": (0, "finite and >= 0"),
     },
 }
 
-_MODE_NAMES = {None: None, "H": 0, "L": 1, 0: 0, 1: 1}
-_MAY_BE_ZERO = {"seed", "ak.n_trajectories"}  # integer keys that accept 0; the others must be >= 1
 
-
-def _check_value(key: str, default, value) -> None:
-    """Reject a value of another JSON type than the default's (an int passes for a float)."""
+def _check(path: str, default, domain: str | None, value):
+    """Check ``value`` for the JSON type of ``default`` (an int passes for a float; list items
+    for that of the default's items, or number), NaN and ``domain``; return it unchanged."""
     kinds = {float: (int, float)}.get(type(default), (type(default),))
     wrong_type = not isinstance(value, kinds) or isinstance(value, bool) != isinstance(default, bool)
     if default is not None and wrong_type:
-        raise ConfigError(f"{key}: expected {type(default).__name__}, got {json.dumps(value)}")
-    least = 0 if key in _MAY_BE_ZERO else 1
-    if type(default) is int and value < least:
-        raise ConfigError(f"{key}: must be >= {least}")
+        raise ConfigError(f"{path}: expected {type(default).__name__}, got {json.dumps(value)}")
+    if isinstance(value, float) and math.isnan(value):
+        raise ConfigError(f"{path}: must not be NaN")
+    for i, item in enumerate(value if isinstance(default, list) else ()):
+        _check(f"{path}[{i}]", default[0] if default else 0.0, None, item)
+    if domain is not None and not DOMAINS[domain](value):
+        raise ConfigError(f"{path}: must be {domain}, got {json.dumps(value)}")
+    return value
 
 
-def _merge(defaults: dict, overrides: dict, path: str = "") -> dict:
-    merged = {}
-    for key, default in defaults.items():
-        if key in overrides:
-            value = overrides[key]
-            if isinstance(default, dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{path}{key}: expected an object")
-                merged[key] = _merge(default, value, f"{path}{key}.")
-            else:
-                _check_value(f"{path}{key}", default, value)
-                merged[key] = value
-        else:
-            merged[key] = default.copy() if isinstance(default, dict) else default
-    for key in overrides:
-        if key not in defaults:
+def _resolve(schema: dict, data, path: str = "") -> dict:
+    """Merge ``data`` over the schema's defaults, checking every key it sets."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path[:-1] or 'configuration root'}: expected a JSON object")
+    for key in data:
+        if key not in schema:
             raise ConfigError(f"{path}{key}: unknown key")
-    return merged
+    return {
+        key: _resolve(spec, data.get(key, {}), f"{path}{key}.")
+        if isinstance(spec, dict)
+        else _check(f"{path}{key}", *spec, data[key]) if key in data else spec[0]
+        for key, spec in schema.items()
+    }
+
+
+def _build(cls, section: str, values: dict, **fixed):
+    """Build ``cls`` from a section: key ``<field>[_hz|_s|_rad_s]`` sets ``<field>``, a float
+    key as a float and a list as a tuple.  The type's error messages begin with the
+    field they reject; the ConfigError names its key."""
+    keys = {re.sub(r"_(rad_s|hz|s)$", "", key): key for key in values}
+    kwargs = {}
+    for name in {f.name for f in dataclasses.fields(cls)} & set(keys):
+        default, value = SCHEMA[section][keys[name]][0], values[keys[name]]
+        kwargs[name] = tuple(value) if isinstance(value, list) else type(default)(value)
+    try:
+        return cls(**kwargs, **fixed)
+    except ValueError as exc:
+        name, _, rule = str(exc).partition(" ")
+        raise ConfigError(f"{section}.{keys[name]}: {rule}" if name in keys else f"{section}: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration with reference-device defaults filled in."""
+    """Validated run configuration; ``params`` (the experiment's section) and ``raw``
+    (the merged document, echoed in the manifest) keep the JSON types as written."""
 
     experiment: str
     seed: int
@@ -176,57 +215,39 @@ class RunConfig:
     pinned_mode: int | None
     tau_probe: float
     finite_pulses: bool
+    rb: RbConfig
+    mitigation: MitigationConfig
     params: dict
     raw: dict
 
 
-def _config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root: expected a JSON object")
-    merged = _merge(_DEFAULTS, data)
+def _config_from_dict(data) -> RunConfig:
+    merged = _resolve(SCHEMA, data)
     experiment = merged["experiment"]
     if not experiment:
         raise ConfigError("experiment: required field is missing or empty")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment: unknown experiment '{experiment}'")
-    q = merged["qubit"]
-    try:
-        qubit = QubitParams(
-            f_low=float(q["f_low_hz"]),
-            f_high=float(q["f_high_hz"]),
-            rabi_rate=float(q["rabi_rate_rad_s"]),
-            t1=float(q["t1_s"]),
-            t_phi=float(q["t_phi_s"]),
-            readout_eps_0to1=float(q["readout_eps_0to1"]),
-            readout_eps_1to0=float(q["readout_eps_1to0"]),
-            t_readout=float(q["t_readout_s"]),
-            t_reset=float(q["t_reset_s"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"qubit: {exc}") from exc
-    t = merged["tls"]
-    try:
-        tls = TelegraphParams(gamma_hl=float(t["gamma_hl_hz"]), gamma_lh=float(t["gamma_lh_hz"]))
-    except ValueError as exc:
-        raise ConfigError(f"tls: {exc}") from exc
-    if t["pinned_mode"] not in _MODE_NAMES:
-        raise ConfigError("tls.pinned_mode: must be null, 'H', 'L', 0 or 1")
-    pinned = _MODE_NAMES[t["pinned_mode"]]
-    proto = merged["protocol"]
-    if proto["tau_probe_s"] < 0:
-        raise ConfigError("protocol.tau_probe_s: must be nonnegative")
-    section = experiment.replace("-", "_")
+    tls = _build(TelegraphParams, "tls", merged["tls"])
+    pinned = _MODE_NAMES[merged["tls"]["pinned_mode"]]
+    if pinned is None and tls.total_rate == 0:
+        raise ConfigError("tls.pinned_mode: required when both switching rates are 0")
+    tau_probe = float(merged["protocol"]["tau_probe_s"])
+    mit = merged["mitigate"]
+    tau_grid = tuple(np.linspace(0.0, mit["tau_max_s"], mit["n_tau"]).tolist())
     return RunConfig(
         experiment=experiment,
         seed=merged["seed"],
         out_dir=merged["out_dir"],
         replicas=merged["replicas"],
-        qubit=qubit,
+        qubit=_build(QubitParams, "qubit", merged["qubit"]),
         tls=tls,
         pinned_mode=pinned,
-        tau_probe=float(proto["tau_probe_s"]),
-        finite_pulses=bool(proto["finite_pulses"]),
-        params=merged[section],
+        tau_probe=tau_probe,
+        finite_pulses=merged["protocol"]["finite_pulses"],
+        rb=_build(RbConfig, "rb", merged["rb"], tau_probe=tau_probe),
+        mitigation=_build(MitigationConfig, "mitigate", mit, tau_grid=tau_grid, tau_probe=tau_probe),
+        params=merged[experiment.replace("-", "_")],
         raw=merged,
     )
 
@@ -275,13 +296,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _tau_probe(cfg: RunConfig) -> float:
-    return cfg.tau_probe if cfg.tau_probe > 0 else default_tau_probe(cfg.qubit)
+def _tau_probe(cfg: RunConfig, qp: QubitParams) -> float:
+    return cfg.tau_probe or default_tau_probe(qp)
 
 
 def _derived_block(cfg: RunConfig) -> dict:
     qp = cfg.qubit
-    tau = _tau_probe(cfg)
+    tau = _tau_probe(cfg, qp)
     timing = CycleTiming(t_gate=qp.t_pi, tau=tau, t_readout=qp.t_readout, t_reset=qp.t_reset)
     overlapped = CycleTiming(t_gate=qp.t_pi, tau=tau, t_readout=0.0, t_reset=qp.t_reset)
     return {
@@ -303,7 +324,7 @@ def _derived_block(cfg: RunConfig) -> dict:
 def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     qp = cfg.qubit
-    taus = np.linspace(0.0, p["tau_max_s"], int(p["n_tau"]))
+    taus = np.linspace(0.0, p["tau_max_s"], p["n_tau"])
     f_c = qp.f_high if p["frame"] == "high" else qp.f_low
     rows = []
     for replica in range(cfg.replicas):
@@ -312,7 +333,7 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
         ctrl = ControllerState(f_c=f_c)
         for tau in taus:
             hits = 0
-            for _ in range(int(p["shots"])):
+            for _ in range(p["shots"]):
                 m, ctrl = ramsey_cycle(env, ctrl, float(tau), p["virtual_detuning_hz"], rng)
                 hits += m
             model = None
@@ -320,7 +341,7 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
                 model = ramsey_probability(
                     qp, f_c, cfg.pinned_mode, float(tau), p["virtual_detuning_hz"], cfg.finite_pulses
                 )
-            rows.append((replica, tau, int(p["shots"]), hits / p["shots"], model))
+            rows.append((replica, tau, p["shots"], hits / p["shots"], model))
     files = {
         "ramsey.csv": (
             ["replica", "tau_s", "shots", "p_m1", "p_model"],
@@ -331,19 +352,9 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
-    p = cfg.params
     qp = cfg.qubit
-    taus = np.linspace(0.0, p["tau_max_s"], int(p["n_tau"]))
-    mit = MitigationConfig(
-        tau_grid=tuple(float(t) for t in taus),
-        n_reps=int(p["n_reps"]),
-        rows=int(p["rows"]),
-        det_nofb=p["det_nofb_hz"],
-        det_fb=p["det_fb_hz"],
-        tau_probe=_tau_probe(cfg),
-        idle_between_rows=p["idle_between_rows_s"],
-        block_size=int(p["block_size"]),
-    )
+    mit = cfg.mitigation
+    taus = np.asarray(mit.tau_grid)
     nofb_rows, fb_rows, trace_rows, avg_rows = [], [], [], []
     fits = {}
     for replica in range(cfg.replicas):
@@ -362,14 +373,9 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
         avg_fb = result.feedback.values.mean(axis=0)
         for i, tau in enumerate(taus):
             avg_rows.append((replica, tau, avg_nofb[i], avg_fb[i]))
-        mix = fit_two_frequency_mixture(
-            taus, avg_nofb, p["det_nofb_hz"], p["det_nofb_hz"] - qp.delta_tls, qp.t2
-        )
+        mix = fit_two_frequency_mixture(taus, avg_nofb, mit.det_nofb, mit.det_nofb - qp.delta_tls, qp.t2)
         side = quadrature_amplitudes(
-            taus,
-            avg_fb,
-            [p["det_fb_hz"], p["det_fb_hz"] - qp.delta_tls, p["det_fb_hz"] + qp.delta_tls],
-            qp.t2,
+            taus, avg_fb, [mit.det_fb, mit.det_fb - qp.delta_tls, mit.det_fb + qp.delta_tls], qp.t2
         )
         fits[f"replica_{replica}"] = {
             "no_feedback_mixture_ok": mix.ok,
@@ -395,16 +401,7 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
 
 
 def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
-    p = cfg.params
     qp = cfg.qubit
-    rb = RbConfig(
-        depths=tuple(int(d) for d in p["depths"]),
-        n_sequences=int(p["n_sequences"]),
-        shots_per_sequence=int(p["shots_per_sequence"]),
-        n_windows=int(p["n_windows"]),
-        idle_between_windows=p["idle_between_windows_s"],
-        tau_probe=_tau_probe(cfg),
-    )
     ts_rows, surv_rows = [], []
     summary = {
         "gates_per_clifford": None,
@@ -414,7 +411,7 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
     for replica in range(cfg.replicas):
         rng = substream(cfg.seed, cfg.experiment, "replica", replica)
         env = make_environment(qp, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
-        series = run_rb_interleaved(env, rb, rng)
+        series = run_rb_interleaved(env, cfg.rb, rng)
         summary["gates_per_clifford"] = series.gates_per_clifford
         valid_nofb, valid_fb = [], []
         for win in series.windows:
@@ -484,18 +481,18 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
             for t_wall in t_walls:
                 rng = substream(cfg.seed, cfg.experiment, "replica", replica, f"{gamma}", f"{t_wall}")
                 qp_run = replace(qp, t_readout=0.0, t_reset=t_wall)
-                tau = cfg.tau_probe if cfg.tau_probe > 0 else default_tau_probe(qp_run)
+                tau = _tau_probe(cfg, qp_run)
                 tlsp = TelegraphParams.symmetric(float(gamma))
                 pinned = cfg.pinned_mode if cfg.pinned_mode is not None else (0 if gamma == 0 else None)
                 env = make_environment(qp_run, tlsp, rng, pinned, cfg.finite_pulses)
                 resample = gamma == 0 and cfg.pinned_mode is None
-                p_mc = syndrome_error_rate(env, int(p["n_cycles"]), tau, rng, resample)
+                p_mc = syndrome_error_rate(env, p["n_cycles"], tau, rng, resample)
                 rows.append(
                     (
                         replica,
                         gamma,
                         t_wall,
-                        int(p["n_cycles"]),
+                        p["n_cycles"],
                         p_mc,
                         analytics.p_err_bandwidth_exact(qp.delta_tls, gamma, qp.alpha, qp.t2, t_wall),
                         analytics.p_err_bandwidth(qp.delta_tls, gamma, qp.alpha, qp.t2, t_wall),
@@ -551,14 +548,14 @@ def _run_heatmap(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     if p["log_axes"]:
         splittings = np.logspace(
-            math.log10(p["splitting_min"]), math.log10(p["splitting_max"]), int(p["n_splitting"])
+            math.log10(p["splitting_min"]), math.log10(p["splitting_max"]), p["n_splitting"]
         )
         switching = np.logspace(
-            math.log10(p["switching_min"]), math.log10(p["switching_max"]), int(p["n_switching"])
+            math.log10(p["switching_min"]), math.log10(p["switching_max"]), p["n_switching"]
         )
     else:
-        splittings = np.linspace(p["splitting_min"], p["splitting_max"], int(p["n_splitting"]))
-        switching = np.linspace(p["switching_min"], p["switching_max"], int(p["n_switching"]))
+        splittings = np.linspace(p["splitting_min"], p["splitting_max"], p["n_splitting"])
+        switching = np.linspace(p["switching_min"], p["switching_max"], p["n_switching"])
     amap = analytics.improvement_map(
         splittings, switching, p["alpha"], p["t_pi_s"], p["t2_s"], p["t_wall_s"]
     )
@@ -586,12 +583,12 @@ def _run_ak(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     delta = cfg.qubit.delta_tls
     t_max = p["t_max_s"] if p["t_max_s"] > 0 else 3.0 / delta
-    t_grid = np.linspace(0.0, t_max, int(p["n_t"]))
+    t_grid = np.linspace(0.0, t_max, p["n_t"])
     ak = analytics.ak_coherence(t_grid, delta, p["gamma_hz"])
     mc = None
-    if int(p["n_trajectories"]) > 0:
+    if p["n_trajectories"] > 0:
         rng = substream(cfg.seed, cfg.experiment, "mc")
-        mc = analytics.ak_coherence_mc(delta, p["gamma_hz"], t_grid, int(p["n_trajectories"]), rng)
+        mc = analytics.ak_coherence_mc(delta, p["gamma_hz"], t_grid, p["n_trajectories"], rng)
     rows = []
     for i, t in enumerate(t_grid):
         rows.append(
@@ -702,25 +699,16 @@ def main(argv=None) -> int:
         )
         return 2
     data["experiment"] = args.experiment
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.out is not None:
-        data["out_dir"] = args.out
-    if args.replicas is not None:
-        data["replicas"] = args.replicas
+    for key, value in (("seed", args.seed), ("out_dir", args.out), ("replicas", args.replicas)):
+        if value is not None:
+            data[key] = value
     if args.shots is not None:
-        shot_keys = {
-            "ramsey": ("ramsey", "shots"),
-            "mitigate": ("mitigate", "n_reps"),
-            "rb": ("rb", "n_sequences"),
-            "syndrome-sweep": ("syndrome_sweep", "n_cycles"),
-            "ak": ("ak", "n_trajectories"),
-        }
-        if args.experiment not in shot_keys:
+        if EXPERIMENTS[args.experiment] is None:
             print(f"--shots does not apply to experiment '{args.experiment}'", file=sys.stderr)
             return 2
-        section, key = shot_keys[args.experiment]
-        data.setdefault(section, {})[key] = args.shots
+        section = data.setdefault(args.experiment.replace("-", "_"), {})
+        if isinstance(section, dict):  # otherwise the schema check names the section
+            section[EXPERIMENTS[args.experiment]] = args.shots
 
     try:
         cfg = _config_from_dict(data)

@@ -89,6 +89,10 @@ def fit_two_frequency_mixture(
             + env * a2 * np.cos(2.0 * math.pi * f2 * tau + phi2)
         )
 
+    nan = math.nan
+    failed = MixtureFit(nan, nan, nan, nan, nan, nan, nan, nan, False)
+    if taus.size < 7:  # fewer points than the model's parameters
+        return failed
     amp0 = max(0.25 * float(np.ptp(values)), 1e-3)
     try:
         popt, _ = curve_fit(
@@ -99,8 +103,7 @@ def fit_two_frequency_mixture(
             maxfev=40000,
         )
     except (RuntimeError, ValueError):
-        nan = math.nan
-        return MixtureFit(nan, nan, nan, nan, nan, nan, nan, nan, False)
+        return failed
     c, a1, f1, phi1, a2, f2, phi2 = (float(v) for v in popt)
     if a1 < 0:
         a1, phi1 = -a1, phi1 + math.pi

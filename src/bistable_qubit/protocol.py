@@ -143,7 +143,7 @@ def _two_pulse_cycle(
     by both pulses and tau.
     """
     qp = env.qubit
-    state = reset(qp)
+    state = reset()
     for k, axis_phase in enumerate((0.0, second_axis_phase)):
         if k == 1:
             segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, tau, rng)
@@ -303,10 +303,13 @@ class MitigationConfig:
     block_size: int = 1
 
     def __post_init__(self):
-        if len(self.tau_grid) < 1 or self.n_reps < 1 or self.rows < 1:
-            raise ValueError("tau_grid, n_reps and rows must be nonempty/positive")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
+        if len(self.tau_grid) < 1:
+            raise ValueError("tau_grid must be nonempty")
+        for name in ("n_reps", "rows", "block_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not self.idle_between_rows >= 0:
+            raise ValueError("idle_between_rows must be nonnegative")
 
 
 @dataclass
@@ -424,5 +427,5 @@ def x_gate_excited_population(
         pulse = PulseSpec.finite(0.0, math.pi, qp)
     else:
         pulse = PulseSpec.instantaneous(0.0, math.pi)
-    state = apply_pulse(reset(qp), pulse, dq, qp)
+    state = apply_pulse(reset(), pulse, dq, qp)
     return (1.0 - state.z) / 2.0

@@ -29,8 +29,9 @@ class TelegraphParams:
     gamma_lh: float
 
     def __post_init__(self):
-        if self.gamma_hl < 0 or self.gamma_lh < 0:
-            raise ValueError("switching rates must be nonnegative")
+        for name in ("gamma_hl", "gamma_lh"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     @property
     def total_rate(self) -> float:

@@ -450,7 +450,7 @@ def test_criterion_10_unit_and_property_checks():
             for xi in (0, 1):
                 f_c = ideal.f_high + off
                 dq = detuning(ideal, f_c, xi)
-                state = reset(ideal)
+                state = reset()
                 state = apply_pulse(state, PulseSpec.instantaneous(0.0, -math.pi / 2), dq, ideal)
                 state = free_evolve(state, dq, float(tau), ideal)
                 state = apply_pulse(state, PulseSpec.instantaneous(0.0, -math.pi / 2), dq, ideal)
@@ -474,7 +474,7 @@ def test_criterion_10_unit_and_property_checks():
         ps = []
         for xi in (0, 1):
             dq = detuning(ideal, f_mid, xi)
-            state = reset(ideal)
+            state = reset()
             state = apply_pulse(state, PulseSpec.finite(0.0, math.pi / 2, ideal), dq, ideal)
             state = free_evolve(state, dq, float(tau), ideal)
             state = apply_pulse(state, PulseSpec.finite(math.pi / 2, -math.pi / 2, ideal), dq, ideal)

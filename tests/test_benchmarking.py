@@ -303,7 +303,20 @@ class TestInterleavedRun:
         with pytest.raises(ValueError):
             rb.RbConfig(depths=(4, 2))
         with pytest.raises(ValueError):
-            rb.RbConfig(depths=(1, 2), n_sequences=0)
+            rb.RbConfig(depths=(1, 2, 4), n_sequences=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"depths": (1, 2)}, "depths"),  # one fitted window needs three depths
+            ({"depths": (-1, 2, 4)}, "depths"),
+            ({"idle_between_windows": -1.0}, "idle_between_windows"),
+        ],
+        ids=["two-depths", "negative-depth", "negative-idle"],
+    )
+    def test_config_rejects_before_the_run(self, kwargs, field):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            rb.RbConfig(**kwargs)
 
     def test_feedback_arm_wins_below_quarter_error_rate(self):
         # Lengthening the dead time drives the estimate stale; while the

@@ -33,7 +33,7 @@ IDEAL = QubitParams.defaults(
 def two_pulse_sequence(qp, f_c, xi, tau, finite=False, second_axis=0.0):
     dq = detuning(qp, f_c, xi)
     make = (lambda a, ang: PulseSpec.finite(a, ang, qp)) if finite else PulseSpec.instantaneous
-    state = reset(qp)
+    state = reset()
     state = apply_pulse(state, make(0.0, -math.pi / 2), dq, qp)
     state = free_evolve(state, dq, tau, qp)
     state = apply_pulse(state, make(second_axis, -math.pi / 2), dq, qp)
@@ -203,11 +203,11 @@ class TestMeasure:
     def test_reset_composition(self):
         qp = QubitParams.defaults(readout_eps_0to1=0.0, readout_eps_1to0=0.0)
         rng = substream(205, "reset")
-        state = reset(qp)
+        state = reset()
         assert (state.x, state.y, state.z) == (0.0, 0.0, 1.0)
         flipped = apply_pulse(state, PulseSpec.instantaneous(0.0, math.pi), 0.0, qp)
         assert flipped.z == pytest.approx(-1.0)
-        m, _ = measure(reset(qp), qp, rng)
+        m, _ = measure(reset(), qp, rng)
         assert m == 0
 
 
@@ -322,7 +322,7 @@ class TestFinitePulseTimingOffset:
             ps = []
             for xi in (0, 1):
                 dq = detuning(qp, f_mid, xi)
-                state = reset(qp)
+                state = reset()
                 state = apply_pulse(state, make(0.0, prep_angle), dq, qp)
                 state = free_evolve(state, dq, float(tau), qp)
                 state = apply_pulse(state, make(math.pi / 2, proj_angle), dq, qp)

@@ -1,11 +1,89 @@
 """Configuration parsing, experiment dispatch, output determinism."""
 
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bistable_qubit import cli
 from bistable_qubit.cli import ConfigError, parse_config
+
+
+def _leaves(schema, path=()):
+    for key, spec in schema.items():
+        if isinstance(spec, dict):
+            yield from _leaves(spec, path + (key,))
+        else:
+            yield path + (key,), spec
+
+
+LEAVES = list(_leaves(cli.SCHEMA))
+JSON_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**6), 10**6)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=4)
+    | st.lists(st.integers(-5, 5), max_size=2)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1)
+)
+JSON_KIND = {bool: "boolean", int: "integer", float: "number", str: "string", list: "array", dict: "object"}
+
+
+def _kind(value):
+    return JSON_KIND.get(type(value), "null")
+
+
+def _wrong_type(default):
+    """Values of a JSON type the key does not take (an integer passes for a number)."""
+    if default is None:
+        return st.nothing()
+    allowed = {_kind(default)} | ({"integer"} if isinstance(default, float) else set())
+    wrong = JSON_VALUES.filter(lambda v: _kind(v) not in allowed)
+    if isinstance(default, list):
+        wrong = wrong | _wrong_type(default[0] if default else 0.0).map(lambda v: [1, v])
+    return wrong
+
+
+def _out_of_domain(default, domain):
+    """Values of the key's own JSON type that its domain rejects."""
+    if domain is None:
+        return st.nothing()
+    if isinstance(default, list):
+        values = st.lists(st.integers(-3, 3) | st.floats(allow_nan=False), max_size=3)
+    elif isinstance(default, float):
+        values = st.integers(-(10**6), 10**6) | st.floats(allow_nan=False)
+    elif isinstance(default, int):
+        values = st.integers(-(10**6), 10**6)
+    else:
+        values = JSON_VALUES
+    return values.filter(lambda v: not cli.DOMAINS[domain](v))
+
+
+def _nan(default):
+    """NaN where the key takes a number, alone or as a list item."""
+    if isinstance(default, float):
+        return st.just(math.nan)
+    if isinstance(default, list) and not (default and isinstance(default[0], int)):
+        return st.just([0.0, math.nan])
+    return st.nothing()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_bad_value_is_rejected_naming_its_key(data):
+    path, (default, domain) = data.draw(st.sampled_from(LEAVES))
+    value = data.draw(_wrong_type(default) | _out_of_domain(default, domain) | _nan(default))
+    doc = {"experiment": "perr"}
+    if len(path) == 1:
+        doc[path[0]] = value
+    else:
+        doc[path[0]] = {path[1]: value}
+    with pytest.raises(ConfigError, match=re.escape(".".join(path))):
+        parse_config(json.dumps(doc))
 
 
 class TestParseConfig:
@@ -139,6 +217,16 @@ class TestRun:
         first = (tmp_path / "heatmap.csv").read_text().splitlines()[0]
         assert first == "splitting_2pi_delta_over_omega,gamma_t_cyc,log10_improvement"
 
+    def test_mitigate_with_fewer_taus_than_fit_parameters(self, tmp_path):
+        doc = {
+            "experiment": "mitigate",
+            "out_dir": str(tmp_path),
+            "mitigate": {"rows": 1, "n_tau": 2, "n_reps": 1},
+        }
+        assert cli.run(parse_config(json.dumps(doc))) == 0
+        manifest = (tmp_path / "manifest.json").read_text()
+        assert '"no_feedback_mixture_ok": false' in manifest
+
     def test_replicas_column(self, tmp_path):
         cfg = parse_config(
             json.dumps(
@@ -191,9 +279,32 @@ class TestMain:
             ("ramsey", "{}", ["--shots", "0"], "ramsey.shots"),
             ("ramsey", '{"ramsey": {"n_tau": "x"}}', [], "ramsey.n_tau"),
             ("perr", '{"seed": true}', [], "seed"),
+            ("heatmap", '{"heatmap": {"splitting_min": 0}}', [], "heatmap.splitting_min"),
+            ("ramsey", '{"ramsey": {"tau_max_s": -1}}', [], "ramsey.tau_max_s"),
+            ("rb", '{"rb": {"depths": []}}', [], "rb.depths"),
+            ("rb", '{"rb": {"depths": [4, 2, 8]}}', [], "rb.depths"),
+            ("rb", '{"rb": {"depths": [1, 2]}}', [], "rb.depths"),
+            ("rb", '{"rb": {"depths": [1, 2.5, 4]}}', [], "rb.depths"),
+            ("rb", '{"rb": {"idle_between_windows_s": -1}}', [], "rb.idle_between_windows_s"),
+            ("ramsey", '{"ramsey": {"frame": "middle"}}', [], "ramsey.frame"),
+            ("perr", '{"perr": {"alpha": 2}}', [], "perr.alpha"),
+            ("perr", '{"perr": {"t2_s": 0}}', [], "perr.t2_s"),
+            ("perr", '{"perr": {"gammas_hz": ["a"]}}', [], "perr.gammas_hz"),
+            ("syndrome-sweep", '{"syndrome_sweep": {"gammas_hz": [-1]}}', [], "syndrome_sweep.gammas_hz"),
+            ("ak", '{"ak": {"gamma_hz": -1}}', [], "ak.gamma_hz"),
+            ("ramsey", '{"tls": {"gamma_hl_hz": 0, "gamma_lh_hz": 0}}', [], "tls.pinned_mode"),
+            ("perr", '{"qubit": {"t1_s": NaN}}', [], "qubit.t1_s"),
+            ("perr", '{"perr": {"t_wall_s": NaN}}', [], "perr.t_wall_s"),
+            ("mitigate", '{"mitigate": {"idle_between_rows_s": -1}}', [], "mitigate.idle_between_rows_s"),
+            ("perr", '{"qubit": {"f_high_hz": Infinity}}', [], "qubit.f_high_hz"),
+            ("ramsey", '{"tls": {"gamma_lh_hz": Infinity}}', [], "tls.gamma_lh_hz"),
         ],
         ids=[
-            "unknown-key", "malformed-json", "missing-file", "zero-shots", "string-count", "boolean-seed"
+            "unknown-key", "malformed-json", "missing-file", "zero-shots", "string-count", "boolean-seed",
+            "zero-log-axis", "negative-tau-max", "no-depths", "unsorted-depths", "two-depths",
+            "fractional-depth", "negative-rb-idle", "unknown-frame", "visibility-above-1", "zero-t2",
+            "string-rate", "negative-sweep-rate", "negative-ak-rate", "frozen-unpinned", "nan-t1",
+            "nan-t-wall", "negative-mitigate-idle", "infinite-frequency", "infinite-rate",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, text, extra, named):

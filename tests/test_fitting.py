@@ -43,6 +43,14 @@ def test_mixture_fit_node_independent_of_weights():
         assert fit.envelope_node_time == pytest.approx(0.5 / (f1 - f2), rel=1e-4)
 
 
+@pytest.mark.parametrize("n_points", [1, 2, 6])
+def test_mixture_fit_with_fewer_points_than_parameters_not_ok(n_points):
+    taus = TAUS[:n_points]
+    fit = fit_two_frequency_mixture(taus, 0.5 + 0.4 * np.cos(2 * math.pi * 2e6 * taus), 2e6, 1.6e6)
+    assert not fit.ok
+    assert math.isnan(fit.f1) and math.isnan(fit.envelope_node_time)
+
+
 def test_quadrature_amplitudes_recover_components():
     f0 = 2.33e6
     delta = 374e3
