@@ -16,7 +16,7 @@ is meant to remove.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
 
@@ -448,15 +448,15 @@ def run_rb_interleaved(
                 indices.append(recovery)
                 xi_sum += env.tls.xi
                 xi_count += 1
-                ctrl = replace(ctrl, f_c=qp.f_high)
+                ctrl = ControllerState(qp.f_high, ctrl.frame_phase, ctrl.clock)
                 for _ in range(config.shots_per_sequence):
                     m, clock = executor.run(indices, qp.f_high, ctrl.clock, rng)
-                    ctrl = replace(ctrl, clock=clock)
+                    ctrl = ControllerState(ctrl.f_c, ctrl.frame_phase, clock)
                     k_nofb[di] += m == 0
                 _, ctrl = syndrome_cycle(env, ctrl, tau_probe, rng)
                 for _ in range(config.shots_per_sequence):
                     m, clock = executor.run(indices, ctrl.f_c, ctrl.clock, rng)
-                    ctrl = replace(ctrl, clock=clock)
+                    ctrl = ControllerState(ctrl.f_c, ctrl.frame_phase, clock)
                     k_fb[di] += m == 0
         surv_nofb = k_nofb / shots_per_depth
         surv_fb = k_fb / shots_per_depth
@@ -481,7 +481,9 @@ def run_rb_interleaved(
             env.tls = telegraph.evolve(
                 env.tls, env.tls_params, config.idle_between_windows, rng
             )
-            ctrl = replace(ctrl, clock=ctrl.clock + config.idle_between_windows)
+            ctrl = ControllerState(
+                ctrl.f_c, ctrl.frame_phase, ctrl.clock + config.idle_between_windows
+            )
 
     return RbTimeSeries(depths=depths, windows=windows, gates_per_clifford=gates_per_clifford())
 

@@ -31,7 +31,8 @@ precompiled sequence and a step-by-step one run the same arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,14 @@ class QubitParams:
         for name in ("t_readout", "t_reset"):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be nonnegative")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # Hashed once: the memoised protocol functions take QubitParams as a key every cycle.
+        return hash(astuple(self))
 
     @property
     def delta_tls(self) -> float:

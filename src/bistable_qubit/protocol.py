@@ -127,38 +127,83 @@ def _advance_tls(env: Environment, dt: float, rng: np.random.Generator) -> None:
     env.tls = telegraph.evolve(env.tls, env.tls_params, dt, rng)
 
 
+def _half_pi(axis_phase: float, qp: QubitParams, finite_pulses: bool) -> PulseSpec:
+    if finite_pulses:
+        return PulseSpec.finite(axis_phase, -HALF_PI, qp)
+    return PulseSpec.instantaneous(axis_phase, -HALF_PI)
+
+
+def _cycle_state(
+    qp: QubitParams,
+    finite_pulses: bool,
+    f_c: float,
+    xi_first: int,
+    segments: list[tuple[int, float]],
+    xi_second: int,
+    second_axis_phase: float,
+) -> BlochState:
+    """State before readout of reset, X(-pi/2), free evolution, X(-pi/2) about ``second_axis_phase``.
+
+    In frame f_c the first pulse sees mode ``xi_first``, the free evolution
+    runs over the (xi, duration) dwell ``segments`` and the second pulse sees
+    mode ``xi_second``.
+    """
+    state = apply_pulse(reset(), _half_pi(0.0, qp, finite_pulses), detuning(qp, f_c, xi_first), qp)
+    for xi, dt in segments:
+        state = free_evolve(state, detuning(qp, f_c, xi), dt, qp)
+    pulse = _half_pi(second_axis_phase, qp, finite_pulses)
+    return apply_pulse(state, pulse, detuning(qp, f_c, xi_second), qp)
+
+
+@lru_cache(maxsize=4096)
+def _switch_free_state(
+    qp: QubitParams,
+    finite_pulses: bool,
+    f_c: float,
+    xi: int,
+    tau: float,
+    second_axis_phase: float,
+) -> BlochState:
+    """``_cycle_state`` with mode ``xi`` over both pulses and tau, memoised.
+
+    The segments are the ones ``telegraph.dwell_segments`` returns when
+    nothing switches, so a cached state is bit-identical to a stepwise one.
+    """
+    segments = [(xi, tau)] if tau > 0.0 else []
+    return _cycle_state(qp, finite_pulses, f_c, xi, segments, xi, second_axis_phase)
+
+
 def _two_pulse_cycle(
     env: Environment,
     f_c: float,
     tau: float,
     second_axis_phase: float,
     clock: float,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> tuple[BlochState, float]:
     """Reset, X(-pi/2), free evolution over tau, then X(-pi/2) about ``second_axis_phase``.
 
     Runs in frame f_c against the defect trajectory: the mode is held over
     each pulse (a switch takes effect afterwards) and may switch within the
-    free evolution.  Returns the state before readout and the clock advanced
-    by both pulses and tau.
+    free evolution.  The trajectory is drawn first, over pulse 1, tau and
+    pulse 2 in turn; a cycle that one mode covers takes its state from the
+    memo.  Returns the state before readout and the clock advanced by both
+    pulses and tau.
     """
     qp = env.qubit
-    state = reset()
-    for k, axis_phase in enumerate((0.0, second_axis_phase)):
-        if k == 1:
-            segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, tau, rng)
-            for xi, dt in segments:
-                state = free_evolve(state, detuning(qp, f_c, xi), dt, qp)
-            clock += tau
-        if env.finite_pulses:
-            pulse = PulseSpec.finite(axis_phase, -HALF_PI, qp)
-        else:
-            pulse = PulseSpec.instantaneous(axis_phase, -HALF_PI)
-        state = apply_pulse(state, pulse, detuning(qp, f_c, env.tls.xi), qp)
-        if pulse.duration > 0.0:
-            _advance_tls(env, pulse.duration, rng)
-        clock += pulse.duration
-    return state, clock
+    pulse_time = HALF_PI / qp.rabi_rate if env.finite_pulses else 0.0  # PulseSpec.finite's duration
+    xi_first = env.tls.xi
+    _advance_tls(env, pulse_time, rng)
+    segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, tau, rng)
+    xi_second = env.tls.xi
+    _advance_tls(env, pulse_time, rng)
+    if len(segments) <= 1 and xi_second == xi_first:
+        state = _switch_free_state(qp, env.finite_pulses, f_c, xi_first, tau, second_axis_phase)
+    else:
+        state = _cycle_state(
+            qp, env.finite_pulses, f_c, xi_first, segments, xi_second, second_axis_phase
+        )
+    return state, clock + pulse_time + tau + pulse_time
 
 
 def _noiseless(qp: QubitParams) -> QubitParams:
@@ -173,12 +218,8 @@ def _two_pulse_probability(
     second_axis_phase: float,
     finite_pulses: bool,
 ) -> float:
-    """Deterministic P(m=1) of the two-pulse cycle with the mode pinned.
-
-    A frozen defect draws no random numbers, so no generator is needed.
-    """
-    env = Environment(qp, TelegraphParams(0.0, 0.0), TlsState(xi=xi), finite_pulses)
-    state, _ = _two_pulse_cycle(env, f_c, tau, second_axis_phase, 0.0, None)
+    """Deterministic P(m=1) of the two-pulse cycle with the mode pinned."""
+    state = _switch_free_state(qp, finite_pulses, f_c, xi, tau, second_axis_phase)
     return reported_excited_probability(state.z, qp)
 
 
@@ -238,8 +279,7 @@ def syndrome_cycle(
     state, clock = _two_pulse_cycle(env, qp.f_high, tau_probe, 0.0, ctrl.clock, rng)
     m, _ = measure(state, qp, rng)
     _advance_tls(env, qp.t_wall, rng)
-    new_ctrl = replace(ctrl, f_c=qp.mode_frequency(decode[m]), clock=clock + qp.t_wall)
-    return m, new_ctrl
+    return m, ControllerState(qp.mode_frequency(decode[m]), ctrl.frame_phase, clock + qp.t_wall)
 
 
 def ramsey_cycle(
@@ -263,10 +303,7 @@ def ramsey_cycle(
     state, clock = _two_pulse_cycle(env, ctrl.f_c, tau, virtual_phase, ctrl.clock, rng)
     m, _ = measure(state, qp, rng)
     _advance_tls(env, qp.t_wall, rng)
-    new_ctrl = replace(
-        ctrl, clock=clock + qp.t_wall, frame_phase=ctrl.frame_phase + virtual_phase
-    )
-    return m, new_ctrl
+    return m, ControllerState(ctrl.f_c, ctrl.frame_phase + virtual_phase, clock + qp.t_wall)
 
 
 @dataclass(frozen=True)
@@ -353,9 +390,8 @@ def run_mitigation(
             while rep < config.n_reps:
                 block = min(config.block_size, config.n_reps - rep)
                 for _ in range(block):
-                    m, ctrl = ramsey_cycle(
-                        env, replace(ctrl, f_c=qp.f_high), tau, config.det_nofb, rng
-                    )
+                    open_loop = ControllerState(qp.f_high, ctrl.frame_phase, ctrl.clock)
+                    m, ctrl = ramsey_cycle(env, open_loop, tau, config.det_nofb, rng)
                     counts_nofb[row, i] += m
                 for k in range(block):
                     m_syn, ctrl = syndrome_cycle(env, ctrl, tau_probe, rng)
@@ -376,7 +412,7 @@ def run_mitigation(
                 rep += block
         if config.idle_between_rows > 0:
             _advance_tls(env, config.idle_between_rows, rng)
-            ctrl = replace(ctrl, clock=ctrl.clock + config.idle_between_rows)
+            ctrl = ControllerState(ctrl.f_c, ctrl.frame_phase, ctrl.clock + config.idle_between_rows)
 
     return MitigationResult(
         no_feedback=FringeMatrix(taus=taus, values=counts_nofb / config.n_reps, row_times=row_times),
@@ -414,13 +450,14 @@ def syndrome_error_rate(
     return errors / n_cycles
 
 
+@lru_cache(maxsize=1024)
 def x_gate_excited_population(
     qp: QubitParams, f_c: float, xi: int, finite_pulses: bool = True
 ) -> float:
     """Excited-state population after one pi pulse at frame f_c, mode pinned.
 
-    Deterministic (no readout): the Bloch-vector counterpart of the Rabi
-    transition probability, including decoherence during the pulse.
+    Deterministic (no readout), so memoised: the Bloch-vector counterpart of
+    the Rabi transition probability, including decoherence during the pulse.
     """
     dq = detuning(qp, f_c, xi)
     if finite_pulses:

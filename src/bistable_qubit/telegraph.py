@@ -106,27 +106,28 @@ def dwell_segments(
 
     Segment durations sum to ``dt``; the final (possibly truncated) dwell is
     included.  Exactness relies on the memorylessness of the exponential dwell
-    law, so repeated calls compose to the same process as a single call.
+    law, so repeated calls compose to the same process as a single call.  Each
+    segment draws one exponential dwell unless its mode cannot be left, so a
+    call in which nothing switches draws at most one, and ``dt == 0`` none.
     """
-    if dt < 0:
+    if not dt >= 0:
         raise ValueError("dt must be nonnegative")
+    if dt == 0.0:
+        return [], state
     segments: list[tuple[int, float]] = []
     xi = state.xi
     t = state.t
     remaining = dt
-    while remaining > 0.0:
+    while True:  # until a dwell outlasts the remainder
         rate = params.exit_rate(xi)
         dwell = rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
         if dwell >= remaining:
             segments.append((xi, remaining))
-            t += remaining
-            remaining = 0.0
-        else:
-            segments.append((xi, dwell))
-            t += dwell
-            remaining -= dwell
-            xi = 1 - xi
-    return segments, TlsState(xi=xi, t=t)
+            return segments, TlsState(xi, t + remaining)
+        segments.append((xi, dwell))
+        t += dwell
+        remaining -= dwell
+        xi = 1 - xi
 
 
 def evolve(

@@ -331,3 +331,66 @@ class TestMain:
         assert rc == 0
         line = (tmp_path / "syndrome_sweep.csv").read_text().splitlines()[1]
         assert line.split(",")[3] == "500"
+
+
+# Golden outputs: data-file SHA-256 of small pinned configs, as written by
+# artifact version 0.1.0.  Speed-ups must keep them byte-identical.  A
+# deliberate change of the random streams or of the arithmetic behind a state
+# must update these hashes together with a bump of ``__version__`` (the
+# manifest's ``artifact_version``).
+GOLDEN_VERSION = "0.1.0"
+GOLDEN = {
+    "mitigate-switching-blocks": (
+        {
+            "experiment": "mitigate",
+            "seed": 41,
+            "tls": {"gamma_hl_hz": 5e4, "gamma_lh_hz": 5e4},
+            "mitigate": {"rows": 2, "n_tau": 12, "n_reps": 6, "block_size": 3},
+        },
+        {
+            "mitigate_nofb.csv": "a5b1e7b512308074b7852ce3548e9787c88303600f19d4763357496f6cfe0db7",
+            "mitigate_fb.csv": "11b40dca6f80ef5ee4efa4fed19d97d35d5f5eb14c884fa991c5047cbfa598e9",
+            "mitigate_trace.csv": "bf65c8cd53b51ce4d8326f824595805ef49ba04f32f6c5cf991b2971331e6cee",
+            "mitigate_avg.csv": "937a432737a4e831c3c372f589de987df861275362258d6cf0a65730b6d9d4f6",
+        },
+    ),
+    "ramsey-pinned-instantaneous": (
+        {
+            "experiment": "ramsey",
+            "seed": 42,
+            "protocol": {"finite_pulses": False},
+            "tls": {"gamma_hl_hz": 0.0, "gamma_lh_hz": 0.0, "pinned_mode": "L"},
+            "ramsey": {"n_tau": 16, "shots": 40},
+        },
+        {"ramsey.csv": "baa818f9d4b96057c2c4d1b57ea64b6bbdbc2756497463b7b0e6b965aba31c58"},
+    ),
+    "syndrome-sweep": (
+        {
+            "experiment": "syndrome-sweep",
+            "seed": 43,
+            "syndrome_sweep": {"n_cycles": 3000, "gammas_hz": [0, 1e5]},
+        },
+        {"syndrome_sweep.csv": "b1b87eec5e9d40b710fdd7962465559ab183ac2651c16962cbc1abddaa32b436"},
+    ),
+    "rb-switching": (
+        {
+            "experiment": "rb",
+            "seed": 44,
+            "tls": {"gamma_hl_hz": 1e4, "gamma_lh_hz": 1e4},
+            "rb": {"depths": [1, 4, 16, 64], "n_sequences": 4, "shots_per_sequence": 2, "n_windows": 2},
+        },
+        {
+            "rb_timeseries.csv": "bea4c5146f8c8ae096bd080fa0b54b3ae8c80bd862ad78df4df4c7576c0c179e",
+            "rb_survivals.csv": "909a2119e4151810ea06fe4550a4423ab30679199975b8ee126ba052fa23c0a4",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_golden_data_files(tmp_path, name):
+    doc, expected = GOLDEN[name]
+    assert cli.run(parse_config(json.dumps(dict(doc, out_dir=str(tmp_path))))) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["artifact_version"] == GOLDEN_VERSION
+    assert {o["file"]: o["sha256"] for o in manifest["outputs"]} == expected

@@ -1,17 +1,22 @@
 """Feedback cycles: syndrome estimation, detuned probing, interleaved runs."""
 
+import copy
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bistable_qubit import analytics
-from bistable_qubit.bloch import QubitParams
+from bistable_qubit import analytics, telegraph
+from bistable_qubit.bloch import PulseSpec, QubitParams, apply_pulse, detuning, free_evolve, reset
 from bistable_qubit.fitting import fit_cosine, fit_two_frequency_mixture
 from bistable_qubit.protocol import (
+    HALF_PI,
     ControllerState,
     CycleTiming,
+    Environment,
     MitigationConfig,
     calibrate_decode_map,
     cycle_bandwidth,
@@ -24,6 +29,7 @@ from bistable_qubit.protocol import (
     syndrome_error_rate,
     x_gate_excited_population,
 )
+from bistable_qubit.protocol import _switch_free_state, _two_pulse_cycle
 from bistable_qubit.streams import substream
 from bistable_qubit.telegraph import TelegraphParams, TlsState
 
@@ -302,6 +308,99 @@ class TestXGatePopulation:
 
     def test_decoherence_lowers_population(self):
         assert x_gate_excited_population(QP, QP.f_high, 0) < 1.0
+
+
+def _reference_cycle(env, f_c, tau, phase, clock, rng):
+    """The stepwise two-pulse cycle with no memo: each Bloch step applied as its mode is drawn.
+
+    Returns the state before readout, the advanced clock and whether the mode
+    changed anywhere between the first pulse and the second.
+    """
+    qp = env.qubit
+    state = reset()
+    xi_first = env.tls.xi
+    switched = False
+    for k, axis_phase in enumerate((0.0, phase)):
+        if k == 1:
+            segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, tau, rng)
+            for xi, dt in segments:
+                state = free_evolve(state, detuning(qp, f_c, xi), dt, qp)
+            switched = len(segments) > 1 or env.tls.xi != xi_first
+            clock += tau
+        if env.finite_pulses:
+            pulse = PulseSpec.finite(axis_phase, -HALF_PI, qp)
+        else:
+            pulse = PulseSpec.instantaneous(axis_phase, -HALF_PI)
+        state = apply_pulse(state, pulse, detuning(qp, f_c, env.tls.xi), qp)
+        if pulse.duration > 0.0:
+            env.tls = telegraph.evolve(env.tls, env.tls_params, pulse.duration, rng)
+        clock += pulse.duration
+    return state, clock, switched
+
+
+class TestCycleMemo:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        high=st.booleans(),
+        xi=st.sampled_from([0, 1]),
+        tau=st.floats(0.0, 5e-6),
+        phase=st.floats(-20.0, 20.0),
+        finite=st.booleans(),
+    )
+    def test_memoised_switch_free_state_is_bit_identical(self, high, xi, tau, phase, finite):
+        key = (QP, finite, QP.f_high if high else QP.f_low, xi, tau, phase)
+        # The key and every key one field away, all through the memo, so a
+        # field missing from the key would return a neighbour's state.
+        keys = [key]
+        for i, other in ((1, not finite), (2, QP.f_low if high else QP.f_high), (3, 1 - xi),
+                         (4, 2.0 * tau + 1e-7), (5, phase + 1.0), (0, IDEAL)):
+            keys.append(key[:i] + (other,) + key[i + 1:])
+        states = [_switch_free_state(*k) for k in keys]
+        for k, state in zip(keys, states):
+            qp, fin, f_c, mode, t, ph = k
+            assert state == _switch_free_state(*k) == _switch_free_state.__wrapped__(*k)
+            env = make_environment(qp, FROZEN, None, pinned_mode=mode, finite_pulses=fin)
+            assert state == _reference_cycle(env, f_c, t, ph, 0.0, None)[0]
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rate=st.sampled_from([0.0, 1e3, 1e5, 1e6]),
+        high=st.booleans(),
+        tau=st.floats(0.0, 5e-6),
+        phase=st.floats(-20.0, 20.0),
+        finite=st.booleans(),
+    )
+    def test_cycle_matches_stepwise_reference(self, seed, rate, high, tau, phase, finite):
+        tls = TelegraphParams(rate, 0.6 * rate)
+        rng = substream(417, "cycle", seed)
+        env = Environment(QP, tls, TlsState(xi=seed % 2), finite)
+        ref_env = Environment(QP, tls, env.tls, finite)
+        ref_rng = copy.deepcopy(rng)
+        f_c = QP.f_high if high else QP.f_low
+        clock = ref_clock = 0.0
+        for _ in range(15):
+            state, clock = _two_pulse_cycle(env, f_c, tau, phase, clock, rng)
+            ref_state, ref_clock, _ = _reference_cycle(ref_env, f_c, tau, phase, ref_clock, ref_rng)
+            assert (state, clock, env.tls) == (ref_state, ref_clock, ref_env.tls)
+            assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+    def test_switching_cycles_match_the_reference(self):
+        # Dwell ~ tau: cycles with and without a switch both occur.
+        tls = TelegraphParams(4e5, 3e5)
+        rng = substream(418, "cycle-switching")
+        env = Environment(QP, tls, TlsState(xi=0), True)
+        ref_env = Environment(QP, tls, env.tls, True)
+        ref_rng = copy.deepcopy(rng)
+        switched = 0
+        for k in range(400):
+            tau = 0.5e-6 + 1e-8 * k
+            state, _ = _two_pulse_cycle(env, QP.f_high, tau, 0.3, 0.0, rng)
+            ref_state, _, ref_switched = _reference_cycle(ref_env, QP.f_high, tau, 0.3, 0.0, ref_rng)
+            assert state == ref_state
+            assert env.tls == ref_env.tls
+            switched += ref_switched
+        assert 100 < switched < 300
 
 
 def _cosine_model(taus, fit, t2):

@@ -1,5 +1,6 @@
 """Two-state jump process: stationary law, propagator, exact dwell sampling."""
 
+import copy
 import math
 
 import numpy as np
@@ -160,7 +161,72 @@ def test_negative_dt_raises():
         telegraph.evolve(TlsState(xi=0), TelegraphParams(1.0, 1.0), -0.1, rng)
 
 
+def test_nan_dt_raises():
+    rng = substream(108, "nan")
+    with pytest.raises(ValueError):
+        telegraph.evolve(TlsState(xi=0), TelegraphParams(1.0, 1.0), math.nan, rng)
+
+
 def test_from_dwell_time():
     params = TelegraphParams.from_dwell_time(10.0)
     assert params.gamma_hl == params.gamma_lh == 0.1
     assert params.total_rate == pytest.approx(0.2)
+
+
+def _state(rng):
+    """The generator's stream position, comparable with == (Philox keeps numpy arrays)."""
+    return repr(rng.bit_generator.state)
+
+
+@pytest.mark.parametrize(
+    "params, xi, dt",
+    [
+        (TelegraphParams(2e3, 3e3), telegraph.XI_H, 0.0),  # nothing elapses
+        (TelegraphParams(0.0, 3e3), telegraph.XI_H, 1e-3),  # H cannot be left
+        (TelegraphParams(2e3, 0.0), telegraph.XI_L, 1e-3),  # L cannot be left
+        (TelegraphParams(0.0, 0.0), telegraph.XI_L, 5.0),
+    ],
+)
+def test_dwell_segments_draws_nothing_without_an_exit(params, xi, dt):
+    rng = substream(107, "no-draw")
+    before = _state(rng)
+    state0 = TlsState(xi=xi, t=0.25)
+    segments, out = telegraph.dwell_segments(state0, params, dt, rng)
+    assert _state(rng) == before
+    assert segments == ([(xi, dt)] if dt > 0.0 else [])
+    assert out == TlsState(xi=xi, t=0.25 + dt)
+
+
+@pytest.mark.parametrize("xi", [telegraph.XI_H, telegraph.XI_L])
+def test_dwell_segments_without_a_switch_draws_one_dwell(xi):
+    params = TelegraphParams(30.0, 70.0)
+    dt = 1.3e-6  # switch probability ~1e-4 per call
+    rng = substream(108, "one-draw", xi)
+    reference = copy.deepcopy(rng)
+    t0 = 0.1
+    for _ in range(200):
+        segments, out = telegraph.dwell_segments(TlsState(xi=xi, t=t0), params, dt, rng)
+        dwell = reference.exponential(1.0 / params.exit_rate(xi))
+        assert dwell >= dt
+        assert segments == [(xi, dt)]
+        assert out.xi == xi
+        assert out.t == t0 + dt
+        assert _state(rng) == _state(reference)
+
+
+def test_dwell_segments_draw_one_dwell_per_segment():
+    params = TelegraphParams(4e5, 9e5)
+    dt = 2e-5
+    rng = substream(109, "per-segment")
+    reference = copy.deepcopy(rng)
+    state = TlsState(xi=telegraph.XI_H, t=3.0)
+    segments, out = telegraph.dwell_segments(state, params, dt, rng)
+    assert len(segments) > 3
+    xi = state.xi
+    for seg_xi, duration in segments[:-1]:
+        assert (seg_xi, duration) == (xi, reference.exponential(1.0 / params.exit_rate(xi)))
+        xi = 1 - xi
+    last_xi, last = segments[-1]
+    assert last_xi == xi == out.xi
+    assert reference.exponential(1.0 / params.exit_rate(xi)) >= last
+    assert _state(rng) == _state(reference)
