@@ -144,6 +144,12 @@ def _product_table() -> np.ndarray:
 
 
 @cache
+def _product_rows() -> tuple[tuple[int, ...], ...]:
+    """The product table as nested tuples of ints, cheap to index per Clifford."""
+    return tuple(tuple(int(v) for v in row) for row in _product_table())
+
+
+@cache
 def _inverse_indices() -> tuple[int, ...]:
     return tuple(match_element(e.unitary.conj().T) for e in clifford_table())
 
@@ -161,12 +167,12 @@ def random_sequence(length: int, rng: np.random.Generator) -> tuple[list[int], i
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    prod = _product_table()
+    prod = _product_rows()
     indices = rng.integers(0, len(clifford_table()), size=length).tolist()
     composed = identity_index()
     for idx in indices:
-        composed = prod[idx, composed]
-    return indices, _inverse_indices()[int(composed)]
+        composed = prod[idx][composed]
+    return indices, _inverse_indices()[composed]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +196,11 @@ class SequenceExecutor:
         self.slot = env.qubit.t_pi
         self.durations = tuple(e.n_pulses * self.slot for e in self.table)
         self._maps: dict[tuple[int, float], list[tuple[tuple, tuple]]] = {}
+        # Memo of the current sequence: a copy of it, its duration and, per
+        # (mode, frame), its state before readout when one mode covers a run.
+        self._sequence: list[int] | None = None
+        self._total = 0.0
+        self._states: dict[tuple[int, float], tuple[float, float, float]] = {}
 
     def _map_table(self, xi: int, f_c: float) -> list[tuple[tuple, tuple]]:
         """Per element: (its composed map,) and the maps of its slots, in mode xi and frame f_c."""
@@ -216,23 +227,46 @@ class SequenceExecutor:
         """Execute reset -> sequence -> measure; returns (outcome, new clock).
 
         Advances the defect process through the sequence and the trailing
-        readout + reset dead time.
+        readout + reset dead time.  The state before readout of a run that one
+        mode covers depends only on (sequence, mode, frame), so it is memoised
+        for the current sequence and computed once per (mode, frame); a run
+        that a switch lands in is stepped on its own segments.
         """
         env = self.env
         qp = env.qubit
         if f_c not in (qp.f_high, qp.f_low):
             raise ValueError("sequence frame must sit on one of the two mode frequencies")
+        if indices != self._sequence:  # a new sequence: drop the last one's memo
+            total = 0.0
+            for i in indices:
+                total += self.durations[i]
+            self._sequence = list(indices)
+            self._total = total
+            self._states = {}
+        total = self._total
+        segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, total, rng)
+        if len(segments) > 1:
+            x, y, z = self._step(indices, f_c, segments)
+        else:  # one mode, env.tls.xi, covers the whole sequence
+            key = (env.tls.xi, f_c)
+            if key not in self._states:
+                self._states[key] = self._step(indices, f_c, segments)
+            x, y, z = self._states[key]
+        outcome, _ = measure(BlochState(x, y, z), qp, rng)
+        env.tls = telegraph.evolve(env.tls, env.tls_params, qp.t_wall, rng)
+        return outcome, clock + total + qp.t_wall
+
+    def _step(
+        self, indices: list[int], f_c: float, segments: list[tuple[int, float]]
+    ) -> tuple[float, float, float]:
+        """Bloch vector after the sequence from ground, over the run's dwell segments."""
         durations = self.durations
         slot = self.slot
-        total = 0.0
-        for i in indices:
-            total += durations[i]
-        segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, total, rng)
         # Segment end times from the sequence start; the last segment covers the
         # rest.  A pulse-free sequence has no segments and applies only identities.
         ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
         seg = 0
-        table = self._map_table(segments[0][0] if segments else env.tls.xi, f_c)
+        table = self._map_table(segments[0][0] if segments else self.env.tls.xi, f_c)
         end = ends[0]
         t = 0.0
         x, y, z = 0.0, 0.0, 1.0
@@ -256,9 +290,7 @@ class SequenceExecutor:
                     m[3] * x + m[4] * y + m[5] * z + m[10],
                     m[6] * x + m[7] * y + m[8] * z + m[11],
                 )
-        outcome, _ = measure(BlochState(x, y, z), qp, rng)
-        env.tls = telegraph.evolve(env.tls, env.tls_params, qp.t_wall, rng)
-        return outcome, clock + total + qp.t_wall
+        return x, y, z
 
 
 # ---------------------------------------------------------------------------

@@ -141,15 +141,25 @@ def fit_fringe_time_offset(
     """Fit |signal| ~ a |sin(pi delta (tau + dt))|; returns (dt, a).
 
     Used to read the effective timing offset of a discrimination contrast
-    curve off a dense, noise-free tau grid.
+    curve off a dense, noise-free tau grid.  Like the other fits it does not
+    raise when the fit fails: fewer points than parameters, a fit that does
+    not converge, or one that ends at non-finite parameters returns
+    ``(nan, nan)``.
     """
     taus = np.asarray(taus, dtype=float)
     signal = np.asarray(signal, dtype=float)
+    if taus.size < 2:  # fewer points than the model's parameters
+        return math.nan, math.nan
 
     def model(tau, a, dt):
         return a * np.abs(np.sin(math.pi * delta * (tau + dt)))
 
-    popt, _ = curve_fit(
-        model, taus, signal, p0=(float(signal.max()), offset_guess), maxfev=20000
-    )
+    try:
+        popt, _ = curve_fit(
+            model, taus, signal, p0=(float(signal.max()), offset_guess), maxfev=20000
+        )
+    except (RuntimeError, ValueError):
+        return math.nan, math.nan
+    if not np.all(np.isfinite(popt)):
+        return math.nan, math.nan
     return float(popt[1]), float(popt[0])

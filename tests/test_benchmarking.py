@@ -1,17 +1,29 @@
 """Clifford group, decay fitting, interleaved benchmarking execution."""
 
+import copy
 import itertools
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bistable_qubit import benchmarking as rb
 from bistable_qubit import telegraph
-from bistable_qubit.bloch import BlochState, PulseSpec, QubitParams, apply_pulse, detuning, free_evolve
-from bistable_qubit.protocol import make_environment
+from bistable_qubit.bloch import (
+    BlochState,
+    PulseSpec,
+    QubitParams,
+    apply_pulse,
+    detuning,
+    free_evolve,
+    measure,
+)
+from bistable_qubit.protocol import Environment, make_environment
 from bistable_qubit.streams import substream
-from bistable_qubit.telegraph import TelegraphParams
+from bistable_qubit.telegraph import TelegraphParams, TlsState
 
 QP = QubitParams.defaults()
 IDEAL = QubitParams.defaults(
@@ -46,6 +58,49 @@ def _slot_by_slot(executor, indices, f_c, segments):
                 xi, seg_rem = segments[seg_idx]
             seg_rem = max(seg_rem - spent, 0.0)
     return state
+
+
+def _reference_run(executor, indices, f_c, clock, rng):
+    """The executor's run without its memo: every run steps the whole sequence.
+
+    Returns (outcome, new clock, state handed to readout).
+    """
+    env = executor.env
+    qp = env.qubit
+    durations = executor.durations
+    slot = executor.slot
+    total = 0.0
+    for i in indices:
+        total += durations[i]
+    segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, total, rng)
+    ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
+    seg = 0
+    table = executor._map_table(segments[0][0] if segments else env.tls.xi, f_c)
+    end = ends[0]
+    t = 0.0
+    x, y, z = 0.0, 0.0, 1.0
+    for i in indices:
+        if t + durations[i] - slot <= end:
+            steps = table[i][0]
+        else:
+            steps = []
+            for k in range(len(table[i][1])):
+                while t + k * slot > end:
+                    seg += 1
+                    end = ends[seg]
+                    table = executor._map_table(segments[seg][0], f_c)
+                steps.append(table[i][1][k])
+        t += durations[i]
+        for m in steps:
+            x, y, z = (
+                m[0] * x + m[1] * y + m[2] * z + m[9],
+                m[3] * x + m[4] * y + m[5] * z + m[10],
+                m[6] * x + m[7] * y + m[8] * z + m[11],
+            )
+    state = BlochState(x, y, z)
+    outcome, _ = measure(state, qp, rng)
+    env.tls = telegraph.evolve(env.tls, env.tls_params, qp.t_wall, rng)
+    return outcome, clock + total + qp.t_wall, state
 
 
 class TestCliffordTable:
@@ -168,6 +223,81 @@ class TestExecutor:
                 (expected.x, expected.y, expected.z), abs=1e-12
             )
         assert switched >= 15
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        # Pinned; switching mostly between runs (10 us dwell against ~8 us of
+        # dead time per run); and switching several times inside most runs.
+        rate=st.sampled_from([0.0, 1e5, 2e6]),
+        sequences=st.lists(st.lists(st.integers(0, 23), max_size=48), min_size=1, max_size=3),
+        runs=st.lists(
+            st.tuples(st.integers(0, 2), st.booleans(), st.integers(1, 4)), min_size=1, max_size=8
+        ),
+    )
+    def test_run_matches_unmemoised_reference(self, seed, rate, sequences, runs):
+        tls = TelegraphParams(rate, 0.7 * rate)
+        env = Environment(QP, tls, TlsState(xi=seed % 2), True)
+        ref_env = Environment(QP, tls, env.tls, True)
+        executor = rb.SequenceExecutor(env)
+        reference = rb.SequenceExecutor(ref_env)
+        rng = substream(515, "memo", seed)
+        ref_rng = copy.deepcopy(rng)
+        captured = []
+
+        def capture(state, qp, rng):  # the state the executor hands to readout
+            captured.append(state)
+            return measure(state, qp, rng)
+
+        clock = ref_clock = 0.0
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(rb, "measure", capture)
+            for which, high, shots in runs:
+                seq = sequences[which % len(sequences)]
+                f_c = QP.f_high if high else QP.f_low
+                for _ in range(shots):  # back-to-back shots of one sequence, as in rb
+                    m, clock = executor.run(list(seq), f_c, clock, rng)
+                    ref_m, ref_clock, ref_state = _reference_run(
+                        reference, seq, f_c, ref_clock, ref_rng
+                    )
+                    assert (m, clock, env.tls) == (ref_m, ref_clock, ref_env.tls)
+                    assert captured[-1] == ref_state
+                    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+
+    def test_memo_holds_only_the_current_sequence(self):
+        env = make_environment(QP, FROZEN, None, pinned_mode=0)
+        executor = rb.SequenceExecutor(env)
+        rng = substream(516, "memo-clear")
+        first, second = [0, 5, 7, 11], [3, 3, 20]
+        for f_c in (QP.f_high, QP.f_low, QP.f_high):
+            executor.run(first, f_c, 0.0, rng)
+        assert set(executor._states) == {(0, QP.f_high), (0, QP.f_low)}
+        executor.run(second, QP.f_low, 0.0, rng)
+        assert executor._sequence == second
+        assert executor._total == sum(executor.durations[i] for i in second)
+        assert set(executor._states) == {(0, QP.f_low)}
+        state = BlochState(*executor._states[(0, QP.f_low)])
+        assert state == _reference_run(rb.SequenceExecutor(env), second, QP.f_low, 0.0, rng)[2]
+
+    def test_switching_run_leaves_the_memo_untouched(self):
+        fast = TelegraphParams(2e6, 2e6)
+        env = Environment(QP, FROZEN, TlsState(xi=0), True)
+        executor = rb.SequenceExecutor(env)
+        rng = substream(517, "memo-switch")
+        seq = [int(i) for i in np.random.default_rng(517).integers(0, 24, size=64)]
+        executor.run(seq, QP.f_high, 0.0, rng)  # a frozen defect fills the memo
+        assert set(executor._states) == {(0, QP.f_high)}
+        env.tls_params = fast
+        segmented = 0
+        for _ in range(10):
+            memo = dict(executor._states)
+            total = sum(executor.durations[i] for i in seq)
+            segments, _ = telegraph.dwell_segments(env.tls, fast, total, copy.deepcopy(rng))
+            executor.run(seq, QP.f_low, 0.0, rng)
+            if len(segments) > 1:
+                segmented += 1
+                assert executor._states == memo
+        assert segmented >= 8
 
     def test_clock_advances_by_sequence_plus_dead_time(self):
         rng = substream(507, "clock")

@@ -384,6 +384,26 @@ GOLDEN = {
             "rb_survivals.csv": "909a2119e4151810ea06fe4550a4423ab30679199975b8ee126ba052fa23c0a4",
         },
     ),
+    # 6 s mean dwell: nearly every run is switch-free, so repeated shots and
+    # both arms reuse the executor's per-(mode, frame) state of a sequence.
+    "rb-slow-switching": (
+        {
+            "experiment": "rb",
+            "seed": 45,
+            "tls": {"gamma_hl_hz": 1 / 6, "gamma_lh_hz": 1 / 6},
+            "rb": {
+                "depths": [1, 4, 16, 64, 256],
+                "n_sequences": 100,
+                "shots_per_sequence": 4,
+                "n_windows": 3,
+                "idle_between_windows_s": 2.0,
+            },
+        },
+        {
+            "rb_timeseries.csv": "fb8d00a0f5e3a7fd80ed3bad2224cc0c2ed6b68eb4b8a930d246e2af9e55e43b",
+            "rb_survivals.csv": "199e4843a690a1cec56fd158845d766d4af3bcc0303c0c7b75e852e46111659a",
+        },
+    ),
 }
 
 

@@ -73,3 +73,25 @@ def test_fringe_time_offset():
     fitted, amp = fit_fringe_time_offset(taus, signal, delta, 0.0)
     assert fitted == pytest.approx(offset, rel=1e-6)
     assert amp == pytest.approx(0.9, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "taus, signal, delta, offset_guess",
+    [
+        # Levenberg-Marquardt exhausts its 20000 evaluations on this input.
+        (
+            [0.023969032559723782, 0.012790697570407206, 0.01541417549424323,
+             0.021311433334190884, 0.02494239669666596],
+            [-45.80618703896165, -31.64677492447767, 186.09814204505545,
+             -35.25654107863605, -235.68552843626065],
+            3.9193779525544863,
+            -5.110252746687177e-08,
+        ),
+        (TAUS, np.full(TAUS.size, np.nan), 374e3, 0.0),
+        ([1e-6], [0.5], 374e3, 0.0),
+    ],
+    ids=["no-convergence", "nan-signal", "one-point"],
+)
+def test_fringe_time_offset_failure_returns_nan(taus, signal, delta, offset_guess):
+    fitted, amp = fit_fringe_time_offset(np.array(taus), np.array(signal), delta, offset_guess)
+    assert math.isnan(fitted) and math.isnan(amp)
