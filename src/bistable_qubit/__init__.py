@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 from .bloch import BlochState, PulseSpec, QubitParams
 from .protocol import ControllerState, CycleTiming, Environment
-from .telegraph import TelegraphParams, TlsState
+from .telegraph import TelegraphParams
 
 __all__ = [
     "BlochState",
@@ -22,6 +22,5 @@ __all__ = [
     "CycleTiming",
     "Environment",
     "TelegraphParams",
-    "TlsState",
     "__version__",
 ]

@@ -26,7 +26,6 @@ from scipy.optimize import curve_fit
 from . import telegraph
 from .bloch import (
     IDENTITY,
-    BlochState,
     PulseSpec,
     QubitParams,
     compose,
@@ -132,21 +131,10 @@ def match_element(u: np.ndarray) -> int:
 
 
 @cache
-def _product_table() -> np.ndarray:
-    """prod[a, b] = index of U_a @ U_b (group closure)."""
+def _product_table() -> tuple[tuple[int, ...], ...]:
+    """prod[a][b] = index of U_a @ U_b (group closure), as tuples of ints cheap to index."""
     table = clifford_table()
-    n = len(table)
-    prod = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        for b in range(n):
-            prod[a, b] = match_element(table[a].unitary @ table[b].unitary)
-    return prod
-
-
-@cache
-def _product_rows() -> tuple[tuple[int, ...], ...]:
-    """The product table as nested tuples of ints, cheap to index per Clifford."""
-    return tuple(tuple(int(v) for v in row) for row in _product_table())
+    return tuple(tuple(match_element(a.unitary @ b.unitary) for b in table) for a in table)
 
 
 @cache
@@ -167,7 +155,7 @@ def random_sequence(length: int, rng: np.random.Generator) -> tuple[list[int], i
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    prod = _product_rows()
+    prod = _product_table()
     indices = rng.integers(0, len(clifford_table()), size=length).tolist()
     composed = identity_index()
     for idx in indices:
@@ -244,16 +232,16 @@ class SequenceExecutor:
             self._total = total
             self._states = {}
         total = self._total
-        segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, total, rng)
+        segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, total, rng)
         if len(segments) > 1:
-            x, y, z = self._step(indices, f_c, segments)
-        else:  # one mode, env.tls.xi, covers the whole sequence
-            key = (env.tls.xi, f_c)
+            z = self._step(indices, f_c, segments)[2]
+        else:  # one mode, env.xi, covers the whole sequence
+            key = (env.xi, f_c)
             if key not in self._states:
                 self._states[key] = self._step(indices, f_c, segments)
-            x, y, z = self._states[key]
-        outcome, _ = measure(BlochState(x, y, z), qp, rng)
-        env.tls = telegraph.evolve(env.tls, env.tls_params, qp.t_wall, rng)
+            z = self._states[key][2]
+        outcome = measure(z, qp, rng)
+        env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
         return outcome, clock + total + qp.t_wall
 
     def _step(
@@ -266,7 +254,7 @@ class SequenceExecutor:
         # rest.  A pulse-free sequence has no segments and applies only identities.
         ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
         seg = 0
-        table = self._map_table(segments[0][0] if segments else self.env.tls.xi, f_c)
+        table = self._map_table(segments[0][0] if segments else self.env.xi, f_c)
         end = ends[0]
         t = 0.0
         x, y, z = 0.0, 0.0, 1.0
@@ -421,8 +409,8 @@ class RbConfig:
         for name in ("n_sequences", "shots_per_sequence", "n_windows"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.idle_between_windows >= 0:
-            raise ValueError("idle_between_windows must be nonnegative")
+        if not 0 <= self.idle_between_windows < math.inf:
+            raise ValueError("idle_between_windows must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -478,17 +466,17 @@ def run_rb_interleaved(
             for _ in range(config.n_sequences):
                 indices, recovery = random_sequence(int(length), rng)
                 indices.append(recovery)
-                xi_sum += env.tls.xi
+                xi_sum += env.xi
                 xi_count += 1
-                ctrl = ControllerState(qp.f_high, ctrl.frame_phase, ctrl.clock)
+                ctrl = ControllerState(qp.f_high, ctrl.clock)
                 for _ in range(config.shots_per_sequence):
                     m, clock = executor.run(indices, qp.f_high, ctrl.clock, rng)
-                    ctrl = ControllerState(ctrl.f_c, ctrl.frame_phase, clock)
+                    ctrl = ControllerState(ctrl.f_c, clock)
                     k_nofb[di] += m == 0
                 _, ctrl = syndrome_cycle(env, ctrl, tau_probe, rng)
                 for _ in range(config.shots_per_sequence):
                     m, clock = executor.run(indices, ctrl.f_c, ctrl.clock, rng)
-                    ctrl = ControllerState(ctrl.f_c, ctrl.frame_phase, clock)
+                    ctrl = ControllerState(ctrl.f_c, clock)
                     k_fb[di] += m == 0
         surv_nofb = k_nofb / shots_per_depth
         surv_fb = k_fb / shots_per_depth
@@ -510,12 +498,8 @@ def run_rb_interleaved(
             )
         )
         if config.idle_between_windows > 0:
-            env.tls = telegraph.evolve(
-                env.tls, env.tls_params, config.idle_between_windows, rng
-            )
-            ctrl = ControllerState(
-                ctrl.f_c, ctrl.frame_phase, ctrl.clock + config.idle_between_windows
-            )
+            env.xi = telegraph.evolve(env.xi, env.tls_params, config.idle_between_windows, rng)
+            ctrl = ControllerState(ctrl.f_c, ctrl.clock + config.idle_between_windows)
 
     return RbTimeSeries(depths=depths, windows=windows, gates_per_clifford=gates_per_clifford())
 

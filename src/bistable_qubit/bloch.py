@@ -59,15 +59,17 @@ class QubitParams:
     def __post_init__(self):
         if not -math.inf < self.f_low < self.f_high < math.inf:
             raise ValueError("f_high must exceed f_low, both finite")
-        for name in ("rabi_rate", "t1", "t_phi"):
+        for name in ("rabi_rate", "t1", "t_phi"):  # t1, t_phi = inf: no decay
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        if self.rabi_rate == math.inf:
+            raise ValueError("rabi_rate must be finite")
         for name in ("readout_eps_0to1", "readout_eps_1to0"):
             if not 0.0 <= getattr(self, name) < 0.5:
                 raise ValueError(f"{name} must lie in [0, 0.5)")
         for name in ("t_readout", "t_reset"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative")
 
     def __hash__(self) -> int:
         return self._hash
@@ -273,23 +275,17 @@ def rabi_transition_probability(delta_q: float, params: QubitParams) -> float:
     return amp * math.sin(0.5 * math.pi * math.sqrt(w_gen_sq) / w) ** 2
 
 
-def measure(
-    state: BlochState, params: QubitParams, rng: np.random.Generator
-) -> tuple[int, BlochState]:
-    """Projective z measurement followed by a classical assignment-error flip.
+def measure(z: float, params: QubitParams, rng: np.random.Generator) -> int:
+    """Reported outcome of a projective z measurement of a state with Bloch z-component ``z``.
 
-    Returns the reported outcome m and the state collapsed onto the pole of
-    the *true* projection (the report flip never feeds back on the qubit).
+    The true projection is drawn first, then the classical assignment-error
+    flip of its report; the state after readout is not kept, since every cycle
+    starts from a reset.
     """
-    p_excited = min(max((1.0 - state.z) / 2.0, 0.0), 1.0)
-    true_outcome = 1 if rng.random() < p_excited else 0
-    if true_outcome == 1:
-        reported = 0 if rng.random() < params.readout_eps_1to0 else 1
-        collapsed = BlochState(0.0, 0.0, -1.0)
-    else:
-        reported = 1 if rng.random() < params.readout_eps_0to1 else 0
-        collapsed = BlochState(0.0, 0.0, 1.0)
-    return reported, collapsed
+    p_excited = min(max((1.0 - z) / 2.0, 0.0), 1.0)
+    if rng.random() < p_excited:
+        return 0 if rng.random() < params.readout_eps_1to0 else 1
+    return 1 if rng.random() < params.readout_eps_0to1 else 0
 
 
 def reported_excited_probability(z: float, params: QubitParams) -> float:

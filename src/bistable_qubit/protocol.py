@@ -6,7 +6,7 @@ mode from a single measurement and retunes ``f_c``; probing (Ramsey-style)
 cycles read the qubit phase evolution with a software-applied virtual
 detuning.  The defect process keeps evolving through every elapsed interval,
 including readout and reset dead time, which is what makes stale estimates
-possible.
+possible.  The defect state is its mode, an int ``xi`` (0 = H, 1 = L).
 
 Conventions:
 
@@ -39,7 +39,7 @@ from .bloch import (
     reported_excited_probability,
     reset,
 )
-from .telegraph import TelegraphParams, TlsState
+from .telegraph import TelegraphParams
 
 HALF_PI = 0.5 * math.pi
 
@@ -54,7 +54,7 @@ class Environment:
 
     qubit: QubitParams
     tls_params: TelegraphParams
-    tls: TlsState
+    xi: int
     finite_pulses: bool = True
 
 
@@ -67,20 +67,21 @@ def make_environment(
 ) -> Environment:
     """Build an environment, drawing the initial mode stationarily unless pinned."""
     if pinned_mode is not None:
-        tls = TlsState(xi=pinned_mode)
+        if pinned_mode not in (telegraph.XI_H, telegraph.XI_L):
+            raise ValueError("pinned_mode must be 0 (H mode) or 1 (L mode)")
+        xi = pinned_mode
     elif tls_params.total_rate > 0:
-        tls = telegraph.draw_stationary(tls_params, rng)
+        xi = telegraph.draw_stationary(tls_params, rng)
     else:
         raise ValueError("both switching rates are zero: pin the mode explicitly")
-    return Environment(qubit=qubit, tls_params=tls_params, tls=tls, finite_pulses=finite_pulses)
+    return Environment(qubit=qubit, tls_params=tls_params, xi=xi, finite_pulses=finite_pulses)
 
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Feedback controller state: frame frequency, frame phase, wall clock."""
+    """Feedback controller state: frame frequency and wall clock."""
 
     f_c: float
-    frame_phase: float = 0.0
     clock: float = 0.0
 
 
@@ -121,10 +122,6 @@ def cycle_bandwidth(timing: CycleTiming) -> float:
 def _check_f_c(ctrl: ControllerState, qp: QubitParams) -> None:
     if ctrl.f_c not in (qp.f_low, qp.f_high):
         raise ValueError("controller frame must sit on one of the two mode frequencies")
-
-
-def _advance_tls(env: Environment, dt: float, rng: np.random.Generator) -> None:
-    env.tls = telegraph.evolve(env.tls, env.tls_params, dt, rng)
 
 
 def _half_pi(axis_phase: float, qp: QubitParams, finite_pulses: bool) -> PulseSpec:
@@ -192,11 +189,10 @@ def _two_pulse_cycle(
     """
     qp = env.qubit
     pulse_time = HALF_PI / qp.rabi_rate if env.finite_pulses else 0.0  # PulseSpec.finite's duration
-    xi_first = env.tls.xi
-    _advance_tls(env, pulse_time, rng)
-    segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, tau, rng)
-    xi_second = env.tls.xi
-    _advance_tls(env, pulse_time, rng)
+    xi_first = env.xi
+    xi = telegraph.evolve(xi_first, env.tls_params, pulse_time, rng)
+    segments, xi_second = telegraph.dwell_segments(xi, env.tls_params, tau, rng)
+    env.xi = telegraph.evolve(xi_second, env.tls_params, pulse_time, rng)
     if len(segments) <= 1 and xi_second == xi_first:
         state = _switch_free_state(qp, env.finite_pulses, f_c, xi_first, tau, second_axis_phase)
     else:
@@ -277,9 +273,9 @@ def syndrome_cycle(
     decode = calibrate_decode_map(qp, tau_probe, env.finite_pulses)
 
     state, clock = _two_pulse_cycle(env, qp.f_high, tau_probe, 0.0, ctrl.clock, rng)
-    m, _ = measure(state, qp, rng)
-    _advance_tls(env, qp.t_wall, rng)
-    return m, ControllerState(qp.mode_frequency(decode[m]), ctrl.frame_phase, clock + qp.t_wall)
+    m = measure(state.z, qp, rng)
+    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
+    return m, ControllerState(qp.mode_frequency(decode[m]), clock + qp.t_wall)
 
 
 def ramsey_cycle(
@@ -291,8 +287,7 @@ def ramsey_cycle(
 ) -> tuple[int, ControllerState]:
     """One probing cycle at the controller's frame with a virtual detuning.
 
-    The second pulse's axis is advanced by 2*pi*virtual_detuning*tau; the
-    frame phase bookkeeping accumulates the applied shift.
+    The second pulse's axis is advanced by 2*pi*virtual_detuning*tau.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
@@ -301,9 +296,9 @@ def ramsey_cycle(
 
     virtual_phase = 2.0 * math.pi * virtual_detuning * tau
     state, clock = _two_pulse_cycle(env, ctrl.f_c, tau, virtual_phase, ctrl.clock, rng)
-    m, _ = measure(state, qp, rng)
-    _advance_tls(env, qp.t_wall, rng)
-    return m, ControllerState(ctrl.f_c, ctrl.frame_phase + virtual_phase, clock + qp.t_wall)
+    m = measure(state.z, qp, rng)
+    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
+    return m, ControllerState(ctrl.f_c, clock + qp.t_wall)
 
 
 @dataclass(frozen=True)
@@ -345,8 +340,8 @@ class MitigationConfig:
         for name in ("n_reps", "rows", "block_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if not self.idle_between_rows >= 0:
-            raise ValueError("idle_between_rows must be nonnegative")
+        if not 0 <= self.idle_between_rows < math.inf:
+            raise ValueError("idle_between_rows must be finite and nonnegative")
 
 
 @dataclass
@@ -390,7 +385,7 @@ def run_mitigation(
             while rep < config.n_reps:
                 block = min(config.block_size, config.n_reps - rep)
                 for _ in range(block):
-                    open_loop = ControllerState(qp.f_high, ctrl.frame_phase, ctrl.clock)
+                    open_loop = ControllerState(qp.f_high, ctrl.clock)
                     m, ctrl = ramsey_cycle(env, open_loop, tau, config.det_nofb, rng)
                     counts_nofb[row, i] += m
                 for k in range(block):
@@ -402,7 +397,7 @@ def run_mitigation(
                             tau_index=i,
                             rep=rep + k,
                             lab_time=ctrl.clock,
-                            true_xi=env.tls.xi,
+                            true_xi=env.xi,
                             est_xi=est_xi,
                             outcome=m_syn,
                         )
@@ -411,8 +406,8 @@ def run_mitigation(
                     counts_fb[row, i] += m
                 rep += block
         if config.idle_between_rows > 0:
-            _advance_tls(env, config.idle_between_rows, rng)
-            ctrl = ControllerState(ctrl.f_c, ctrl.frame_phase, ctrl.clock + config.idle_between_rows)
+            env.xi = telegraph.evolve(env.xi, env.tls_params, config.idle_between_rows, rng)
+            ctrl = ControllerState(ctrl.f_c, ctrl.clock + config.idle_between_rows)
 
     return MitigationResult(
         no_feedback=FringeMatrix(taus=taus, values=counts_nofb / config.n_reps, row_times=row_times),
@@ -436,6 +431,8 @@ def syndrome_error_rate(
     which realizes the stationary ensemble without switching dynamics; pass
     ``resample_each_cycle=False`` to keep the pinned mode instead.
     """
+    if n_cycles < 1:
+        raise ValueError("n_cycles must be >= 1")
     qp = env.qubit
     if resample_each_cycle is None:
         resample_each_cycle = env.tls_params.total_rate == 0.0
@@ -443,9 +440,9 @@ def syndrome_error_rate(
     errors = 0
     for _ in range(n_cycles):
         if resample_each_cycle:
-            env.tls = TlsState(xi=(telegraph.XI_L if rng.random() < 0.5 else telegraph.XI_H))
+            env.xi = telegraph.XI_L if rng.random() < 0.5 else telegraph.XI_H
         _, ctrl = syndrome_cycle(env, ctrl, tau_probe, rng)
-        if ctrl.f_c != qp.mode_frequency(env.tls.xi):
+        if ctrl.f_c != qp.mode_frequency(env.xi):
             errors += 1
     return errors / n_cycles
 

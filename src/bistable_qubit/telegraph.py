@@ -54,18 +54,6 @@ class TelegraphParams:
         return cls(1.0 / mean_dwell, 1.0 / mean_dwell)
 
 
-@dataclass(frozen=True)
-class TlsState:
-    """Instantaneous defect configuration; ``t`` is the process-local clock (s)."""
-
-    xi: int
-    t: float = 0.0
-
-    def __post_init__(self):
-        if self.xi not in (XI_H, XI_L):
-            raise ValueError("xi must be 0 (H mode) or 1 (L mode)")
-
-
 def stationary_distribution(params: TelegraphParams) -> tuple[float, float]:
     """Return the stationary occupation probabilities ``(prob_L, prob_H)``.
 
@@ -78,19 +66,19 @@ def stationary_distribution(params: TelegraphParams) -> tuple[float, float]:
     return params.gamma_hl / total, params.gamma_lh / total
 
 
-def draw_stationary(params: TelegraphParams, rng: np.random.Generator) -> TlsState:
+def draw_stationary(params: TelegraphParams, rng: np.random.Generator) -> int:
     """Draw an initial mode from the stationary distribution."""
     prob_l, _ = stationary_distribution(params)
-    xi = XI_L if rng.random() < prob_l else XI_H
-    return TlsState(xi=xi)
+    return XI_L if rng.random() < prob_l else XI_H
 
 
 def flip_probability(params: TelegraphParams, state_from: int, dt: float) -> float:
     """Probability that the mode differs after ``dt`` given the current mode.
 
-    Exact two-state propagator: P(other stationary) * (1 - exp(-total*dt)).
+    Exact two-state propagator: P(other stationary) * (1 - exp(-total*dt));
+    ``dt = inf`` gives the stationary limit.
     """
-    if dt < 0:
+    if not dt >= 0:
         raise ValueError("dt must be nonnegative")
     total = params.total_rate
     if total <= 0:
@@ -100,9 +88,10 @@ def flip_probability(params: TelegraphParams, state_from: int, dt: float) -> flo
 
 
 def dwell_segments(
-    state: TlsState, params: TelegraphParams, dt: float, rng: np.random.Generator
-) -> tuple[list[tuple[int, float]], TlsState]:
-    """Advance the process by ``dt`` and return the visited (xi, duration) segments.
+    xi: int, params: TelegraphParams, dt: float, rng: np.random.Generator
+) -> tuple[list[tuple[int, float]], int]:
+    """Advance the process from mode ``xi`` by ``dt``; return the visited (xi, duration)
+    segments and the final mode.
 
     Segment durations sum to ``dt``; the final (possibly truncated) dwell is
     included.  Exactness relies on the memorylessness of the exponential dwell
@@ -110,29 +99,23 @@ def dwell_segments(
     segment draws one exponential dwell unless its mode cannot be left, so a
     call in which nothing switches draws at most one, and ``dt == 0`` none.
     """
-    if not dt >= 0:
-        raise ValueError("dt must be nonnegative")
+    if not 0 <= dt < math.inf:
+        raise ValueError("dt must be finite and nonnegative")
     if dt == 0.0:
-        return [], state
+        return [], xi
     segments: list[tuple[int, float]] = []
-    xi = state.xi
-    t = state.t
     remaining = dt
     while True:  # until a dwell outlasts the remainder
         rate = params.exit_rate(xi)
         dwell = rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
         if dwell >= remaining:
             segments.append((xi, remaining))
-            return segments, TlsState(xi, t + remaining)
+            return segments, xi
         segments.append((xi, dwell))
-        t += dwell
         remaining -= dwell
         xi = 1 - xi
 
 
-def evolve(
-    state: TlsState, params: TelegraphParams, dt: float, rng: np.random.Generator
-) -> TlsState:
-    """Jump-simulate the process over ``dt`` and return the new state."""
-    _, new_state = dwell_segments(state, params, dt, rng)
-    return new_state
+def evolve(xi: int, params: TelegraphParams, dt: float, rng: np.random.Generator) -> int:
+    """Jump-simulate the process from mode ``xi`` over ``dt`` and return the new mode."""
+    return dwell_segments(xi, params, dt, rng)[1]

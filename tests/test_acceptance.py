@@ -40,7 +40,7 @@ from bistable_qubit.protocol import (
     x_gate_excited_population,
 )
 from bistable_qubit.streams import substream
-from bistable_qubit.telegraph import TelegraphParams, TlsState
+from bistable_qubit.telegraph import TelegraphParams
 
 SEED = 20260809
 QP = QubitParams.defaults()
@@ -305,9 +305,9 @@ def _threshold_point(qp, gamma, n_shots, seed_label):
     wrong = 0
     for i in range(n_shots):
         if gamma == 0:
-            env.tls = TlsState(xi=int(rng.random() < 0.5))
+            env.xi = int(rng.random() < 0.5)
         _, ctrl = syndrome_cycle(env, ctrl, tau, rng)
-        xi = env.tls.xi
+        xi = env.xi
         wrong += ctrl.f_c != qp.mode_frequency(xi)
         active[i] = x_gate_excited_population(qp, ctrl.f_c, xi)
         blind[i] = x_gate_excited_population(qp, f_blind, xi)
@@ -403,9 +403,9 @@ def test_criterion_09_design_space_map():
     n = 150_000
     active_sum = blind_sum = 0.0
     for _ in range(n):
-        env.tls = TlsState(xi=int(rng.random() < 0.5))
+        env.xi = int(rng.random() < 0.5)
         _, ctrl = syndrome_cycle(env, ctrl, tau, rng)
-        xi = env.tls.xi
+        xi = env.xi
         active_sum += QP.alpha * x_gate_excited_population(QP, ctrl.f_c, xi)
         blind_sum += QP.alpha * x_gate_excited_population(QP, f_blind, xi)
     sim_ratio = (1.0 - blind_sum / n) / (1.0 - active_sum / n)

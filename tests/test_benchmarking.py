@@ -23,7 +23,7 @@ from bistable_qubit.bloch import (
 )
 from bistable_qubit.protocol import Environment, make_environment
 from bistable_qubit.streams import substream
-from bistable_qubit.telegraph import TelegraphParams, TlsState
+from bistable_qubit.telegraph import TelegraphParams
 
 QP = QubitParams.defaults()
 IDEAL = QubitParams.defaults(
@@ -72,10 +72,10 @@ def _reference_run(executor, indices, f_c, clock, rng):
     total = 0.0
     for i in indices:
         total += durations[i]
-    segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, total, rng)
+    segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, total, rng)
     ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
     seg = 0
-    table = executor._map_table(segments[0][0] if segments else env.tls.xi, f_c)
+    table = executor._map_table(segments[0][0] if segments else env.xi, f_c)
     end = ends[0]
     t = 0.0
     x, y, z = 0.0, 0.0, 1.0
@@ -98,8 +98,8 @@ def _reference_run(executor, indices, f_c, clock, rng):
                 m[6] * x + m[7] * y + m[8] * z + m[11],
             )
     state = BlochState(x, y, z)
-    outcome, _ = measure(state, qp, rng)
-    env.tls = telegraph.evolve(env.tls, env.tls_params, qp.t_wall, rng)
+    outcome = measure(state.z, qp, rng)
+    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
     return outcome, clock + total + qp.t_wall, state
 
 
@@ -130,7 +130,7 @@ class TestCliffordTable:
                 assert 0 <= idx < 24
 
     def test_product_table_is_a_group_action(self):
-        prod = rb._product_table()
+        prod = np.array(rb._product_table())
         identity = rb.identity_index()
         assert np.all(prod[identity, :] == np.arange(24))
         assert np.all(prod[:, identity] == np.arange(24))
@@ -202,24 +202,24 @@ class TestExecutor:
         fast = TelegraphParams(2e6, 2e6)
         f_c = QP.f_high if frame == "high" else QP.f_low
         captured = []
-        measure = rb.measure
+        step = rb.SequenceExecutor._step
 
-        def capture(state, qp, rng):  # the state the executor hands to readout
-            captured.append(state)
-            return measure(state, qp, rng)
+        def capture(self, indices, f_c, segments):  # the state before readout
+            captured.append(step(self, indices, f_c, segments))
+            return captured[-1]
 
-        monkeypatch.setattr(rb, "measure", capture)
+        monkeypatch.setattr(rb.SequenceExecutor, "_step", capture)
         switched = 0
         for k in range(20):
             env = make_environment(QP, fast, substream(506, "paths", k))
             executor = rb.SequenceExecutor(env)
             seq = [int(i) for i in np.random.default_rng(k).integers(0, 24, size=64)]
             total = sum(executor.durations[i] for i in seq)
-            segments, _ = telegraph.dwell_segments(env.tls, fast, total, substream(506, "run", k))
+            segments, _ = telegraph.dwell_segments(env.xi, fast, total, substream(506, "run", k))
             switched += len(segments) > 1
             executor.run(seq, f_c, 0.0, substream(506, "run", k))
             expected = _slot_by_slot(executor, seq, f_c, segments)
-            assert (captured[-1].x, captured[-1].y, captured[-1].z) == pytest.approx(
+            assert captured[-1] == pytest.approx(
                 (expected.x, expected.y, expected.z), abs=1e-12
             )
         assert switched >= 15
@@ -237,17 +237,17 @@ class TestExecutor:
     )
     def test_run_matches_unmemoised_reference(self, seed, rate, sequences, runs):
         tls = TelegraphParams(rate, 0.7 * rate)
-        env = Environment(QP, tls, TlsState(xi=seed % 2), True)
-        ref_env = Environment(QP, tls, env.tls, True)
+        env = Environment(QP, tls, seed % 2, True)
+        ref_env = Environment(QP, tls, env.xi, True)
         executor = rb.SequenceExecutor(env)
         reference = rb.SequenceExecutor(ref_env)
         rng = substream(515, "memo", seed)
         ref_rng = copy.deepcopy(rng)
         captured = []
 
-        def capture(state, qp, rng):  # the state the executor hands to readout
-            captured.append(state)
-            return measure(state, qp, rng)
+        def capture(z, qp, rng):  # the z-component the executor hands to readout
+            captured.append(z)
+            return measure(z, qp, rng)
 
         clock = ref_clock = 0.0
         with pytest.MonkeyPatch.context() as mp:
@@ -260,8 +260,8 @@ class TestExecutor:
                     ref_m, ref_clock, ref_state = _reference_run(
                         reference, seq, f_c, ref_clock, ref_rng
                     )
-                    assert (m, clock, env.tls) == (ref_m, ref_clock, ref_env.tls)
-                    assert captured[-1] == ref_state
+                    assert (m, clock, env.xi) == (ref_m, ref_clock, ref_env.xi)
+                    assert captured[-1] == ref_state.z
                     assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
 
     def test_memo_holds_only_the_current_sequence(self):
@@ -281,7 +281,7 @@ class TestExecutor:
 
     def test_switching_run_leaves_the_memo_untouched(self):
         fast = TelegraphParams(2e6, 2e6)
-        env = Environment(QP, FROZEN, TlsState(xi=0), True)
+        env = Environment(QP, FROZEN, 0, True)
         executor = rb.SequenceExecutor(env)
         rng = substream(517, "memo-switch")
         seq = [int(i) for i in np.random.default_rng(517).integers(0, 24, size=64)]
@@ -292,7 +292,7 @@ class TestExecutor:
         for _ in range(10):
             memo = dict(executor._states)
             total = sum(executor.durations[i] for i in seq)
-            segments, _ = telegraph.dwell_segments(env.tls, fast, total, copy.deepcopy(rng))
+            segments, _ = telegraph.dwell_segments(env.xi, fast, total, copy.deepcopy(rng))
             executor.run(seq, QP.f_low, 0.0, rng)
             if len(segments) > 1:
                 segmented += 1

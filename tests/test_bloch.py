@@ -168,15 +168,14 @@ class TestMeasure:
     def test_ground_noiseless_always_zero(self):
         rng = substream(201, "measure0")
         for _ in range(200):
-            m, collapsed = measure(BlochState.ground(), IDEAL, rng)
+            m = measure(BlochState.ground().z, IDEAL, rng)
             assert m == 0
-            assert collapsed.z == 1.0
 
     def test_excited_with_assignment_error(self):
         qp = QubitParams.defaults(readout_eps_1to0=0.03, readout_eps_0to1=0.0)
         rng = substream(202, "measure1")
         n = 100_000
-        ones = sum(measure(BlochState(0, 0, -1.0), qp, rng)[0] for _ in range(n))
+        ones = sum(measure(BlochState(0, 0, -1.0).z, qp, rng) for _ in range(n))
         sigma = math.sqrt(0.97 * 0.03 / n)
         assert abs(ones / n - 0.97) < 3.0 * sigma
 
@@ -184,21 +183,9 @@ class TestMeasure:
         qp = QubitParams.defaults()
         rng = substream(203, "measure2")
         n = 100_000
-        ones = sum(measure(BlochState(1.0, 0.0, 0.0), qp, rng)[0] for _ in range(n))
+        ones = sum(measure(BlochState(1.0, 0.0, 0.0).z, qp, rng) for _ in range(n))
         sigma = math.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) < 3.0 * sigma
-
-    def test_collapse_follows_true_projection(self):
-        # Heavily biased misreporting must not drag the collapsed state along.
-        qp = QubitParams.defaults(readout_eps_1to0=0.49, readout_eps_0to1=0.0)
-        rng = substream(204, "collapse")
-        mismatches = 0
-        for _ in range(2000):
-            m, collapsed = measure(BlochState(0.0, 1.0, 0.0), qp, rng)
-            assert collapsed.z in (1.0, -1.0)
-            if (collapsed.z == -1.0) != (m == 1):
-                mismatches += 1
-        assert mismatches > 200  # the flips really happened
 
     def test_reset_composition(self):
         qp = QubitParams.defaults(readout_eps_0to1=0.0, readout_eps_1to0=0.0)
@@ -207,7 +194,7 @@ class TestMeasure:
         assert (state.x, state.y, state.z) == (0.0, 0.0, 1.0)
         flipped = apply_pulse(state, PulseSpec.instantaneous(0.0, math.pi), 0.0, qp)
         assert flipped.z == pytest.approx(-1.0)
-        m, _ = measure(reset(), qp, rng)
+        m = measure(reset().z, qp, rng)
         assert m == 0
 
 
@@ -251,7 +238,7 @@ class TestRamseyConsistency:
         p = reported_excited_probability(state.z, qp)
         rng = substream(206, "linearity")
         n = 100_000
-        ones = sum(measure(state, qp, rng)[0] for _ in range(n))
+        ones = sum(measure(state.z, qp, rng) for _ in range(n))
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(ones / n - p) < 3.0 * sigma
 

@@ -298,6 +298,11 @@ class TestMain:
             ("mitigate", '{"mitigate": {"idle_between_rows_s": -1}}', [], "mitigate.idle_between_rows_s"),
             ("perr", '{"qubit": {"f_high_hz": Infinity}}', [], "qubit.f_high_hz"),
             ("ramsey", '{"tls": {"gamma_lh_hz": Infinity}}', [], "tls.gamma_lh_hz"),
+            ("mitigate", '{"qubit": {"t_readout_s": Infinity}}', [], "qubit.t_readout_s"),
+            ("mitigate", '{"qubit": {"t_reset_s": Infinity}}', [], "qubit.t_reset_s"),
+            ("mitigate", '{"mitigate": {"idle_between_rows_s": Infinity}}', [], "mitigate.idle_between_rows_s"),
+            ("rb", '{"rb": {"idle_between_windows_s": Infinity}}', [], "rb.idle_between_windows_s"),
+            ("mitigate", '{"qubit": {"rabi_rate_rad_s": Infinity}}', [], "qubit.rabi_rate_rad_s"),
         ],
         ids=[
             "unknown-key", "malformed-json", "missing-file", "zero-shots", "string-count", "boolean-seed",
@@ -305,6 +310,8 @@ class TestMain:
             "fractional-depth", "negative-rb-idle", "unknown-frame", "visibility-above-1", "zero-t2",
             "string-rate", "negative-sweep-rate", "negative-ak-rate", "frozen-unpinned", "nan-t1",
             "nan-t-wall", "negative-mitigate-idle", "infinite-frequency", "infinite-rate",
+            "infinite-readout", "infinite-reset", "infinite-mitigate-idle", "infinite-rb-idle",
+            "infinite-rabi-rate",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, text, extra, named):
@@ -363,6 +370,17 @@ GOLDEN = {
             "ramsey": {"n_tau": 16, "shots": 40},
         },
         {"ramsey.csv": "baa818f9d4b96057c2c4d1b57ea64b6bbdbc2756497463b7b0e6b965aba31c58"},
+    ),
+    # 100 us mean dwell against ~10 us cycles: the defect switches tens of
+    # times in the run, inside and between the controller's finite-pulse cycles.
+    "ramsey-switching-finite": (
+        {
+            "experiment": "ramsey",
+            "seed": 46,
+            "tls": {"gamma_hl_hz": 1e4, "gamma_lh_hz": 1e4},
+            "ramsey": {"n_tau": 12, "shots": 30},
+        },
+        {"ramsey.csv": "def476e9a95cda1d4a138fa2200dbe1b7e39b2ed5d5d4eb8d5ac985e79f2d963"},
     ),
     "syndrome-sweep": (
         {

@@ -31,7 +31,7 @@ from bistable_qubit.protocol import (
 )
 from bistable_qubit.protocol import _switch_free_state, _two_pulse_cycle
 from bistable_qubit.streams import substream
-from bistable_qubit.telegraph import TelegraphParams, TlsState
+from bistable_qubit.telegraph import TelegraphParams
 
 QP = QubitParams.defaults()
 IDEAL = QubitParams.defaults(
@@ -101,15 +101,31 @@ class TestSyndromeCycle:
         with pytest.raises(ValueError, match="mode frequencies"):
             syndrome_cycle(env, ControllerState(f_c=IDEAL.f_high + 1.0), 1e-6, rng)
 
-    def test_clock_and_tls_advance(self):
+    def test_clock_and_tls_advance(self, monkeypatch):
         rng = substream(404, "synd")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=True)
         ctrl = ControllerState(f_c=QP.f_high)
         tau = default_tau_probe(QP)
+        advanced = []
+        dwell_segments = telegraph.dwell_segments
+
+        def record(xi, params, dt, rng):  # every interval the defect is advanced over
+            advanced.append(dt)
+            return dwell_segments(xi, params, dt, rng)
+
+        monkeypatch.setattr(telegraph, "dwell_segments", record)
         _, ctrl2 = syndrome_cycle(env, ctrl, tau, rng)
-        expected = tau + QP.t_wall + 2 * (0.5 * math.pi / QP.rabi_rate)
+        t_pulse = 0.5 * math.pi / QP.rabi_rate
+        expected = tau + QP.t_wall + 2 * t_pulse
         assert ctrl2.clock == pytest.approx(expected)
-        assert env.tls.t == pytest.approx(expected)
+        assert advanced == pytest.approx([t_pulse, tau, t_pulse, QP.t_wall])
+        assert sum(advanced) == pytest.approx(ctrl2.clock - ctrl.clock)
+
+    def test_error_rate_needs_a_cycle(self):
+        rng = substream(405, "syndmc-empty")
+        env = make_environment(QP, FROZEN, rng, pinned_mode=0)
+        with pytest.raises(ValueError, match="n_cycles"):
+            syndrome_error_rate(env, 0, default_tau_probe(QP), rng)
 
     def test_error_rate_matches_static_budget(self):
         rng = substream(405, "syndmc")
@@ -173,13 +189,6 @@ class TestRamseyCycle:
                     0.0,
                 )
                 assert abs(virtual - physical) < 1e-9
-
-    def test_frame_phase_accumulates(self):
-        rng = substream(407, "framephase")
-        env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
-        ctrl = ControllerState(f_c=QP.f_high)
-        _, ctrl = ramsey_cycle(env, ctrl, 1e-6, 2e6, rng)
-        assert ctrl.frame_phase == pytest.approx(2 * math.pi * 2e6 * 1e-6)
 
 
 class TestMitigation:
@@ -251,7 +260,7 @@ class TestMitigation:
         for tau in taus:
             ones = 0
             for _ in range(shots):
-                env.tls = TlsState(xi=int(rng.random() < 0.5))
+                env.xi = int(rng.random() < 0.5)
                 m, ctrl = ramsey_cycle(env, ctrl, float(tau), det, rng)
                 ones += m
             expected = 0.5 * (
@@ -287,10 +296,15 @@ class TestEnvironment:
         with pytest.raises(ValueError, match="pin"):
             make_environment(QP, FROZEN, rng)
 
+    def test_pinned_mode_must_be_a_mode(self):
+        for mode in (2, -1):
+            with pytest.raises(ValueError, match="pinned_mode"):
+                make_environment(QP, FROZEN, None, pinned_mode=mode)
+
     def test_stationary_draw(self):
         rng = substream(416, "env")
         counts = sum(
-            make_environment(QP, TelegraphParams(3.0, 1.0), rng).tls.xi for _ in range(4000)
+            make_environment(QP, TelegraphParams(3.0, 1.0), rng).xi for _ in range(4000)
         )
         sigma = math.sqrt(0.75 * 0.25 / 4000)
         assert abs(counts / 4000 - 0.75) < 4 * sigma
@@ -318,22 +332,22 @@ def _reference_cycle(env, f_c, tau, phase, clock, rng):
     """
     qp = env.qubit
     state = reset()
-    xi_first = env.tls.xi
+    xi_first = env.xi
     switched = False
     for k, axis_phase in enumerate((0.0, phase)):
         if k == 1:
-            segments, env.tls = telegraph.dwell_segments(env.tls, env.tls_params, tau, rng)
+            segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, tau, rng)
             for xi, dt in segments:
                 state = free_evolve(state, detuning(qp, f_c, xi), dt, qp)
-            switched = len(segments) > 1 or env.tls.xi != xi_first
+            switched = len(segments) > 1 or env.xi != xi_first
             clock += tau
         if env.finite_pulses:
             pulse = PulseSpec.finite(axis_phase, -HALF_PI, qp)
         else:
             pulse = PulseSpec.instantaneous(axis_phase, -HALF_PI)
-        state = apply_pulse(state, pulse, detuning(qp, f_c, env.tls.xi), qp)
+        state = apply_pulse(state, pulse, detuning(qp, f_c, env.xi), qp)
         if pulse.duration > 0.0:
-            env.tls = telegraph.evolve(env.tls, env.tls_params, pulse.duration, rng)
+            env.xi = telegraph.evolve(env.xi, env.tls_params, pulse.duration, rng)
         clock += pulse.duration
     return state, clock, switched
 
@@ -374,23 +388,23 @@ class TestCycleMemo:
     def test_cycle_matches_stepwise_reference(self, seed, rate, high, tau, phase, finite):
         tls = TelegraphParams(rate, 0.6 * rate)
         rng = substream(417, "cycle", seed)
-        env = Environment(QP, tls, TlsState(xi=seed % 2), finite)
-        ref_env = Environment(QP, tls, env.tls, finite)
+        env = Environment(QP, tls, seed % 2, finite)
+        ref_env = Environment(QP, tls, env.xi, finite)
         ref_rng = copy.deepcopy(rng)
         f_c = QP.f_high if high else QP.f_low
         clock = ref_clock = 0.0
         for _ in range(15):
             state, clock = _two_pulse_cycle(env, f_c, tau, phase, clock, rng)
             ref_state, ref_clock, _ = _reference_cycle(ref_env, f_c, tau, phase, ref_clock, ref_rng)
-            assert (state, clock, env.tls) == (ref_state, ref_clock, ref_env.tls)
+            assert (state, clock, env.xi) == (ref_state, ref_clock, ref_env.xi)
             assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
 
     def test_switching_cycles_match_the_reference(self):
         # Dwell ~ tau: cycles with and without a switch both occur.
         tls = TelegraphParams(4e5, 3e5)
         rng = substream(418, "cycle-switching")
-        env = Environment(QP, tls, TlsState(xi=0), True)
-        ref_env = Environment(QP, tls, env.tls, True)
+        env = Environment(QP, tls, 0, True)
+        ref_env = Environment(QP, tls, env.xi, True)
         ref_rng = copy.deepcopy(rng)
         switched = 0
         for k in range(400):
@@ -398,7 +412,7 @@ class TestCycleMemo:
             state, _ = _two_pulse_cycle(env, QP.f_high, tau, 0.3, 0.0, rng)
             ref_state, _, ref_switched = _reference_cycle(ref_env, QP.f_high, tau, 0.3, 0.0, ref_rng)
             assert state == ref_state
-            assert env.tls == ref_env.tls
+            assert env.xi == ref_env.xi
             switched += ref_switched
         assert 100 < switched < 300
 

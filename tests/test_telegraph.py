@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bistable_qubit import telegraph
 from bistable_qubit.streams import substream
-from bistable_qubit.telegraph import TelegraphParams, TlsState
+from bistable_qubit.telegraph import TelegraphParams
 
 
 def test_stationary_symmetric():
@@ -68,9 +68,8 @@ def test_flip_probability_half_life_point():
     rng = substream(102, "halflife")
     n = 300_000
     flips = 0
-    state0 = TlsState(xi=telegraph.XI_H)
     for _ in range(n):
-        flips += telegraph.evolve(state0, params, math.log(2.0) / g, rng).xi != telegraph.XI_H
+        flips += telegraph.evolve(telegraph.XI_H, params, math.log(2.0) / g, rng) != telegraph.XI_H
     sigma = math.sqrt(0.25 * 0.75 / n)
     assert abs(flips / n - 0.25) < 3.0 * sigma
 
@@ -93,11 +92,9 @@ def test_flip_probability_bounded_and_monotone(gamma_hl, gamma_lh, dt1, dt2, xi)
 
 
 def test_evolve_frozen_process():
-    state = TlsState(xi=telegraph.XI_L, t=1.0)
     rng = substream(103, "frozen")
-    out = telegraph.evolve(state, TelegraphParams(0.0, 0.0), 5.0, rng)
-    assert out.xi == telegraph.XI_L
-    assert out.t == 6.0
+    out = telegraph.evolve(telegraph.XI_L, TelegraphParams(0.0, 0.0), 5.0, rng)
+    assert out == telegraph.XI_L
 
 
 def test_evolve_marginal_matches_flip_probability():
@@ -106,8 +103,7 @@ def test_evolve_marginal_matches_flip_probability():
     rng = substream(104, "marginal")
     for xi0 in (telegraph.XI_H, telegraph.XI_L):
         n = 200_000
-        state0 = TlsState(xi=xi0)
-        flips = sum(telegraph.evolve(state0, params, dt, rng).xi != xi0 for _ in range(n))
+        flips = sum(telegraph.evolve(xi0, params, dt, rng) != xi0 for _ in range(n))
         p = telegraph.flip_probability(params, xi0, dt)
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(flips / n - p) < 3.0 * sigma
@@ -118,11 +114,10 @@ def test_chapman_kolmogorov_composition():
     dt1, dt2 = 0.35, 1.1
     rng = substream(105, "ck")
     n = 200_000
-    state0 = TlsState(xi=telegraph.XI_H)
     flips = 0
     for _ in range(n):
-        mid = telegraph.evolve(state0, params, dt1, rng)
-        flips += telegraph.evolve(mid, params, dt2, rng).xi != telegraph.XI_H
+        mid = telegraph.evolve(telegraph.XI_H, params, dt1, rng)
+        flips += telegraph.evolve(mid, params, dt2, rng) != telegraph.XI_H
     p = telegraph.flip_probability(params, telegraph.XI_H, dt1 + dt2)
     sigma = math.sqrt(p * (1.0 - p) / n)
     assert abs(flips / n - p) < 3.0 * sigma
@@ -131,9 +126,8 @@ def test_chapman_kolmogorov_composition():
 def test_dwell_distribution_is_exponential():
     params = TelegraphParams(2.0, 5.0)
     rng = substream(106, "dwell")
-    state = TlsState(xi=telegraph.XI_H)
     # One long interval; interior segments are complete dwells.
-    segments, _ = telegraph.dwell_segments(state, params, 75_000.0, rng)
+    segments, _ = telegraph.dwell_segments(telegraph.XI_H, params, 75_000.0, rng)
     dwells_h = [d for xi, d in segments[1:-1] if xi == telegraph.XI_H]
     assert len(dwells_h) > 100_000
     from scipy import stats
@@ -145,26 +139,42 @@ def test_dwell_distribution_is_exponential():
 def test_dwell_segments_structure():
     params = TelegraphParams(4.0, 4.0)
     rng = substream(107, "segments")
-    state = TlsState(xi=telegraph.XI_L, t=2.0)
-    segments, out = telegraph.dwell_segments(state, params, 3.0, rng)
+    segments, out = telegraph.dwell_segments(telegraph.XI_L, params, 3.0, rng)
     assert abs(sum(d for _, d in segments) - 3.0) < 1e-12
     assert segments[0][0] == telegraph.XI_L
     for (xi_a, _), (xi_b, _) in zip(segments, segments[1:]):
         assert xi_b == 1 - xi_a
-    assert out.t == pytest.approx(5.0)
-    assert out.xi == segments[-1][0]
+    assert out == segments[-1][0]
 
 
 def test_negative_dt_raises():
     rng = substream(108, "neg")
     with pytest.raises(ValueError):
-        telegraph.evolve(TlsState(xi=0), TelegraphParams(1.0, 1.0), -0.1, rng)
+        telegraph.evolve(0, TelegraphParams(1.0, 1.0), -0.1, rng)
 
 
 def test_nan_dt_raises():
     rng = substream(108, "nan")
     with pytest.raises(ValueError):
-        telegraph.evolve(TlsState(xi=0), TelegraphParams(1.0, 1.0), math.nan, rng)
+        telegraph.evolve(0, TelegraphParams(1.0, 1.0), math.nan, rng)
+
+
+def test_infinite_dt_raises():
+    # An infinite interval has no last dwell: the sampler would never return.
+    rng = substream(108, "inf")
+    for params in (TelegraphParams(1.0, 1.0), TelegraphParams(0.0, 0.0)):
+        with pytest.raises(ValueError, match="finite"):
+            telegraph.dwell_segments(0, params, math.inf, rng)
+
+
+def test_flip_probability_nan_dt_raises():
+    with pytest.raises(ValueError):
+        telegraph.flip_probability(TelegraphParams(1.0, 1.0), telegraph.XI_H, math.nan)
+
+
+def test_flip_probability_infinite_dt_is_stationary():
+    params = TelegraphParams(3.0, 1.0)
+    assert telegraph.flip_probability(params, telegraph.XI_H, math.inf) == 0.75
 
 
 def test_from_dwell_time():
@@ -190,11 +200,10 @@ def _state(rng):
 def test_dwell_segments_draws_nothing_without_an_exit(params, xi, dt):
     rng = substream(107, "no-draw")
     before = _state(rng)
-    state0 = TlsState(xi=xi, t=0.25)
-    segments, out = telegraph.dwell_segments(state0, params, dt, rng)
+    segments, out = telegraph.dwell_segments(xi, params, dt, rng)
     assert _state(rng) == before
     assert segments == ([(xi, dt)] if dt > 0.0 else [])
-    assert out == TlsState(xi=xi, t=0.25 + dt)
+    assert out == xi
 
 
 @pytest.mark.parametrize("xi", [telegraph.XI_H, telegraph.XI_L])
@@ -203,14 +212,12 @@ def test_dwell_segments_without_a_switch_draws_one_dwell(xi):
     dt = 1.3e-6  # switch probability ~1e-4 per call
     rng = substream(108, "one-draw", xi)
     reference = copy.deepcopy(rng)
-    t0 = 0.1
     for _ in range(200):
-        segments, out = telegraph.dwell_segments(TlsState(xi=xi, t=t0), params, dt, rng)
+        segments, out = telegraph.dwell_segments(xi, params, dt, rng)
         dwell = reference.exponential(1.0 / params.exit_rate(xi))
         assert dwell >= dt
         assert segments == [(xi, dt)]
-        assert out.xi == xi
-        assert out.t == t0 + dt
+        assert out == xi
         assert _state(rng) == _state(reference)
 
 
@@ -219,14 +226,13 @@ def test_dwell_segments_draw_one_dwell_per_segment():
     dt = 2e-5
     rng = substream(109, "per-segment")
     reference = copy.deepcopy(rng)
-    state = TlsState(xi=telegraph.XI_H, t=3.0)
-    segments, out = telegraph.dwell_segments(state, params, dt, rng)
+    segments, out = telegraph.dwell_segments(telegraph.XI_H, params, dt, rng)
     assert len(segments) > 3
-    xi = state.xi
+    xi = telegraph.XI_H
     for seg_xi, duration in segments[:-1]:
         assert (seg_xi, duration) == (xi, reference.exponential(1.0 / params.exit_rate(xi)))
         xi = 1 - xi
     last_xi, last = segments[-1]
-    assert last_xi == xi == out.xi
+    assert last_xi == xi == out
     assert reference.exponential(1.0 / params.exit_rate(xi)) >= last
     assert _state(rng) == _state(reference)
