@@ -11,14 +11,13 @@ closed-form error budgets as an oracle layer.
 __version__ = "0.1.0"
 
 from .bloch import BlochState, PulseSpec, QubitParams
-from .protocol import ControllerState, CycleTiming, Environment
+from .protocol import CycleTiming, Environment
 from .telegraph import TelegraphParams
 
 __all__ = [
     "BlochState",
     "PulseSpec",
     "QubitParams",
-    "ControllerState",
     "CycleTiming",
     "Environment",
     "TelegraphParams",

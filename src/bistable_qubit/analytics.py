@@ -19,6 +19,9 @@ import numpy as np
 
 from .bloch import QubitParams, rabi_transition_probability
 
+# Trajectories drawn per block by ak_coherence_mc; the block size fixes the draw order.
+MC_CHUNK = 20000
+
 
 def ramsey_likelihood(m: int, xi: int, tau, delta_f: float, params: QubitParams):
     """P(outcome m | mode xi) for one two-pulse probing cycle of length tau.
@@ -264,7 +267,6 @@ def ak_coherence_mc(
     n_trajectories: int,
     rng: np.random.Generator,
     initial: str = "equal",
-    chunk: int = 20000,
 ) -> np.ndarray:
     """Monte Carlo estimate of the ensemble coherence C(t) = <exp(i phi)>/2.
 
@@ -281,7 +283,7 @@ def ak_coherence_mc(
     total = np.zeros(t_grid.shape, dtype=complex)
     remaining = n_trajectories
     while remaining > 0:
-        n = min(chunk, remaining)
+        n = min(MC_CHUNK, remaining)
         remaining -= n
         if initial == "equal":
             s0 = np.where(rng.random(n) < 0.5, 1.0, -1.0)

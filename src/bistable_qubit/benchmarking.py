@@ -23,18 +23,8 @@ from itertools import accumulate
 import numpy as np
 from scipy.optimize import curve_fit
 
-from . import telegraph
-from .bloch import (
-    IDENTITY,
-    PulseSpec,
-    QubitParams,
-    compose,
-    detuning,
-    free_map,
-    measure,
-    pulse_map,
-)
-from .protocol import ControllerState, Environment, default_tau_probe, syndrome_cycle
+from .bloch import IDENTITY, PulseSpec, QubitParams, compose, detuning, free_map, pulse_map
+from .protocol import Environment, _check_f_c, default_tau_probe, syndrome_cycle
 
 HALF_PI = 0.5 * math.pi
 
@@ -178,9 +168,9 @@ class SequenceExecutor:
     only an element a switch lands inside is stepped slot by slot.
     """
 
-    def __init__(self, env: Environment, table: tuple[CliffordElement, ...] | None = None):
+    def __init__(self, env: Environment):
         self.env = env
-        self.table = table if table is not None else clifford_table()
+        self.table = clifford_table()
         self.slot = env.qubit.t_pi
         self.durations = tuple(e.n_pulses * self.slot for e in self.table)
         self._maps: dict[tuple[int, float], list[tuple[tuple, tuple]]] = {}
@@ -209,21 +199,17 @@ class SequenceExecutor:
             self._maps[key] = entries
         return self._maps[key]
 
-    def run(
-        self, indices: list[int], f_c: float, clock: float, rng: np.random.Generator
-    ) -> tuple[int, float]:
-        """Execute reset -> sequence -> measure; returns (outcome, new clock).
+    def run(self, indices: list[int], f_c: float, rng: np.random.Generator) -> int:
+        """Execute reset -> sequence -> measure in frame f_c; returns the outcome.
 
-        Advances the defect process through the sequence and the trailing
-        readout + reset dead time.  The state before readout of a run that one
-        mode covers depends only on (sequence, mode, frame), so it is memoised
-        for the current sequence and computed once per (mode, frame); a run
-        that a switch lands in is stepped on its own segments.
+        The environment advances over the sequence and the trailing readout +
+        reset dead time.  The state before readout of a run that one mode
+        covers depends only on (sequence, mode, frame), so it is memoised for
+        the current sequence and computed once per (mode, frame); a run that a
+        switch lands in is stepped on its own segments.
         """
         env = self.env
-        qp = env.qubit
-        if f_c not in (qp.f_high, qp.f_low):
-            raise ValueError("sequence frame must sit on one of the two mode frequencies")
+        _check_f_c(f_c, env.qubit)
         if indices != self._sequence:  # a new sequence: drop the last one's memo
             total = 0.0
             for i in indices:
@@ -231,8 +217,7 @@ class SequenceExecutor:
             self._sequence = list(indices)
             self._total = total
             self._states = {}
-        total = self._total
-        segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, total, rng)
+        segments = env.dwell(self._total, rng)
         if len(segments) > 1:
             z = self._step(indices, f_c, segments)[2]
         else:  # one mode, env.xi, covers the whole sequence
@@ -240,9 +225,7 @@ class SequenceExecutor:
             if key not in self._states:
                 self._states[key] = self._step(indices, f_c, segments)
             z = self._states[key][2]
-        outcome = measure(z, qp, rng)
-        env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
-        return outcome, clock + total + qp.t_wall
+        return env.readout(z, rng)
 
     def _step(
         self, indices: list[int], f_c: float, segments: list[tuple[int, float]]
@@ -451,13 +434,12 @@ def run_rb_interleaved(
     qp = env.qubit
     executor = SequenceExecutor(env)
     tau_probe = config.tau_probe or default_tau_probe(qp)
-    ctrl = ControllerState(f_c=qp.f_high)
     depths = np.asarray(config.depths, dtype=int)
     shots_per_depth = config.n_sequences * config.shots_per_sequence
     windows: list[RbWindow] = []
 
     for w in range(config.n_windows):
-        t_start = ctrl.clock
+        t_start = env.clock
         k_nofb = np.zeros(depths.size)
         k_fb = np.zeros(depths.size)
         xi_sum = 0
@@ -468,23 +450,18 @@ def run_rb_interleaved(
                 indices.append(recovery)
                 xi_sum += env.xi
                 xi_count += 1
-                ctrl = ControllerState(qp.f_high, ctrl.clock)
                 for _ in range(config.shots_per_sequence):
-                    m, clock = executor.run(indices, qp.f_high, ctrl.clock, rng)
-                    ctrl = ControllerState(ctrl.f_c, clock)
-                    k_nofb[di] += m == 0
-                _, ctrl = syndrome_cycle(env, ctrl, tau_probe, rng)
+                    k_nofb[di] += executor.run(indices, qp.f_high, rng) == 0
+                _, f_c = syndrome_cycle(env, tau_probe, rng)
                 for _ in range(config.shots_per_sequence):
-                    m, clock = executor.run(indices, ctrl.f_c, ctrl.clock, rng)
-                    ctrl = ControllerState(ctrl.f_c, clock)
-                    k_fb[di] += m == 0
+                    k_fb[di] += executor.run(indices, f_c, rng) == 0
         surv_nofb = k_nofb / shots_per_depth
         surv_fb = k_fb / shots_per_depth
         windows.append(
             RbWindow(
                 index=w,
                 lab_time_start=t_start,
-                lab_time_end=ctrl.clock,
+                lab_time_end=env.clock,
                 survivals_nofb=surv_nofb,
                 survivals_fb=surv_fb,
                 shots_per_depth=shots_per_depth,
@@ -498,8 +475,7 @@ def run_rb_interleaved(
             )
         )
         if config.idle_between_windows > 0:
-            env.xi = telegraph.evolve(env.xi, env.tls_params, config.idle_between_windows, rng)
-            ctrl = ControllerState(ctrl.f_c, ctrl.clock + config.idle_between_windows)
+            env.advance(config.idle_between_windows, rng)
 
     return RbTimeSeries(depths=depths, windows=windows, gates_per_clifford=gates_per_clifford())
 

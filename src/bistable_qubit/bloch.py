@@ -295,9 +295,6 @@ def reported_excited_probability(z: float, params: QubitParams) -> float:
 
 
 def reset() -> BlochState:
-    """Re-initialize to the ground state.
-
-    The caller is responsible for advancing its clock by t_readout + t_reset
-    for the preceding measurement and resonator reset.
-    """
+    """Re-initialize to the ground state (``protocol.Environment.readout`` accounts
+    for the readout and reset time)."""
     return BlochState.ground()

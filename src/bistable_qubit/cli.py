@@ -31,9 +31,9 @@ from .benchmarking import RbConfig, decoherence_floor_per_gate, run_rb_interleav
 from .bloch import QubitParams
 from .fitting import fit_two_frequency_mixture, quadrature_amplitudes
 from .protocol import (
-    ControllerState,
     CycleTiming,
     MitigationConfig,
+    calibrate_decode_map,
     cycle_bandwidth,
     default_tau_probe,
     make_environment,
@@ -232,7 +232,14 @@ def _config_from_dict(data) -> RunConfig:
     pinned = _MODE_NAMES[merged["tls"]["pinned_mode"]]
     if pinned is None and tls.total_rate == 0:
         raise ConfigError("tls.pinned_mode: required when both switching rates are 0")
+    qubit = _build(QubitParams, "qubit", merged["qubit"])
     tau_probe = float(merged["protocol"]["tau_probe_s"])
+    finite_pulses = merged["protocol"]["finite_pulses"]
+    if experiment in ("mitigate", "rb", "syndrome-sweep"):  # the experiments that decode syndromes
+        try:
+            calibrate_decode_map(qubit, tau_probe or default_tau_probe(qubit), finite_pulses)
+        except ValueError as exc:
+            raise ConfigError(f"protocol.tau_probe_s: {exc}") from exc
     mit = merged["mitigate"]
     tau_grid = tuple(np.linspace(0.0, mit["tau_max_s"], mit["n_tau"]).tolist())
     return RunConfig(
@@ -240,11 +247,11 @@ def _config_from_dict(data) -> RunConfig:
         seed=merged["seed"],
         out_dir=merged["out_dir"],
         replicas=merged["replicas"],
-        qubit=_build(QubitParams, "qubit", merged["qubit"]),
+        qubit=qubit,
         tls=tls,
         pinned_mode=pinned,
         tau_probe=tau_probe,
-        finite_pulses=merged["protocol"]["finite_pulses"],
+        finite_pulses=finite_pulses,
         rb=_build(RbConfig, "rb", merged["rb"], tau_probe=tau_probe),
         mitigation=_build(MitigationConfig, "mitigate", mit, tau_grid=tau_grid, tau_probe=tau_probe),
         params=merged[experiment.replace("-", "_")],
@@ -303,8 +310,8 @@ def _tau_probe(cfg: RunConfig, qp: QubitParams) -> float:
 def _derived_block(cfg: RunConfig) -> dict:
     qp = cfg.qubit
     tau = _tau_probe(cfg, qp)
-    timing = CycleTiming(t_gate=qp.t_pi, tau=tau, t_readout=qp.t_readout, t_reset=qp.t_reset)
-    overlapped = CycleTiming(t_gate=qp.t_pi, tau=tau, t_readout=0.0, t_reset=qp.t_reset)
+    timing = CycleTiming(tau=tau, t_readout=qp.t_readout, t_reset=qp.t_reset)
+    overlapped = CycleTiming(tau=tau, t_readout=0.0, t_reset=qp.t_reset)
     return {
         "delta_tls_hz": qp.delta_tls,
         "t2_s": qp.t2,
@@ -330,12 +337,10 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
     for replica in range(cfg.replicas):
         rng = substream(cfg.seed, cfg.experiment, "replica", replica)
         env = make_environment(qp, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
-        ctrl = ControllerState(f_c=f_c)
         for tau in taus:
             hits = 0
             for _ in range(p["shots"]):
-                m, ctrl = ramsey_cycle(env, ctrl, float(tau), p["virtual_detuning_hz"], rng)
-                hits += m
+                hits += ramsey_cycle(env, f_c, float(tau), p["virtual_detuning_hz"], rng)
             model = None
             if cfg.pinned_mode is not None and cfg.tls.total_rate == 0:
                 model = ramsey_probability(

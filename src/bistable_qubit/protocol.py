@@ -1,12 +1,13 @@
 """Feedback cycles: mode-syndrome estimation, detuned probing, interleaving.
 
-The controller owns a rotating frame at ``f_c`` (one of the two mode
-frequencies) and a wall clock.  One syndrome cycle estimates the current
-mode from a single measurement and retunes ``f_c``; probing (Ramsey-style)
-cycles read the qubit phase evolution with a software-applied virtual
-detuning.  The defect process keeps evolving through every elapsed interval,
-including readout and reset dead time, which is what makes stale estimates
-possible.  The defect state is its mode, an int ``xi`` (0 = H, 1 = L).
+The controller runs in a rotating frame at ``f_c`` (one of the two mode
+frequencies).  One syndrome cycle estimates the current mode from a single
+measurement and returns the retuned ``f_c``; probing (Ramsey-style) cycles
+read the qubit phase evolution with a software-applied virtual detuning.
+The ``Environment`` owns lab time: the defect mode, an int ``xi`` (0 = H,
+1 = L), and the lab clock advance together over every elapsed interval,
+including the readout and reset dead time after each measurement, which is
+what makes stale estimates possible.
 
 Conventions:
 
@@ -50,12 +51,32 @@ class Environment:
 
     ``finite_pulses`` selects rectangular finite-duration pulses (with their
     detuning-tilted rotation axes) versus idealized instantaneous rotations.
+    ``clock`` is the lab time (s); the methods below are the only place that
+    advances the defect, and each advances the clock with it.
     """
 
     qubit: QubitParams
     tls_params: TelegraphParams
     xi: int
     finite_pulses: bool = True
+    clock: float = 0.0
+
+    def advance(self, dt: float, rng: np.random.Generator) -> None:
+        """Let ``dt`` of lab time pass: the defect evolves and the clock moves on."""
+        self.xi = telegraph.evolve(self.xi, self.tls_params, dt, rng)
+        self.clock += dt
+
+    def dwell(self, dt: float, rng: np.random.Generator) -> list[tuple[int, float]]:
+        """``advance`` over ``dt``, returning the (xi, duration) segments the defect dwelt in."""
+        segments, self.xi = telegraph.dwell_segments(self.xi, self.tls_params, dt, rng)
+        self.clock += dt
+        return segments
+
+    def readout(self, z: float, rng: np.random.Generator) -> int:
+        """Measure a state with Bloch z-component ``z``, then wait out the readout and reset."""
+        m = measure(z, self.qubit, rng)
+        self.advance(self.qubit.t_wall, rng)
+        return m
 
 
 def make_environment(
@@ -78,30 +99,17 @@ def make_environment(
 
 
 @dataclass(frozen=True)
-class ControllerState:
-    """Feedback controller state: frame frequency and wall clock."""
-
-    f_c: float
-    clock: float = 0.0
-
-
-@dataclass(frozen=True)
 class CycleTiming:
     """Per-cycle time budget (s)."""
 
-    t_gate: float
     tau: float
     t_readout: float
     t_reset: float
 
     def __post_init__(self):
-        for name in ("t_gate", "tau", "t_readout", "t_reset"):
+        for name in ("tau", "t_readout", "t_reset"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-
-    @property
-    def cycle_total(self) -> float:
-        return 2.0 * self.t_gate + self.tau + self.t_readout + self.t_reset
 
 
 def cycle_bandwidth(timing: CycleTiming) -> float:
@@ -111,17 +119,15 @@ def cycle_bandwidth(timing: CycleTiming) -> float:
     overlaps the next probe, 1/(tau + t_reset) applies instead (both numbers
     are surfaced by the CLI manifest).
     """
-    if timing.cycle_total <= 0:
-        raise ValueError("cycle has zero duration")
     denom = timing.tau + timing.t_readout + timing.t_reset
     if denom <= 0:
         raise ValueError("estimation window has zero duration")
     return 1.0 / denom
 
 
-def _check_f_c(ctrl: ControllerState, qp: QubitParams) -> None:
-    if ctrl.f_c not in (qp.f_low, qp.f_high):
-        raise ValueError("controller frame must sit on one of the two mode frequencies")
+def _check_f_c(f_c: float, qp: QubitParams) -> None:
+    if f_c not in (qp.f_low, qp.f_high):
+        raise ValueError("frame f_c must sit on one of the two mode frequencies")
 
 
 def _half_pi(axis_phase: float, qp: QubitParams, finite_pulses: bool) -> PulseSpec:
@@ -175,31 +181,26 @@ def _two_pulse_cycle(
     f_c: float,
     tau: float,
     second_axis_phase: float,
-    clock: float,
     rng: np.random.Generator,
-) -> tuple[BlochState, float]:
+) -> BlochState:
     """Reset, X(-pi/2), free evolution over tau, then X(-pi/2) about ``second_axis_phase``.
 
     Runs in frame f_c against the defect trajectory: the mode is held over
     each pulse (a switch takes effect afterwards) and may switch within the
     free evolution.  The trajectory is drawn first, over pulse 1, tau and
     pulse 2 in turn; a cycle that one mode covers takes its state from the
-    memo.  Returns the state before readout and the clock advanced by both
-    pulses and tau.
+    memo.  Returns the state before readout.
     """
     qp = env.qubit
     pulse_time = HALF_PI / qp.rabi_rate if env.finite_pulses else 0.0  # PulseSpec.finite's duration
     xi_first = env.xi
-    xi = telegraph.evolve(xi_first, env.tls_params, pulse_time, rng)
-    segments, xi_second = telegraph.dwell_segments(xi, env.tls_params, tau, rng)
-    env.xi = telegraph.evolve(xi_second, env.tls_params, pulse_time, rng)
+    env.advance(pulse_time, rng)
+    segments = env.dwell(tau, rng)
+    xi_second = env.xi
+    env.advance(pulse_time, rng)
     if len(segments) <= 1 and xi_second == xi_first:
-        state = _switch_free_state(qp, env.finite_pulses, f_c, xi_first, tau, second_axis_phase)
-    else:
-        state = _cycle_state(
-            qp, env.finite_pulses, f_c, xi_first, segments, xi_second, second_axis_phase
-        )
-    return state, clock + pulse_time + tau + pulse_time
+        return _switch_free_state(qp, env.finite_pulses, f_c, xi_first, tau, second_axis_phase)
+    return _cycle_state(qp, env.finite_pulses, f_c, xi_first, segments, xi_second, second_axis_phase)
 
 
 def _noiseless(qp: QubitParams) -> QubitParams:
@@ -255,50 +256,33 @@ def calibrate_decode_map(
 
 
 def syndrome_cycle(
-    env: Environment,
-    ctrl: ControllerState,
-    tau_probe: float,
-    rng: np.random.Generator,
-) -> tuple[int, ControllerState]:
-    """One mode-estimation cycle; returns the outcome and the retuned controller.
+    env: Environment, tau_probe: float, rng: np.random.Generator
+) -> tuple[int, float]:
+    """One mode-estimation cycle; returns the outcome and the retuned frame f_c.
 
     Probes in the high-mode frame, decodes the single shot into a mode
-    estimate, advances the defect through readout + reset dead time, and sets
-    f_c to the estimated mode's frequency.
+    estimate, and returns the estimated mode's frequency.
     """
     if tau_probe <= 0:
         raise ValueError("tau_probe must be positive")
     qp = env.qubit
-    _check_f_c(ctrl, qp)
     decode = calibrate_decode_map(qp, tau_probe, env.finite_pulses)
-
-    state, clock = _two_pulse_cycle(env, qp.f_high, tau_probe, 0.0, ctrl.clock, rng)
-    m = measure(state.z, qp, rng)
-    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
-    return m, ControllerState(qp.mode_frequency(decode[m]), clock + qp.t_wall)
+    m = env.readout(_two_pulse_cycle(env, qp.f_high, tau_probe, 0.0, rng).z, rng)
+    return m, qp.mode_frequency(decode[m])
 
 
 def ramsey_cycle(
-    env: Environment,
-    ctrl: ControllerState,
-    tau: float,
-    virtual_detuning: float,
-    rng: np.random.Generator,
-) -> tuple[int, ControllerState]:
-    """One probing cycle at the controller's frame with a virtual detuning.
+    env: Environment, f_c: float, tau: float, virtual_detuning: float, rng: np.random.Generator
+) -> int:
+    """One probing cycle in frame f_c with a virtual detuning; returns the outcome.
 
     The second pulse's axis is advanced by 2*pi*virtual_detuning*tau.
     """
     if tau < 0:
         raise ValueError("tau must be nonnegative")
-    qp = env.qubit
-    _check_f_c(ctrl, qp)
-
+    _check_f_c(f_c, env.qubit)
     virtual_phase = 2.0 * math.pi * virtual_detuning * tau
-    state, clock = _two_pulse_cycle(env, ctrl.f_c, tau, virtual_phase, ctrl.clock, rng)
-    m = measure(state.z, qp, rng)
-    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
-    return m, ControllerState(ctrl.f_c, clock + qp.t_wall)
+    return env.readout(_two_pulse_cycle(env, f_c, tau, virtual_phase, rng).z, rng)
 
 
 @dataclass(frozen=True)
@@ -376,38 +360,33 @@ def run_mitigation(
     counts_fb = np.zeros((config.rows, n_tau))
     row_times = np.zeros(config.rows)
     trace: list[SyndromeRecord] = []
-    ctrl = ControllerState(f_c=qp.f_high)
 
     for row in range(config.rows):
-        row_times[row] = ctrl.clock
+        row_times[row] = env.clock
         for i, tau in enumerate(taus):
             rep = 0
             while rep < config.n_reps:
                 block = min(config.block_size, config.n_reps - rep)
                 for _ in range(block):
-                    open_loop = ControllerState(qp.f_high, ctrl.clock)
-                    m, ctrl = ramsey_cycle(env, open_loop, tau, config.det_nofb, rng)
-                    counts_nofb[row, i] += m
+                    counts_nofb[row, i] += ramsey_cycle(env, qp.f_high, tau, config.det_nofb, rng)
                 for k in range(block):
-                    m_syn, ctrl = syndrome_cycle(env, ctrl, tau_probe, rng)
-                    est_xi = 0 if ctrl.f_c == qp.f_high else 1
+                    m_syn, f_c = syndrome_cycle(env, tau_probe, rng)
+                    est_xi = 0 if f_c == qp.f_high else 1
                     trace.append(
                         SyndromeRecord(
                             row=row,
                             tau_index=i,
                             rep=rep + k,
-                            lab_time=ctrl.clock,
+                            lab_time=env.clock,
                             true_xi=env.xi,
                             est_xi=est_xi,
                             outcome=m_syn,
                         )
                     )
-                    m, ctrl = ramsey_cycle(env, ctrl, tau, config.det_fb, rng)
-                    counts_fb[row, i] += m
+                    counts_fb[row, i] += ramsey_cycle(env, f_c, tau, config.det_fb, rng)
                 rep += block
         if config.idle_between_rows > 0:
-            env.xi = telegraph.evolve(env.xi, env.tls_params, config.idle_between_rows, rng)
-            ctrl = ControllerState(ctrl.f_c, ctrl.clock + config.idle_between_rows)
+            env.advance(config.idle_between_rows, rng)
 
     return MitigationResult(
         no_feedback=FringeMatrix(taus=taus, values=counts_nofb / config.n_reps, row_times=row_times),
@@ -436,13 +415,12 @@ def syndrome_error_rate(
     qp = env.qubit
     if resample_each_cycle is None:
         resample_each_cycle = env.tls_params.total_rate == 0.0
-    ctrl = ControllerState(f_c=qp.f_high)
     errors = 0
     for _ in range(n_cycles):
         if resample_each_cycle:
             env.xi = telegraph.XI_L if rng.random() < 0.5 else telegraph.XI_H
-        _, ctrl = syndrome_cycle(env, ctrl, tau_probe, rng)
-        if ctrl.f_c != qp.mode_frequency(env.xi):
+        _, f_c = syndrome_cycle(env, tau_probe, rng)
+        if f_c != qp.mode_frequency(env.xi):
             errors += 1
     return errors / n_cycles
 

@@ -30,7 +30,6 @@ from bistable_qubit.fitting import (
     quadrature_amplitudes,
 )
 from bistable_qubit.protocol import (
-    ControllerState,
     MitigationConfig,
     default_tau_probe,
     make_environment,
@@ -299,17 +298,16 @@ def _threshold_point(qp, gamma, n_shots, seed_label):
     env = make_environment(
         qp, TelegraphParams.symmetric(gamma), rng, pinned_mode=pinned, finite_pulses=False
     )
-    ctrl = ControllerState(f_c=qp.f_high)
     active = np.empty(n_shots)
     blind = np.empty(n_shots)
     wrong = 0
     for i in range(n_shots):
         if gamma == 0:
             env.xi = int(rng.random() < 0.5)
-        _, ctrl = syndrome_cycle(env, ctrl, tau, rng)
+        _, f_c = syndrome_cycle(env, tau, rng)
         xi = env.xi
-        wrong += ctrl.f_c != qp.mode_frequency(xi)
-        active[i] = x_gate_excited_population(qp, ctrl.f_c, xi)
+        wrong += f_c != qp.mode_frequency(xi)
+        active[i] = x_gate_excited_population(qp, f_c, xi)
         blind[i] = x_gate_excited_population(qp, f_blind, xi)
     # Populations are fidelity-like: feedback wins when the active arm's
     # excited population exceeds the blind arm's.
@@ -398,15 +396,14 @@ def test_criterion_09_design_space_map():
     rng = substream(SEED, "acceptance-map-sim")
     env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
     tau = default_tau_probe(QP)
-    ctrl = ControllerState(f_c=QP.f_high)
     f_blind = analytics.optimal_blind_frequency((0.5, 0.5), QP)
     n = 150_000
     active_sum = blind_sum = 0.0
     for _ in range(n):
         env.xi = int(rng.random() < 0.5)
-        _, ctrl = syndrome_cycle(env, ctrl, tau, rng)
+        _, f_c = syndrome_cycle(env, tau, rng)
         xi = env.xi
-        active_sum += QP.alpha * x_gate_excited_population(QP, ctrl.f_c, xi)
+        active_sum += QP.alpha * x_gate_excited_population(QP, f_c, xi)
         blind_sum += QP.alpha * x_gate_excited_population(QP, f_blind, xi)
     sim_ratio = (1.0 - blind_sum / n) / (1.0 - active_sum / n)
     factor = max(sim_ratio / map_ratio, map_ratio / sim_ratio)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit import benchmarking as rb
-from bistable_qubit import telegraph
+from bistable_qubit import protocol, telegraph
 from bistable_qubit.bloch import (
     BlochState,
     PulseSpec,
@@ -60,10 +60,10 @@ def _slot_by_slot(executor, indices, f_c, segments):
     return state
 
 
-def _reference_run(executor, indices, f_c, clock, rng):
+def _reference_run(executor, indices, f_c, rng):
     """The executor's run without its memo: every run steps the whole sequence.
 
-    Returns (outcome, new clock, state handed to readout).
+    Advances ``executor.env.clock``; returns (outcome, state handed to readout).
     """
     env = executor.env
     qp = env.qubit
@@ -73,6 +73,7 @@ def _reference_run(executor, indices, f_c, clock, rng):
     for i in indices:
         total += durations[i]
     segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, total, rng)
+    env.clock += total
     ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
     seg = 0
     table = executor._map_table(segments[0][0] if segments else env.xi, f_c)
@@ -100,7 +101,8 @@ def _reference_run(executor, indices, f_c, clock, rng):
     state = BlochState(x, y, z)
     outcome = measure(state.z, qp, rng)
     env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
-    return outcome, clock + total + qp.t_wall, state
+    env.clock += qp.t_wall
+    return outcome, state
 
 
 class TestCliffordTable:
@@ -193,8 +195,7 @@ class TestExecutor:
         for _ in range(300):
             length = int(rng.integers(0, 33))
             indices, recovery = rb.random_sequence(length, rng)
-            m, _ = executor.run(indices + [recovery], IDEAL.f_high, 0.0, rng)
-            assert m == 0
+            assert executor.run(indices + [recovery], IDEAL.f_high, rng) == 0
 
     @pytest.mark.parametrize("frame", ["high", "low"])
     def test_run_matches_slot_by_slot_reference(self, frame, monkeypatch):
@@ -217,7 +218,7 @@ class TestExecutor:
             total = sum(executor.durations[i] for i in seq)
             segments, _ = telegraph.dwell_segments(env.xi, fast, total, substream(506, "run", k))
             switched += len(segments) > 1
-            executor.run(seq, f_c, 0.0, substream(506, "run", k))
+            executor.run(seq, f_c, substream(506, "run", k))
             expected = _slot_by_slot(executor, seq, f_c, segments)
             assert captured[-1] == pytest.approx(
                 (expected.x, expected.y, expected.z), abs=1e-12
@@ -249,18 +250,15 @@ class TestExecutor:
             captured.append(z)
             return measure(z, qp, rng)
 
-        clock = ref_clock = 0.0
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(rb, "measure", capture)
+            mp.setattr(protocol, "measure", capture)
             for which, high, shots in runs:
                 seq = sequences[which % len(sequences)]
                 f_c = QP.f_high if high else QP.f_low
                 for _ in range(shots):  # back-to-back shots of one sequence, as in rb
-                    m, clock = executor.run(list(seq), f_c, clock, rng)
-                    ref_m, ref_clock, ref_state = _reference_run(
-                        reference, seq, f_c, ref_clock, ref_rng
-                    )
-                    assert (m, clock, env.xi) == (ref_m, ref_clock, ref_env.xi)
+                    m = executor.run(list(seq), f_c, rng)
+                    ref_m, ref_state = _reference_run(reference, seq, f_c, ref_rng)
+                    assert (m, env.clock, env.xi) == (ref_m, ref_env.clock, ref_env.xi)
                     assert captured[-1] == ref_state.z
                     assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
 
@@ -270,14 +268,14 @@ class TestExecutor:
         rng = substream(516, "memo-clear")
         first, second = [0, 5, 7, 11], [3, 3, 20]
         for f_c in (QP.f_high, QP.f_low, QP.f_high):
-            executor.run(first, f_c, 0.0, rng)
+            executor.run(first, f_c, rng)
         assert set(executor._states) == {(0, QP.f_high), (0, QP.f_low)}
-        executor.run(second, QP.f_low, 0.0, rng)
+        executor.run(second, QP.f_low, rng)
         assert executor._sequence == second
         assert executor._total == sum(executor.durations[i] for i in second)
         assert set(executor._states) == {(0, QP.f_low)}
         state = BlochState(*executor._states[(0, QP.f_low)])
-        assert state == _reference_run(rb.SequenceExecutor(env), second, QP.f_low, 0.0, rng)[2]
+        assert state == _reference_run(rb.SequenceExecutor(env), second, QP.f_low, rng)[1]
 
     def test_switching_run_leaves_the_memo_untouched(self):
         fast = TelegraphParams(2e6, 2e6)
@@ -285,7 +283,7 @@ class TestExecutor:
         executor = rb.SequenceExecutor(env)
         rng = substream(517, "memo-switch")
         seq = [int(i) for i in np.random.default_rng(517).integers(0, 24, size=64)]
-        executor.run(seq, QP.f_high, 0.0, rng)  # a frozen defect fills the memo
+        executor.run(seq, QP.f_high, rng)  # a frozen defect fills the memo
         assert set(executor._states) == {(0, QP.f_high)}
         env.tls_params = fast
         segmented = 0
@@ -293,7 +291,7 @@ class TestExecutor:
             memo = dict(executor._states)
             total = sum(executor.durations[i] for i in seq)
             segments, _ = telegraph.dwell_segments(env.xi, fast, total, copy.deepcopy(rng))
-            executor.run(seq, QP.f_low, 0.0, rng)
+            executor.run(seq, QP.f_low, rng)
             if len(segments) > 1:
                 segmented += 1
                 assert executor._states == memo
@@ -305,8 +303,14 @@ class TestExecutor:
         executor = rb.SequenceExecutor(env)
         seq = [0, 1, 2]
         total = sum(executor.durations[i] for i in seq)
-        _, clock = executor.run(seq, QP.f_high, 5.0, rng)
-        assert clock == pytest.approx(5.0 + total + QP.t_wall)
+        env.clock = 5.0
+        executor.run(seq, QP.f_high, rng)
+        assert env.clock == pytest.approx(5.0 + total + QP.t_wall)
+
+    def test_off_grid_frame_rejected(self):
+        env = make_environment(QP, FROZEN, None, pinned_mode=0)
+        with pytest.raises(ValueError, match="mode frequencies"):
+            rb.SequenceExecutor(env).run([0, 1], QP.f_high + 1.0, substream(508, "frame"))
 
 
 class TestFitExponential:

@@ -244,6 +244,10 @@ class TestRun:
         assert replicas == {"0", "1"}
 
 
+# 1/delta_tls with instantaneous pulses: both modes give the same outcome law.
+NO_CONTRAST = '{"protocol": {"tau_probe_s": 2.6737967914438504e-06, "finite_pulses": false}}'
+
+
 class TestMain:
     def test_subcommand_round_trip(self, tmp_path):
         rc = cli.main(
@@ -303,6 +307,9 @@ class TestMain:
             ("mitigate", '{"mitigate": {"idle_between_rows_s": Infinity}}', [], "mitigate.idle_between_rows_s"),
             ("rb", '{"rb": {"idle_between_windows_s": Infinity}}', [], "rb.idle_between_windows_s"),
             ("mitigate", '{"qubit": {"rabi_rate_rad_s": Infinity}}', [], "qubit.rabi_rate_rad_s"),
+            ("mitigate", NO_CONTRAST, [], "protocol.tau_probe_s"),
+            ("rb", NO_CONTRAST, [], "protocol.tau_probe_s"),
+            ("syndrome-sweep", NO_CONTRAST, [], "protocol.tau_probe_s"),
         ],
         ids=[
             "unknown-key", "malformed-json", "missing-file", "zero-shots", "string-count", "boolean-seed",
@@ -311,7 +318,7 @@ class TestMain:
             "string-rate", "negative-sweep-rate", "negative-ak-rate", "frozen-unpinned", "nan-t1",
             "nan-t-wall", "negative-mitigate-idle", "infinite-frequency", "infinite-rate",
             "infinite-readout", "infinite-reset", "infinite-mitigate-idle", "infinite-rb-idle",
-            "infinite-rabi-rate",
+            "infinite-rabi-rate", "no-contrast-mitigate", "no-contrast-rb", "no-contrast-sweep",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, text, extra, named):
@@ -322,6 +329,13 @@ class TestMain:
         assert rc == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_no_contrast_probe_time_still_runs_ramsey(self, tmp_path):
+        # The probe time only decodes syndromes; a fringe sweep runs none.
+        config = tmp_path / "c.json"
+        config.write_text(NO_CONTRAST[:-1] + ', "ramsey": {"n_tau": 4, "shots": 5}}')
+        assert cli.main(["ramsey", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "ramsey.csv").exists()
 
     def test_shots_flag_maps_to_cycles(self, tmp_path):
         rc = cli.main(

@@ -3,6 +3,7 @@
 import copy
 import math
 from dataclasses import replace
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit import analytics, telegraph
+from bistable_qubit import benchmarking as rb
 from bistable_qubit.bloch import PulseSpec, QubitParams, apply_pulse, detuning, free_evolve, reset
 from bistable_qubit.fitting import fit_cosine, fit_two_frequency_mixture
 from bistable_qubit.protocol import (
     HALF_PI,
-    ControllerState,
     CycleTiming,
     Environment,
     MitigationConfig,
@@ -46,26 +47,26 @@ def ideal_env(rng, pinned=0, finite=False):
 
 class TestCycleBandwidth:
     def test_reference_timing(self):
-        timing = CycleTiming(t_gate=48e-9, tau=1.33e-6, t_readout=2e-6, t_reset=6e-6)
+        timing = CycleTiming(tau=1.33e-6, t_readout=2e-6, t_reset=6e-6)
         assert cycle_bandwidth(timing) == pytest.approx(107.2e3, rel=2e-3)
 
     def test_zero_dead_time(self):
         delta = 374e3
-        timing = CycleTiming(t_gate=0.0, tau=0.5 / delta, t_readout=0.0, t_reset=0.0)
+        timing = CycleTiming(tau=0.5 / delta, t_readout=0.0, t_reset=0.0)
         assert cycle_bandwidth(timing) == pytest.approx(2 * delta)
 
     def test_monotone_in_dead_time(self):
-        base = CycleTiming(t_gate=48e-9, tau=1.33e-6, t_readout=2e-6, t_reset=6e-6)
-        doubled = CycleTiming(t_gate=48e-9, tau=1.33e-6, t_readout=4e-6, t_reset=12e-6)
+        base = CycleTiming(tau=1.33e-6, t_readout=2e-6, t_reset=6e-6)
+        doubled = CycleTiming(tau=1.33e-6, t_readout=4e-6, t_reset=12e-6)
         assert cycle_bandwidth(doubled) < cycle_bandwidth(base)
 
     def test_zero_cycle_raises(self):
         with pytest.raises(ValueError):
-            cycle_bandwidth(CycleTiming(0.0, 0.0, 0.0, 0.0))
+            cycle_bandwidth(CycleTiming(0.0, 0.0, 0.0))
 
     def test_negative_field_raises(self):
-        with pytest.raises(ValueError):
-            CycleTiming(-1e-9, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="^tau must"):
+            CycleTiming(-1e-9, 0.0, 0.0)
 
 
 class TestDecodeCalibration:
@@ -84,27 +85,19 @@ class TestSyndromeCycle:
         for xi in (0, 1):
             rng = substream(401, "synd", xi)
             env = ideal_env(rng, pinned=xi)
-            ctrl = ControllerState(f_c=IDEAL.f_high)
             for _ in range(25):
-                _, ctrl = syndrome_cycle(env, ctrl, tau, rng)
-                assert ctrl.f_c == IDEAL.mode_frequency(xi)
+                _, f_c = syndrome_cycle(env, tau, rng)
+                assert f_c == IDEAL.mode_frequency(xi)
 
     def test_invalid_probe_time(self):
         rng = substream(402, "synd")
         env = ideal_env(rng)
         with pytest.raises(ValueError):
-            syndrome_cycle(env, ControllerState(f_c=IDEAL.f_high), 0.0, rng)
-
-    def test_off_grid_frame_rejected(self):
-        rng = substream(403, "synd")
-        env = ideal_env(rng)
-        with pytest.raises(ValueError, match="mode frequencies"):
-            syndrome_cycle(env, ControllerState(f_c=IDEAL.f_high + 1.0), 1e-6, rng)
+            syndrome_cycle(env, 0.0, rng)
 
     def test_clock_and_tls_advance(self, monkeypatch):
         rng = substream(404, "synd")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=True)
-        ctrl = ControllerState(f_c=QP.f_high)
         tau = default_tau_probe(QP)
         advanced = []
         dwell_segments = telegraph.dwell_segments
@@ -114,12 +107,13 @@ class TestSyndromeCycle:
             return dwell_segments(xi, params, dt, rng)
 
         monkeypatch.setattr(telegraph, "dwell_segments", record)
-        _, ctrl2 = syndrome_cycle(env, ctrl, tau, rng)
+        env.clock = 3.0
+        syndrome_cycle(env, tau, rng)
         t_pulse = 0.5 * math.pi / QP.rabi_rate
         expected = tau + QP.t_wall + 2 * t_pulse
-        assert ctrl2.clock == pytest.approx(expected)
+        assert env.clock - 3.0 == pytest.approx(expected)
         assert advanced == pytest.approx([t_pulse, tau, t_pulse, QP.t_wall])
-        assert sum(advanced) == pytest.approx(ctrl2.clock - ctrl.clock)
+        assert sum(advanced) == pytest.approx(env.clock - 3.0)
 
     def test_error_rate_needs_a_cycle(self):
         rng = substream(405, "syndmc-empty")
@@ -141,15 +135,19 @@ class TestRamseyCycle:
     def test_tau_zero_composes_full_pi(self):
         rng = substream(406, "rams0")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
-        ctrl = ControllerState(f_c=QP.f_high)
         n = 20_000
         ones = 0
         for _ in range(n):
-            m, ctrl = ramsey_cycle(env, ctrl, 0.0, 2e6, rng)
-            ones += m
+            ones += ramsey_cycle(env, QP.f_high, 0.0, 2e6, rng)
         expected = 1.0 - QP.readout_eps_1to0
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(ones / n - expected) < 3.0 * sigma
+
+    def test_off_grid_frame_rejected(self):
+        rng = substream(403, "synd")
+        env = ideal_env(rng)
+        with pytest.raises(ValueError, match="mode frequencies"):
+            ramsey_cycle(env, IDEAL.f_high + 1.0, 1e-6, 0.0, rng)
 
     def test_virtual_detuning_sets_fringe_frequency(self):
         taus = np.linspace(0.0, 2.5e-6, 120)
@@ -256,13 +254,11 @@ class TestMitigation:
         shots = 4000
         rng = substream(413, "mixture")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
-        ctrl = ControllerState(f_c=QP.f_high)
         for tau in taus:
             ones = 0
             for _ in range(shots):
                 env.xi = int(rng.random() < 0.5)
-                m, ctrl = ramsey_cycle(env, ctrl, float(tau), det, rng)
-                ones += m
+                ones += ramsey_cycle(env, QP.f_high, float(tau), det, rng)
             expected = 0.5 * (
                 ramsey_probability(QP, QP.f_high, 0, float(tau), det)
                 + ramsey_probability(QP, QP.f_high, 1, float(tau), det)
@@ -309,6 +305,53 @@ class TestEnvironment:
         sigma = math.sqrt(0.75 * 0.25 / 4000)
         assert abs(counts / 4000 - 0.75) < 4 * sigma
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda env, rng: run_mitigation(
+                env,
+                MitigationConfig(tau_grid=(0.3e-6, 1.1e-6), n_reps=3, rows=3, idle_between_rows=2e-5),
+                rng,
+            ),
+            lambda env, rng: rb.run_rb_interleaved(
+                env,
+                rb.RbConfig(depths=(1, 8, 64), n_sequences=3, shots_per_sequence=2, n_windows=2,
+                            idle_between_windows=2e-5),
+                rng,
+            ),
+        ],
+        ids=["mitigation", "benchmarking"],
+    )
+    def test_clock_is_the_sum_of_every_defect_advance(self, monkeypatch, run):
+        # Every interval the defect evolves over passes on the lab clock, in order.
+        advanced = []
+        switches = []
+        nested = []
+        evolve, dwell_segments = telegraph.evolve, telegraph.dwell_segments
+
+        def record_evolve(xi, params, dt, rng):
+            advanced.append(dt)
+            nested.append(dt)  # evolve may advance through dwell_segments: count it once
+            try:
+                return evolve(xi, params, dt, rng)
+            finally:
+                nested.pop()
+
+        def record_dwell_segments(xi, params, dt, rng):
+            if not nested:
+                advanced.append(dt)
+            segments, xi = dwell_segments(xi, params, dt, rng)
+            switches.append(len(segments) - 1)
+            return segments, xi
+
+        monkeypatch.setattr(telegraph, "evolve", record_evolve)
+        monkeypatch.setattr(telegraph, "dwell_segments", record_dwell_segments)
+        rng = substream(419, "clock-sum")
+        env = make_environment(QP, TelegraphParams(1e5, 1e5), rng, finite_pulses=True)
+        run(env, rng)
+        assert sum(switches) > 10
+        assert env.clock == list(accumulate(advanced, initial=0.0))[-1]
+
 
 class TestXGatePopulation:
     def test_matches_rabi_formula_without_decoherence(self):
@@ -324,11 +367,11 @@ class TestXGatePopulation:
         assert x_gate_excited_population(QP, QP.f_high, 0) < 1.0
 
 
-def _reference_cycle(env, f_c, tau, phase, clock, rng):
+def _reference_cycle(env, f_c, tau, phase, rng):
     """The stepwise two-pulse cycle with no memo: each Bloch step applied as its mode is drawn.
 
-    Returns the state before readout, the advanced clock and whether the mode
-    changed anywhere between the first pulse and the second.
+    Advances ``env.clock``; returns the state before readout and whether the
+    mode changed anywhere between the first pulse and the second.
     """
     qp = env.qubit
     state = reset()
@@ -340,7 +383,7 @@ def _reference_cycle(env, f_c, tau, phase, clock, rng):
             for xi, dt in segments:
                 state = free_evolve(state, detuning(qp, f_c, xi), dt, qp)
             switched = len(segments) > 1 or env.xi != xi_first
-            clock += tau
+            env.clock += tau
         if env.finite_pulses:
             pulse = PulseSpec.finite(axis_phase, -HALF_PI, qp)
         else:
@@ -348,8 +391,8 @@ def _reference_cycle(env, f_c, tau, phase, clock, rng):
         state = apply_pulse(state, pulse, detuning(qp, f_c, env.xi), qp)
         if pulse.duration > 0.0:
             env.xi = telegraph.evolve(env.xi, env.tls_params, pulse.duration, rng)
-        clock += pulse.duration
-    return state, clock, switched
+        env.clock += pulse.duration
+    return state, switched
 
 
 class TestCycleMemo:
@@ -374,7 +417,7 @@ class TestCycleMemo:
             qp, fin, f_c, mode, t, ph = k
             assert state == _switch_free_state(*k) == _switch_free_state.__wrapped__(*k)
             env = make_environment(qp, FROZEN, None, pinned_mode=mode, finite_pulses=fin)
-            assert state == _reference_cycle(env, f_c, t, ph, 0.0, None)[0]
+            assert state == _reference_cycle(env, f_c, t, ph, None)[0]
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
@@ -392,11 +435,10 @@ class TestCycleMemo:
         ref_env = Environment(QP, tls, env.xi, finite)
         ref_rng = copy.deepcopy(rng)
         f_c = QP.f_high if high else QP.f_low
-        clock = ref_clock = 0.0
         for _ in range(15):
-            state, clock = _two_pulse_cycle(env, f_c, tau, phase, clock, rng)
-            ref_state, ref_clock, _ = _reference_cycle(ref_env, f_c, tau, phase, ref_clock, ref_rng)
-            assert (state, clock, env.xi) == (ref_state, ref_clock, ref_env.xi)
+            state = _two_pulse_cycle(env, f_c, tau, phase, rng)
+            ref_state, _ = _reference_cycle(ref_env, f_c, tau, phase, ref_rng)
+            assert (state, env.clock, env.xi) == (ref_state, ref_env.clock, ref_env.xi)
             assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
 
     def test_switching_cycles_match_the_reference(self):
@@ -409,8 +451,8 @@ class TestCycleMemo:
         switched = 0
         for k in range(400):
             tau = 0.5e-6 + 1e-8 * k
-            state, _ = _two_pulse_cycle(env, QP.f_high, tau, 0.3, 0.0, rng)
-            ref_state, _, ref_switched = _reference_cycle(ref_env, QP.f_high, tau, 0.3, 0.0, ref_rng)
+            state = _two_pulse_cycle(env, QP.f_high, tau, 0.3, rng)
+            ref_state, ref_switched = _reference_cycle(ref_env, QP.f_high, tau, 0.3, ref_rng)
             assert state == ref_state
             assert env.xi == ref_env.xi
             switched += ref_switched
