@@ -19,7 +19,8 @@ import numpy as np
 
 from .bloch import QubitParams, rabi_transition_probability
 
-# Trajectories drawn per block by ak_coherence_mc; the block size fixes the draw order.
+# Trajectories drawn per block by ak_coherence_mc; the block size fixes the draw
+# order and bounds the (block, grid) phase and coherence arrays.
 MC_CHUNK = 20000
 
 
@@ -273,11 +274,27 @@ def ak_coherence_mc(
     Each trajectory accumulates phase at +-pi*delta_tls rad/s and switches
     branch at symmetric rate gamma/2 per direction (exact exponential dwell
     sampling).  ``initial`` selects the branch at t = 0: "equal", "plus" or
-    "minus".  Returns a complex array on ``t_grid``.
+    "minus".  Returns a complex array on ``t_grid``, which may be in any order
+    and hold duplicates; its times must be finite and nonnegative.
+
+    The phase is event-indexed.  With c the number of flips at or before t,
+    phi/w = prefix[c] + sign[c] (t - start[c]): prefix[c] sums the signed
+    dwells before segment c in order, start[c] is the flip that opens it and
+    sign[c] = s0 (-1)**c.  Those are the same draws and, per trajectory, the
+    same additions in the same order as clipping every dwell against every
+    grid time segment by segment, so the result equals that loop's exactly.
+    The phase is computed on the sorted grid and only the summed coherence is
+    un-permuted (a column sum does not depend on the column's position).
     """
     if initial not in ("equal", "plus", "minus"):
         raise ValueError("initial must be 'equal', 'plus' or 'minus'")
+    if n_trajectories < 1:
+        raise ValueError("n_trajectories must be at least 1")
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not np.all((t_grid >= 0.0) & (t_grid < math.inf)):
+        raise ValueError("t_grid must be finite and nonnegative")
+    order = np.argsort(t_grid, kind="stable")
+    t_sorted = t_grid[order]
     w = math.pi * delta_tls
     horizon = float(t_grid.max(initial=0.0))
     total = np.zeros(t_grid.shape, dtype=complex)
@@ -290,7 +307,7 @@ def ak_coherence_mc(
         else:
             s0 = np.full(n, 1.0 if initial == "plus" else -1.0)
         if gamma <= 0.0:
-            phase = s0[:, None] * (w * t_grid)[None, :]
+            phase = s0[:, None] * (w * t_sorted)[None, :]
             total += np.exp(1j * phase).sum(axis=0)
             continue
         scale = 2.0 / gamma
@@ -301,34 +318,48 @@ def ak_coherence_mc(
             extra = rng.exponential(scale, size=(n, n_dwell))
             dwells = np.hstack([dwells, extra])
             flips = np.cumsum(dwells, axis=1)
-        phase = np.zeros((n, t_grid.size))
-        seg_start = np.zeros(n)
-        sign = s0.copy()
-        for j in range(dwells.shape[1]):
-            seg_end = flips[:, j]
-            overlap = np.clip(t_grid[None, :] - seg_start[:, None], 0.0, dwells[:, j][:, None])
-            phase += sign[:, None] * overlap
-            seg_start = seg_end
-            sign = -sign
-            if seg_start.min() > horizon:
-                break
+        phase = _switching_phase(s0, dwells, flips, t_sorted)
         total += np.exp(1j * w * phase).sum(axis=0)
-    return 0.5 * total / n_trajectories
+    unsorted = np.empty_like(total)
+    unsorted[order] = total
+    return 0.5 * unsorted / n_trajectories
 
 
-def p_err_bandwidth(
-    delta_tls: float, gamma: float, alpha: float, t2: float, t_wall: float
-) -> float:
+def _switching_phase(s0: np.ndarray, dwells: np.ndarray, flips: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Signed time phi/w of each trajectory (row) at each sorted grid time ``t``.
+
+    Row i is in segment c at the grid times from its (c-1)-th flip up to, not
+    including, its c-th (a flip at a grid time counts as before it), so each
+    per-segment table is spread over the grid by one ``np.repeat`` with those
+    run lengths.  The last flip of every row lies beyond ``t[-1]``.
+    """
+    n, d = dwells.shape
+    runs = np.diff(np.searchsorted(t, flips, side="left"), axis=1, prepend=0).ravel()
+    negative = (np.arange(d) % 2 == 1) != (s0 < 0.0)[:, None]  # sign[c] = s0 (-1)**c is -1
+    sign = np.where(negative, -1.0, 1.0)
+    prefix = np.cumsum(np.hstack([np.zeros((n, 1)), sign[:, :-1] * dwells[:, :-1]]), axis=1)
+    start = np.hstack([np.zeros((n, 1)), flips[:, :-1]])
+    phase = np.repeat(start.ravel(), runs).reshape(n, t.size)
+    np.subtract(t, phase, out=phase)
+    np.negative(phase, out=phase, where=np.repeat(negative.ravel(), runs).reshape(n, t.size))
+    phase += np.repeat(prefix.ravel(), runs).reshape(n, t.size)
+    return phase
+
+
+def p_err_bandwidth(delta_tls, gamma, alpha: float, t2: float, t_wall: float):
     """Linear additive syndrome-error budget under a finite switching rate.
 
     (1/2) [(1 - alpha) + G/(2 delta_tls) + gamma t_wall] with
     G = 1/T2 + gamma/2, clamped to [0, 1/2].  The gamma*t_wall term is the
     probability that the estimate goes stale during the hardware dead time.
+    Vectorized over ``delta_tls`` and ``gamma``, which broadcast together.
     """
     _check_bandwidth_args(delta_tls, gamma, alpha, t2, t_wall)
+    delta_tls, gamma = np.asarray(delta_tls, dtype=float), np.asarray(gamma, dtype=float)
     g_eff = 1.0 / t2 + 0.5 * gamma
     raw = 0.5 * ((1.0 - alpha) + g_eff / (2.0 * delta_tls) + gamma * t_wall)
-    return min(max(raw, 0.0), 0.5)
+    clamped = np.where(0.5 < raw, 0.5, np.where(0.0 > raw, 0.0, raw))  # min(max(raw, 0.0), 0.5)
+    return clamped if clamped.ndim else float(clamped)
 
 
 def p_err_bandwidth_exact(
@@ -346,9 +377,9 @@ def p_err_bandwidth_exact(
 
 
 def _check_bandwidth_args(delta_tls, gamma, alpha, t2, t_wall):
-    if delta_tls <= 0 or t2 <= 0:
+    if np.any(np.asarray(delta_tls) <= 0) or t2 <= 0:
         raise ValueError("delta_tls and t2 must be positive")
-    if gamma < 0 or t_wall < 0:
+    if np.any(np.asarray(gamma) < 0) or t_wall < 0:
         raise ValueError("gamma and t_wall must be nonnegative")
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -380,21 +411,8 @@ def improvement_cell(
     t2: float,
     t_wall: float,
 ) -> float:
-    """One map cell: infidelity ratio of blind driving to active estimation.
-
-    The blind arm drives midway between the modes (equal populations, the
-    worst case); the active arm pays p_err from the linear bandwidth budget.
-    """
-    omega = math.pi / t_pi
-    delta = norm_splitting * omega / (2.0 * math.pi)
-    t_cyc = 1.0 / (2.0 * delta) + t_wall
-    gamma = gamma_t_cyc / t_cyc
-    p_err = p_err_bandwidth(delta, gamma, alpha, t2, t_wall)
-    floor = 1.0 - alpha * math.exp(-t_pi / t2)
-    coherent = (2.0 * math.pi * delta / omega) ** 2
-    blind = floor + 0.25 * coherent
-    active = floor + p_err * coherent
-    return math.log10(blind / active)
+    """One map cell: the 1x1 case of :func:`improvement_map`."""
+    return float(improvement_map([norm_splitting], [gamma_t_cyc], alpha, t_pi, t2, t_wall).values[0, 0])
 
 
 def improvement_map(
@@ -405,15 +423,34 @@ def improvement_map(
     t2: float = 61e-6,
     t_wall: float = 8e-6,
 ) -> ImprovementMap:
-    """Evaluate :func:`improvement_cell` on a grid and trace the zero contour."""
+    """log10 of the infidelity ratio of blind driving to active estimation on a
+    grid, and its zero contour.
+
+    The blind arm drives midway between the modes (equal populations, the
+    worst case); the active arm pays p_err from the linear bandwidth budget.
+    This is the array form of the cell formula (:func:`improvement_cell` is
+    its 1x1 case), with the scalar formula's operations in its order: the
+    per-row terms are Python floats (``v ** 2`` is the C ``pow``, which numpy
+    replaces by a multiplication) and each cell takes ``math.log10``, which
+    ``np.log10`` does not match to the last ulp.
+    """
     splittings = np.atleast_1d(np.asarray(splittings, dtype=float))
     switching = np.atleast_1d(np.asarray(switching, dtype=float))
+    if not (np.all(np.isfinite(splittings)) and np.all(np.isfinite(switching))):
+        raise ValueError("normalized splittings and switching must be finite")
     if np.any(splittings <= 0) or np.any(switching < 0):
         raise ValueError("normalized splittings must be positive, switching nonnegative")
-    values = np.empty((splittings.size, switching.size))
-    for i, x in enumerate(splittings):
-        for j, y in enumerate(switching):
-            values[i, j] = improvement_cell(x, y, alpha, t_pi, t2, t_wall)
+    omega = math.pi / t_pi
+    delta = [x * omega / (2.0 * math.pi) for x in splittings.tolist()]
+    t_cyc = [1.0 / (2.0 * d) + t_wall for d in delta]
+    coherent = np.array([(2.0 * math.pi * d / omega) ** 2 for d in delta])[:, None]
+    gamma = switching / np.array(t_cyc)[:, None]
+    p_err = p_err_bandwidth(np.array(delta)[:, None], gamma, alpha, t2, t_wall)
+    floor = 1.0 - alpha * math.exp(-t_pi / t2)
+    blind = floor + 0.25 * coherent
+    active = floor + p_err * coherent
+    ratio = (blind / active).tolist()
+    values = np.array([[math.log10(r) for r in row] for row in ratio]).reshape(gamma.shape)
     contour = np.full(splittings.size, np.nan)
     for i in range(splittings.size):
         row = values[i]

@@ -284,11 +284,29 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# %-conversions that print a value of one exact built-in type as ``_fmt`` does.
+_COLUMN_SPECS = {float: "%.12g", int: "%d", str: "%s"}
+
+
 def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """Write ``rows`` under ``header``; every value prints as ``_fmt`` prints it.
+
+    Each column's conversion is chosen once: a column of one type in
+    ``_COLUMN_SPECS`` gets its %-spec, any other column is passed through
+    ``_fmt`` value by value.  A row is then one %-format of one line pattern.
+    """
+    columns = list(zip(*rows))
+    specs = []
+    for i, values in enumerate(columns):
+        kinds = set(map(type, values))
+        spec = _COLUMN_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+        if spec is None:
+            columns[i], spec = [_fmt(v) for v in values], "%s"
+        specs.append(spec)
+    line = ",".join(specs) + "\n"
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(map(line.__mod__, zip(*columns)))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -337,14 +355,14 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
     for replica in range(cfg.replicas):
         rng = substream(cfg.seed, cfg.experiment, "replica", replica)
         env = make_environment(qp, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
-        for tau in taus:
+        for tau in taus.tolist():
             hits = 0
             for _ in range(p["shots"]):
-                hits += ramsey_cycle(env, f_c, float(tau), p["virtual_detuning_hz"], rng)
+                hits += ramsey_cycle(env, f_c, tau, p["virtual_detuning_hz"], rng)
             model = None
             if cfg.pinned_mode is not None and cfg.tls.total_rate == 0:
                 model = ramsey_probability(
-                    qp, f_c, cfg.pinned_mode, float(tau), p["virtual_detuning_hz"], cfg.finite_pulses
+                    qp, f_c, cfg.pinned_mode, tau, p["virtual_detuning_hz"], cfg.finite_pulses
                 )
             rows.append((replica, tau, p["shots"], hits / p["shots"], model))
     files = {
@@ -367,17 +385,17 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
         env = make_environment(qp, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
         result = run_mitigation(env, mit, rng)
         for matrix, sink in ((result.no_feedback, nofb_rows), (result.feedback, fb_rows)):
-            for r in range(matrix.values.shape[0]):
-                for i, tau in enumerate(matrix.taus):
-                    sink.append((replica, r, i, tau, matrix.row_times[r], matrix.values[r, i]))
+            for r, (row_time, values) in enumerate(zip(matrix.row_times.tolist(), matrix.values.tolist())):
+                for i, (tau, value) in enumerate(zip(matrix.taus.tolist(), values)):
+                    sink.append((replica, r, i, tau, row_time, value))
         for rec in result.trace:
             trace_rows.append(
-                (replica, rec.row, rec.tau_index, rec.rep, rec.lab_time, rec.true_xi, rec.est_xi, rec.outcome)
+                (replica, rec.row, rec.tau_index, rec.rep, float(rec.lab_time), rec.true_xi, rec.est_xi, rec.outcome)
             )
         avg_nofb = result.no_feedback.values.mean(axis=0)
         avg_fb = result.feedback.values.mean(axis=0)
-        for i, tau in enumerate(taus):
-            avg_rows.append((replica, tau, avg_nofb[i], avg_fb[i]))
+        for tau, p_nofb, p_fb in zip(taus.tolist(), avg_nofb.tolist(), avg_fb.tolist()):
+            avg_rows.append((replica, tau, p_nofb, p_fb))
         mix = fit_two_frequency_mixture(taus, avg_nofb, mit.det_nofb, mit.det_nofb - qp.delta_tls, qp.t2)
         side = quadrature_amplitudes(
             taus, avg_fb, [mit.det_fb, mit.det_fb - qp.delta_tls, mit.det_fb + qp.delta_tls], qp.t2
@@ -435,13 +453,9 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
                     win.mode_fraction_l,
                 )
             )
-            for di, depth in enumerate(series.depths):
-                surv_rows.append(
-                    (replica, win.index, int(depth), "nofb", win.survivals_nofb[di], win.shots_per_depth)
-                )
-                surv_rows.append(
-                    (replica, win.index, int(depth), "fb", win.survivals_fb[di], win.shots_per_depth)
-                )
+            for depth, s_nofb, s_fb in zip(series.depths, win.survivals_nofb.tolist(), win.survivals_fb.tolist()):
+                surv_rows.append((replica, win.index, int(depth), "nofb", s_nofb, win.shots_per_depth))
+                surv_rows.append((replica, win.index, int(depth), "fb", s_fb, win.shots_per_depth))
             if win.fit_nofb.ok:
                 valid_nofb.append(win.fit_nofb.r_native)
             if win.fit_fb.ok:
@@ -538,7 +552,7 @@ def _run_perr(cfg: RunConfig) -> tuple[dict, dict]:
     curve = analytics.contrast_curve(
         delta, np.linspace(0.0, 2.0 / delta, 200), p["alpha"], p["t2_s"]
     )
-    contrast_rows = list(zip(curve.taus, curve.values))
+    contrast_rows = list(zip(curve.taus.tolist(), curve.values.tolist()))
     files = {
         "perr.csv": (
             ["gamma_hz", "p_err_static", "p_err_exact", "p_err_expanded"],
@@ -564,12 +578,14 @@ def _run_heatmap(cfg: RunConfig) -> tuple[dict, dict]:
     amap = analytics.improvement_map(
         splittings, switching, p["alpha"], p["t_pi_s"], p["t2_s"], p["t_wall_s"]
     )
-    rows = []
-    for i, x in enumerate(amap.splittings):
-        for j, y in enumerate(amap.switching):
-            rows.append((x, y, amap.values[i, j]))
+    switching = amap.switching.tolist()
+    rows = [
+        (x, y, value)
+        for x, values in zip(amap.splittings.tolist(), amap.values.tolist())
+        for y, value in zip(switching, values)
+    ]
     contour_rows = [
-        (x, y) for x, y in zip(amap.splittings, amap.zero_contour) if not math.isnan(y)
+        (x, y) for x, y in zip(amap.splittings.tolist(), amap.zero_contour.tolist()) if not math.isnan(y)
     ]
     files = {
         "heatmap.csv": (
@@ -594,21 +610,13 @@ def _run_ak(cfg: RunConfig) -> tuple[dict, dict]:
     if p["n_trajectories"] > 0:
         rng = substream(cfg.seed, cfg.experiment, "mc")
         mc = analytics.ak_coherence_mc(delta, p["gamma_hz"], t_grid, p["n_trajectories"], rng)
-    rows = []
-    for i, t in enumerate(t_grid):
-        rows.append(
-            (
-                t,
-                ak.c_eq[i],
-                ak.c_plus[i].real,
-                ak.c_plus[i].imag,
-                ak.c_minus[i].real,
-                ak.c_minus[i].imag,
-                ak.s_ak[i],
-                mc[i].real if mc is not None else None,
-                mc[i].imag if mc is not None else None,
-            )
-        )
+    no_mc = [None] * t_grid.size
+    columns = (t_grid, ak.c_eq, ak.c_plus.real, ak.c_plus.imag, ak.c_minus.real, ak.c_minus.imag, ak.s_ak)
+    rows = list(zip(
+        *(column.tolist() for column in columns),
+        mc.real.tolist() if mc is not None else no_mc,
+        mc.imag.tolist() if mc is not None else no_mc,
+    ))
     files = {
         "ak.csv": (
             [

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from bistable_qubit import analytics
@@ -23,6 +25,91 @@ def argmax_contrast(delta_tls, t2, alpha=1.0):
         options={"xatol": 1e-7 / delta_tls},
     )
     return float(res.x)
+
+
+def _reference_ak_mc(delta_tls, gamma, t_grid, n_trajectories, rng, initial="equal"):
+    """ak_coherence_mc as a segment-by-segment clip of every dwell against every
+    grid time: the exactness reference for the event-indexed phase."""
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    w = math.pi * delta_tls
+    horizon = float(t_grid.max(initial=0.0))
+    total = np.zeros(t_grid.shape, dtype=complex)
+    remaining = n_trajectories
+    while remaining > 0:
+        n = min(analytics.MC_CHUNK, remaining)
+        remaining -= n
+        if initial == "equal":
+            s0 = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+        else:
+            s0 = np.full(n, 1.0 if initial == "plus" else -1.0)
+        if gamma <= 0.0:
+            phase = s0[:, None] * (w * t_grid)[None, :]
+            total += np.exp(1j * phase).sum(axis=0)
+            continue
+        scale = 2.0 / gamma
+        n_dwell = max(16, int(0.5 * gamma * horizon + 8.0 * math.sqrt(0.5 * gamma * horizon) + 8))
+        dwells = rng.exponential(scale, size=(n, n_dwell))
+        flips = np.cumsum(dwells, axis=1)
+        while flips[:, -1].min() <= horizon:
+            extra = rng.exponential(scale, size=(n, n_dwell))
+            dwells = np.hstack([dwells, extra])
+            flips = np.cumsum(dwells, axis=1)
+        phase = np.zeros((n, t_grid.size))
+        seg_start = np.zeros(n)
+        sign = s0.copy()
+        for j in range(dwells.shape[1]):
+            seg_end = flips[:, j]
+            overlap = np.clip(t_grid[None, :] - seg_start[:, None], 0.0, dwells[:, j][:, None])
+            phase += sign[:, None] * overlap
+            seg_start = seg_end
+            sign = -sign
+            if seg_start.min() > horizon:
+                break
+        total += np.exp(1j * w * phase).sum(axis=0)
+    return 0.5 * total / n_trajectories
+
+
+class _ShortFirstBlock:
+    """A generator whose first block of dwells is 100x shorter, so that no
+    trajectory outlasts the grid on it and ak_coherence_mc must refill."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.blocks = 0
+
+    def random(self, n):
+        return self._rng.random(n)
+
+    def exponential(self, scale, size):
+        self.blocks += 1
+        return self._rng.exponential(scale, size) * (0.01 if self.blocks == 1 else 1.0)
+
+
+def _reference_improvement_map(splittings, switching, alpha=0.94, t_pi=48e-9, t2=61e-6, t_wall=8e-6):
+    """improvement_map as one scalar evaluation per cell, then the contour scan."""
+    values = np.empty((len(splittings), len(switching)))
+    for i, x in enumerate(splittings):
+        for j, y in enumerate(switching):
+            omega = math.pi / t_pi
+            delta = x * omega / (2.0 * math.pi)
+            t_cyc = 1.0 / (2.0 * delta) + t_wall
+            gamma = y / t_cyc
+            raw = 0.5 * ((1.0 - alpha) + (1.0 / t2 + 0.5 * gamma) / (2.0 * delta) + gamma * t_wall)
+            p_err = min(max(raw, 0.0), 0.5)
+            floor = 1.0 - alpha * math.exp(-t_pi / t2)
+            coherent = (2.0 * math.pi * delta / omega) ** 2
+            values[i, j] = math.log10((floor + 0.25 * coherent) / (floor + p_err * coherent))
+    contour = np.full(len(splittings), np.nan)
+    for i, row in enumerate(values):
+        for j in range(row.size - 1):
+            a, b = row[j], row[j + 1]
+            if a == 0.0:
+                contour[i] = switching[j]
+                break
+            if a * b < 0.0:
+                contour[i] = switching[j] + a / (a - b) * (switching[j + 1] - switching[j])
+                break
+    return values, contour
 
 
 class TestRamseyLikelihood:
@@ -337,6 +424,46 @@ class TestAndersonKubo:
         ak = analytics.ak_coherence(t, delta, gamma)
         assert np.max(np.abs(mc - ak.c_plus)) < 0.015
 
+    # Splitting of the exactness cases; 2w = 2 pi delta_tls is critical damping.
+    DELTA = 374e3
+    W2 = 2 * math.pi * DELTA
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        gamma_over_critical=st.sampled_from([0.0, 0.3, 1.0, 3.0]),
+        initial=st.sampled_from(["equal", "plus", "minus"]),
+        times=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=10),
+        duplicate=st.integers(0, 9),
+        n_trajectories=st.sampled_from([1, 7, analytics.MC_CHUNK - 1, analytics.MC_CHUNK, analytics.MC_CHUNK + 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_monte_carlo_equals_clip_loop(self, gamma_over_critical, initial, times, duplicate, n_trajectories, seed):
+        # Unsorted grid in units of 1/delta_tls, with t = 0 and a duplicate time.
+        t = np.array([0.0, *times, times[duplicate % len(times)]]) / self.DELTA
+        gamma = gamma_over_critical * self.W2
+        got = analytics.ak_coherence_mc(self.DELTA, gamma, t, n_trajectories, np.random.default_rng(seed), initial)
+        want = _reference_ak_mc(self.DELTA, gamma, t, n_trajectories, np.random.default_rng(seed), initial)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("initial", ["equal", "plus", "minus"])
+    def test_monte_carlo_refill_equals_clip_loop(self, initial):
+        t = np.linspace(3.0, 0.0, 25) / self.DELTA
+        fast, slow = _ShortFirstBlock(11), _ShortFirstBlock(11)
+        got = analytics.ak_coherence_mc(self.DELTA, 0.4 * self.W2, t, analytics.MC_CHUNK + 5, fast, initial)
+        want = _reference_ak_mc(self.DELTA, 0.4 * self.W2, t, analytics.MC_CHUNK + 5, slow, initial)
+        assert fast.blocks > 2  # two chunks, and at least one refill
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("t", [[0.0, -1e-9], [0.0, math.nan], [math.inf], [1e-6, -math.inf]])
+    def test_monte_carlo_rejects_bad_grid(self, t):
+        with pytest.raises(ValueError, match="t_grid"):
+            analytics.ak_coherence_mc(374e3, 1e5, t, 10, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_monte_carlo_rejects_no_trajectories(self, n):
+        with pytest.raises(ValueError, match="n_trajectories"):
+            analytics.ak_coherence_mc(374e3, 1e5, [0.0, 1e-6], n, np.random.default_rng(0))
+
 
 class TestPErrBandwidth:
     def test_noise_free_limit(self):
@@ -404,3 +531,58 @@ class TestImprovementMap:
             below = deltas[amap.switching < y0]
             above = deltas[amap.switching > y0]
             assert np.all(below >= -1e-9) and np.all(above <= 1e-9)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        log_axes=st.booleans(),
+        split_lo=st.floats(1e-4, 0.1),
+        split_hi=st.floats(0.1, 2.0),
+        n_split=st.integers(1, 12),
+        switch_hi=st.floats(0.1, 300.0),
+        n_switch=st.integers(1, 15),
+    )
+    def test_map_equals_per_cell_loop(self, log_axes, split_lo, split_hi, n_split, switch_hi, n_switch):
+        # switch_hi up to 300 reaches cells where p_err clamps at 1/2.
+        if log_axes:
+            splittings = np.logspace(math.log10(split_lo), math.log10(split_hi), n_split)
+            switching = np.logspace(-3, math.log10(switch_hi), n_switch)
+        else:
+            splittings = np.linspace(split_lo, split_hi, n_split)
+            switching = np.linspace(0.0, switch_hi, n_switch)
+        amap = analytics.improvement_map(splittings, switching)
+        values, contour = _reference_improvement_map(splittings, switching)
+        assert np.array_equal(amap.values, values)
+        assert np.array_equal(amap.zero_contour, contour, equal_nan=True)
+
+    def test_map_squares_like_the_scalar_formula(self):
+        # On this linear grid a few rows' (2 pi delta / omega) ** 2 (the C pow)
+        # differs in the last ulp from squaring by multiplication, and the
+        # difference reaches the map values (though not their 12 printed digits).
+        splittings = np.linspace(5e-3, 1.5, 35)
+        switching = np.linspace(1e-3, 3.0, 10)
+        values, _ = _reference_improvement_map(splittings, switching)
+        assert np.array_equal(analytics.improvement_map(splittings, switching).values, values)
+
+    def test_map_reaches_clamped_cells(self):
+        # Switching 300, the top of the exactness property's range, clamps
+        # p_err at 1/2: there active estimation is worse than blind driving.
+        splittings = np.linspace(0.01, 0.5, 5)
+        amap = analytics.improvement_map(splittings, [300.0])
+        assert np.all(amap.values[:, 0] < 0.0)
+        delta = splittings * (math.pi / 48e-9) / (2 * math.pi)
+        gamma = 300.0 / (1.0 / (2 * delta) + 8e-6)
+        assert np.all(analytics.p_err_bandwidth(delta, gamma, 0.94, 61e-6, 8e-6) == 0.5)
+
+    def test_cell_is_map_entry(self):
+        amap = analytics.improvement_map([0.02, 0.3], [1e-3, 0.5, 40.0])
+        for i, x in enumerate(amap.splittings):
+            for j, y in enumerate(amap.switching):
+                assert analytics.improvement_cell(x, y, 0.94, 48e-9, 61e-6, 8e-6) == amap.values[i, j]
+
+    @pytest.mark.parametrize(
+        "splittings, switching",
+        [([0.1, math.nan], [0.5]), ([math.inf], [0.5]), ([0.1], [math.nan]), ([0.1], [0.5, math.inf])],
+    )
+    def test_map_rejects_non_finite_axes(self, splittings, switching):
+        with pytest.raises(ValueError, match="finite"):
+            analytics.improvement_map(splittings, switching)

@@ -4,6 +4,7 @@ import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -354,6 +355,36 @@ class TestMain:
         assert line.split(",")[3] == "500"
 
 
+def _reference_csv(header, rows):
+    """The writer as one ``_fmt`` call per value: the byte reference for ``_write_csv``."""
+    return ",".join(header) + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+
+
+def test_csv_writer_prints_every_value_as_fmt(tmp_path):
+    floats = [0.1, math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, 123456789012.5, 2.0, -1 / 3]
+    rows = [
+        (
+            x,  # float
+            i * 7 - 20,  # int
+            f"arm{i}",  # str
+            i % 2 == 0,  # bool
+            None,  # None
+            None if i % 3 == 0 else x,  # None in some rows, float in others
+            np.float64(x),  # numpy float
+            np.int64(i - 3),  # numpy int
+            np.bool_(i % 2),  # numpy bool
+            [x, i, "s", None, True, np.float64(x), np.int64(i), np.bool_(i % 2), 1e-300, -0.0][i],  # one of each
+        )
+        for i, x in enumerate(floats)
+    ]
+    header = [f"c{k}" for k in range(len(rows[0]))]
+    path = tmp_path / "mixed.csv"
+    cli._write_csv(path, header, rows)
+    assert path.read_bytes() == _reference_csv(header, rows).encode("utf-8")
+    cli._write_csv(path, header, [])
+    assert path.read_bytes() == _reference_csv(header, []).encode("utf-8")
+
+
 # Golden outputs: data-file SHA-256 of small pinned configs, as written by
 # artifact version 0.1.0.  Speed-ups must keep them byte-identical.  A
 # deliberate change of the random streams or of the arithmetic behind a state
@@ -434,6 +465,34 @@ GOLDEN = {
         {
             "rb_timeseries.csv": "fb8d00a0f5e3a7fd80ed3bad2224cc0c2ed6b68eb4b8a930d246e2af9e55e43b",
             "rb_survivals.csv": "199e4843a690a1cec56fd158845d766d4af3bcc0303c0c7b75e852e46111659a",
+        },
+    ),
+    # The oracle layer: the improvement map on log and linear axes (the default
+    # switching range reaches cells where p_err clamps at 1/2), the A-K Monte
+    # Carlo with switching over two MC_CHUNK blocks, and the error budgets.
+    "heatmap-log": (
+        {"experiment": "heatmap", "seed": 47, "heatmap": {"n_splitting": 9, "n_switching": 13}},
+        {
+            "heatmap.csv": "a53df12bb353c3842930380a09a7d28f23668f7344d13799aa8e9f447883ae6e",
+            "heatmap_zero_contour.csv": "711cd3ceffdbc87fb877aa15fa3e73bd93074a8b95fec2ce7f52f795784a151f",
+        },
+    ),
+    "heatmap-linear": (
+        {"experiment": "heatmap", "seed": 48, "heatmap": {"n_splitting": 11, "n_switching": 14, "log_axes": False}},
+        {
+            "heatmap.csv": "259bd46edff04d1c6e18b791d15d35d11b90fdec78f4427993cb8ea7fb37af64",
+            "heatmap_zero_contour.csv": "5d2929d70a74a7fdb9e3c836b1d947db438838ae10b06b7acaa25bf408ebbab5",
+        },
+    ),
+    "ak-mc-two-chunks": (
+        {"experiment": "ak", "seed": 49, "ak": {"gamma_hz": 1e6, "n_t": 9, "n_trajectories": 20003}},
+        {"ak.csv": "775b63e366fc7e90197b56b596c5dd0c6715cc60c696ee175709bfae49ea3f3f"},
+    ),
+    "perr": (
+        {"experiment": "perr", "seed": 50},
+        {
+            "perr.csv": "62a7bd4f310c5d405e0ae4035f9daaee68bc8b54f40f673eae7b7551683785ae",
+            "perr_contrast.csv": "45a76b23207e4c587e8dbb8b5b6367360c234b22a7eba0a6f0f1de63aea29c73",
         },
     ),
 }
