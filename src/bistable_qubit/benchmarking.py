@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .bloch import IDENTITY, PulseSpec, QubitParams, compose, detuning, free_map, pulse_map
+from .bloch import IDENTITY, PulseSpec, QubitParams, compose, detuning, free_map, pulse_map, readout_bit
 from .protocol import Environment, _check_f_c, default_tau_probe, syndrome_cycle
 
 HALF_PI = 0.5 * math.pi
@@ -157,6 +157,12 @@ def random_sequence(length: int, rng: np.random.Generator) -> tuple[list[int], i
 # Execution
 
 
+# Fewest keys of one sequence length that ``SequenceExecutor`` steps as a batch:
+# the numpy calls per Clifford cost about as much as stepping 12 sequences
+# with ``_step``.
+BATCH_MIN_KEYS = 12
+
+
 class SequenceExecutor:
     """Runs Clifford sequences against the environment's defect trajectory.
 
@@ -166,6 +172,14 @@ class SequenceExecutor:
     into the affine Bloch maps of its slots and their composition, so an
     element that one dwell segment covers costs a single map application and
     only an element a switch lands inside is stepped slot by slot.
+
+    Queue contract: ``run`` makes every random draw of a shot at once, in the
+    order of a scalar run, and queues the shot; ``outcomes`` returns the bits
+    of the queued shots in run order and empties the queue.  No draw depends on
+    a Bloch state, so deferring the readout decision changes no outcome.  A
+    sequence is keyed by its bytes (every Clifford index fits one), so a caller
+    that runs one sequence many times passes it as ``bytes`` to make the key
+    free.
     """
 
     def __init__(self, env: Environment):
@@ -174,11 +188,11 @@ class SequenceExecutor:
         self.slot = env.qubit.t_pi
         self.durations = tuple(e.n_pulses * self.slot for e in self.table)
         self._maps: dict[tuple[int, float], list[tuple[tuple, tuple]]] = {}
-        # Memo of the current sequence: a copy of it, its duration and, per
-        # (mode, frame), its state before readout when one mode covers a run.
-        self._sequence: list[int] | None = None
-        self._total = 0.0
-        self._states: dict[tuple[int, float], tuple[float, float, float]] = {}
+        # The queue: the duration of each queued sequence, and per shot its
+        # (sequence, mode, frame) key, its state's z when a switch landed in it
+        # (else None) and its two readout uniforms.
+        self._totals: dict[bytes, float] = {}
+        self._shots: list[tuple[tuple[bytes, int, float], float | None, float, float]] = []
 
     def _map_table(self, xi: int, f_c: float) -> list[tuple[tuple, tuple]]:
         """Per element: (its composed map,) and the maps of its slots, in mode xi and frame f_c."""
@@ -199,36 +213,93 @@ class SequenceExecutor:
             self._maps[key] = entries
         return self._maps[key]
 
-    def run(self, indices: list[int], f_c: float, rng: np.random.Generator) -> int:
-        """Execute reset -> sequence -> measure in frame f_c; returns the outcome.
+    def run(self, indices: list[int] | bytes, f_c: float, rng: np.random.Generator) -> None:
+        """Queue reset -> sequence -> measure in frame f_c; ``outcomes`` returns its bit.
 
-        The environment advances over the sequence and the trailing readout +
-        reset dead time.  The state before readout of a run that one mode
-        covers depends only on (sequence, mode, frame), so it is memoised for
-        the current sequence and computed once per (mode, frame); a run that a
-        switch lands in is stepped on its own segments.
+        ``indices`` holds the Clifford indices as ints (a list, or ``bytes``).
+        Draws now, in the order of a scalar run: the environment advances over
+        the sequence (the dwell draws), then the two readout uniforms, then the
+        readout + reset dead time.  A run that a switch lands in is stepped
+        now; a run that one mode covers has a state that depends only on its
+        (sequence, mode, frame) key, and the key is queued.
         """
         env = self.env
         _check_f_c(f_c, env.qubit)
-        if indices != self._sequence:  # a new sequence: drop the last one's memo
+        sequence = bytes(indices)
+        if len(sequence) != len(indices):  # a buffer of wider ints, e.g. an int64 array
+            raise TypeError("indices must be a list of ints or bytes")
+        total = self._totals.get(sequence)
+        if total is None:
             total = 0.0
-            for i in indices:
+            for i in sequence:
                 total += self.durations[i]
-            self._sequence = list(indices)
-            self._total = total
-            self._states = {}
-        segments = env.dwell(self._total, rng)
-        if len(segments) > 1:
-            z = self._step(indices, f_c, segments)[2]
-        else:  # one mode, env.xi, covers the whole sequence
-            key = (env.xi, f_c)
-            if key not in self._states:
-                self._states[key] = self._step(indices, f_c, segments)
-            z = self._states[key][2]
-        return env.readout(z, rng)
+            self._totals[sequence] = total
+        segments = env.dwell(total, rng)
+        z = self._step(sequence, f_c, segments)[2] if len(segments) > 1 else None
+        key = (sequence, env.xi, f_c)  # env.xi: the one mode of a switch-free run
+        self._shots.append((key, z, *env.readout_draws(rng)))
+
+    def outcomes(self) -> list[int]:
+        """The reported bits of every run queued since the last call, in run order.
+
+        Each distinct queued (sequence, mode, frame) key is stepped once, the
+        keys of one sequence length together when there are at least
+        ``BATCH_MIN_KEYS`` of them, and the queue is emptied.
+        """
+        shots, self._shots = self._shots, []
+        self._totals = {}
+        states = dict.fromkeys(key for key, z, _, _ in shots if z is None)
+        by_length: dict[int, list[tuple[bytes, int, float]]] = {}
+        for key in states:
+            by_length.setdefault(len(key[0]), []).append(key)
+        for keys in by_length.values():
+            if len(keys) >= BATCH_MIN_KEYS:
+                states.update(zip(keys, self._step_batch(keys)))
+            else:  # one mode covers each run for good
+                for sequence, xi, f_c in keys:
+                    states[sequence, xi, f_c] = self._step(sequence, f_c, [(xi, math.inf)])[2]
+        qp = self.env.qubit
+        return [readout_bit(states[key] if z is None else z, u1, u2, qp) for key, z, u1, u2 in shots]
+
+    def _step_batch(self, keys: list[tuple[bytes, int, float]]) -> list[float]:
+        """Bloch z after each key's sequence from ground, switch-free in its mode and frame.
+
+        The sequences have one length.  This is the arithmetic of ``_step`` on
+        a (3, n) state array: per Clifford the composed maps are gathered from
+        one (4, 3, 24 * 4) table (coefficients of x, y, z and the offset, per
+        row, per (mode, frame) and element) and applied as
+        ((m0*x + m1*y) + m2*z) + m9 elementwise: the scalar operations in the
+        scalar order, so every z equals ``_step``'s bit for bit.
+        """
+        table = self._composed_table
+        qp = self.env.qubit
+        n, length = len(keys), len(keys[0][0])
+        offsets = [len(self.table) * (2 * xi + (f_c == qp.f_low)) for _, xi, f_c in keys]
+        sequences = np.frombuffer(b"".join(key[0] for key in keys), dtype=np.uint8).reshape(n, length)
+        codes = np.empty((length, n), dtype=np.intp)  # per Clifford, each row's table column
+        np.add(sequences.T, offsets, out=codes)
+        state = np.zeros((3, n))
+        state[2] = 1.0
+        m = np.empty((4, 3, n))
+        products, (m_x, m_y, m_z, shift) = m[:3], m
+        for column in codes:
+            table.take(column, axis=2, out=m)
+            products *= state[:, None]  # m_x, m_y, m_z now hold m0*x, m1*y, m2*z per row
+            np.add(m_x, m_y, out=state)
+            state += m_z
+            state += shift
+        return state[2].tolist()
+
+    @cached_property
+    def _composed_table(self) -> np.ndarray:
+        """Every element's composed map per (mode, frame), as the (4, 3, 24 * 4) gather table."""
+        qp = self.env.qubit
+        maps = [entry[0][0] for xi in (0, 1) for f_c in (qp.f_high, qp.f_low) for entry in self._map_table(xi, f_c)]
+        m = np.array(maps).T  # (12, columns): the rows of M, then c
+        return np.ascontiguousarray([m[0:9:3], m[1:9:3], m[2:9:3], m[9:12]])
 
     def _step(
-        self, indices: list[int], f_c: float, segments: list[tuple[int, float]]
+        self, indices: list[int] | bytes, f_c: float, segments: list[tuple[int, float]]
     ) -> tuple[float, float, float]:
         """Bloch vector after the sequence from ground, over the run's dwell segments."""
         durations = self.durations
@@ -448,13 +519,17 @@ def run_rb_interleaved(
             for _ in range(config.n_sequences):
                 indices, recovery = random_sequence(int(length), rng)
                 indices.append(recovery)
+                sequence = bytes(indices)
                 xi_sum += env.xi
                 xi_count += 1
                 for _ in range(config.shots_per_sequence):
-                    k_nofb[di] += executor.run(indices, qp.f_high, rng) == 0
+                    executor.run(sequence, qp.f_high, rng)
                 _, f_c = syndrome_cycle(env, tau_probe, rng)
                 for _ in range(config.shots_per_sequence):
-                    k_fb[di] += executor.run(indices, f_c, rng) == 0
+                    executor.run(sequence, f_c, rng)
+            # Per sequence: its open-loop shots, then its feedback shots.
+            bits = np.array(executor.outcomes()).reshape(config.n_sequences, 2, -1)
+            k_nofb[di], k_fb[di] = (bits == 0).sum(axis=(0, 2))
         surv_nofb = k_nofb / shots_per_depth
         surv_fb = k_fb / shots_per_depth
         windows.append(

@@ -275,17 +275,29 @@ def rabi_transition_probability(delta_q: float, params: QubitParams) -> float:
     return amp * math.sin(0.5 * math.pi * math.sqrt(w_gen_sq) / w) ** 2
 
 
+def readout_bit(z: float, u1: float, u2: float, params: QubitParams) -> int:
+    """Reported outcome of a z measurement of a state with Bloch z-component ``z``,
+    decided by the uniforms ``u1`` (the true projection: excited when
+    u1 < p_excited) and ``u2`` (the assignment-error flip of its report).
+
+    Pure: the draws are the caller's, so a readout can be drawn before the
+    state it decides is known.
+    """
+    p_excited = min(max((1.0 - z) / 2.0, 0.0), 1.0)
+    if u1 < p_excited:
+        return 0 if u2 < params.readout_eps_1to0 else 1
+    return 1 if u2 < params.readout_eps_0to1 else 0
+
+
 def measure(z: float, params: QubitParams, rng: np.random.Generator) -> int:
     """Reported outcome of a projective z measurement of a state with Bloch z-component ``z``.
 
-    The true projection is drawn first, then the classical assignment-error
-    flip of its report; the state after readout is not kept, since every cycle
-    starts from a reset.
+    Draw contract: exactly two ``rng.random()`` calls, the projection's then
+    the report's, whatever ``z`` and the assignment errors are; a deferred
+    readout relies on it.  The state after readout is not kept, since every
+    cycle starts from a reset.
     """
-    p_excited = min(max((1.0 - z) / 2.0, 0.0), 1.0)
-    if rng.random() < p_excited:
-        return 0 if rng.random() < params.readout_eps_1to0 else 1
-    return 1 if rng.random() < params.readout_eps_0to1 else 0
+    return readout_bit(z, rng.random(), rng.random(), params)
 
 
 def reported_excited_probability(z: float, params: QubitParams) -> float:

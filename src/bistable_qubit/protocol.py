@@ -52,7 +52,8 @@ class Environment:
     ``finite_pulses`` selects rectangular finite-duration pulses (with their
     detuning-tilted rotation axes) versus idealized instantaneous rotations.
     ``clock`` is the lab time (s); the methods below are the only place that
-    advances the defect, and each advances the clock with it.
+    advances the defect or draws a readout, and each advances the clock with
+    the defect.
     """
 
     qubit: QubitParams
@@ -77,6 +78,17 @@ class Environment:
         m = measure(z, self.qubit, rng)
         self.advance(self.qubit.t_wall, rng)
         return m
+
+    def readout_draws(self, rng: np.random.Generator) -> tuple[float, float]:
+        """``readout`` with its decision deferred: draw the two uniforms ``measure``
+        draws, wait out the readout and reset, and return the uniforms.
+
+        ``bloch.readout_bit(z, u1, u2, qubit)`` on them later gives the bit that
+        ``readout(z, rng)`` returns now, from the same random stream.
+        """
+        u = rng.random(), rng.random()
+        self.advance(self.qubit.t_wall, rng)
+        return u
 
 
 def make_environment(

@@ -94,28 +94,42 @@ def dwell_segments(
     segments and the final mode.
 
     Segment durations sum to ``dt``; the final (possibly truncated) dwell is
-    included.  Exactness relies on the memorylessness of the exponential dwell
-    law, so repeated calls compose to the same process as a single call.  Each
-    segment draws one exponential dwell unless its mode cannot be left, so a
-    call in which nothing switches draws at most one, and ``dt == 0`` none.
+    included.  The draws are those of ``evolve``.
+    """
+    segments: list[tuple[int, float]] = []
+    return segments, evolve(xi, params, dt, rng, segments)
+
+
+def evolve(
+    xi: int,
+    params: TelegraphParams,
+    dt: float,
+    rng: np.random.Generator,
+    segments: list[tuple[int, float]] | None = None,
+) -> int:
+    """Jump-simulate the process from mode ``xi`` over ``dt`` and return the new mode.
+
+    Each visited dwell draws one exponential unless its mode cannot be left,
+    so a call in which nothing switches draws at most one, and ``dt == 0``
+    none.  Exactness relies on the memorylessness of the exponential dwell
+    law, so repeated calls compose to the same process as a single call.  The
+    (xi, duration) segments are appended to ``segments`` when it is given;
+    otherwise nothing is kept, so memory stays constant however many dwells
+    ``dt`` spans (time still grows with them).
     """
     if not 0 <= dt < math.inf:
         raise ValueError("dt must be finite and nonnegative")
     if dt == 0.0:
-        return [], xi
-    segments: list[tuple[int, float]] = []
+        return xi
     remaining = dt
     while True:  # until a dwell outlasts the remainder
         rate = params.exit_rate(xi)
         dwell = rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
         if dwell >= remaining:
-            segments.append((xi, remaining))
-            return segments, xi
-        segments.append((xi, dwell))
+            if segments is not None:
+                segments.append((xi, remaining))
+            return xi
+        if segments is not None:
+            segments.append((xi, dwell))
         remaining -= dwell
         xi = 1 - xi
-
-
-def evolve(xi: int, params: TelegraphParams, dt: float, rng: np.random.Generator) -> int:
-    """Jump-simulate the process from mode ``xi`` over ``dt`` and return the new mode."""
-    return dwell_segments(xi, params, dt, rng)[1]

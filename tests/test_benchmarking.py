@@ -3,6 +3,7 @@
 import copy
 import itertools
 import math
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit import benchmarking as rb
-from bistable_qubit import protocol, telegraph
+from bistable_qubit import telegraph
 from bistable_qubit.bloch import (
     BlochState,
     PulseSpec,
@@ -20,6 +21,7 @@ from bistable_qubit.bloch import (
     detuning,
     free_evolve,
     measure,
+    readout_bit,
 )
 from bistable_qubit.protocol import Environment, make_environment
 from bistable_qubit.streams import substream
@@ -187,6 +189,37 @@ class TestRandomSequence:
             rb.random_sequence(-1, substream(504, "neg"))
 
 
+def _capture_decisions(monkeypatch):
+    """Record the z-component the executor hands to each readout decision."""
+    captured = []
+
+    def capture(z, u1, u2, qp):
+        captured.append(z)
+        return readout_bit(z, u1, u2, qp)
+
+    monkeypatch.setattr(rb, "readout_bit", capture)
+    return captured
+
+
+def _record_resolved_keys(monkeypatch):
+    """Record the keys ``outcomes`` steps: batches, and switch-free ``_step`` calls (one segment)."""
+    batches, stepped = [], []
+    step_batch, step = rb.SequenceExecutor._step_batch, rb.SequenceExecutor._step
+
+    def record_batch(self, keys):
+        batches.append(list(keys))
+        return step_batch(self, keys)
+
+    def record_step(self, indices, f_c, segments):
+        if len(segments) == 1:
+            stepped.append((bytes(indices), segments[0][0], f_c))
+        return step(self, indices, f_c, segments)
+
+    monkeypatch.setattr(rb.SequenceExecutor, "_step_batch", record_batch)
+    monkeypatch.setattr(rb.SequenceExecutor, "_step", record_step)
+    return batches, stepped
+
+
 class TestExecutor:
     def test_noiseless_sequences_return_to_ground(self):
         rng = substream(505, "exec")
@@ -195,7 +228,9 @@ class TestExecutor:
         for _ in range(300):
             length = int(rng.integers(0, 33))
             indices, recovery = rb.random_sequence(length, rng)
-            assert executor.run(indices + [recovery], IDEAL.f_high, rng) == 0
+            executor.run(indices + [recovery], IDEAL.f_high, rng)
+        assert executor.outcomes() == [0] * 300
+        assert executor.outcomes() == []
 
     @pytest.mark.parametrize("frame", ["high", "low"])
     def test_run_matches_slot_by_slot_reference(self, frame, monkeypatch):
@@ -219,6 +254,7 @@ class TestExecutor:
             segments, _ = telegraph.dwell_segments(env.xi, fast, total, substream(506, "run", k))
             switched += len(segments) > 1
             executor.run(seq, f_c, substream(506, "run", k))
+            executor.outcomes()  # a lone switch-free key is stepped by _step here
             expected = _slot_by_slot(executor, seq, f_c, segments)
             assert captured[-1] == pytest.approx(
                 (expected.x, expected.y, expected.z), abs=1e-12
@@ -232,8 +268,11 @@ class TestExecutor:
         # dead time per run); and switching several times inside most runs.
         rate=st.sampled_from([0.0, 1e5, 2e6]),
         sequences=st.lists(st.lists(st.integers(0, 23), max_size=48), min_size=1, max_size=3),
+        # (sequence, frame, shots, resolve after these shots)
         runs=st.lists(
-            st.tuples(st.integers(0, 2), st.booleans(), st.integers(1, 4)), min_size=1, max_size=8
+            st.tuples(st.integers(0, 2), st.booleans(), st.integers(1, 4), st.booleans()),
+            min_size=1,
+            max_size=8,
         ),
     )
     def test_run_matches_unmemoised_reference(self, seed, rate, sequences, runs):
@@ -244,58 +283,123 @@ class TestExecutor:
         reference = rb.SequenceExecutor(ref_env)
         rng = substream(515, "memo", seed)
         ref_rng = copy.deepcopy(rng)
-        captured = []
-
-        def capture(z, qp, rng):  # the z-component the executor hands to readout
-            captured.append(z)
-            return measure(z, qp, rng)
-
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(protocol, "measure", capture)
-            for which, high, shots in runs:
+            captured = _capture_decisions(mp)
+            outcomes, ref_outcomes, ref_z = [], [], []
+            for which, high, shots, resolve in runs:
                 seq = sequences[which % len(sequences)]
                 f_c = QP.f_high if high else QP.f_low
                 for _ in range(shots):  # back-to-back shots of one sequence, as in rb
-                    m = executor.run(list(seq), f_c, rng)
+                    executor.run(list(seq), f_c, rng)
                     ref_m, ref_state = _reference_run(reference, seq, f_c, ref_rng)
-                    assert (m, env.clock, env.xi) == (ref_m, ref_env.clock, ref_env.xi)
-                    assert captured[-1] == ref_state.z
+                    ref_outcomes.append(ref_m)
+                    ref_z.append(ref_state.z)
+                    assert (env.clock, env.xi) == (ref_env.clock, ref_env.xi)
                     assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+                if resolve:
+                    outcomes += executor.outcomes()
+                    assert (outcomes, captured) == (ref_outcomes, ref_z)
+            outcomes += executor.outcomes()
+            assert (outcomes, captured) == (ref_outcomes, ref_z)
 
-    def test_memo_holds_only_the_current_sequence(self):
-        env = make_environment(QP, FROZEN, None, pinned_mode=0)
-        executor = rb.SequenceExecutor(env)
-        rng = substream(516, "memo-clear")
-        first, second = [0, 5, 7, 11], [3, 3, 20]
-        for f_c in (QP.f_high, QP.f_low, QP.f_high):
-            executor.run(first, f_c, rng)
-        assert set(executor._states) == {(0, QP.f_high), (0, QP.f_low)}
-        executor.run(second, QP.f_low, rng)
-        assert executor._sequence == second
-        assert executor._total == sum(executor.durations[i] for i in second)
-        assert set(executor._states) == {(0, QP.f_low)}
-        state = BlochState(*executor._states[(0, QP.f_low)])
-        assert state == _reference_run(rb.SequenceExecutor(env), second, QP.f_low, rng)[1]
-
-    def test_switching_run_leaves_the_memo_untouched(self):
-        fast = TelegraphParams(2e6, 2e6)
+    @settings(max_examples=12, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        lengths=st.permutations([0, 1, 2049]).flatmap(
+            lambda order: st.sampled_from([3, 7, 33]).map(lambda odd: order + [odd])
+        ),
+    )
+    def test_batched_state_equals_the_scalar_step(self, seed, lengths):
+        # One queue mixing lengths 0, 1, odd and 2049, both modes and both
+        # frames, on a frozen defect; every length but 0 has enough distinct
+        # sequences for a batch.
         env = Environment(QP, FROZEN, 0, True)
         executor = rb.SequenceExecutor(env)
-        rng = substream(517, "memo-switch")
-        seq = [int(i) for i in np.random.default_rng(517).integers(0, 24, size=64)]
-        executor.run(seq, QP.f_high, rng)  # a frozen defect fills the memo
-        assert set(executor._states) == {(0, QP.f_high)}
-        env.tls_params = fast
+        rng = substream(518, "batch", seed)
+        draw = np.random.default_rng(seed)
+        per_length = -(-rb.BATCH_MIN_KEYS // 4)  # four (mode, frame) keys per sequence
+        expected = []
+        with pytest.MonkeyPatch.context() as mp:
+            captured = _capture_decisions(mp)
+            batches, _ = _record_resolved_keys(mp)
+            for length in lengths:
+                if length == 1:  # distinct single elements
+                    sequences = draw.permutation(24)[:per_length, None]
+                else:
+                    sequences = draw.integers(0, 24, size=(1 if length == 0 else per_length, length))
+                for seq in sequences.tolist():
+                    for xi in (0, 1):
+                        for f_c in (QP.f_high, QP.f_low):
+                            env.xi = xi
+                            executor.run(seq, f_c, rng)
+                            total = sum(executor.durations[i] for i in seq)
+                            expected.append(executor._step(seq, f_c, [(xi, total)])[2])
+            executor.outcomes()
+        assert captured == expected
+        assert sorted(len(keys[0][0]) for keys in batches) == sorted(n for n in lengths if n)
+
+    def test_each_distinct_key_is_stepped_once(self, monkeypatch):
+        env = make_environment(QP, FROZEN, None, pinned_mode=0)
+        executor = rb.SequenceExecutor(env)
+        rng = substream(516, "distinct-keys")
+        batches, stepped = _record_resolved_keys(monkeypatch)
+        first, second = [0, 5, 7, 11], [3, 3, 20]
+        short = [[k, 23 - k] for k in range(rb.BATCH_MIN_KEYS)]  # enough keys of length 2 for a batch
+        runs = [(first, QP.f_high), (second, QP.f_low), (first, QP.f_high), (first, QP.f_low)]
+        runs += [(seq, QP.f_high) for seq in short] + [(second, QP.f_low), (short[0], QP.f_high)]
+        for seq, f_c in runs:
+            for _ in range(3):
+                executor.run(seq, f_c, rng)
+        assert len(executor.outcomes()) == 3 * len(runs)
+        distinct = {(bytes(seq), 0, f_c) for seq, f_c in runs}
+        assert [sorted(keys) for keys in batches] == [sorted((bytes(seq), 0, QP.f_high) for seq in short)]
+        assert sorted(stepped) == sorted(distinct - set(batches[0]))  # each small group by _step
+        batches.clear()
+        assert executor.outcomes() == []
+        assert batches == []
+
+    def test_segmented_runs_never_enter_the_batch(self, monkeypatch):
+        fast = TelegraphParams(1e5, 1e5)  # 10 us dwells against ~6 us sequences
+        env = Environment(QP, fast, 0, True)
+        executor = rb.SequenceExecutor(env)
+        rng = substream(517, "segmented")
+        batches, stepped = _record_resolved_keys(monkeypatch)
+        switch_free = []
         segmented = 0
-        for _ in range(10):
-            memo = dict(executor._states)
+        for k in range(40):  # a sequence of its own per run, so no two runs share a key
+            seq = [int(i) for i in np.random.default_rng([517, k]).integers(0, 24, size=64)]
+            f_c = QP.f_low if k % 2 else QP.f_high
             total = sum(executor.durations[i] for i in seq)
-            segments, _ = telegraph.dwell_segments(env.xi, fast, total, copy.deepcopy(rng))
-            executor.run(seq, QP.f_low, rng)
+            segments, xi = telegraph.dwell_segments(env.xi, fast, total, copy.deepcopy(rng))
+            executor.run(seq, f_c, rng)
             if len(segments) > 1:
                 segmented += 1
-                assert executor._states == memo
-        assert segmented >= 8
+            else:
+                switch_free.append((bytes(seq), xi, f_c))
+        stepped.clear()  # the segmented runs' own, stepped at run time, never have one segment
+        assert len(executor.outcomes()) == 40
+        assert segmented >= 10 and len(switch_free) >= rb.BATCH_MIN_KEYS
+        assert sorted(k for keys in batches for k in keys) + stepped == sorted(switch_free)
+
+    def test_resolving_an_rb_depth_stays_small(self):
+        # The bench rb-slow depth: 84 sequences of 2048 Cliffords plus recovery,
+        # four shots per arm, the two arms in different frames.
+        env = make_environment(QP, FROZEN, None, pinned_mode=1)
+        executor = rb.SequenceExecutor(env)
+        rng = substream(520, "memory")
+        sequences = [bytes(rng.integers(0, 24, size=2049).tolist()) for _ in range(84)]
+        tracemalloc.start()
+        try:
+            for seq in sequences:
+                for f_c in (QP.f_high, QP.f_low):
+                    for _ in range(4):
+                        executor.run(seq, f_c, rng)
+            bits = executor.outcomes()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(bits) == 84 * 8
+        assert peak < 8_000_000
 
     def test_clock_advances_by_sequence_plus_dead_time(self):
         rng = substream(507, "clock")
@@ -306,11 +410,20 @@ class TestExecutor:
         env.clock = 5.0
         executor.run(seq, QP.f_high, rng)
         assert env.clock == pytest.approx(5.0 + total + QP.t_wall)
+        executor.outcomes()
+        assert env.clock == pytest.approx(5.0 + total + QP.t_wall)
 
     def test_off_grid_frame_rejected(self):
         env = make_environment(QP, FROZEN, None, pinned_mode=0)
         with pytest.raises(ValueError, match="mode frequencies"):
             rb.SequenceExecutor(env).run([0, 1], QP.f_high + 1.0, substream(508, "frame"))
+
+    def test_wide_integer_buffer_rejected(self):
+        env = make_environment(QP, FROZEN, None, pinned_mode=0)
+        executor = rb.SequenceExecutor(env)
+        with pytest.raises(TypeError, match="list of ints or bytes"):
+            executor.run(np.array([0, 1, 2]), QP.f_high, substream(519, "wide"))
+        assert env.clock == 0.0
 
 
 class TestFitExponential:

@@ -1,6 +1,8 @@
 """Bloch engine: conventions, pulses, decoherence, measurement."""
 
+import copy
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from bistable_qubit.bloch import (
     measure,
     pulse_map,
     rabi_transition_probability,
+    readout_bit,
     reported_excited_probability,
     reset,
 )
@@ -186,6 +189,21 @@ class TestMeasure:
         ones = sum(measure(BlochState(1.0, 0.0, 0.0).z, qp, rng) for _ in range(n))
         sigma = math.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) < 3.0 * sigma
+
+    @pytest.mark.parametrize("z", [-1.0, -0.3, 0.0, 1.0])
+    @pytest.mark.parametrize("eps", [0.0, 0.03, 1.0])
+    def test_draws_exactly_two_uniforms(self, z, eps):
+        # The draw contract a deferred readout relies on: two random() calls in
+        # either branch, whatever z and the assignment errors.  eps = 1 lies
+        # outside QubitParams' range, so the errors come from a stand-in.
+        params = SimpleNamespace(readout_eps_0to1=eps, readout_eps_1to0=eps)
+        for k in range(40):
+            rng = substream(206, "two-draws", k)
+            reference = copy.deepcopy(rng)
+            m = measure(z, params, rng)
+            u1, u2 = reference.random(), reference.random()
+            assert repr(rng.bit_generator.state) == repr(reference.bit_generator.state)
+            assert m == readout_bit(z, u1, u2, params)
 
     def test_reset_composition(self):
         qp = QubitParams.defaults(readout_eps_0to1=0.0, readout_eps_1to0=0.0)

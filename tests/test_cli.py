@@ -467,6 +467,27 @@ GOLDEN = {
             "rb_survivals.csv": "199e4843a690a1cec56fd158845d766d4af3bcc0303c0c7b75e852e46111659a",
         },
     ),
+    # A frozen L defect: the open-loop arm runs at f_high and the feedback arm
+    # mostly at f_low, so every sequence runs in both frames; depth 0 runs the
+    # recovery alone, and an idle separates the two windows.
+    "rb-pinned-low-depth-zero": (
+        {
+            "experiment": "rb",
+            "seed": 51,
+            "tls": {"gamma_hl_hz": 0.0, "gamma_lh_hz": 0.0, "pinned_mode": "L"},
+            "rb": {
+                "depths": [0, 1, 3, 16, 65],
+                "n_sequences": 6,
+                "shots_per_sequence": 3,
+                "n_windows": 2,
+                "idle_between_windows_s": 0.5,
+            },
+        },
+        {
+            "rb_timeseries.csv": "b53e1384723983efe6e078fc004617404e70645a64db9221f39dc3b252542794",
+            "rb_survivals.csv": "22788a6aab93fde516b090be2d71ac0e185698fcde34308aeb3de94ffc433d4b",
+        },
+    ),
     # The oracle layer: the improvement map on log and linear axes (the default
     # switching range reaches cells where p_err clamps at 1/2), the A-K Monte
     # Carlo with switching over two MC_CHUNK blocks, and the error budgets.

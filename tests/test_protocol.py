@@ -100,13 +100,13 @@ class TestSyndromeCycle:
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=True)
         tau = default_tau_probe(QP)
         advanced = []
-        dwell_segments = telegraph.dwell_segments
+        evolve = telegraph.evolve
 
-        def record(xi, params, dt, rng):  # every interval the defect is advanced over
+        def record(xi, params, dt, rng, segments=None):  # every interval the defect is advanced over
             advanced.append(dt)
-            return dwell_segments(xi, params, dt, rng)
+            return evolve(xi, params, dt, rng, segments)
 
-        monkeypatch.setattr(telegraph, "dwell_segments", record)
+        monkeypatch.setattr(telegraph, "evolve", record)
         env.clock = 3.0
         syndrome_cycle(env, tau, rng)
         t_pulse = 0.5 * math.pi / QP.rabi_rate
@@ -324,28 +324,19 @@ class TestEnvironment:
     )
     def test_clock_is_the_sum_of_every_defect_advance(self, monkeypatch, run):
         # Every interval the defect evolves over passes on the lab clock, in order.
+        # dwell_segments advances through evolve, so each interval is counted once.
         advanced = []
         switches = []
-        nested = []
-        evolve, dwell_segments = telegraph.evolve, telegraph.dwell_segments
+        evolve = telegraph.evolve
 
-        def record_evolve(xi, params, dt, rng):
+        def record_evolve(xi, params, dt, rng, segments=None):
             advanced.append(dt)
-            nested.append(dt)  # evolve may advance through dwell_segments: count it once
-            try:
-                return evolve(xi, params, dt, rng)
-            finally:
-                nested.pop()
-
-        def record_dwell_segments(xi, params, dt, rng):
-            if not nested:
-                advanced.append(dt)
-            segments, xi = dwell_segments(xi, params, dt, rng)
-            switches.append(len(segments) - 1)
-            return segments, xi
+            seen = [] if segments is None else segments  # a list to fill draws nothing more
+            xi = evolve(xi, params, dt, rng, seen)
+            switches.append(max(len(seen) - 1, 0))
+            return xi
 
         monkeypatch.setattr(telegraph, "evolve", record_evolve)
-        monkeypatch.setattr(telegraph, "dwell_segments", record_dwell_segments)
         rng = substream(419, "clock-sum")
         env = make_environment(QP, TelegraphParams(1e5, 1e5), rng, finite_pulses=True)
         run(env, rng)

@@ -2,6 +2,7 @@
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,3 +237,39 @@ def test_dwell_segments_draw_one_dwell_per_segment():
     assert last_xi == xi == out
     assert reference.exponential(1.0 / params.exit_rate(xi)) >= last
     assert _state(rng) == _state(reference)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    gamma_hl=st.sampled_from([0.0, 1.0, 3e4, 2e6]),
+    gamma_lh=st.sampled_from([0.0, 2.0, 5e4, 1e6]),
+    xi=st.sampled_from([telegraph.XI_H, telegraph.XI_L]),
+    dt=st.sampled_from([0.0, 1e-7, 3e-5, 1e-3]),
+)
+def test_evolve_keeps_the_draws_of_dwell_segments(seed, gamma_hl, gamma_lh, xi, dt):
+    params = TelegraphParams(gamma_hl, gamma_lh)
+    rng = substream(110, "evolve-draws", seed)
+    reference = copy.deepcopy(rng)
+    out = telegraph.evolve(xi, params, dt, rng)
+    _, expected = telegraph.dwell_segments(xi, params, dt, reference)
+    assert out == expected
+    assert _state(rng) == _state(reference)
+
+
+def test_evolve_over_many_dwells_keeps_no_segments():
+    params = TelegraphParams(1e5, 1e5)
+    dt = 1.0  # ~1e5 dwells of 10 us
+    rng = substream(111, "long-idle")
+    reference = copy.deepcopy(rng)
+    tracemalloc.start()
+    try:
+        out = telegraph.evolve(telegraph.XI_H, params, dt, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    segments, expected = telegraph.dwell_segments(telegraph.XI_H, params, dt, reference)
+    assert len(segments) > 90_000
+    assert out == expected
+    assert _state(rng) == _state(reference)
+    assert peak < 100_000
