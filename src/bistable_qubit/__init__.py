@@ -10,15 +10,12 @@ closed-form error budgets as an oracle layer.
 
 __version__ = "0.1.0"
 
-from .bloch import BlochState, PulseSpec, QubitParams
-from .protocol import CycleTiming, Environment
+from .bloch import QubitParams
+from .protocol import Environment
 from .telegraph import TelegraphParams
 
 __all__ = [
-    "BlochState",
-    "PulseSpec",
     "QubitParams",
-    "CycleTiming",
     "Environment",
     "TelegraphParams",
     "__version__",

@@ -23,7 +23,7 @@ from itertools import accumulate
 import numpy as np
 from scipy.optimize import curve_fit
 
-from .bloch import IDENTITY, PulseSpec, QubitParams, compose, detuning, free_map, pulse_map, readout_bit
+from .bloch import IDENTITY, QubitParams, compose, detuning, free_map, pulse_duration, pulse_map, readout_bit
 from .protocol import Environment, _check_f_c, default_tau_probe, syndrome_cycle
 
 HALF_PI = 0.5 * math.pi
@@ -204,10 +204,10 @@ class SequenceExecutor:
             for element in self.table:
                 slots = []
                 for gate in element.pulses:
-                    pulse = PulseSpec.finite(gate.axis_phase, gate.angle, qp)
-                    steps = [pulse_map(pulse, delta_q, qp)]
-                    if self.slot > pulse.duration:
-                        steps.append(free_map(delta_q, self.slot - pulse.duration, qp))
+                    duration = pulse_duration(gate.angle, qp)
+                    steps = [pulse_map(gate.axis_phase, gate.angle, delta_q, qp, True)]
+                    if self.slot > duration:
+                        steps.append(free_map(delta_q, self.slot - duration, qp))
                     slots.append(compose(*steps))
                 entries.append(((compose(IDENTITY, *slots),), tuple(slots)))
             self._maps[key] = entries

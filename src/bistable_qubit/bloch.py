@@ -21,11 +21,13 @@ exp(-dt/T1), where 1/T2 = 1/(2 T1) + 1/Tphi.  During a finite pulse the
 contraction is applied after the rotation (operator splitting; pulse
 durations are ~1e-3 of T1, T2, so the splitting error is negligible).
 
+A Bloch state is the tuple (x, y, z); a cycle starts from ``GROUND``.
 Every propagation step is an affine map v -> M v + c held as 12 Python
 floats (the rows of M, then c); it is the single propagation form of the
-package.  ``pulse_map`` and ``free_map`` build the map of one step,
-``compose`` chains maps in time order and ``apply`` acts on a state, so a
-precompiled sequence and a step-by-step one run the same arithmetic.
+package.  ``pulse_map`` and ``free_map`` build the map of one step (a finite
+pulse lasts ``pulse_duration``), ``compose`` chains maps in time order and
+``apply`` takes a state to its image, so a precompiled sequence and a
+step-by-step one run the same arithmetic.
 """
 
 from __future__ import annotations
@@ -122,56 +124,11 @@ class QubitParams:
         return replace(params, **overrides) if overrides else params
 
 
-@dataclass(frozen=True)
-class BlochState:
-    """Bloch vector (x, y, z) in the current rotating frame."""
-
-    x: float
-    y: float
-    z: float
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    @classmethod
-    def ground(cls) -> "BlochState":
-        return cls(0.0, 0.0, 1.0)
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """One equatorial drive pulse.
-
-    ``axis_phase`` is the in-plane angle of the rotation axis (0 = X axis)
-    and ``nominal_angle`` the signed rotation angle.  Finite pulses are
-    rectangular with full drive amplitude, so duration = |angle|/rabi_rate;
-    build them with :meth:`finite` to keep that invariant.
-    """
-
-    axis_phase: float
-    nominal_angle: float
-    finite_duration: bool = False
-    duration: float = 0.0
-
-    def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
-        if not self.finite_duration and self.duration != 0.0:
-            raise ValueError("instantaneous pulses carry zero duration")
-
-    @classmethod
-    def instantaneous(cls, axis_phase: float, angle: float) -> "PulseSpec":
-        return cls(axis_phase, angle, finite_duration=False)
-
-    @classmethod
-    def finite(cls, axis_phase: float, angle: float, params: QubitParams) -> "PulseSpec":
-        return cls(axis_phase, angle, True, abs(angle) / params.rabi_rate)
-
-
 # An affine Bloch map v -> M v + c is a tuple of 12 Python floats: the rows of
 # M, then c.
 IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+# A Bloch state is the tuple (x, y, z); every cycle starts from the ground state.
+GROUND = (0.0, 0.0, 1.0)
 
 
 def detuning(params: QubitParams, f_c: float, xi: int) -> float:
@@ -216,31 +173,45 @@ def compose(*maps: tuple) -> tuple:
     return m
 
 
-def apply(m: tuple, state: BlochState) -> BlochState:
-    """Image of ``state`` under the affine map ``m``."""
-    x, y, z = state.x, state.y, state.z
-    return BlochState(
+def apply(m: tuple, v: tuple) -> tuple:
+    """Image of the Bloch state ``v`` = (x, y, z) under the affine map ``m``."""
+    x, y, z = v
+    return (
         m[0] * x + m[1] * y + m[2] * z + m[9],
         m[3] * x + m[4] * y + m[5] * z + m[10],
         m[6] * x + m[7] * y + m[8] * z + m[11],
     )
 
 
-def pulse_map(pulse: PulseSpec, delta_q: float, params: QubitParams) -> tuple:
-    """Map of ``pulse`` at frame detuning ``delta_q``: rotation, then decay over the pulse."""
-    cphi = math.cos(pulse.axis_phase)
-    sphi = math.sin(pulse.axis_phase)
-    if not pulse.finite_duration:
-        return _rotation(cphi, sphi, 0.0, pulse.nominal_angle)
-    if pulse.duration == 0.0:
+def pulse_duration(angle: float, params: QubitParams) -> float:
+    """Duration |angle|/rabi_rate of a finite pulse: rectangular, at full drive amplitude."""
+    return abs(angle) / params.rabi_rate
+
+
+def pulse_map(
+    axis_phase: float, angle: float, delta_q: float, params: QubitParams, finite: bool
+) -> tuple:
+    """Map of a pulse of signed ``angle`` about the equatorial axis at ``axis_phase``
+    (0 = X axis), at frame detuning ``delta_q``.
+
+    An instantaneous pulse is the bare rotation.  A finite one lasts
+    ``pulse_duration(angle, params)``: rotation about the detuning-tilted
+    axis, then decay over the pulse.
+    """
+    cphi = math.cos(axis_phase)
+    sphi = math.sin(axis_phase)
+    if not finite:
+        return _rotation(cphi, sphi, 0.0, angle)
+    duration = pulse_duration(angle, params)
+    if duration == 0.0:
         return IDENTITY
-    w_drive = pulse.nominal_angle / pulse.duration
+    w_drive = angle / duration
     w_detune = 2.0 * math.pi * delta_q
     w_total = math.hypot(w_drive, w_detune)
     if w_total == 0.0:
-        return _decay(pulse.duration, params)
+        return _decay(duration, params)
     axis = (w_drive * cphi / w_total, w_drive * sphi / w_total, w_detune / w_total)
-    return compose(_rotation(*axis, w_total * pulse.duration), _decay(pulse.duration, params))
+    return compose(_rotation(*axis, w_total * duration), _decay(duration, params))
 
 
 def free_map(delta_q: float, dt: float, params: QubitParams) -> tuple:
@@ -248,18 +219,6 @@ def free_map(delta_q: float, dt: float, params: QubitParams) -> tuple:
     if dt < 0:
         raise ValueError("dt must be nonnegative")
     return compose(_rotation(0.0, 0.0, 1.0, 2.0 * math.pi * delta_q * dt), _decay(dt, params))
-
-
-def free_evolve(state: BlochState, delta_q: float, dt: float, params: QubitParams) -> BlochState:
-    """Precess about z by 2*pi*delta_q*dt, then decohere over ``dt``."""
-    return apply(free_map(delta_q, dt, params), state)
-
-
-def apply_pulse(
-    state: BlochState, pulse: PulseSpec, delta_q: float, params: QubitParams
-) -> BlochState:
-    """Apply a drive pulse; finite pulses also decohere over their duration."""
-    return apply(pulse_map(pulse, delta_q, params), state)
 
 
 def rabi_transition_probability(delta_q: float, params: QubitParams) -> float:
@@ -305,8 +264,3 @@ def reported_excited_probability(z: float, params: QubitParams) -> float:
     p_excited = min(max((1.0 - z) / 2.0, 0.0), 1.0)
     return p_excited * (1.0 - params.readout_eps_1to0) + (1.0 - p_excited) * params.readout_eps_0to1
 
-
-def reset() -> BlochState:
-    """Re-initialize to the ground state (``protocol.Environment.readout`` accounts
-    for the readout and reset time)."""
-    return BlochState.ground()

@@ -31,7 +31,6 @@ from .benchmarking import RbConfig, decoherence_floor_per_gate, run_rb_interleav
 from .bloch import QubitParams
 from .fitting import fit_two_frequency_mixture, quadrature_amplitudes
 from .protocol import (
-    CycleTiming,
     MitigationConfig,
     calibrate_decode_map,
     cycle_bandwidth,
@@ -204,7 +203,8 @@ def _build(cls, section: str, values: dict, **fixed):
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run configuration; ``params`` (the experiment's section) and ``raw``
-    (the merged document, echoed in the manifest) keep the JSON types as written."""
+    (the merged document, echoed in the manifest) keep the JSON types as written.
+    ``tau_probe`` is resolved: ``protocol.tau_probe_s = 0`` reads as the optimal probe time."""
 
     experiment: str
     seed: int
@@ -233,11 +233,11 @@ def _config_from_dict(data) -> RunConfig:
     if pinned is None and tls.total_rate == 0:
         raise ConfigError("tls.pinned_mode: required when both switching rates are 0")
     qubit = _build(QubitParams, "qubit", merged["qubit"])
-    tau_probe = float(merged["protocol"]["tau_probe_s"])
+    tau_probe = float(merged["protocol"]["tau_probe_s"]) or default_tau_probe(qubit)
     finite_pulses = merged["protocol"]["finite_pulses"]
     if experiment in ("mitigate", "rb", "syndrome-sweep"):  # the experiments that decode syndromes
         try:
-            calibrate_decode_map(qubit, tau_probe or default_tau_probe(qubit), finite_pulses)
+            calibrate_decode_map(qubit, tau_probe, finite_pulses)
         except ValueError as exc:
             raise ConfigError(f"protocol.tau_probe_s: {exc}") from exc
     mit = merged["mitigate"]
@@ -321,23 +321,16 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _tau_probe(cfg: RunConfig, qp: QubitParams) -> float:
-    return cfg.tau_probe or default_tau_probe(qp)
-
-
 def _derived_block(cfg: RunConfig) -> dict:
     qp = cfg.qubit
-    tau = _tau_probe(cfg, qp)
-    timing = CycleTiming(tau=tau, t_readout=qp.t_readout, t_reset=qp.t_reset)
-    overlapped = CycleTiming(tau=tau, t_readout=0.0, t_reset=qp.t_reset)
     return {
         "delta_tls_hz": qp.delta_tls,
         "t2_s": qp.t2,
         "alpha": qp.alpha,
         "t_pi_s": qp.t_pi,
-        "tau_opt_s": tau,
-        "estimation_bandwidth_hz": cycle_bandwidth(timing),
-        "estimation_bandwidth_overlapped_readout_hz": cycle_bandwidth(overlapped),
+        "tau_opt_s": cfg.tau_probe,
+        "estimation_bandwidth_hz": cycle_bandwidth(cfg.tau_probe, qp.t_readout, qp.t_reset),
+        "estimation_bandwidth_overlapped_readout_hz": cycle_bandwidth(cfg.tau_probe, 0.0, qp.t_reset),
         "p_err_static": analytics.p_err_static(qp.delta_tls, qp.t2, qp.alpha),
     }
 
@@ -346,15 +339,20 @@ def _derived_block(cfg: RunConfig) -> dict:
 # Experiment runners; each returns {filename: (header, rows)} plus extras
 
 
+def _replicas(cfg: RunConfig):
+    """Yield (replica, env, rng) per replica: the replica's substream and the environment drawn from it."""
+    for replica in range(cfg.replicas):
+        rng = substream(cfg.seed, cfg.experiment, "replica", replica)
+        yield replica, make_environment(cfg.qubit, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses), rng
+
+
 def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     qp = cfg.qubit
     taus = np.linspace(0.0, p["tau_max_s"], p["n_tau"])
     f_c = qp.f_high if p["frame"] == "high" else qp.f_low
     rows = []
-    for replica in range(cfg.replicas):
-        rng = substream(cfg.seed, cfg.experiment, "replica", replica)
-        env = make_environment(qp, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
+    for replica, env, rng in _replicas(cfg):
         for tau in taus.tolist():
             hits = 0
             for _ in range(p["shots"]):
@@ -380,9 +378,7 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
     taus = np.asarray(mit.tau_grid)
     nofb_rows, fb_rows, trace_rows, avg_rows = [], [], [], []
     fits = {}
-    for replica in range(cfg.replicas):
-        rng = substream(cfg.seed, cfg.experiment, "replica", replica)
-        env = make_environment(qp, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
+    for replica, env, rng in _replicas(cfg):
         result = run_mitigation(env, mit, rng)
         for matrix, sink in ((result.no_feedback, nofb_rows), (result.feedback, fb_rows)):
             for r, (row_time, values) in enumerate(zip(matrix.row_times.tolist(), matrix.values.tolist())):
@@ -431,9 +427,7 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
         "decoherence_floor_per_gate": decoherence_floor_per_gate(qp),
         "replicas": {},
     }
-    for replica in range(cfg.replicas):
-        rng = substream(cfg.seed, cfg.experiment, "replica", replica)
-        env = make_environment(qp, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
+    for replica, env, rng in _replicas(cfg):
         series = run_rb_interleaved(env, cfg.rb, rng)
         summary["gates_per_clifford"] = series.gates_per_clifford
         valid_nofb, valid_fb = [], []
@@ -500,12 +494,11 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
             for t_wall in t_walls:
                 rng = substream(cfg.seed, cfg.experiment, "replica", replica, f"{gamma}", f"{t_wall}")
                 qp_run = replace(qp, t_readout=0.0, t_reset=t_wall)
-                tau = _tau_probe(cfg, qp_run)
                 tlsp = TelegraphParams.symmetric(float(gamma))
                 pinned = cfg.pinned_mode if cfg.pinned_mode is not None else (0 if gamma == 0 else None)
                 env = make_environment(qp_run, tlsp, rng, pinned, cfg.finite_pulses)
                 resample = gamma == 0 and cfg.pinned_mode is None
-                p_mc = syndrome_error_rate(env, p["n_cycles"], tau, rng, resample)
+                p_mc = syndrome_error_rate(env, p["n_cycles"], cfg.tau_probe, rng, resample)
                 rows.append(
                     (
                         replica,

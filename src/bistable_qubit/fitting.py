@@ -20,7 +20,11 @@ class CosineFit:
 
 
 def fit_cosine(taus, values, f_guess: float, t2: float = math.inf) -> CosineFit:
-    """Fit c + |a| exp(-tau/T2) cos(2 pi f tau + phi) with T2 held fixed."""
+    """Fit c + |a| exp(-tau/T2) cos(2 pi f tau + phi) with T2 held fixed.
+
+    Does not raise when the fit fails: fewer points than the model's four
+    parameters, or a fit that does not converge, returns ``ok=False``.
+    """
     taus = np.asarray(taus, dtype=float)
     values = np.asarray(values, dtype=float)
     env = np.exp(-taus / t2)
@@ -28,6 +32,9 @@ def fit_cosine(taus, values, f_guess: float, t2: float = math.inf) -> CosineFit:
     def model(tau, c, a, f, phi):
         return c + a * np.exp(-tau / t2) * np.cos(2.0 * math.pi * f * tau + phi)
 
+    failed = CosineFit(math.nan, math.nan, math.nan, math.nan, math.nan, False)
+    if taus.size < 4:  # fewer points than the model's parameters
+        return failed
     a0 = max(0.5 * float(np.ptp(values)) / max(env.mean(), 1e-9), 1e-3)
     try:
         popt, _ = curve_fit(
@@ -38,7 +45,7 @@ def fit_cosine(taus, values, f_guess: float, t2: float = math.inf) -> CosineFit:
             maxfev=20000,
         )
     except (RuntimeError, ValueError):
-        return CosineFit(math.nan, math.nan, math.nan, math.nan, math.nan, False)
+        return failed
     resid = values - model(taus, *popt)
     c, a, f, phi = (float(v) for v in popt)
     if a < 0:

@@ -30,15 +30,15 @@ import numpy as np
 
 from . import telegraph
 from .bloch import (
-    BlochState,
-    PulseSpec,
+    GROUND,
     QubitParams,
-    apply_pulse,
+    apply,
     detuning,
-    free_evolve,
+    free_map,
     measure,
+    pulse_duration,
+    pulse_map,
     reported_excited_probability,
-    reset,
 )
 from .telegraph import TelegraphParams
 
@@ -110,28 +110,17 @@ def make_environment(
     return Environment(qubit=qubit, tls_params=tls_params, xi=xi, finite_pulses=finite_pulses)
 
 
-@dataclass(frozen=True)
-class CycleTiming:
-    """Per-cycle time budget (s)."""
-
-    tau: float
-    t_readout: float
-    t_reset: float
-
-    def __post_init__(self):
-        for name in ("tau", "t_readout", "t_reset"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-
-
-def cycle_bandwidth(timing: CycleTiming) -> float:
-    """Estimation bandwidth 1/(tau + t_readout + t_reset).
+def cycle_bandwidth(tau: float, t_readout: float, t_reset: float) -> float:
+    """Estimation bandwidth 1/(tau + t_readout + t_reset), from the per-cycle time budget (s).
 
     Gate times are excluded from the dead-time accounting; if the readout
     overlaps the next probe, 1/(tau + t_reset) applies instead (both numbers
     are surfaced by the CLI manifest).
     """
-    denom = timing.tau + timing.t_readout + timing.t_reset
+    for name, value in (("tau", tau), ("t_readout", t_readout), ("t_reset", t_reset)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    denom = tau + t_readout + t_reset
     if denom <= 0:
         raise ValueError("estimation window has zero duration")
     return 1.0 / denom
@@ -142,12 +131,6 @@ def _check_f_c(f_c: float, qp: QubitParams) -> None:
         raise ValueError("frame f_c must sit on one of the two mode frequencies")
 
 
-def _half_pi(axis_phase: float, qp: QubitParams, finite_pulses: bool) -> PulseSpec:
-    if finite_pulses:
-        return PulseSpec.finite(axis_phase, -HALF_PI, qp)
-    return PulseSpec.instantaneous(axis_phase, -HALF_PI)
-
-
 def _cycle_state(
     qp: QubitParams,
     finite_pulses: bool,
@@ -156,18 +139,18 @@ def _cycle_state(
     segments: list[tuple[int, float]],
     xi_second: int,
     second_axis_phase: float,
-) -> BlochState:
+) -> tuple[float, float, float]:
     """State before readout of reset, X(-pi/2), free evolution, X(-pi/2) about ``second_axis_phase``.
 
     In frame f_c the first pulse sees mode ``xi_first``, the free evolution
     runs over the (xi, duration) dwell ``segments`` and the second pulse sees
     mode ``xi_second``.
     """
-    state = apply_pulse(reset(), _half_pi(0.0, qp, finite_pulses), detuning(qp, f_c, xi_first), qp)
+    state = apply(pulse_map(0.0, -HALF_PI, detuning(qp, f_c, xi_first), qp, finite_pulses), GROUND)
     for xi, dt in segments:
-        state = free_evolve(state, detuning(qp, f_c, xi), dt, qp)
-    pulse = _half_pi(second_axis_phase, qp, finite_pulses)
-    return apply_pulse(state, pulse, detuning(qp, f_c, xi_second), qp)
+        state = apply(free_map(detuning(qp, f_c, xi), dt, qp), state)
+    second = pulse_map(second_axis_phase, -HALF_PI, detuning(qp, f_c, xi_second), qp, finite_pulses)
+    return apply(second, state)
 
 
 @lru_cache(maxsize=4096)
@@ -178,7 +161,7 @@ def _switch_free_state(
     xi: int,
     tau: float,
     second_axis_phase: float,
-) -> BlochState:
+) -> tuple[float, float, float]:
     """``_cycle_state`` with mode ``xi`` over both pulses and tau, memoised.
 
     The segments are the ones ``telegraph.dwell_segments`` returns when
@@ -194,7 +177,7 @@ def _two_pulse_cycle(
     tau: float,
     second_axis_phase: float,
     rng: np.random.Generator,
-) -> BlochState:
+) -> tuple[float, float, float]:
     """Reset, X(-pi/2), free evolution over tau, then X(-pi/2) about ``second_axis_phase``.
 
     Runs in frame f_c against the defect trajectory: the mode is held over
@@ -204,7 +187,7 @@ def _two_pulse_cycle(
     memo.  Returns the state before readout.
     """
     qp = env.qubit
-    pulse_time = HALF_PI / qp.rabi_rate if env.finite_pulses else 0.0  # PulseSpec.finite's duration
+    pulse_time = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
     xi_first = env.xi
     env.advance(pulse_time, rng)
     segments = env.dwell(tau, rng)
@@ -229,7 +212,7 @@ def _two_pulse_probability(
 ) -> float:
     """Deterministic P(m=1) of the two-pulse cycle with the mode pinned."""
     state = _switch_free_state(qp, finite_pulses, f_c, xi, tau, second_axis_phase)
-    return reported_excited_probability(state.z, qp)
+    return reported_excited_probability(state[2], qp)
 
 
 def ramsey_probability(
@@ -279,7 +262,7 @@ def syndrome_cycle(
         raise ValueError("tau_probe must be positive")
     qp = env.qubit
     decode = calibrate_decode_map(qp, tau_probe, env.finite_pulses)
-    m = env.readout(_two_pulse_cycle(env, qp.f_high, tau_probe, 0.0, rng).z, rng)
+    m = env.readout(_two_pulse_cycle(env, qp.f_high, tau_probe, 0.0, rng)[2], rng)
     return m, qp.mode_frequency(decode[m])
 
 
@@ -294,7 +277,7 @@ def ramsey_cycle(
         raise ValueError("tau must be nonnegative")
     _check_f_c(f_c, env.qubit)
     virtual_phase = 2.0 * math.pi * virtual_detuning * tau
-    return env.readout(_two_pulse_cycle(env, f_c, tau, virtual_phase, rng).z, rng)
+    return env.readout(_two_pulse_cycle(env, f_c, tau, virtual_phase, rng)[2], rng)
 
 
 @dataclass(frozen=True)
@@ -446,10 +429,5 @@ def x_gate_excited_population(
     Deterministic (no readout), so memoised: the Bloch-vector counterpart of
     the Rabi transition probability, including decoherence during the pulse.
     """
-    dq = detuning(qp, f_c, xi)
-    if finite_pulses:
-        pulse = PulseSpec.finite(0.0, math.pi, qp)
-    else:
-        pulse = PulseSpec.instantaneous(0.0, math.pi)
-    state = apply_pulse(reset(), pulse, dq, qp)
-    return (1.0 - state.z) / 2.0
+    z = apply(pulse_map(0.0, math.pi, detuning(qp, f_c, xi), qp, finite_pulses), GROUND)[2]
+    return (1.0 - z) / 2.0

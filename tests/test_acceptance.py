@@ -15,15 +15,7 @@ from scipy.optimize import minimize_scalar
 
 from bistable_qubit import analytics
 from bistable_qubit import benchmarking as rb
-from bistable_qubit.bloch import (
-    BlochState,
-    PulseSpec,
-    QubitParams,
-    apply_pulse,
-    detuning,
-    free_evolve,
-    reset,
-)
+from bistable_qubit.bloch import GROUND, QubitParams, apply, detuning, free_map, pulse_map
 from bistable_qubit.fitting import (
     fit_fringe_time_offset,
     fit_two_frequency_mixture,
@@ -428,17 +420,16 @@ def test_criterion_10_unit_and_property_checks():
 
     # Bloch norm contraction under a random operation stream.
     rng = substream(SEED, "acceptance-norm")
-    state = BlochState.ground()
+    state = GROUND
     norm_ok = True
     for _ in range(20_000):
         if rng.random() < 0.5:
-            state = free_evolve(state, float(rng.uniform(-2e6, 2e6)), float(rng.uniform(0, 1e-6)), QP)
+            m = free_map(float(rng.uniform(-2e6, 2e6)), float(rng.uniform(0, 1e-6)), QP)
         else:
-            pulse = PulseSpec.finite(
-                float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-math.pi, math.pi)), QP
-            )
-            state = apply_pulse(state, pulse, float(rng.uniform(-2e6, 2e6)), QP)
-        norm_ok &= state.norm <= 1.0 + 1e-9
+            axis, angle = float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-math.pi, math.pi))
+            m = pulse_map(axis, angle, float(rng.uniform(-2e6, 2e6)), QP, True)
+        state = apply(m, state)
+        norm_ok &= math.hypot(*state) <= 1.0 + 1e-9
 
     # Two-pulse probability identity to 1e-12 on a parameter grid.
     ramsey_ok = True
@@ -447,11 +438,10 @@ def test_criterion_10_unit_and_property_checks():
             for xi in (0, 1):
                 f_c = ideal.f_high + off
                 dq = detuning(ideal, f_c, xi)
-                state = reset()
-                state = apply_pulse(state, PulseSpec.instantaneous(0.0, -math.pi / 2), dq, ideal)
-                state = free_evolve(state, dq, float(tau), ideal)
-                state = apply_pulse(state, PulseSpec.instantaneous(0.0, -math.pi / 2), dq, ideal)
-                p = (1.0 - state.z) / 2.0
+                state = apply(pulse_map(0.0, -math.pi / 2, dq, ideal, False), GROUND)
+                state = apply(free_map(dq, float(tau), ideal), state)
+                state = apply(pulse_map(0.0, -math.pi / 2, dq, ideal, False), state)
+                p = (1.0 - state[2]) / 2.0
                 expected = 0.5 * (1.0 + math.cos(2.0 * math.pi * dq * tau))
                 ramsey_ok &= abs(p - expected) < 1e-12
 
@@ -471,11 +461,10 @@ def test_criterion_10_unit_and_property_checks():
         ps = []
         for xi in (0, 1):
             dq = detuning(ideal, f_mid, xi)
-            state = reset()
-            state = apply_pulse(state, PulseSpec.finite(0.0, math.pi / 2, ideal), dq, ideal)
-            state = free_evolve(state, dq, float(tau), ideal)
-            state = apply_pulse(state, PulseSpec.finite(math.pi / 2, -math.pi / 2, ideal), dq, ideal)
-            ps.append((1.0 - state.z) / 2.0)
+            state = apply(pulse_map(0.0, math.pi / 2, dq, ideal, True), GROUND)
+            state = apply(free_map(dq, float(tau), ideal), state)
+            state = apply(pulse_map(math.pi / 2, -math.pi / 2, dq, ideal, True), state)
+            ps.append((1.0 - state[2]) / 2.0)
         contrast.append(abs(ps[0] - ps[1]))
     expected_offset = 2.0 / ideal.rabi_rate
     offset, _ = fit_fringe_time_offset(taus, np.array(contrast), ideal.delta_tls, expected_offset)

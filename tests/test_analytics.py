@@ -308,7 +308,7 @@ class TestZPhaseError:
     def test_simulated_frame_error_variance(self):
         # A frame tracking the mean frequency mistracks a random mode by half
         # the splitting; read the accrued phase off the engine's precession.
-        from bistable_qubit.bloch import BlochState, detuning, free_evolve
+        from bistable_qubit.bloch import apply, detuning, free_map
 
         ideal = QubitParams.defaults(t1=math.inf, t_phi=math.inf)
         f_mid = 0.5 * (ideal.f_low + ideal.f_high)
@@ -317,8 +317,8 @@ class TestZPhaseError:
         samples = []
         for _ in range(5000):
             xi = int(rng.random() < 0.5)
-            out = free_evolve(BlochState(1.0, 0.0, 0.0), detuning(ideal, f_mid, xi), t_g, ideal)
-            samples.append(math.atan2(out.y, out.x) ** 2)
+            x, y, _ = apply(free_map(detuning(ideal, f_mid, xi), t_g, ideal), (1.0, 0.0, 0.0))
+            samples.append(math.atan2(y, x) ** 2)
         expected = analytics.z_phase_error_variance(ideal.delta_tls, t_g)
         assert np.mean(samples) == pytest.approx(expected, rel=1e-9)
 

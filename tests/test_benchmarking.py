@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 from bistable_qubit import benchmarking as rb
 from bistable_qubit import telegraph
 from bistable_qubit.bloch import (
-    BlochState,
-    PulseSpec,
+    GROUND,
     QubitParams,
-    apply_pulse,
+    apply,
     detuning,
-    free_evolve,
+    free_map,
     measure,
+    pulse_duration,
+    pulse_map,
     readout_bit,
 )
 from bistable_qubit.protocol import Environment, make_environment
@@ -35,24 +36,23 @@ FROZEN = TelegraphParams(0.0, 0.0)
 
 
 def _slot_by_slot(executor, indices, f_c, segments):
-    """Reference executor: one apply_pulse/free_evolve pair per slot.
+    """Reference executor: per slot, its pulse map and then its idle's free map.
 
     The mode of each slot is the one in force at its start; a slot consumes
     its duration from the dwell segments, and a switch takes effect from the
     next slot.
     """
     qp = executor.env.qubit
-    state = BlochState.ground()
+    state = GROUND
     seg_idx = 0
     xi, seg_rem = segments[0]
     for ci in indices:
         for gate in executor.table[ci].pulses:
             dq = detuning(qp, f_c, xi)
-            pulse = PulseSpec.finite(gate.axis_phase, gate.angle, qp)
-            state = apply_pulse(state, pulse, dq, qp)
-            idle = executor.slot - pulse.duration
+            state = apply(pulse_map(gate.axis_phase, gate.angle, dq, qp, True), state)
+            idle = executor.slot - pulse_duration(gate.angle, qp)
             if idle > 0.0:
-                state = free_evolve(state, dq, idle, qp)
+                state = apply(free_map(dq, idle, qp), state)
             spent = executor.slot
             while spent > seg_rem and seg_idx + 1 < len(segments):
                 spent -= seg_rem
@@ -81,7 +81,7 @@ def _reference_run(executor, indices, f_c, rng):
     table = executor._map_table(segments[0][0] if segments else env.xi, f_c)
     end = ends[0]
     t = 0.0
-    x, y, z = 0.0, 0.0, 1.0
+    state = GROUND
     for i in indices:
         if t + durations[i] - slot <= end:
             steps = table[i][0]
@@ -95,13 +95,8 @@ def _reference_run(executor, indices, f_c, rng):
                 steps.append(table[i][1][k])
         t += durations[i]
         for m in steps:
-            x, y, z = (
-                m[0] * x + m[1] * y + m[2] * z + m[9],
-                m[3] * x + m[4] * y + m[5] * z + m[10],
-                m[6] * x + m[7] * y + m[8] * z + m[11],
-            )
-    state = BlochState(x, y, z)
-    outcome = measure(state.z, qp, rng)
+            state = apply(m, state)
+    outcome = measure(state[2], qp, rng)
     env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
     env.clock += qp.t_wall
     return outcome, state
@@ -256,9 +251,7 @@ class TestExecutor:
             executor.run(seq, f_c, substream(506, "run", k))
             executor.outcomes()  # a lone switch-free key is stepped by _step here
             expected = _slot_by_slot(executor, seq, f_c, segments)
-            assert captured[-1] == pytest.approx(
-                (expected.x, expected.y, expected.z), abs=1e-12
-            )
+            assert captured[-1] == pytest.approx(expected, abs=1e-12)
         assert switched >= 15
 
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -293,7 +286,7 @@ class TestExecutor:
                     executor.run(list(seq), f_c, rng)
                     ref_m, ref_state = _reference_run(reference, seq, f_c, ref_rng)
                     ref_outcomes.append(ref_m)
-                    ref_z.append(ref_state.z)
+                    ref_z.append(ref_state[2])
                     assert (env.clock, env.xi) == (ref_env.clock, ref_env.xi)
                     assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
                 if resolve:

@@ -10,21 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit.bloch import (
-    BlochState,
-    PulseSpec,
+    GROUND,
+    IDENTITY,
     QubitParams,
     apply,
-    apply_pulse,
     compose,
     detuning,
-    free_evolve,
     free_map,
     measure,
+    pulse_duration,
     pulse_map,
     rabi_transition_probability,
     readout_bit,
     reported_excited_probability,
-    reset,
 )
 from bistable_qubit.streams import substream
 
@@ -35,12 +33,9 @@ IDEAL = QubitParams.defaults(
 
 def two_pulse_sequence(qp, f_c, xi, tau, finite=False, second_axis=0.0):
     dq = detuning(qp, f_c, xi)
-    make = (lambda a, ang: PulseSpec.finite(a, ang, qp)) if finite else PulseSpec.instantaneous
-    state = reset()
-    state = apply_pulse(state, make(0.0, -math.pi / 2), dq, qp)
-    state = free_evolve(state, dq, tau, qp)
-    state = apply_pulse(state, make(second_axis, -math.pi / 2), dq, qp)
-    return state
+    state = apply(pulse_map(0.0, -math.pi / 2, dq, qp, finite), GROUND)
+    state = apply(free_map(dq, tau, qp), state)
+    return apply(pulse_map(second_axis, -math.pi / 2, dq, qp, finite), state)
 
 
 class TestParams:
@@ -84,71 +79,67 @@ class TestDetuning:
 
 class TestFreeEvolve:
     def test_identity_without_noise_or_detuning(self):
-        state = BlochState(0.3, -0.2, 0.5)
-        out = free_evolve(state, 0.0, 1e-3, IDEAL)
-        assert (out.x, out.y, out.z) == pytest.approx((0.3, -0.2, 0.5))
+        out = apply(free_map(0.0, 1e-3, IDEAL), (0.3, -0.2, 0.5))
+        assert out == pytest.approx((0.3, -0.2, 0.5))
 
     def test_half_turn(self):
-        out = free_evolve(BlochState(1.0, 0.0, 0.0), 1.0, 0.5, IDEAL)
-        assert out.x == pytest.approx(-1.0)
-        assert math.hypot(out.x, out.y) == pytest.approx(1.0)
+        x, y, _ = apply(free_map(1.0, 0.5, IDEAL), (1.0, 0.0, 0.0))
+        assert x == pytest.approx(-1.0)
+        assert math.hypot(x, y) == pytest.approx(1.0)
 
     def test_transverse_contraction(self):
         qp = QubitParams.defaults()
-        out = free_evolve(BlochState(1.0, 0.0, 0.0), 0.0, qp.t2, qp)
-        assert out.x == pytest.approx(math.exp(-1.0))
-        assert out.y == pytest.approx(0.0)
+        x, y, _ = apply(free_map(0.0, qp.t2, qp), (1.0, 0.0, 0.0))
+        assert x == pytest.approx(math.exp(-1.0))
+        assert y == pytest.approx(0.0)
 
     def test_relaxation_toward_ground(self):
         qp = QubitParams.defaults()
-        out = free_evolve(BlochState(0.0, 0.0, -1.0), 0.0, qp.t1, qp)
-        assert out.z == pytest.approx(1.0 - 2.0 * math.exp(-1.0))
+        out = apply(free_map(0.0, qp.t1, qp), (0.0, 0.0, -1.0))
+        assert out[2] == pytest.approx(1.0 - 2.0 * math.exp(-1.0))
 
     def test_negative_dt_raises(self):
         with pytest.raises(ValueError):
-            free_evolve(BlochState.ground(), 0.0, -1e-9, IDEAL)
+            free_map(0.0, -1e-9, IDEAL)
 
 
 class TestPulses:
     def test_instantaneous_quarter_turn_convention(self):
-        out = apply_pulse(BlochState.ground(), PulseSpec.instantaneous(0.0, -math.pi / 2), 0.0, IDEAL)
-        assert (out.x, out.y, out.z) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
-        assert out.norm == pytest.approx(1.0)
+        out = apply(pulse_map(0.0, -math.pi / 2, 0.0, IDEAL, False), GROUND)
+        assert out == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
+        assert math.hypot(*out) == pytest.approx(1.0)
 
     def test_finite_resonant_pi_flip(self):
-        pulse = PulseSpec.finite(0.0, math.pi, IDEAL)
-        out = apply_pulse(BlochState.ground(), pulse, 0.0, IDEAL)
-        assert out.z == pytest.approx(-1.0)
+        out = apply(pulse_map(0.0, math.pi, 0.0, IDEAL, True), GROUND)
+        assert out[2] == pytest.approx(-1.0)
 
     def test_finite_pi_at_sqrt3_detuning_returns_to_ground(self):
         # Generalized rotation angle doubles, so the pulse performs a full turn.
         delta_q = math.sqrt(3.0) * IDEAL.rabi_rate / (2.0 * math.pi)
-        pulse = PulseSpec.finite(0.0, math.pi, IDEAL)
-        out = apply_pulse(BlochState.ground(), pulse, delta_q, IDEAL)
-        assert out.z == pytest.approx(1.0, abs=1e-12)
+        out = apply(pulse_map(0.0, math.pi, delta_q, IDEAL, True), GROUND)
+        assert out[2] == pytest.approx(1.0, abs=1e-12)
         assert rabi_transition_probability(delta_q, IDEAL) == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_pulse_matches_rabi_formula(self):
         # Independent route: Bloch rotation vs the closed-form transition probability.
         for delta_q in (0.0, 50e3, 187e3, 1.3e6):
-            pulse = PulseSpec.finite(0.0, math.pi, IDEAL)
-            out = apply_pulse(BlochState.ground(), pulse, delta_q, IDEAL)
-            assert (1.0 - out.z) / 2.0 == pytest.approx(
+            out = apply(pulse_map(0.0, math.pi, delta_q, IDEAL, True), GROUND)
+            assert (1.0 - out[2]) / 2.0 == pytest.approx(
                 rabi_transition_probability(delta_q, IDEAL), abs=1e-12
             )
 
     def test_plus_minus_pulses_invert(self):
-        state = BlochState(0.1, -0.4, 0.8)
+        state = (0.1, -0.4, 0.8)
         for axis in (0.0, math.pi / 2, 1.1):
-            fwd = apply_pulse(state, PulseSpec.instantaneous(axis, 0.7), 0.0, IDEAL)
-            back = apply_pulse(fwd, PulseSpec.instantaneous(axis, -0.7), 0.0, IDEAL)
-            assert (back.x, back.y, back.z) == pytest.approx((state.x, state.y, state.z))
+            fwd = apply(pulse_map(axis, 0.7, 0.0, IDEAL, False), state)
+            back = apply(pulse_map(axis, -0.7, 0.0, IDEAL, False), fwd)
+            assert back == pytest.approx(state)
 
-    def test_pulse_spec_invariants(self):
-        with pytest.raises(ValueError):
-            PulseSpec(0.0, 1.0, False, 1e-9)
-        pulse = PulseSpec.finite(0.0, -math.pi / 2, IDEAL)
-        assert pulse.duration == pytest.approx(0.5 * math.pi / IDEAL.rabi_rate)
+    def test_pulse_duration(self):
+        # A finite pulse lasts |angle|/rabi_rate; a zero-angle one is no step at all.
+        assert pulse_duration(-math.pi / 2, IDEAL) == pytest.approx(0.5 * math.pi / IDEAL.rabi_rate)
+        assert pulse_duration(math.pi, IDEAL) == IDEAL.t_pi
+        assert pulse_map(0.3, 0.0, 1e6, QubitParams.defaults(), True) == IDENTITY
 
 
 class TestRabiFormula:
@@ -171,14 +162,14 @@ class TestMeasure:
     def test_ground_noiseless_always_zero(self):
         rng = substream(201, "measure0")
         for _ in range(200):
-            m = measure(BlochState.ground().z, IDEAL, rng)
+            m = measure(GROUND[2], IDEAL, rng)
             assert m == 0
 
     def test_excited_with_assignment_error(self):
         qp = QubitParams.defaults(readout_eps_1to0=0.03, readout_eps_0to1=0.0)
         rng = substream(202, "measure1")
         n = 100_000
-        ones = sum(measure(BlochState(0, 0, -1.0).z, qp, rng) for _ in range(n))
+        ones = sum(measure(-1.0, qp, rng) for _ in range(n))
         sigma = math.sqrt(0.97 * 0.03 / n)
         assert abs(ones / n - 0.97) < 3.0 * sigma
 
@@ -186,7 +177,7 @@ class TestMeasure:
         qp = QubitParams.defaults()
         rng = substream(203, "measure2")
         n = 100_000
-        ones = sum(measure(BlochState(1.0, 0.0, 0.0).z, qp, rng) for _ in range(n))
+        ones = sum(measure(0.0, qp, rng) for _ in range(n))
         sigma = math.sqrt(0.25 / n)
         assert abs(ones / n - 0.5) < 3.0 * sigma
 
@@ -208,11 +199,10 @@ class TestMeasure:
     def test_reset_composition(self):
         qp = QubitParams.defaults(readout_eps_0to1=0.0, readout_eps_1to0=0.0)
         rng = substream(205, "reset")
-        state = reset()
-        assert (state.x, state.y, state.z) == (0.0, 0.0, 1.0)
-        flipped = apply_pulse(state, PulseSpec.instantaneous(0.0, math.pi), 0.0, qp)
-        assert flipped.z == pytest.approx(-1.0)
-        m = measure(reset().z, qp, rng)
+        assert GROUND == (0.0, 0.0, 1.0)
+        flipped = apply(pulse_map(0.0, math.pi, 0.0, qp, False), GROUND)
+        assert flipped[2] == pytest.approx(-1.0)
+        m = measure(GROUND[2], qp, rng)
         assert m == 0
 
 
@@ -228,7 +218,7 @@ class TestRamseyConsistency:
                     f_c = IDEAL.f_high + off
                     dq = detuning(IDEAL, f_c, xi)
                     state = two_pulse_sequence(IDEAL, f_c, xi, float(tau))
-                    p = (1.0 - state.z) / 2.0
+                    p = (1.0 - state[2]) / 2.0
                     expected = 0.5 * (1.0 + math.cos(2.0 * math.pi * dq * tau))
                     assert abs(p - expected) < 1e-12
                     count += 1
@@ -244,7 +234,7 @@ class TestRamseyConsistency:
                     f_c = qp.f_high + off
                     dq = detuning(qp, f_c, xi)
                     state = two_pulse_sequence(qp, f_c, xi, float(tau))
-                    p = reported_excited_probability(state.z, qp)
+                    p = reported_excited_probability(state[2], qp)
                     expected = 0.5 + 0.5 * qp.alpha * math.exp(-tau / qp.t2) * math.cos(
                         2.0 * math.pi * dq * tau
                     )
@@ -253,10 +243,10 @@ class TestRamseyConsistency:
     def test_sampling_matches_deterministic_probability(self):
         qp = QubitParams.defaults()
         state = two_pulse_sequence(qp, qp.f_high, 1, 0.4e-6)
-        p = reported_excited_probability(state.z, qp)
+        p = reported_excited_probability(state[2], qp)
         rng = substream(206, "linearity")
         n = 100_000
-        ones = sum(measure(state.z, qp, rng) for _ in range(n))
+        ones = sum(measure(state[2], qp, rng) for _ in range(n))
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(ones / n - p) < 3.0 * sigma
 
@@ -266,18 +256,16 @@ class TestRamseyConsistency:
 def test_norm_never_exceeds_one(seed, n_ops):
     qp = QubitParams.defaults()
     rng = np.random.default_rng(seed)
-    state = BlochState.ground()
+    state = GROUND
     for _ in range(n_ops):
         kind = rng.integers(0, 3)
         if kind == 0:
-            state = free_evolve(state, float(rng.uniform(-2e6, 2e6)), float(rng.uniform(0, 2e-6)), qp)
-        elif kind == 1:
-            pulse = PulseSpec.instantaneous(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-math.pi, math.pi)))
-            state = apply_pulse(state, pulse, float(rng.uniform(-2e6, 2e6)), qp)
+            m = free_map(float(rng.uniform(-2e6, 2e6)), float(rng.uniform(0, 2e-6)), qp)
         else:
-            pulse = PulseSpec.finite(float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-math.pi, math.pi)), qp)
-            state = apply_pulse(state, pulse, float(rng.uniform(-2e6, 2e6)), qp)
-        assert state.norm <= 1.0 + 1e-9
+            axis, angle = float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-math.pi, math.pi))
+            m = pulse_map(axis, angle, float(rng.uniform(-2e6, 2e6)), qp, kind == 2)
+        state = apply(m, state)
+        assert math.hypot(*state) <= 1.0 + 1e-9
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -292,19 +280,16 @@ def test_composed_map_equals_stepwise_application(seed, n_maps):
         axis, angle = float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(-math.pi, math.pi))
         if kind == 0:
             maps.append(free_map(delta_q, float(rng.uniform(0, 2e-6)), qp))
-        elif kind == 1:
-            maps.append(pulse_map(PulseSpec.instantaneous(axis, angle), delta_q, qp))
         else:
-            maps.append(pulse_map(PulseSpec.finite(axis, angle, qp), delta_q, qp))
+            maps.append(pulse_map(axis, angle, delta_q, qp, kind == 2))
     start = rng.normal(size=3)
     start *= rng.uniform(0, 1) / np.linalg.norm(start)
-    state = BlochState(*(float(v) for v in start))
+    state = tuple(float(v) for v in start)
     composed = apply(compose(*maps), state)
     for m in maps:
         state = apply(m, state)
-    expected = (state.x, state.y, state.z)
-    assert (composed.x, composed.y, composed.z) == pytest.approx(expected, abs=1e-12)
-    assert composed.norm <= 1.0 + 1e-12
+    assert composed == pytest.approx(state, abs=1e-12)
+    assert math.hypot(*composed) <= 1.0 + 1e-12
 
 
 class TestFinitePulseTimingOffset:
@@ -321,17 +306,15 @@ class TestFinitePulseTimingOffset:
     @staticmethod
     def _contrast(qp, taus, prep_angle, proj_angle, finite):
         f_mid = 0.5 * (qp.f_low + qp.f_high)
-        make = (lambda a, ang: PulseSpec.finite(a, ang, qp)) if finite else PulseSpec.instantaneous
         out = []
         for tau in taus:
             ps = []
             for xi in (0, 1):
                 dq = detuning(qp, f_mid, xi)
-                state = reset()
-                state = apply_pulse(state, make(0.0, prep_angle), dq, qp)
-                state = free_evolve(state, dq, float(tau), qp)
-                state = apply_pulse(state, make(math.pi / 2, proj_angle), dq, qp)
-                ps.append((1.0 - state.z) / 2.0)
+                state = apply(pulse_map(0.0, prep_angle, dq, qp, finite), GROUND)
+                state = apply(free_map(dq, float(tau), qp), state)
+                state = apply(pulse_map(math.pi / 2, proj_angle, dq, qp, finite), state)
+                ps.append((1.0 - state[2]) / 2.0)
             out.append(abs(ps[0] - ps[1]))
         return np.array(out)
 

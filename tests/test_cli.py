@@ -406,6 +406,23 @@ GOLDEN = {
             "mitigate_avg.csv": "937a432737a4e831c3c372f589de987df861275362258d6cf0a65730b6d9d4f6",
         },
     ),
+    # Instantaneous pulses under switching: cycles a switch lands in, in both
+    # frames, with the zero-duration pulses that advance no lab time.
+    "mitigate-switching-instantaneous": (
+        {
+            "experiment": "mitigate",
+            "seed": 52,
+            "protocol": {"finite_pulses": False},
+            "tls": {"gamma_hl_hz": 5e4, "gamma_lh_hz": 5e4},
+            "mitigate": {"rows": 2, "n_tau": 12, "n_reps": 6, "block_size": 2},
+        },
+        {
+            "mitigate_nofb.csv": "e2d3c5cacb8fe4843ba15052f7ab38405160c76d55a87928f3940acaea726583",
+            "mitigate_fb.csv": "6494e0919b5b17df7a8457d8f56ae7c1b4220d03569a4537445ca5abea19dadc",
+            "mitigate_trace.csv": "a487773d036bbc21b2c139efd41686321b9b7aa1d8733a9c4d49e10293dad337",
+            "mitigate_avg.csv": "e826983a77a5b0d48836e034535decb64c298783f8ea8e5d6fe70fb704eee2b4",
+        },
+    ),
     "ramsey-pinned-instantaneous": (
         {
             "experiment": "ramsey",

@@ -31,6 +31,14 @@ def test_fit_cosine_with_damping():
     assert fit.frequency == pytest.approx(2.1e6, rel=1e-6)
 
 
+@pytest.mark.parametrize("n_points", [0, 1, 3])
+def test_cosine_fit_with_fewer_points_than_parameters_not_ok(n_points):
+    taus = TAUS[:n_points]
+    fit = fit_cosine(taus, 0.5 + 0.4 * np.cos(2 * math.pi * 2e6 * taus), 2e6)
+    assert not fit.ok
+    assert math.isnan(fit.frequency) and math.isnan(fit.amplitude)
+
+
 def test_mixture_fit_node_independent_of_weights():
     f1, f2 = 2.0e6, 1.626e6
     for w in (0.3, 0.5, 0.7):
