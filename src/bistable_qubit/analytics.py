@@ -184,22 +184,6 @@ def finite_pulse_contrast(
     return value if value.ndim else float(value)
 
 
-@dataclass(frozen=True)
-class ContrastCurve:
-    """Discrimination contrast sampled on a probe-time grid (values in [0, alpha])."""
-
-    taus: np.ndarray
-    values: np.ndarray
-
-
-def contrast_curve(
-    delta_tls: float, taus, alpha: float, t2: float, delta_f: float = 0.0
-) -> ContrastCurve:
-    """Evaluate :func:`contrast` on a grid and package it as a curve."""
-    taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    return ContrastCurve(taus=taus, values=np.asarray(contrast(delta_tls, taus, alpha, t2, delta_f)))
-
-
 def _sinc(x: np.ndarray) -> np.ndarray:
     """Entire function sin(x)/x, safe for complex x and x = 0."""
     x = np.asarray(x, dtype=complex)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .bloch import IDENTITY, QubitParams, compose, detuning, free_map, pulse_duration, pulse_map, readout_bit
-from .protocol import Environment, _check_f_c, default_tau_probe, syndrome_cycle
+from .protocol import Environment, _check_f_c, syndrome_cycle
 
 HALF_PI = 0.5 * math.pi
 
@@ -157,12 +157,6 @@ def random_sequence(length: int, rng: np.random.Generator) -> tuple[list[int], i
 # Execution
 
 
-# Fewest keys of one sequence length that ``SequenceExecutor`` steps as a batch:
-# the numpy calls per Clifford cost about as much as stepping 12 sequences
-# with ``_step``.
-BATCH_MIN_KEYS = 12
-
-
 class SequenceExecutor:
     """Runs Clifford sequences against the environment's defect trajectory.
 
@@ -243,8 +237,7 @@ class SequenceExecutor:
         """The reported bits of every run queued since the last call, in run order.
 
         Each distinct queued (sequence, mode, frame) key is stepped once, the
-        keys of one sequence length together when there are at least
-        ``BATCH_MIN_KEYS`` of them, and the queue is emptied.
+        keys of one sequence length together, and the queue is emptied.
         """
         shots, self._shots = self._shots, []
         self._totals = {}
@@ -253,11 +246,7 @@ class SequenceExecutor:
         for key in states:
             by_length.setdefault(len(key[0]), []).append(key)
         for keys in by_length.values():
-            if len(keys) >= BATCH_MIN_KEYS:
-                states.update(zip(keys, self._step_batch(keys)))
-            else:  # one mode covers each run for good
-                for sequence, xi, f_c in keys:
-                    states[sequence, xi, f_c] = self._step(sequence, f_c, [(xi, math.inf)])[2]
+            states.update(zip(keys, self._step_batch(keys)))
         qp = self.env.qubit
         return [readout_bit(states[key] if z is None else z, u1, u2, qp) for key, z, u1, u2 in shots]
 
@@ -301,14 +290,16 @@ class SequenceExecutor:
     def _step(
         self, indices: list[int] | bytes, f_c: float, segments: list[tuple[int, float]]
     ) -> tuple[float, float, float]:
-        """Bloch vector after the sequence from ground, over the run's dwell segments."""
+        """Bloch vector after the sequence from ground, over the run's dwell segments.
+
+        Steps the runs a switch lands in, and is the reference that ``_step_batch`` equals.
+        """
         durations = self.durations
         slot = self.slot
-        # Segment end times from the sequence start; the last segment covers the
-        # rest.  A pulse-free sequence has no segments and applies only identities.
+        # Segment end times from the sequence start; the last segment covers the rest.
         ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
         seg = 0
-        table = self._map_table(segments[0][0] if segments else self.env.xi, f_c)
+        table = self._map_table(segments[0][0], f_c)
         end = ends[0]
         t = 0.0
         x, y, z = 0.0, 0.0, 1.0
@@ -361,12 +352,7 @@ def _failed_fit() -> FitResult:
     return FitResult(nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, False)
 
 
-def fit_exponential(
-    depths,
-    survivals,
-    weights=None,
-    gates_per_clifford_value: float | None = None,
-) -> FitResult:
+def fit_exponential(depths, survivals, weights=None) -> FitResult:
     """Weighted least-squares fit of A*p^L + B.
 
     ``weights`` are inverse variances per point (None for unweighted).  The
@@ -380,7 +366,7 @@ def fit_exponential(
         raise ValueError("need at least three distinct depths")
     if np.any((survivals < 0) | (survivals > 1)):
         raise ValueError("survivals must lie in [0, 1]")
-    gpc = gates_per_clifford() if gates_per_clifford_value is None else gates_per_clifford_value
+    gpc = gates_per_clifford()
 
     if float(np.ptp(survivals)) < 1e-12:
         b = float(survivals.mean())
@@ -446,14 +432,16 @@ def fit_exponential(
 class RbConfig:
     """Interleaved benchmarking run: depth sweep per window, windows in time."""
 
+    tau_probe: float  # the syndrome probe time; protocol.default_tau_probe gives the optimal one
     depths: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048)
     n_sequences: int = 100
     shots_per_sequence: int = 1
     n_windows: int = 1
     idle_between_windows: float = 0.0
-    tau_probe: float = 0.0  # 0 -> optimal probe time for the qubit params
 
     def __post_init__(self):
+        if not 0 < self.tau_probe < math.inf:
+            raise ValueError("tau_probe must be finite and > 0")
         if len(self.depths) < 3:
             raise ValueError("depths must hold at least 3 depths, one per fit parameter")
         if any(b <= a for a, b in zip(self.depths, self.depths[1:])):
@@ -504,7 +492,6 @@ def run_rb_interleaved(
     """
     qp = env.qubit
     executor = SequenceExecutor(env)
-    tau_probe = config.tau_probe or default_tau_probe(qp)
     depths = np.asarray(config.depths, dtype=int)
     shots_per_depth = config.n_sequences * config.shots_per_sequence
     windows: list[RbWindow] = []
@@ -524,7 +511,7 @@ def run_rb_interleaved(
                 xi_count += 1
                 for _ in range(config.shots_per_sequence):
                     executor.run(sequence, qp.f_high, rng)
-                _, f_c = syndrome_cycle(env, tau_probe, rng)
+                _, f_c = syndrome_cycle(env, config.tau_probe, rng)
                 for _ in range(config.shots_per_sequence):
                     executor.run(sequence, f_c, rng)
             # Per sequence: its open-loop shots, then its feedback shots.

@@ -49,10 +49,6 @@ class ConfigError(ValueError):
     """Configuration rejected; the message names the offending key."""
 
 
-# experiment -> the key of its section that --shots sets (None: no sampling knob)
-EXPERIMENTS = {"syndrome-sweep": "n_cycles", "ramsey": "shots", "mitigate": "n_reps", "rb": "n_sequences",
-               "heatmap": None, "perr": None, "ak": "n_trajectories"}
-
 _MODE_NAMES = {None: None, "H": 0, "L": 1, 0: 0, 1: 1}
 # A key's domain, named by the text that completes "must be ...", and its test.
 DOMAINS = {
@@ -70,7 +66,6 @@ DOMAINS = {
 # Every key as (default, domain).  The default fixes the JSON type.  A key whose
 # range the library type it feeds already checks has no domain here.
 _QUBIT = QubitParams.defaults()
-_RB = RbConfig()
 SCHEMA: dict = {
     "experiment": ("", None),
     "seed": (20260809, "finite and >= 0"),
@@ -114,11 +109,11 @@ SCHEMA: dict = {
         "block_size": (MitigationConfig.block_size, None),
     },
     "rb": {
-        "depths": (list(_RB.depths), None),
-        "n_sequences": (_RB.n_sequences, None),
-        "shots_per_sequence": (_RB.shots_per_sequence, None),
-        "n_windows": (_RB.n_windows, None),
-        "idle_between_windows_s": (_RB.idle_between_windows, None),
+        "depths": (list(RbConfig.depths), None),
+        "n_sequences": (RbConfig.n_sequences, None),
+        "shots_per_sequence": (RbConfig.shots_per_sequence, None),
+        "n_windows": (RbConfig.n_windows, None),
+        "idle_between_windows_s": (RbConfig.idle_between_windows, None),
     },
     "syndrome_sweep": {
         "n_cycles": (100000, ">= 1"),
@@ -233,7 +228,8 @@ def _config_from_dict(data) -> RunConfig:
     if pinned is None and tls.total_rate == 0:
         raise ConfigError("tls.pinned_mode: required when both switching rates are 0")
     qubit = _build(QubitParams, "qubit", merged["qubit"])
-    tau_probe = float(merged["protocol"]["tau_probe_s"]) or default_tau_probe(qubit)
+    probe = float(merged["protocol"]["tau_probe_s"])
+    tau_probe = probe if probe > 0 else default_tau_probe(qubit)  # the one place 0 reads as the optimum
     finite_pulses = merged["protocol"]["finite_pulses"]
     if experiment in ("mitigate", "rb", "syndrome-sweep"):  # the experiments that decode syndromes
         try:
@@ -309,9 +305,19 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
         fh.writelines(map(line.__mod__, zip(*columns)))
 
 
+def _json_safe(obj):
+    """``obj`` with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {key: _json_safe(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(value) for value in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as strict JSON (RFC 8259): a non-finite float is written as null."""
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_fmt)
+        json.dump(_json_safe(obj), fh, indent=2, sort_keys=True, default=_fmt, allow_nan=False)
         fh.write("\n")
 
 
@@ -328,7 +334,8 @@ def _derived_block(cfg: RunConfig) -> dict:
         "t2_s": qp.t2,
         "alpha": qp.alpha,
         "t_pi_s": qp.t_pi,
-        "tau_opt_s": cfg.tau_probe,
+        "tau_opt_s": default_tau_probe(qp),
+        "tau_probe_s": cfg.tau_probe,
         "estimation_bandwidth_hz": cycle_bandwidth(cfg.tau_probe, qp.t_readout, qp.t_reset),
         "estimation_bandwidth_overlapped_readout_hz": cycle_bandwidth(cfg.tau_probe, 0.0, qp.t_reset),
         "p_err_static": analytics.p_err_static(qp.delta_tls, qp.t2, qp.alpha),
@@ -542,10 +549,8 @@ def _run_perr(cfg: RunConfig) -> tuple[dict, dict]:
                 analytics.p_err_bandwidth(delta, gamma, p["alpha"], p["t2_s"], p["t_wall_s"]),
             )
         )
-    curve = analytics.contrast_curve(
-        delta, np.linspace(0.0, 2.0 / delta, 200), p["alpha"], p["t2_s"]
-    )
-    contrast_rows = list(zip(curve.taus.tolist(), curve.values.tolist()))
+    taus = np.linspace(0.0, 2.0 / delta, 200)
+    contrast_rows = list(zip(taus.tolist(), analytics.contrast(delta, taus, p["alpha"], p["t2_s"]).tolist()))
     files = {
         "perr.csv": (
             ["gamma_hz", "p_err_static", "p_err_exact", "p_err_expanded"],
@@ -629,14 +634,16 @@ def _run_ak(cfg: RunConfig) -> tuple[dict, dict]:
     return files, {}
 
 
-_RUNNERS = {
-    "ramsey": _run_ramsey,
-    "mitigate": _run_mitigate,
-    "rb": _run_rb,
-    "syndrome-sweep": _run_syndrome_sweep,
-    "perr": _run_perr,
-    "heatmap": _run_heatmap,
-    "ak": _run_ak,
+# experiment -> (its runner, the key of its section that --shots sets; None: no sampling knob),
+# in subcommand order
+EXPERIMENTS = {
+    "syndrome-sweep": (_run_syndrome_sweep, "n_cycles"),
+    "ramsey": (_run_ramsey, "shots"),
+    "mitigate": (_run_mitigate, "n_reps"),
+    "rb": (_run_rb, "n_sequences"),
+    "heatmap": (_run_heatmap, None),
+    "perr": (_run_perr, None),
+    "ak": (_run_ak, "n_trajectories"),
 }
 
 
@@ -645,7 +652,7 @@ def run(cfg: RunConfig) -> int:
     started = time.monotonic()
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files, extras = _RUNNERS[cfg.experiment](cfg)
+    files, extras = EXPERIMENTS[cfg.experiment][0](cfg)
     outputs = []
     for name, (header, rows) in files.items():
         path = out_dir / name
@@ -708,13 +715,14 @@ def main(argv=None) -> int:
     for key, value in (("seed", args.seed), ("out_dir", args.out), ("replicas", args.replicas)):
         if value is not None:
             data[key] = value
+    shots_key = EXPERIMENTS[args.experiment][1]
     if args.shots is not None:
-        if EXPERIMENTS[args.experiment] is None:
+        if shots_key is None:
             print(f"--shots does not apply to experiment '{args.experiment}'", file=sys.stderr)
             return 2
         section = data.setdefault(args.experiment.replace("-", "_"), {})
         if isinstance(section, dict):  # otherwise the schema check names the section
-            section[EXPERIMENTS[args.experiment]] = args.shots
+            section[shots_key] = args.shots
 
     try:
         cfg = _config_from_dict(data)

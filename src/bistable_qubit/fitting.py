@@ -127,10 +127,13 @@ def quadrature_amplitudes(taus, values, frequencies, t2: float = math.inf) -> np
 
     Solves values ~ c + E(tau) * sum_k [p_k cos(2 pi f_k tau) + q_k sin(...)]
     and returns the amplitudes hypot(p_k, q_k).  Being linear, this is robust
-    where a nonlinear multi-component fit would wander.
+    where a nonlinear multi-component fit would wander.  With fewer taus than
+    the 2k+1 unknowns the system is underdetermined and every amplitude is NaN.
     """
     taus = np.asarray(taus, dtype=float)
     values = np.asarray(values, dtype=float)
+    if taus.size < 2 * len(frequencies) + 1:
+        return np.full(len(frequencies), math.nan)
     env = np.exp(-taus / t2)
     columns = [np.ones_like(taus)]
     for f in frequencies:

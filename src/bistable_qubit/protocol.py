@@ -305,17 +305,19 @@ class MitigationConfig:
     """Interleaved fringe experiment: alternating open-loop and feedback cycles."""
 
     tau_grid: tuple[float, ...]
+    tau_probe: float  # the syndrome probe time; default_tau_probe gives the optimal one
     n_reps: int = 10
     rows: int = 1
     det_nofb: float = 2.0e6
     det_fb: float = 2.33e6
-    tau_probe: float = 0.0  # 0 -> optimal probing time for the qubit params
     idle_between_rows: float = 0.0
     block_size: int = 1
 
     def __post_init__(self):
         if len(self.tau_grid) < 1:
             raise ValueError("tau_grid must be nonempty")
+        if not 0 < self.tau_probe < math.inf:
+            raise ValueError("tau_probe must be finite and > 0")
         for name in ("n_reps", "rows", "block_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -349,7 +351,6 @@ def run_mitigation(
     """
     qp = env.qubit
     taus = np.asarray(config.tau_grid, dtype=float)
-    tau_probe = config.tau_probe or default_tau_probe(qp)
     n_tau = taus.size
     counts_nofb = np.zeros((config.rows, n_tau))
     counts_fb = np.zeros((config.rows, n_tau))
@@ -365,7 +366,7 @@ def run_mitigation(
                 for _ in range(block):
                     counts_nofb[row, i] += ramsey_cycle(env, qp.f_high, tau, config.det_nofb, rng)
                 for k in range(block):
-                    m_syn, f_c = syndrome_cycle(env, tau_probe, rng)
+                    m_syn, f_c = syndrome_cycle(env, config.tau_probe, rng)
                     est_xi = 0 if f_c == qp.f_high else 1
                     trace.append(
                         SyndromeRecord(

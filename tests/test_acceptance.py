@@ -187,7 +187,7 @@ def test_criterion_05_benchmarking_decoherence_floor():
     started = time.monotonic()
     rng = substream(SEED, "acceptance-rb-floor")
     env = make_environment(QP, FROZEN, rng, pinned_mode=0)
-    config = rb.RbConfig(n_sequences=100, shots_per_sequence=6, n_windows=1)
+    config = rb.RbConfig(tau_probe=default_tau_probe(QP), n_sequences=100, shots_per_sequence=6, n_windows=1)
     series = rb.run_rb_interleaved(env, config, rng)
     window = series.windows[0]
     floor = rb.decoherence_floor_per_gate(QP)
@@ -209,7 +209,7 @@ def test_criterion_06_benchmarking_improvement():
     rng = substream(SEED, "acceptance6")
     env = make_environment(QP, TelegraphParams.from_dwell_time(6.0), rng)
     config = rb.RbConfig(
-        n_sequences=84, shots_per_sequence=4, n_windows=70, idle_between_windows=0.6
+        tau_probe=default_tau_probe(QP), n_sequences=84, shots_per_sequence=4, n_windows=70, idle_between_windows=0.6
     )
     series = rb.run_rb_interleaved(env, config, rng)
     floor = rb.decoherence_floor_per_gate(QP)

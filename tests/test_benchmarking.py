@@ -24,7 +24,7 @@ from bistable_qubit.bloch import (
     pulse_map,
     readout_bit,
 )
-from bistable_qubit.protocol import Environment, make_environment
+from bistable_qubit.protocol import Environment, default_tau_probe, make_environment
 from bistable_qubit.streams import substream
 from bistable_qubit.telegraph import TelegraphParams
 
@@ -197,7 +197,7 @@ def _capture_decisions(monkeypatch):
 
 
 def _record_resolved_keys(monkeypatch):
-    """Record the keys ``outcomes`` steps: batches, and switch-free ``_step`` calls (one segment)."""
+    """Record the keys ``outcomes`` steps: batches, and any switch-free ``_step`` calls (one segment)."""
     batches, stepped = [], []
     step_batch, step = rb.SequenceExecutor._step_batch, rb.SequenceExecutor._step
 
@@ -232,14 +232,7 @@ class TestExecutor:
         # Fast switching puts several mode switches inside each sequence.
         fast = TelegraphParams(2e6, 2e6)
         f_c = QP.f_high if frame == "high" else QP.f_low
-        captured = []
-        step = rb.SequenceExecutor._step
-
-        def capture(self, indices, f_c, segments):  # the state before readout
-            captured.append(step(self, indices, f_c, segments))
-            return captured[-1]
-
-        monkeypatch.setattr(rb.SequenceExecutor, "_step", capture)
+        captured = _capture_decisions(monkeypatch)
         switched = 0
         for k in range(20):
             env = make_environment(QP, fast, substream(506, "paths", k))
@@ -249,9 +242,10 @@ class TestExecutor:
             segments, _ = telegraph.dwell_segments(env.xi, fast, total, substream(506, "run", k))
             switched += len(segments) > 1
             executor.run(seq, f_c, substream(506, "run", k))
-            executor.outcomes()  # a lone switch-free key is stepped by _step here
+            executor.outcomes()
             expected = _slot_by_slot(executor, seq, f_c, segments)
-            assert captured[-1] == pytest.approx(expected, abs=1e-12)
+            assert captured[-1] == pytest.approx(expected[2], abs=1e-12)
+            assert executor._step(seq, f_c, segments) == pytest.approx(expected, abs=1e-12)
         assert switched >= 15
 
     @settings(max_examples=60, derandomize=True, deadline=None)
@@ -304,22 +298,20 @@ class TestExecutor:
     )
     def test_batched_state_equals_the_scalar_step(self, seed, lengths):
         # One queue mixing lengths 0, 1, odd and 2049, both modes and both
-        # frames, on a frozen defect; every length but 0 has enough distinct
-        # sequences for a batch.
+        # frames, on a frozen defect.
         env = Environment(QP, FROZEN, 0, True)
         executor = rb.SequenceExecutor(env)
         rng = substream(518, "batch", seed)
         draw = np.random.default_rng(seed)
-        per_length = -(-rb.BATCH_MIN_KEYS // 4)  # four (mode, frame) keys per sequence
-        expected = []
+        expected, distinct = [], set()
         with pytest.MonkeyPatch.context() as mp:
             captured = _capture_decisions(mp)
-            batches, _ = _record_resolved_keys(mp)
+            batches, stepped = _record_resolved_keys(mp)
             for length in lengths:
                 if length == 1:  # distinct single elements
-                    sequences = draw.permutation(24)[:per_length, None]
+                    sequences = draw.permutation(24)[:3, None]
                 else:
-                    sequences = draw.integers(0, 24, size=(1 if length == 0 else per_length, length))
+                    sequences = draw.integers(0, 24, size=(1 if length == 0 else 3, length))
                 for seq in sequences.tolist():
                     for xi in (0, 1):
                         for f_c in (QP.f_high, QP.f_low):
@@ -327,9 +319,12 @@ class TestExecutor:
                             executor.run(seq, f_c, rng)
                             total = sum(executor.durations[i] for i in seq)
                             expected.append(executor._step(seq, f_c, [(xi, total)])[2])
+                            distinct.add((bytes(seq), xi, f_c))
+            stepped.clear()  # the reference calls above
             executor.outcomes()
         assert captured == expected
-        assert sorted(len(keys[0][0]) for keys in batches) == sorted(n for n in lengths if n)
+        assert sorted(len(keys[0][0]) for keys in batches) == sorted(lengths)  # one batch per length
+        assert sorted(k for keys in batches for k in keys) == sorted(distinct) and stepped == []
 
     def test_each_distinct_key_is_stepped_once(self, monkeypatch):
         env = make_environment(QP, FROZEN, None, pinned_mode=0)
@@ -337,16 +332,16 @@ class TestExecutor:
         rng = substream(516, "distinct-keys")
         batches, stepped = _record_resolved_keys(monkeypatch)
         first, second = [0, 5, 7, 11], [3, 3, 20]
-        short = [[k, 23 - k] for k in range(rb.BATCH_MIN_KEYS)]  # enough keys of length 2 for a batch
-        runs = [(first, QP.f_high), (second, QP.f_low), (first, QP.f_high), (first, QP.f_low)]
-        runs += [(seq, QP.f_high) for seq in short] + [(second, QP.f_low), (short[0], QP.f_high)]
+        short = [[k, 23 - k] for k in range(3)]
+        runs = [(first, QP.f_high), (second, QP.f_low), (first, QP.f_high), (first, QP.f_low), ([], QP.f_high)]
+        runs += [(seq, QP.f_high) for seq in short] + [(second, QP.f_low), (short[0], QP.f_high), ([], QP.f_high)]
         for seq, f_c in runs:
             for _ in range(3):
                 executor.run(seq, f_c, rng)
         assert len(executor.outcomes()) == 3 * len(runs)
         distinct = {(bytes(seq), 0, f_c) for seq, f_c in runs}
-        assert [sorted(keys) for keys in batches] == [sorted((bytes(seq), 0, QP.f_high) for seq in short)]
-        assert sorted(stepped) == sorted(distinct - set(batches[0]))  # each small group by _step
+        assert sorted(len(keys[0][0]) for keys in batches) == [0, 2, 3, 4]  # one batch per length
+        assert sorted(k for keys in batches for k in keys) == sorted(distinct) and stepped == []
         batches.clear()
         assert executor.outcomes() == []
         assert batches == []
@@ -371,7 +366,7 @@ class TestExecutor:
                 switch_free.append((bytes(seq), xi, f_c))
         stepped.clear()  # the segmented runs' own, stepped at run time, never have one segment
         assert len(executor.outcomes()) == 40
-        assert segmented >= 10 and len(switch_free) >= rb.BATCH_MIN_KEYS
+        assert segmented >= 10 and len(switch_free) >= 10
         assert sorted(k for keys in batches for k in keys) + stepped == sorted(switch_free)
 
     def test_resolving_an_rb_depth_stays_small(self):
@@ -483,7 +478,7 @@ class TestInterleavedRun:
         qp = QubitParams.defaults(t1=math.inf, t_phi=math.inf, readout_eps_1to0=0.0)
         rng = substream(511, "spamfloor")
         env = make_environment(qp, FROZEN, rng, pinned_mode=0)
-        cfg = rb.RbConfig(depths=(1, 8, 64, 512), n_sequences=400, n_windows=1)
+        cfg = rb.RbConfig(tau_probe=default_tau_probe(qp), depths=(1, 8, 64, 512), n_sequences=400, n_windows=1)
         series = rb.run_rb_interleaved(env, cfg, rng)
         win = series.windows[0]
         floor = 1.0 - qp.readout_eps_0to1
@@ -498,7 +493,7 @@ class TestInterleavedRun:
     def test_all_noise_off_gives_zero_error(self):
         rng = substream(514, "noiseoff")
         env = make_environment(IDEAL, FROZEN, rng, pinned_mode=0)
-        cfg = rb.RbConfig(depths=(1, 8, 64, 512), n_sequences=50, n_windows=1)
+        cfg = rb.RbConfig(tau_probe=default_tau_probe(IDEAL), depths=(1, 8, 64, 512), n_sequences=50, n_windows=1)
         series = rb.run_rb_interleaved(env, cfg, rng)
         win = series.windows[0]
         assert np.all(win.survivals_nofb == 1.0)
@@ -515,7 +510,7 @@ class TestInterleavedRun:
     def test_pinned_floor_run(self):
         rng = substream(512, "floor")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0)
-        cfg = rb.RbConfig(n_sequences=30, shots_per_sequence=4, n_windows=1)
+        cfg = rb.RbConfig(tau_probe=default_tau_probe(QP), n_sequences=30, shots_per_sequence=4, n_windows=1)
         series = rb.run_rb_interleaved(env, cfg, rng)
         win = series.windows[0]
         floor = rb.decoherence_floor_per_gate(QP)
@@ -527,7 +522,7 @@ class TestInterleavedRun:
         rng = substream(513, "windows")
         env = make_environment(QP, TelegraphParams.from_dwell_time(1.0), rng)
         cfg = rb.RbConfig(
-            depths=(1, 4, 16), n_sequences=5, n_windows=3, idle_between_windows=0.5
+            tau_probe=default_tau_probe(QP), depths=(1, 4, 16), n_sequences=5, n_windows=3, idle_between_windows=0.5
         )
         series = rb.run_rb_interleaved(env, cfg, rng)
         assert len(series.windows) == 3
@@ -539,11 +534,11 @@ class TestInterleavedRun:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            rb.RbConfig(depths=())
+            rb.RbConfig(tau_probe=1e-6, depths=())
         with pytest.raises(ValueError):
-            rb.RbConfig(depths=(4, 2))
+            rb.RbConfig(tau_probe=1e-6, depths=(4, 2))
         with pytest.raises(ValueError):
-            rb.RbConfig(depths=(1, 2, 4), n_sequences=0)
+            rb.RbConfig(tau_probe=1e-6, depths=(1, 2, 4), n_sequences=0)
 
     @pytest.mark.parametrize(
         "kwargs, field",
@@ -556,7 +551,7 @@ class TestInterleavedRun:
     )
     def test_config_rejects_before_the_run(self, kwargs, field):
         with pytest.raises(ValueError, match=f"^{field} must"):
-            rb.RbConfig(**kwargs)
+            rb.RbConfig(tau_probe=1e-6, **kwargs)
 
     def test_feedback_arm_wins_below_quarter_error_rate(self):
         # Lengthening the dead time drives the estimate stale; while the
@@ -564,9 +559,10 @@ class TestInterleavedRun:
         # infidelity must not exceed the open-loop arm's (3-sigma on means).
         from dataclasses import replace as dreplace
 
-        from bistable_qubit.protocol import default_tau_probe, syndrome_error_rate
+        from bistable_qubit.protocol import syndrome_error_rate
 
         cfg = rb.RbConfig(
+            tau_probe=default_tau_probe(QP),
             depths=(1, 4, 16, 64, 256, 1024),
             n_sequences=42,
             shots_per_sequence=4,

@@ -134,6 +134,15 @@ class TestParseConfig:
             parse_config("{not json")
 
 
+def _strict_json(text):
+    """Parse ``text`` as RFC 8259 JSON, where NaN and Infinity tokens do not exist."""
+
+    def reject(token):
+        raise ValueError(f"not a JSON token: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestRun:
     def test_manifest_derived_block(self, tmp_path):
         cfg = parse_config(json.dumps({"experiment": "perr", "out_dir": str(tmp_path)}))
@@ -141,11 +150,19 @@ class TestRun:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         derived = manifest["derived"]
         assert derived["tau_opt_s"] == pytest.approx(1.33e-6, rel=0.01)
+        assert derived["tau_probe_s"] == derived["tau_opt_s"]
         assert derived["estimation_bandwidth_hz"] == pytest.approx(107.2e3, rel=0.01)
         assert derived["estimation_bandwidth_overlapped_readout_hz"] == pytest.approx(
             136e3, rel=0.01
         )
         assert derived["p_err_static"] == pytest.approx(0.0443, abs=3e-4)
+        # A set probe time is reported as used; the optimum stays the optimum.
+        doc = {"experiment": "perr", "out_dir": str(tmp_path), "protocol": {"tau_probe_s": 1e-6}}
+        assert cli.run(parse_config(json.dumps(doc))) == 0
+        derived = json.loads((tmp_path / "manifest.json").read_text())["derived"]
+        assert derived["tau_opt_s"] == pytest.approx(1.33e-6, rel=0.01)
+        assert derived["tau_probe_s"] == 1e-6
+        assert derived["estimation_bandwidth_hz"] == pytest.approx(1 / (1e-6 + 8e-6))
 
     def test_manifest_references_all_outputs(self, tmp_path):
         import hashlib
@@ -219,14 +236,18 @@ class TestRun:
         assert first == "splitting_2pi_delta_over_omega,gamma_t_cyc,log10_improvement"
 
     def test_mitigate_with_fewer_taus_than_fit_parameters(self, tmp_path):
-        doc = {
-            "experiment": "mitigate",
-            "out_dir": str(tmp_path),
-            "mitigate": {"rows": 1, "n_tau": 2, "n_reps": 1},
-        }
-        assert cli.run(parse_config(json.dumps(doc))) == 0
-        manifest = (tmp_path / "manifest.json").read_text()
-        assert '"no_feedback_mixture_ok": false' in manifest
+        for n_tau, n_reps in ((2, 1), (1, 2)):
+            doc = {
+                "experiment": "mitigate",
+                "out_dir": str(tmp_path),
+                "mitigate": {"rows": 1, "n_tau": n_tau, "n_reps": n_reps},
+            }
+            assert cli.run(parse_config(json.dumps(doc))) == 0
+            fits = _strict_json((tmp_path / "manifest.json").read_text())["fringe_fits"]["replica_0"]
+            assert fits["no_feedback_mixture_ok"] is False
+            assert fits["no_feedback_f1_hz"] is None and fits["no_feedback_f2_hz"] is None
+            # Three frequencies need 7 taus: no amplitude is measured.
+            assert fits["feedback_principal_amplitude"] is None and fits["feedback_sideband_ratio"] is None
 
     def test_replicas_column(self, tmp_path):
         cfg = parse_config(
@@ -540,6 +561,6 @@ GOLDEN = {
 def test_golden_data_files(tmp_path, name):
     doc, expected = GOLDEN[name]
     assert cli.run(parse_config(json.dumps(dict(doc, out_dir=str(tmp_path))))) == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest = _strict_json((tmp_path / "manifest.json").read_text())
     assert manifest["artifact_version"] == GOLDEN_VERSION
     assert {o["file"]: o["sha256"] for o in manifest["outputs"]} == expected

@@ -73,6 +73,19 @@ def test_quadrature_amplitudes_recover_components():
     assert amps[2] < 6e-3
 
 
+@pytest.mark.parametrize("n_points", [0, 1, 6, 7])
+def test_quadrature_amplitudes_need_one_tau_per_unknown(n_points):
+    # Three frequencies: an offset and two quadratures each, 7 unknowns.
+    frequencies = [2.33e6, 1.956e6, 2.704e6]
+    taus = TAUS[:n_points]
+    amps = quadrature_amplitudes(taus, 0.5 + 0.4 * np.cos(2 * math.pi * 2.33e6 * taus), frequencies)
+    assert amps.shape == (3,)
+    if n_points < 2 * len(frequencies) + 1:
+        assert np.all(np.isnan(amps))
+    else:
+        assert np.all(np.isfinite(amps))
+
+
 def test_fringe_time_offset():
     delta = 374e3
     offset = 30e-9

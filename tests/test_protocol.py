@@ -307,13 +307,14 @@ class TestEnvironment:
         [
             lambda env, rng: run_mitigation(
                 env,
-                MitigationConfig(tau_grid=(0.3e-6, 1.1e-6), n_reps=3, rows=3, idle_between_rows=2e-5),
+                MitigationConfig(tau_grid=(0.3e-6, 1.1e-6), tau_probe=default_tau_probe(QP), n_reps=3, rows=3,
+                                 idle_between_rows=2e-5),
                 rng,
             ),
             lambda env, rng: rb.run_rb_interleaved(
                 env,
-                rb.RbConfig(depths=(1, 8, 64), n_sequences=3, shots_per_sequence=2, n_windows=2,
-                            idle_between_windows=2e-5),
+                rb.RbConfig(tau_probe=default_tau_probe(QP), depths=(1, 8, 64), n_sequences=3,
+                            shots_per_sequence=2, n_windows=2, idle_between_windows=2e-5),
                 rng,
             ),
         ],
@@ -339,6 +340,22 @@ class TestEnvironment:
         run(env, rng)
         assert sum(switches) > 10
         assert env.clock == list(accumulate(advanced, initial=0.0))[-1]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [lambda **kw: MitigationConfig(tau_grid=(1e-6,), **kw), lambda **kw: rb.RbConfig(**kw)],
+    ids=["mitigation", "benchmarking"],
+)
+class TestProbeTime:
+    def test_required(self, config):
+        with pytest.raises(TypeError, match="tau_probe"):
+            config()
+
+    @pytest.mark.parametrize("tau", [0.0, -1e-6, math.inf, math.nan])
+    def test_rejects_a_time_that_is_not_finite_and_positive(self, config, tau):
+        with pytest.raises(ValueError, match="^tau_probe must be finite and > 0$"):
+            config(tau_probe=tau)
 
 
 class TestXGatePopulation:
