@@ -387,18 +387,6 @@ class ImprovementMap:
     zero_contour: np.ndarray
 
 
-def improvement_cell(
-    norm_splitting: float,
-    gamma_t_cyc: float,
-    alpha: float,
-    t_pi: float,
-    t2: float,
-    t_wall: float,
-) -> float:
-    """One map cell: the 1x1 case of :func:`improvement_map`."""
-    return float(improvement_map([norm_splitting], [gamma_t_cyc], alpha, t_pi, t2, t_wall).values[0, 0])
-
-
 def improvement_map(
     splittings,
     switching,
@@ -412,11 +400,13 @@ def improvement_map(
 
     The blind arm drives midway between the modes (equal populations, the
     worst case); the active arm pays p_err from the linear bandwidth budget.
-    This is the array form of the cell formula (:func:`improvement_cell` is
-    its 1x1 case), with the scalar formula's operations in its order: the
-    per-row terms are Python floats (``v ** 2`` is the C ``pow``, which numpy
-    replaces by a multiplication) and each cell takes ``math.log10``, which
-    ``np.log10`` does not match to the last ulp.
+    A cell is log10[(floor + c/4) / (floor + p_err c)] with the pulse floor
+    1 - alpha exp(-t_pi/T2) and c = x^2 for the normalized splitting x,
+    computed with the scalar formula's operations in its order, so a 1x1 map
+    gives every cell of a larger one bit for bit: the per-row terms are
+    Python floats (``v ** 2`` is the C ``pow``, which numpy replaces by a
+    multiplication) and each cell takes ``math.log10``, which ``np.log10``
+    does not match to the last ulp.
     """
     splittings = np.atleast_1d(np.asarray(splittings, dtype=float))
     switching = np.atleast_1d(np.asarray(switching, dtype=float))

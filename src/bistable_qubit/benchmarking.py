@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -102,10 +102,6 @@ def gates_per_clifford() -> float:
     return sum(e.n_pulses for e in table) / len(table)
 
 
-def _match_scores(u: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    return np.abs(np.einsum("nij,ji->n", stack.conj().transpose(0, 2, 1), u)) / 2.0
-
-
 @cache
 def _unitary_stack() -> np.ndarray:
     return np.stack([e.unitary for e in clifford_table()])
@@ -113,7 +109,8 @@ def _unitary_stack() -> np.ndarray:
 
 def match_element(u: np.ndarray) -> int:
     """Index of the table element equal to ``u`` up to global phase."""
-    scores = _match_scores(u, _unitary_stack())
+    stack = _unitary_stack()
+    scores = np.abs(np.einsum("nij,ji->n", stack.conj().transpose(0, 2, 1), u)) / 2.0
     idx = int(np.argmax(scores))
     if scores[idx] < 1.0 - 1e-9:
         raise ValueError("unitary is not a Clifford element of the table")
@@ -179,9 +176,29 @@ class SequenceExecutor:
     def __init__(self, env: Environment):
         self.env = env
         self.table = clifford_table()
-        self.slot = env.qubit.t_pi
+        qp = env.qubit
+        self.slot = qp.t_pi
         self.durations = tuple(e.n_pulses * self.slot for e in self.table)
+        # Per (mode, frame), in the column order of the gather table: per element
+        # (its composed map,) and the maps of its slots.
         self._maps: dict[tuple[int, float], list[tuple[tuple, tuple]]] = {}
+        for xi in (0, 1):
+            for f_c in (qp.f_high, qp.f_low):
+                delta_q = detuning(qp, f_c, xi)
+                entries = []
+                for element in self.table:
+                    slots = []
+                    for gate in element.pulses:
+                        duration = pulse_duration(gate.angle, qp)
+                        steps = [pulse_map(gate.axis_phase, gate.angle, delta_q, qp, True)]
+                        if self.slot > duration:
+                            steps.append(free_map(delta_q, self.slot - duration, qp))
+                        slots.append(compose(*steps))
+                    entries.append(((compose(IDENTITY, *slots),), tuple(slots)))
+                self._maps[xi, f_c] = entries
+        # Every element's composed map per (mode, frame), as the (4, 3, 24 * 4) gather table.
+        m = np.array([entry[0][0] for entries in self._maps.values() for entry in entries]).T
+        self._composed_table = np.ascontiguousarray([m[0:9:3], m[1:9:3], m[2:9:3], m[9:12]])
         # The queue: the duration of each queued sequence, and per shot its
         # (sequence, mode, frame) key, its state's z when a switch landed in it
         # (else None) and its two readout uniforms.
@@ -190,22 +207,7 @@ class SequenceExecutor:
 
     def _map_table(self, xi: int, f_c: float) -> list[tuple[tuple, tuple]]:
         """Per element: (its composed map,) and the maps of its slots, in mode xi and frame f_c."""
-        key = (xi, f_c)
-        if key not in self._maps:
-            qp = self.env.qubit
-            delta_q = detuning(qp, f_c, xi)
-            entries = []
-            for element in self.table:
-                slots = []
-                for gate in element.pulses:
-                    duration = pulse_duration(gate.angle, qp)
-                    steps = [pulse_map(gate.axis_phase, gate.angle, delta_q, qp, True)]
-                    if self.slot > duration:
-                        steps.append(free_map(delta_q, self.slot - duration, qp))
-                    slots.append(compose(*steps))
-                entries.append(((compose(IDENTITY, *slots),), tuple(slots)))
-            self._maps[key] = entries
-        return self._maps[key]
+        return self._maps[xi, f_c]
 
     def run(self, indices: list[int] | bytes, f_c: float, rng: np.random.Generator) -> None:
         """Queue reset -> sequence -> measure in frame f_c; ``outcomes`` returns its bit.
@@ -278,14 +280,6 @@ class SequenceExecutor:
             state += m_z
             state += shift
         return state[2].tolist()
-
-    @cached_property
-    def _composed_table(self) -> np.ndarray:
-        """Every element's composed map per (mode, frame), as the (4, 3, 24 * 4) gather table."""
-        qp = self.env.qubit
-        maps = [entry[0][0] for xi in (0, 1) for f_c in (qp.f_high, qp.f_low) for entry in self._map_table(xi, f_c)]
-        m = np.array(maps).T  # (12, columns): the rows of M, then c
-        return np.ascontiguousarray([m[0:9:3], m[1:9:3], m[2:9:3], m[9:12]])
 
     def _step(
         self, indices: list[int] | bytes, f_c: float, segments: list[tuple[int, float]]
@@ -472,7 +466,6 @@ class RbWindow:
 class RbTimeSeries:
     depths: np.ndarray
     windows: list[RbWindow]
-    gates_per_clifford: float
 
 
 def _survival_weights(k: np.ndarray, n: int) -> np.ndarray:
@@ -539,7 +532,7 @@ def run_rb_interleaved(
         if config.idle_between_windows > 0:
             env.advance(config.idle_between_windows, rng)
 
-    return RbTimeSeries(depths=depths, windows=windows, gates_per_clifford=gates_per_clifford())
+    return RbTimeSeries(depths=depths, windows=windows)
 
 
 def decoherence_floor_per_gate(qp: QubitParams) -> float:

@@ -66,6 +66,8 @@ class QubitParams:
                 raise ValueError(f"{name} must be positive")
         if self.rabi_rate == math.inf:
             raise ValueError("rabi_rate must be finite")
+        if self.t2 == 0.0:  # 1/(2 T1) + 1/Tphi overflows for times below ~1e-308 s
+            raise ValueError("T2 = 1/(1/(2 t1) + 1/t_phi) must be positive: t1 or t_phi is too short")
         for name in ("readout_eps_0to1", "readout_eps_1to0"):
             if not 0.0 <= getattr(self, name) < 0.5:
                 raise ValueError(f"{name} must lie in [0, 0.5)")
@@ -108,8 +110,8 @@ class QubitParams:
         return self.t_readout + self.t_reset
 
     def mode_frequency(self, xi: int) -> float:
-        """Qubit frequency in mode ``xi`` (0 -> f_high, 1 -> f_low)."""
-        return self.f_high - self.delta_tls * xi
+        """Qubit frequency in mode ``xi`` (0 -> f_high, 1 -> f_low): the configured value itself."""
+        return self.f_low if xi else self.f_high
 
     @classmethod
     def defaults(cls, **overrides) -> "QubitParams":

@@ -3,12 +3,13 @@
 Experiments are configured by a JSON document (all keys optional except
 ``experiment`` when no subcommand supplies it).  ``SCHEMA`` declares every key
 once with its default and domain; ``parse_config`` rejects, naming the key
-path, an unknown key, a wrong JSON type, NaN or a value out of its domain, and
-builds the library types the sections feed, whose own checks also run.
-Outputs are UTF-8 CSV tables with header rows plus a JSON manifest that
-echoes the configuration, records derived quantities, and checksums every
-produced file.  For a fixed seed the data files are byte-identical across
-runs; only the manifest's wall_time_s field varies.
+path, an unknown key, a wrong JSON type, NaN, an integer too large for a float
+or a value out of its domain, and builds the library types the sections feed,
+whose own checks also run.  Outputs are UTF-8 CSV tables with header rows plus
+a JSON manifest that echoes the configuration, records derived quantities, and
+checksums the bytes written to every produced file.  For a fixed seed the data
+files are byte-identical across runs; only the manifest's wall_time_s field
+varies.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics
-from .benchmarking import RbConfig, decoherence_floor_per_gate, run_rb_interleaved
+from .benchmarking import RbConfig, decoherence_floor_per_gate, gates_per_clifford, run_rb_interleaved
 from .bloch import QubitParams
 from .fitting import fit_two_frequency_mixture, quadrature_amplitudes
 from .protocol import (
@@ -53,6 +54,7 @@ _MODE_NAMES = {None: None, "H": 0, "L": 1, 0: 0, 1: 1}
 # A key's domain, named by the text that completes "must be ...", and its test.
 DOMAINS = {
     "finite": math.isfinite,
+    "in [0, 2**64)": lambda v: 0 <= v < 2**64,
     "finite and > 0": lambda v: 0 < v < math.inf,
     "finite and >= 0": lambda v: 0 <= v < math.inf,
     ">= 1": lambda v: v >= 1,
@@ -68,7 +70,7 @@ DOMAINS = {
 _QUBIT = QubitParams.defaults()
 SCHEMA: dict = {
     "experiment": ("", None),
-    "seed": (20260809, "finite and >= 0"),
+    "seed": (20260809, "in [0, 2**64)"),  # the root seed of streams.substream
     "out_dir": ("out", None),
     "replicas": (1, ">= 1"),
     "qubit": {
@@ -149,14 +151,20 @@ SCHEMA: dict = {
 
 
 def _check(path: str, default, domain: str | None, value):
-    """Check ``value`` for the JSON type of ``default`` (an int passes for a float; list items
-    for that of the default's items, or number), NaN and ``domain``; return it unchanged."""
+    """Check ``value`` for the JSON type of ``default`` (an int passes for a float that can hold
+    it; list items for that of the default's items, or number), NaN and ``domain``; return it
+    unchanged."""
     kinds = {float: (int, float)}.get(type(default), (type(default),))
     wrong_type = not isinstance(value, kinds) or isinstance(value, bool) != isinstance(default, bool)
     if default is not None and wrong_type:
         raise ConfigError(f"{path}: expected {type(default).__name__}, got {json.dumps(value)}")
     if isinstance(value, float) and math.isnan(value):
         raise ConfigError(f"{path}: must not be NaN")
+    if isinstance(default, float):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"{path}: integer too large for a float") from None
     for i, item in enumerate(value if isinstance(default, list) else ()):
         _check(f"{path}[{i}]", default[0] if default else 0.0, None, item)
     if domain is not None and not DOMAINS[domain](value):
@@ -284,12 +292,13 @@ def _fmt(value) -> str:
 _COLUMN_SPECS = {float: "%.12g", int: "%d", str: "%s"}
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> tuple[str, int]:
     """Write ``rows`` under ``header``; every value prints as ``_fmt`` prints it.
 
     Each column's conversion is chosen once: a column of one type in
     ``_COLUMN_SPECS`` gets its %-spec, any other column is passed through
     ``_fmt`` value by value.  A row is then one %-format of one line pattern.
+    Returns the SHA-256 hex digest and the length of the bytes written.
     """
     columns = list(zip(*rows))
     specs = []
@@ -300,9 +309,9 @@ def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> None:
             columns[i], spec = [_fmt(v) for v in values], "%s"
         specs.append(spec)
     line = ",".join(specs) + "\n"
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(map(line.__mod__, zip(*columns)))
+    data = (",".join(header) + "\n" + "".join(map(line.__mod__, zip(*columns)))).encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest(), len(data)
 
 
 def _json_safe(obj):
@@ -319,12 +328,6 @@ def _write_json(path: Path, obj) -> None:
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         json.dump(_json_safe(obj), fh, indent=2, sort_keys=True, default=_fmt, allow_nan=False)
         fh.write("\n")
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    digest.update(path.read_bytes())
-    return digest.hexdigest()
 
 
 def _derived_block(cfg: RunConfig) -> dict:
@@ -430,13 +433,12 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
     qp = cfg.qubit
     ts_rows, surv_rows = [], []
     summary = {
-        "gates_per_clifford": None,
+        "gates_per_clifford": gates_per_clifford(),
         "decoherence_floor_per_gate": decoherence_floor_per_gate(qp),
         "replicas": {},
     }
     for replica, env, rng in _replicas(cfg):
         series = run_rb_interleaved(env, cfg.rb, rng)
-        summary["gates_per_clifford"] = series.gates_per_clifford
         valid_nofb, valid_fb = [], []
         for win in series.windows:
             mid = 0.5 * (win.lab_time_start + win.lab_time_end)
@@ -502,9 +504,10 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
                 rng = substream(cfg.seed, cfg.experiment, "replica", replica, f"{gamma}", f"{t_wall}")
                 qp_run = replace(qp, t_readout=0.0, t_reset=t_wall)
                 tlsp = TelegraphParams.symmetric(float(gamma))
-                pinned = cfg.pinned_mode if cfg.pinned_mode is not None else (0 if gamma == 0 else None)
+                frozen = tlsp.total_rate == 0  # also for the rate 5e-324, whose halves underflow
+                pinned = cfg.pinned_mode if cfg.pinned_mode is not None else (0 if frozen else None)
                 env = make_environment(qp_run, tlsp, rng, pinned, cfg.finite_pulses)
-                resample = gamma == 0 and cfg.pinned_mode is None
+                resample = frozen and cfg.pinned_mode is None
                 p_mc = syndrome_error_rate(env, p["n_cycles"], cfg.tau_probe, rng, resample)
                 rows.append(
                     (
@@ -563,18 +566,15 @@ def _run_perr(cfg: RunConfig) -> tuple[dict, dict]:
 
 def _run_heatmap(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
-    if p["log_axes"]:
-        splittings = np.logspace(
-            math.log10(p["splitting_min"]), math.log10(p["splitting_max"]), p["n_splitting"]
-        )
-        switching = np.logspace(
-            math.log10(p["switching_min"]), math.log10(p["switching_max"]), p["n_switching"]
-        )
-    else:
-        splittings = np.linspace(p["splitting_min"], p["splitting_max"], p["n_splitting"])
-        switching = np.linspace(p["switching_min"], p["switching_max"], p["n_switching"])
+
+    def axis(name: str) -> np.ndarray:
+        ends = p[f"{name}_min"], p[f"{name}_max"]
+        if p["log_axes"]:
+            return np.logspace(*map(math.log10, ends), p[f"n_{name}"])
+        return np.linspace(*ends, p[f"n_{name}"])
+
     amap = analytics.improvement_map(
-        splittings, switching, p["alpha"], p["t_pi_s"], p["t2_s"], p["t_wall_s"]
+        axis("splitting"), axis("switching"), p["alpha"], p["t_pi_s"], p["t2_s"], p["t_wall_s"]
     )
     switching = amap.switching.tolist()
     rows = [
@@ -655,9 +655,8 @@ def run(cfg: RunConfig) -> int:
     files, extras = EXPERIMENTS[cfg.experiment][0](cfg)
     outputs = []
     for name, (header, rows) in files.items():
-        path = out_dir / name
-        _write_csv(path, header, rows)
-        outputs.append({"file": name, "sha256": _sha256(path), "bytes": path.stat().st_size})
+        sha256, size = _write_csv(out_dir / name, header, rows)
+        outputs.append({"file": name, "sha256": sha256, "bytes": size})
     manifest = {
         "experiment": cfg.experiment,
         "artifact_version": __version__,

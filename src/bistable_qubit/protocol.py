@@ -202,19 +202,6 @@ def _noiseless(qp: QubitParams) -> QubitParams:
     return replace(qp, t1=math.inf, t_phi=math.inf, readout_eps_0to1=0.0, readout_eps_1to0=0.0)
 
 
-def _two_pulse_probability(
-    qp: QubitParams,
-    f_c: float,
-    xi: int,
-    tau: float,
-    second_axis_phase: float,
-    finite_pulses: bool,
-) -> float:
-    """Deterministic P(m=1) of the two-pulse cycle with the mode pinned."""
-    state = _switch_free_state(qp, finite_pulses, f_c, xi, tau, second_axis_phase)
-    return reported_excited_probability(state[2], qp)
-
-
 def ramsey_probability(
     qp: QubitParams,
     f_c: float,
@@ -227,7 +214,8 @@ def ramsey_probability(
     if tau < 0:
         raise ValueError("tau must be nonnegative")
     phase = 2.0 * math.pi * virtual_detuning * tau
-    return _two_pulse_probability(qp, f_c, xi, tau, phase, finite_pulses)
+    state = _switch_free_state(qp, finite_pulses, f_c, xi, tau, phase)
+    return reported_excited_probability(state[2], qp)
 
 
 @lru_cache(maxsize=64)
@@ -240,10 +228,7 @@ def calibrate_decode_map(
     contrast between the modes.
     """
     ideal = _noiseless(qp)
-    p1 = [
-        _two_pulse_probability(ideal, qp.f_high, xi, tau_probe, 0.0, finite_pulses)
-        for xi in (0, 1)
-    ]
+    p1 = [ramsey_probability(ideal, qp.f_high, xi, tau_probe, 0.0, finite_pulses) for xi in (0, 1)]
     if abs(p1[0] - p1[1]) < 1e-6:
         raise ValueError("probe time yields no contrast between the modes")
     xi_for_m1 = 0 if p1[0] > p1[1] else 1
@@ -396,21 +381,19 @@ def syndrome_error_rate(
     n_cycles: int,
     tau_probe: float,
     rng: np.random.Generator,
-    resample_each_cycle: bool | None = None,
+    resample_each_cycle: bool,
 ) -> float:
     """Monte Carlo fraction of cycles whose retuned f_c misses the true mode.
 
     The comparison uses the mode *after* the readout + reset dead time, i.e.
-    at the moment the estimate would first be used.  With a frozen defect
-    (both rates zero) the mode is redrawn stationarily each cycle by default,
-    which realizes the stationary ensemble without switching dynamics; pass
-    ``resample_each_cycle=False`` to keep the pinned mode instead.
+    at the moment the estimate would first be used.  ``resample_each_cycle``
+    redraws the mode with equal odds before each cycle, which with a frozen
+    defect realizes the stationary ensemble without switching dynamics;
+    without it the environment's own mode (pinned or switching) is kept.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
     qp = env.qubit
-    if resample_each_cycle is None:
-        resample_each_cycle = env.tls_params.total_rate == 0.0
     errors = 0
     for _ in range(n_cycles):
         if resample_each_cycle:

@@ -148,7 +148,7 @@ def test_criterion_04_syndrome_error_rate():
     rng = substream(SEED, "acceptance-perr-static")
     env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
     n_static = 1_000_000
-    p_mc = syndrome_error_rate(env, n_static, tau, rng)
+    p_mc = syndrome_error_rate(env, n_static, tau, rng, True)
     p_th = analytics.p_err_static(QP.delta_tls, QP.t2, QP.alpha)
     sigma = math.sqrt(p_th * (1.0 - p_th) / n_static)
     static_ok = abs(p_mc - p_th) < 3.0 * sigma
@@ -162,7 +162,7 @@ def test_criterion_04_syndrome_error_rate():
         env = make_environment(
             QP, TelegraphParams.symmetric(gamma), rng, finite_pulses=False
         )
-        measured.append(syndrome_error_rate(env, n_dyn, tau, rng))
+        measured.append(syndrome_error_rate(env, n_dyn, tau, rng, False))
         expected.append(
             analytics.p_err_bandwidth_exact(QP.delta_tls, gamma, QP.alpha, QP.t2, QP.t_wall)
         )
@@ -381,9 +381,9 @@ def test_criterion_09_design_space_map():
     identity_ok = identity_err < 1e-12
 
     # Reference-parameter cell against the simulator (slow switching).
-    cell = analytics.improvement_cell(
-        2 * math.pi * QP.delta_tls / QP.rabi_rate, 1e-4, 0.94, 48e-9, 61e-6, 8e-6
-    )
+    cell = analytics.improvement_map(
+        [2 * math.pi * QP.delta_tls / QP.rabi_rate], [1e-4], 0.94, 48e-9, 61e-6, 8e-6
+    ).values[0, 0]
     map_ratio = 10.0**cell
     rng = substream(SEED, "acceptance-map-sim")
     env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)

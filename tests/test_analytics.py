@@ -512,7 +512,7 @@ class TestImprovementMap:
                 assert abs(amap.values[i, j] - expected) < 1e-12
 
     def test_fast_switching_destroys_improvement(self):
-        cell = analytics.improvement_cell(0.1, 50.0, 0.94, 48e-9, 61e-6, 8e-6)
+        cell = analytics.improvement_map([0.1], [50.0], 0.94, 48e-9, 61e-6, 8e-6).values[0, 0]
         assert cell <= 0.0
 
     def test_small_splitting_degrades(self):
@@ -577,7 +577,7 @@ class TestImprovementMap:
         amap = analytics.improvement_map([0.02, 0.3], [1e-3, 0.5, 40.0])
         for i, x in enumerate(amap.splittings):
             for j, y in enumerate(amap.switching):
-                assert analytics.improvement_cell(x, y, 0.94, 48e-9, 61e-6, 8e-6) == amap.values[i, j]
+                assert analytics.improvement_map([x], [y], 0.94, 48e-9, 61e-6, 8e-6).values[0, 0] == amap.values[i, j]
 
     @pytest.mark.parametrize(
         "splittings, switching",

@@ -574,7 +574,7 @@ class TestInterleavedRun:
             qp = dreplace(QP, t_readout=0.0, t_reset=t_wall)
             rng = substream(515, "threshold", f"{t_wall}")
             env = make_environment(qp, TelegraphParams.from_dwell_time(dwell), rng)
-            p_err = syndrome_error_rate(env, 20_000, default_tau_probe(qp), rng)
+            p_err = syndrome_error_rate(env, 20_000, default_tau_probe(qp), rng, False)
             assert p_err < 0.25
             env = make_environment(qp, TelegraphParams.from_dwell_time(dwell), rng)
             series = rb.run_rb_interleaved(env, cfg, rng)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit.bloch import (
@@ -56,8 +56,14 @@ class TestParams:
         with pytest.raises(ValueError, match="readout"):
             QubitParams.defaults(readout_eps_0to1=0.6)
 
-    def test_mode_frequency(self):
-        qp = QubitParams.defaults()
+    @given(
+        pair=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2, unique=True)
+    )
+    @example(pair=[QubitParams.defaults().f_low, QubitParams.defaults().f_high])
+    @example(pair=[41650888.684, 1469297933.871])  # f_low < f_high / 2: f_high - delta_tls misses f_low
+    def test_mode_frequency(self, pair):
+        f_low, f_high = sorted(pair)
+        qp = QubitParams.defaults(f_low=f_low, f_high=f_high)
         assert qp.mode_frequency(0) == qp.f_high
         assert qp.mode_frequency(1) == qp.f_low
 

@@ -1,12 +1,16 @@
 """Configuration parsing, experiment dispatch, output determinism."""
 
+import contextlib
+import io
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit import cli
@@ -332,6 +336,11 @@ class TestMain:
             ("mitigate", NO_CONTRAST, [], "protocol.tau_probe_s"),
             ("rb", NO_CONTRAST, [], "protocol.tau_probe_s"),
             ("syndrome-sweep", NO_CONTRAST, [], "protocol.tau_probe_s"),
+            ("perr", '{"qubit": {"t1_s": 1%s}}' % ("0" * 400), [], "qubit.t1_s"),
+            ("mitigate", '{"mitigate": {"tau_max_s": %d}}' % (2**1024 - 1), [], "mitigate.tau_max_s"),
+            ("syndrome-sweep", '{"syndrome_sweep": {"gammas_hz": [1%s]}}' % ("0" * 400), [],
+             "syndrome_sweep.gammas_hz[0]"),
+            ("perr", "{}", ["--seed", str(2**64)], "seed"),
         ],
         ids=[
             "unknown-key", "malformed-json", "missing-file", "zero-shots", "string-count", "boolean-seed",
@@ -341,6 +350,8 @@ class TestMain:
             "nan-t-wall", "negative-mitigate-idle", "infinite-frequency", "infinite-rate",
             "infinite-readout", "infinite-reset", "infinite-mitigate-idle", "infinite-rb-idle",
             "infinite-rabi-rate", "no-contrast-mitigate", "no-contrast-rb", "no-contrast-sweep",
+            "integer-beyond-float-t1", "integer-beyond-float-tau-max", "integer-beyond-float-rate",
+            "seed-beyond-64-bits",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, text, extra, named):
@@ -374,6 +385,109 @@ class TestMain:
         assert rc == 0
         line = (tmp_path / "syndrome_sweep.csv").read_text().splitlines()[1]
         assert line.split(",")[3] == "500"
+
+    @pytest.mark.parametrize("experiment", ["mitigate", "rb"])
+    def test_feedback_retunes_to_a_far_low_mode(self, tmp_path, experiment):
+        # f_low < f_high / 2: f_high - delta_tls is not f_low, and a frame
+        # retuned to it would not sit on a mode.
+        doc = {"qubit": FAR_LOW_MODE, **SMALL[experiment]}
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(doc))
+        assert cli.main([experiment, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+FAR_LOW_MODE = {"f_high_hz": 1469297933.871, "f_low_hz": 41650888.684}
+SMALL = {
+    "mitigate": {"mitigate": {"rows": 1, "n_tau": 3, "n_reps": 2}},
+    "rb": {"rb": {"depths": [1, 2, 4], "n_sequences": 2, "shots_per_sequence": 1}},
+}
+
+# Schema-driven fuzzing.  Every key of the shared sections and of the
+# experiment's own section is drawn from its type, with caps that keep a run
+# cheap: sample sizes 1-6 (1-2 for the replicas and RB windows, which multiply
+# the others and the RB fits), lab times (keys in s) up to 1 ms and idles up
+# to 10 ms, rates (keys in Hz) up to 1e5, other numbers up to twice their
+# default, a Rabi rate of at least 1e6 rad/s and a splitting of at least 1 kHz,
+# which bounds the optimal probe time by 0.5 ms.
+# The caps leave values outside some domains (a zero T1, a visibility above 1),
+# so both exits are exercised.
+DETUNING = st.floats(-1e7, 1e7)
+FUZZ = {
+    ("seed",): st.integers(0, 2**64 - 1),
+    ("replicas",): st.integers(1, 2),
+    ("rb", "n_windows"): st.integers(1, 2),
+    ("qubit", "rabi_rate_rad_s"): st.floats(1e6, 1e10),
+    ("tls", "pinned_mode"): st.sampled_from([None, "H", "L", 0, 1]),
+    ("ramsey", "frame"): st.sampled_from(["high", "low"]),
+    ("ramsey", "virtual_detuning_hz"): DETUNING,
+    ("mitigate", "det_nofb_hz"): DETUNING,
+    ("mitigate", "det_fb_hz"): DETUNING,
+    ("rb", "depths"): st.lists(st.integers(0, 64), min_size=3, max_size=5, unique=True).map(sorted),
+}
+SHARED = {"seed", "replicas", "qubit", "tls", "protocol"}
+KEY_PATHS = {".".join(path[: i + 1]) for path, _ in LEAVES for i in range(len(path))}
+
+
+def _fuzz_value(path, default):
+    if path in FUZZ:
+        return FUZZ[path]
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(1, 6)  # a sample size
+    if isinstance(default, list):
+        return st.lists(_fuzz_value(path, 0.0), max_size=3)
+    key = path[-1]
+    if key.endswith("_hz"):
+        return st.floats(0.0, 1e5)
+    if key.endswith("_s"):
+        return st.floats(0.0, 1e-2 if key.startswith("idle") else 1e-3)
+    return st.floats(0.0, 2.0 * default)
+
+
+@st.composite
+def fuzz_configs(draw):
+    experiment = draw(st.sampled_from(list(cli.EXPERIMENTS)))
+    section = experiment.replace("-", "_")
+    doc = {"experiment": experiment}
+    for path, (default, _) in LEAVES:
+        if path[0] in SHARED | {section} and path[-1] not in ("f_high_hz", "f_low_hz"):
+            value = draw(_fuzz_value(path, default))
+            if len(path) == 1:
+                doc[path[0]] = value
+            else:
+                doc.setdefault(path[0], {})[path[1]] = value
+    f_high = draw(st.floats(2e3, 1e10))
+    f_low = draw(st.floats(0.0, 1.0)) * (f_high - 1e3)  # f_low << f_high included
+    doc["qubit"].update(f_high_hz=f_high, f_low_hz=f_low)
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=fuzz_configs())
+@example(doc={"experiment": "mitigate", "qubit": FAR_LOW_MODE, **SMALL["mitigate"]})
+@example(doc={"experiment": "perr", "qubit": {"t1_s": 5e-324}})  # 1/T2 overflows: T2 = 0
+@example(doc={"experiment": "syndrome-sweep", "syndrome_sweep": {"n_cycles": 5, "gammas_hz": [5e-324]}})
+def test_schema_drawn_config_runs_or_names_its_key(doc):
+    # Exit 0 with a strict-JSON manifest and data files a rerun reproduces
+    # byte for byte, or exit 2 naming a key path; never a traceback.
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "c.json"
+        config.write_text(json.dumps(doc))
+        data = []
+        for run in ("a", "b"):
+            out = Path(tmp) / run
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main([doc["experiment"], "--config", str(config), "--out", str(out)])
+            if rc == 2:
+                named = err.getvalue().removeprefix("configuration error: ").split(": ")[0]
+                assert re.sub(r"\[\d+\]$", "", named) in KEY_PATHS, err.getvalue()
+                return
+            assert rc == 0
+            manifest = _strict_json((out / "manifest.json").read_text())
+            data.append({o["file"]: (out / o["file"]).read_bytes() for o in manifest["outputs"]})
+        assert data[0] == data[1]
 
 
 def _reference_csv(header, rows):

@@ -116,13 +116,13 @@ class TestSyndromeCycle:
         rng = substream(405, "syndmc-empty")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0)
         with pytest.raises(ValueError, match="n_cycles"):
-            syndrome_error_rate(env, 0, default_tau_probe(QP), rng)
+            syndrome_error_rate(env, 0, default_tau_probe(QP), rng, True)
 
     def test_error_rate_matches_static_budget(self):
         rng = substream(405, "syndmc")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
         n = 100_000
-        p_mc = syndrome_error_rate(env, n, default_tau_probe(QP), rng)
+        p_mc = syndrome_error_rate(env, n, default_tau_probe(QP), rng, True)
         p_th = analytics.p_err_static(QP.delta_tls, QP.t2, QP.alpha)
         sigma = math.sqrt(p_th * (1 - p_th) / n)
         assert abs(p_mc - p_th) < 3.0 * sigma
@@ -273,7 +273,7 @@ class TestStaleness:
             rng = substream(414, "stale", f"{t_wall}")
             qp = replace(QP, t_readout=0.0, t_reset=t_wall)
             env = make_environment(qp, TelegraphParams.symmetric(gamma), rng, finite_pulses=False)
-            rates.append(syndrome_error_rate(env, 60_000, tau, rng))
+            rates.append(syndrome_error_rate(env, 60_000, tau, rng, False))
         measured_slope = (rates[1] - rates[0]) / (gamma * 12e-6)
         exact = [
             analytics.p_err_bandwidth_exact(QP.delta_tls, gamma, QP.alpha, QP.t2, t)
