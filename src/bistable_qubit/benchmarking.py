@@ -17,121 +17,62 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .bloch import IDENTITY, QubitParams, compose, detuning, free_map, pulse_duration, pulse_map, readout_bit
-from .protocol import Environment, _check_f_c, syndrome_cycle
-
-HALF_PI = 0.5 * math.pi
-
-
-@dataclass(frozen=True)
-class NativePulse:
-    """Physical equatorial pulse: axis phase in-plane, signed rotation angle."""
-
-    axis_phase: float
-    angle: float
-
-
-@dataclass(frozen=True, eq=False)
-class CliffordElement:
-    index: int
-    pulses: tuple
-    unitary: np.ndarray
-
-    @property
-    def n_pulses(self) -> int:
-        return len(self.pulses)
-
-
-def _pulse_unitary(axis_phase: float, angle: float) -> np.ndarray:
-    c = math.cos(0.5 * angle)
-    s = math.sin(0.5 * angle)
-    return np.array(
-        [[c, -1j * s * np.exp(-1j * axis_phase)], [-1j * s * np.exp(1j * axis_phase), c]]
-    )
+from .fitting import _least_squares
+from .protocol import HALF_PI, Environment, _check_f_c, syndrome_cycle
 
 
 def decomposition_unitary(pulses: tuple) -> np.ndarray:
-    """Composed unitary of a time-ordered pulse list."""
+    """Composed unitary of a time-ordered list of (axis_phase, angle) pulses."""
     u = np.eye(2, dtype=complex)
-    for gate in pulses:
-        u = _pulse_unitary(gate.axis_phase, gate.angle) @ u
+    for axis_phase, angle in pulses:
+        c = math.cos(0.5 * angle)
+        s = math.sin(0.5 * angle)
+        u = np.array([[c, -1j * s * np.exp(-1j * axis_phase)], [-1j * s * np.exp(1j * axis_phase), c]]) @ u
     return u
 
 
-def _decomposition_specs() -> list[tuple]:
+def _decomposition_specs() -> tuple:
     x_axis, y_axis = 0.0, HALF_PI
     specs: list[tuple] = []
     for e0 in (1.0, 0.5, -0.5):
         for e1 in (0.0, 0.5, -0.5):
-            tail_y = (NativePulse(y_axis, e1 * math.pi),) if e1 else ()
-            tail_x = (NativePulse(x_axis, e1 * math.pi),) if e1 else ()
-            specs.append((NativePulse(x_axis, e0 * math.pi),) + tail_y)
-            specs.append((NativePulse(y_axis, e0 * math.pi),) + tail_x)
+            tail_y = ((y_axis, e1 * math.pi),) if e1 else ()
+            tail_x = ((x_axis, e1 * math.pi),) if e1 else ()
+            specs.append(((x_axis, e0 * math.pi),) + tail_y)
+            specs.append(((y_axis, e0 * math.pi),) + tail_x)
     specs.append(())
-    specs.append((NativePulse(y_axis, math.pi), NativePulse(x_axis, math.pi)))
+    specs.append(((y_axis, math.pi), (x_axis, math.pi)))
     for y0, ex, y1 in ((-0.5, 0.5, 0.5), (-0.5, -0.5, 0.5), (0.5, 0.5, 0.5), (-0.5, 0.5, -0.5)):
-        specs.append(
-            (
-                NativePulse(y_axis, y0 * math.pi),
-                NativePulse(x_axis, ex * math.pi),
-                NativePulse(y_axis, y1 * math.pi),
-            )
-        )
-    return specs
+        specs.append(((y_axis, y0 * math.pi), (x_axis, ex * math.pi), (y_axis, y1 * math.pi)))
+    return tuple(specs)
 
 
-@cache
-def clifford_table() -> tuple[CliffordElement, ...]:
-    """The 24 single-qubit Cliffords in the X/Y pulse decomposition."""
-    elements = tuple(
-        CliffordElement(index=i, pulses=spec, unitary=decomposition_unitary(spec))
-        for i, spec in enumerate(_decomposition_specs())
-    )
-    return elements
-
-
-def gates_per_clifford() -> float:
-    """Average physical-pulse count per Clifford element."""
-    table = clifford_table()
-    return sum(e.n_pulses for e in table) / len(table)
-
-
-@cache
-def _unitary_stack() -> np.ndarray:
-    return np.stack([e.unitary for e in clifford_table()])
+# The 24 single-qubit Cliffords in the X/Y pulse decomposition, built once at
+# import.  An element is its index: PULSES[i] holds its physical equatorial
+# pulses as (axis_phase, signed angle) in time order, UNITARIES[i] its unitary.
+PULSES: tuple[tuple[tuple[float, float], ...], ...] = _decomposition_specs()
+UNITARIES = np.stack([decomposition_unitary(pulses) for pulses in PULSES])
+GATES_PER_CLIFFORD = sum(map(len, PULSES)) / len(PULSES)  # average physical-pulse count
 
 
 def match_element(u: np.ndarray) -> int:
     """Index of the table element equal to ``u`` up to global phase."""
-    stack = _unitary_stack()
-    scores = np.abs(np.einsum("nij,ji->n", stack.conj().transpose(0, 2, 1), u)) / 2.0
+    scores = np.abs(np.einsum("nij,ji->n", UNITARIES.conj().transpose(0, 2, 1), u)) / 2.0
     idx = int(np.argmax(scores))
     if scores[idx] < 1.0 - 1e-9:
         raise ValueError("unitary is not a Clifford element of the table")
     return idx
 
 
-@cache
-def _product_table() -> tuple[tuple[int, ...], ...]:
-    """prod[a][b] = index of U_a @ U_b (group closure), as tuples of ints cheap to index."""
-    table = clifford_table()
-    return tuple(tuple(match_element(a.unitary @ b.unitary) for b in table) for a in table)
-
-
-@cache
-def _inverse_indices() -> tuple[int, ...]:
-    return tuple(match_element(e.unitary.conj().T) for e in clifford_table())
-
-
-@cache
-def identity_index() -> int:
-    return match_element(np.eye(2, dtype=complex))
+# PRODUCT[a][b] is the index of U_a @ U_b (group closure), as tuples of ints cheap to index.
+PRODUCT = tuple(tuple(match_element(a @ b) for b in UNITARIES) for a in UNITARIES)
+INVERSE = tuple(match_element(u.conj().T) for u in UNITARIES)
+IDENTITY_INDEX = match_element(np.eye(2, dtype=complex))
 
 
 def random_sequence(length: int, rng: np.random.Generator) -> tuple[list[int], int]:
@@ -142,12 +83,12 @@ def random_sequence(length: int, rng: np.random.Generator) -> tuple[list[int], i
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    prod = _product_table()
-    indices = rng.integers(0, len(clifford_table()), size=length).tolist()
-    composed = identity_index()
+    prod = PRODUCT  # a local: read once per drawn index
+    indices = rng.integers(0, len(PULSES), size=length).tolist()
+    composed = IDENTITY_INDEX
     for idx in indices:
         composed = prod[idx][composed]
-    return indices, _inverse_indices()[composed]
+    return indices, INVERSE[composed]
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +116,9 @@ class SequenceExecutor:
 
     def __init__(self, env: Environment):
         self.env = env
-        self.table = clifford_table()
         qp = env.qubit
         self.slot = qp.t_pi
-        self.durations = tuple(e.n_pulses * self.slot for e in self.table)
+        self.durations = tuple(len(pulses) * self.slot for pulses in PULSES)
         # Per (mode, frame), in the column order of the gather table: per element
         # (its composed map,) and the maps of its slots.
         self._maps: dict[tuple[int, float], list[tuple[tuple, tuple]]] = {}
@@ -186,11 +126,11 @@ class SequenceExecutor:
             for f_c in (qp.f_high, qp.f_low):
                 delta_q = detuning(qp, f_c, xi)
                 entries = []
-                for element in self.table:
+                for pulses in PULSES:
                     slots = []
-                    for gate in element.pulses:
-                        duration = pulse_duration(gate.angle, qp)
-                        steps = [pulse_map(gate.axis_phase, gate.angle, delta_q, qp, True)]
+                    for axis_phase, angle in pulses:
+                        duration = pulse_duration(angle, qp)
+                        steps = [pulse_map(axis_phase, angle, delta_q, qp, True)]
                         if self.slot > duration:
                             steps.append(free_map(delta_q, self.slot - duration, qp))
                         slots.append(compose(*steps))
@@ -204,10 +144,6 @@ class SequenceExecutor:
         # (else None) and its two readout uniforms.
         self._totals: dict[bytes, float] = {}
         self._shots: list[tuple[tuple[bytes, int, float], float | None, float, float]] = []
-
-    def _map_table(self, xi: int, f_c: float) -> list[tuple[tuple, tuple]]:
-        """Per element: (its composed map,) and the maps of its slots, in mode xi and frame f_c."""
-        return self._maps[xi, f_c]
 
     def run(self, indices: list[int] | bytes, f_c: float, rng: np.random.Generator) -> None:
         """Queue reset -> sequence -> measure in frame f_c; ``outcomes`` returns its bit.
@@ -265,7 +201,7 @@ class SequenceExecutor:
         table = self._composed_table
         qp = self.env.qubit
         n, length = len(keys), len(keys[0][0])
-        offsets = [len(self.table) * (2 * xi + (f_c == qp.f_low)) for _, xi, f_c in keys]
+        offsets = [len(PULSES) * (2 * xi + (f_c == qp.f_low)) for _, xi, f_c in keys]
         sequences = np.frombuffer(b"".join(key[0] for key in keys), dtype=np.uint8).reshape(n, length)
         codes = np.empty((length, n), dtype=np.intp)  # per Clifford, each row's table column
         np.add(sequences.T, offsets, out=codes)
@@ -293,7 +229,7 @@ class SequenceExecutor:
         # Segment end times from the sequence start; the last segment covers the rest.
         ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
         seg = 0
-        table = self._map_table(segments[0][0], f_c)
+        table = self._maps[segments[0][0], f_c]
         end = ends[0]
         t = 0.0
         x, y, z = 0.0, 0.0, 1.0
@@ -306,7 +242,7 @@ class SequenceExecutor:
                     while t + k * slot > end:
                         seg += 1
                         end = ends[seg]
-                        table = self._map_table(segments[seg][0], f_c)
+                        table = self._maps[segments[seg][0], f_c]
                     steps.append(table[i][1][k])
             t += durations[i]
             # bloch.apply, inlined: a call per step would dominate runs of a
@@ -326,7 +262,11 @@ class SequenceExecutor:
 
 @dataclass(frozen=True)
 class FitResult:
-    """A * decay^L + offset fit of survival versus sequence depth."""
+    """A * decay^L + offset fit of survival versus sequence depth.
+
+    The per-Clifford infidelity is r = (1 - decay)/2 and the per-native-gate
+    value divides it by the decomposition's average pulse count.
+    """
 
     amplitude: float
     decay: float
@@ -334,25 +274,34 @@ class FitResult:
     amplitude_err: float
     decay_err: float
     offset_err: float
-    r_clifford: float
-    r_clifford_err: float
-    r_native: float
-    r_native_err: float
     ok: bool
 
+    @property
+    def r_clifford(self) -> float:
+        return 0.5 * (1.0 - self.decay)
 
-def _failed_fit() -> FitResult:
-    nan = float("nan")
-    return FitResult(nan, nan, nan, nan, nan, nan, nan, nan, nan, nan, False)
+    @property
+    def r_clifford_err(self) -> float:
+        return 0.5 * self.decay_err
+
+    @property
+    def r_native(self) -> float:
+        return self.r_clifford / GATES_PER_CLIFFORD
+
+    @property
+    def r_native_err(self) -> float:
+        return self.r_clifford_err / GATES_PER_CLIFFORD
+
+
+_FAILED_FIT = FitResult(*[math.nan] * 6, ok=False)
 
 
 def fit_exponential(depths, survivals, weights=None) -> FitResult:
     """Weighted least-squares fit of A*p^L + B.
 
-    ``weights`` are inverse variances per point (None for unweighted).  The
-    per-Clifford infidelity is r = (1-p)/2 and the per-native-gate value
-    divides by the decomposition's average pulse count.  A fit that does not
-    converge, or lands at p > 1, is returned with ``ok=False``.
+    ``weights`` are inverse variances per point (None for unweighted).  A fit
+    that does not converge from any of its start points, or lands at p > 1,
+    is returned with ``ok=False``.
     """
     depths = np.asarray(depths, dtype=float)
     survivals = np.asarray(survivals, dtype=float)
@@ -360,11 +309,9 @@ def fit_exponential(depths, survivals, weights=None) -> FitResult:
         raise ValueError("need at least three distinct depths")
     if np.any((survivals < 0) | (survivals > 1)):
         raise ValueError("survivals must lie in [0, 1]")
-    gpc = gates_per_clifford()
 
     if float(np.ptp(survivals)) < 1e-12:
-        b = float(survivals.mean())
-        return FitResult(0.0, 1.0, b, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, True)
+        return FitResult(0.0, 1.0, float(survivals.mean()), 0.0, 0.0, 0.0, True)
 
     sigma = None
     if weights is not None:
@@ -378,42 +325,27 @@ def fit_exponential(depths, survivals, weights=None) -> FitResult:
 
     b0 = 0.5
     a0 = float(np.clip(survivals[np.argmin(depths)] - b0, 0.05, 1.0))
-    popt = None
-    for p_guess in (0.999, 0.99, 0.9999, 0.9):
-        try:
-            popt, pcov = curve_fit(
-                model,
-                depths,
-                survivals,
-                p0=(a0, p_guess, b0),
-                sigma=sigma,
-                absolute_sigma=sigma is not None,
-                bounds=([0.0, 1e-9, 0.0], [1.0, 1.05, 1.0]),
-                maxfev=20000,
-            )
-            break
-        except (RuntimeError, ValueError):
-            continue
-    if popt is None or not np.all(np.isfinite(popt)):
-        return _failed_fit()
-    a, p, b = (float(v) for v in popt)
-    if p > 1.0 + 1e-9:
-        return _failed_fit()
-    p = min(p, 1.0)
+    fit = _least_squares(
+        model,
+        depths,
+        survivals,
+        [(a0, p_guess, b0) for p_guess in (0.999, 0.99, 0.9999, 0.9)],
+        sigma=sigma,
+        absolute_sigma=sigma is not None,
+        bounds=([0.0, 1e-9, 0.0], [1.0, 1.05, 1.0]),
+        maxfev=20000,
+    )
+    if fit is None or fit[0][1] > 1.0 + 1e-9:
+        return _FAILED_FIT
+    popt, pcov = fit
     errs = np.sqrt(np.abs(np.diag(pcov)))
-    r = 0.5 * (1.0 - p)
-    r_err = 0.5 * float(errs[1])
     return FitResult(
-        amplitude=a,
-        decay=p,
-        offset=b,
+        amplitude=float(popt[0]),
+        decay=min(float(popt[1]), 1.0),
+        offset=float(popt[2]),
         amplitude_err=float(errs[0]),
         decay_err=float(errs[1]),
         offset_err=float(errs[2]),
-        r_clifford=r,
-        r_clifford_err=r_err,
-        r_native=r / gpc,
-        r_native_err=r_err / gpc,
         ok=True,
     )
 
@@ -493,15 +425,13 @@ def run_rb_interleaved(
         t_start = env.clock
         k_nofb = np.zeros(depths.size)
         k_fb = np.zeros(depths.size)
-        xi_sum = 0
-        xi_count = 0
+        xi_sum = 0  # the mode at the start of each of the window's sequences
         for di, length in enumerate(depths):
             for _ in range(config.n_sequences):
                 indices, recovery = random_sequence(int(length), rng)
                 indices.append(recovery)
                 sequence = bytes(indices)
                 xi_sum += env.xi
-                xi_count += 1
                 for _ in range(config.shots_per_sequence):
                     executor.run(sequence, qp.f_high, rng)
                 _, f_c = syndrome_cycle(env, config.tau_probe, rng)
@@ -526,7 +456,7 @@ def run_rb_interleaved(
                 fit_fb=fit_exponential(
                     depths, surv_fb, _survival_weights(k_fb, shots_per_depth)
                 ),
-                mode_fraction_l=xi_sum / xi_count,
+                mode_fraction_l=xi_sum / (depths.size * config.n_sequences),
             )
         )
         if config.idle_between_windows > 0:

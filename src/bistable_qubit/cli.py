@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics
-from .benchmarking import RbConfig, decoherence_floor_per_gate, gates_per_clifford, run_rb_interleaved
+from .benchmarking import GATES_PER_CLIFFORD, RbConfig, decoherence_floor_per_gate, run_rb_interleaved
 from .bloch import QubitParams
 from .fitting import fit_two_frequency_mixture, quadrature_amplitudes
 from .protocol import (
@@ -218,8 +218,8 @@ class RunConfig:
     pinned_mode: int | None
     tau_probe: float
     finite_pulses: bool
-    rb: RbConfig
-    mitigation: MitigationConfig
+    rb: RbConfig | None  # built for the rb experiment only
+    mitigation: MitigationConfig | None  # built for the mitigate experiment only
     params: dict
     raw: dict
 
@@ -244,8 +244,15 @@ def _config_from_dict(data) -> RunConfig:
             calibrate_decode_map(qubit, tau_probe, finite_pulses)
         except ValueError as exc:
             raise ConfigError(f"protocol.tau_probe_s: {exc}") from exc
-    mit = merged["mitigate"]
-    tau_grid = tuple(np.linspace(0.0, mit["tau_max_s"], mit["n_tau"]).tolist())
+    # A section the run does not use gets only the schema's checks: its type is
+    # not built, so a count in it that is too large to allocate costs nothing.
+    rb = mitigation = None
+    if experiment == "rb":
+        rb = _build(RbConfig, "rb", merged["rb"], tau_probe=tau_probe)
+    if experiment == "mitigate":
+        mit = merged["mitigate"]
+        tau_grid = tuple(np.linspace(0.0, mit["tau_max_s"], mit["n_tau"]).tolist())
+        mitigation = _build(MitigationConfig, "mitigate", mit, tau_grid=tau_grid, tau_probe=tau_probe)
     return RunConfig(
         experiment=experiment,
         seed=merged["seed"],
@@ -256,8 +263,8 @@ def _config_from_dict(data) -> RunConfig:
         pinned_mode=pinned,
         tau_probe=tau_probe,
         finite_pulses=finite_pulses,
-        rb=_build(RbConfig, "rb", merged["rb"], tau_probe=tau_probe),
-        mitigation=_build(MitigationConfig, "mitigate", mit, tau_grid=tau_grid, tau_probe=tau_probe),
+        rb=rb,
+        mitigation=mitigation,
         params=merged[experiment.replace("-", "_")],
         raw=merged,
     )
@@ -326,7 +333,7 @@ def _json_safe(obj):
 def _write_json(path: Path, obj) -> None:
     """Write ``obj`` as strict JSON (RFC 8259): a non-finite float is written as null."""
     with path.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_json_safe(obj), fh, indent=2, sort_keys=True, default=_fmt, allow_nan=False)
+        json.dump(_json_safe(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -433,7 +440,7 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
     qp = cfg.qubit
     ts_rows, surv_rows = [], []
     summary = {
-        "gates_per_clifford": gates_per_clifford(),
+        "gates_per_clifford": GATES_PER_CLIFFORD,
         "decoherence_floor_per_gate": decoherence_floor_per_gate(qp),
         "replicas": {},
     }

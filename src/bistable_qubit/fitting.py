@@ -9,6 +9,22 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 
+def _least_squares(model, x, y, starts, **kw):
+    """``curve_fit`` of ``model`` to (x, y) from each start point in turn.
+
+    Returns (popt, pcov) of the first start that converges, or None when every
+    start raises or the converged parameters are not finite.  ``kw`` passes
+    through to ``curve_fit``.
+    """
+    for p0 in starts:
+        try:
+            popt, pcov = curve_fit(model, x, y, p0=p0, **kw)
+        except (RuntimeError, ValueError):
+            continue
+        return (popt, pcov) if np.all(np.isfinite(popt)) else None
+    return None
+
+
 @dataclass(frozen=True)
 class CosineFit:
     offset: float
@@ -23,7 +39,8 @@ def fit_cosine(taus, values, f_guess: float, t2: float = math.inf) -> CosineFit:
     """Fit c + |a| exp(-tau/T2) cos(2 pi f tau + phi) with T2 held fixed.
 
     Does not raise when the fit fails: fewer points than the model's four
-    parameters, or a fit that does not converge, returns ``ok=False``.
+    parameters, a fit that does not converge, or one that ends at non-finite
+    parameters returns ``ok=False``.
     """
     taus = np.asarray(taus, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -36,16 +53,10 @@ def fit_cosine(taus, values, f_guess: float, t2: float = math.inf) -> CosineFit:
     if taus.size < 4:  # fewer points than the model's parameters
         return failed
     a0 = max(0.5 * float(np.ptp(values)) / max(env.mean(), 1e-9), 1e-3)
-    try:
-        popt, _ = curve_fit(
-            model,
-            taus,
-            values,
-            p0=(float(values.mean()), a0, f_guess, 0.0),
-            maxfev=20000,
-        )
-    except (RuntimeError, ValueError):
+    fit = _least_squares(model, taus, values, [(float(values.mean()), a0, f_guess, 0.0)], maxfev=20000)
+    if fit is None:
         return failed
+    popt = fit[0]
     resid = values - model(taus, *popt)
     c, a, f, phi = (float(v) for v in popt)
     if a < 0:
@@ -101,16 +112,11 @@ def fit_two_frequency_mixture(
     if taus.size < 7:  # fewer points than the model's parameters
         return failed
     amp0 = max(0.25 * float(np.ptp(values)), 1e-3)
-    try:
-        popt, _ = curve_fit(
-            model,
-            taus,
-            values,
-            p0=(float(values.mean()), amp0, f1_guess, 0.0, amp0, f2_guess, 0.0),
-            maxfev=40000,
-        )
-    except (RuntimeError, ValueError):
+    start = (float(values.mean()), amp0, f1_guess, 0.0, amp0, f2_guess, 0.0)
+    fit = _least_squares(model, taus, values, [start], maxfev=40000)
+    if fit is None:
         return failed
+    popt = fit[0]
     c, a1, f1, phi1, a2, f2, phi2 = (float(v) for v in popt)
     if a1 < 0:
         a1, phi1 = -a1, phi1 + math.pi
@@ -164,12 +170,7 @@ def fit_fringe_time_offset(
     def model(tau, a, dt):
         return a * np.abs(np.sin(math.pi * delta * (tau + dt)))
 
-    try:
-        popt, _ = curve_fit(
-            model, taus, signal, p0=(float(signal.max()), offset_guess), maxfev=20000
-        )
-    except (RuntimeError, ValueError):
+    fit = _least_squares(model, taus, signal, [(float(signal.max()), offset_guess)], maxfev=20000)
+    if fit is None:
         return math.nan, math.nan
-    if not np.all(np.isfinite(popt)):
-        return math.nan, math.nan
-    return float(popt[1]), float(popt[0])
+    return float(fit[0][1]), float(fit[0][0])

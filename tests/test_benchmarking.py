@@ -47,10 +47,10 @@ def _slot_by_slot(executor, indices, f_c, segments):
     seg_idx = 0
     xi, seg_rem = segments[0]
     for ci in indices:
-        for gate in executor.table[ci].pulses:
+        for axis_phase, angle in rb.PULSES[ci]:
             dq = detuning(qp, f_c, xi)
-            state = apply(pulse_map(gate.axis_phase, gate.angle, dq, qp, True), state)
-            idle = executor.slot - pulse_duration(gate.angle, qp)
+            state = apply(pulse_map(axis_phase, angle, dq, qp, True), state)
+            idle = executor.slot - pulse_duration(angle, qp)
             if idle > 0.0:
                 state = apply(free_map(dq, idle, qp), state)
             spent = executor.slot
@@ -78,7 +78,7 @@ def _reference_run(executor, indices, f_c, rng):
     env.clock += total
     ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
     seg = 0
-    table = executor._map_table(segments[0][0] if segments else env.xi, f_c)
+    table = executor._maps[segments[0][0] if segments else env.xi, f_c]
     end = ends[0]
     t = 0.0
     state = GROUND
@@ -91,7 +91,7 @@ def _reference_run(executor, indices, f_c, rng):
                 while t + k * slot > end:
                     seg += 1
                     end = ends[seg]
-                    table = executor._map_table(segments[seg][0], f_c)
+                    table = executor._maps[segments[seg][0], f_c]
                 steps.append(table[i][1][k])
         t += durations[i]
         for m in steps:
@@ -104,46 +104,41 @@ def _reference_run(executor, indices, f_c, rng):
 
 class TestCliffordTable:
     def test_group_size_and_distinctness(self):
-        table = rb.clifford_table()
-        assert len(table) == 24
-        for a, b in itertools.combinations(table, 2):
-            overlap = abs(np.trace(a.unitary.conj().T @ b.unitary)) / 2.0
+        assert len(rb.PULSES) == len(rb.UNITARIES) == 24
+        for a, b in itertools.combinations(rb.UNITARIES, 2):
+            overlap = abs(np.trace(a.conj().T @ b)) / 2.0
             assert overlap < 1.0 - 1e-9
 
     def test_identity_has_empty_decomposition(self):
-        table = rb.clifford_table()
-        assert table[rb.identity_index()].pulses == ()
+        assert rb.PULSES[rb.IDENTITY_INDEX] == ()
 
     def test_inverses_compose_to_identity(self):
-        table = rb.clifford_table()
-        inverses = rb._inverse_indices()
-        for element in table:
-            product = table[inverses[element.index]].unitary @ element.unitary
+        for index, unitary in enumerate(rb.UNITARIES):
+            product = rb.UNITARIES[rb.INVERSE[index]] @ unitary
             assert abs(abs(np.trace(product)) / 2.0 - 1.0) < 1e-12
 
     def test_group_closure_all_576_products(self):
-        table = rb.clifford_table()
-        for a in table:
-            for b in table:
-                idx = rb.match_element(a.unitary @ b.unitary)
+        for a in rb.UNITARIES:
+            for b in rb.UNITARIES:
+                idx = rb.match_element(a @ b)
                 assert 0 <= idx < 24
 
     def test_product_table_is_a_group_action(self):
-        prod = np.array(rb._product_table())
-        identity = rb.identity_index()
+        prod = np.array(rb.PRODUCT)
+        identity = rb.IDENTITY_INDEX
         assert np.all(prod[identity, :] == np.arange(24))
         assert np.all(prod[:, identity] == np.arange(24))
         counts = np.apply_along_axis(lambda row: np.unique(row).size, 1, prod)
         assert np.all(counts == 24)  # each row is a permutation
 
     def test_decomposition_unitaries_match_elements(self):
-        for element in rb.clifford_table():
-            rebuilt = rb.decomposition_unitary(element.pulses)
-            overlap = abs(np.trace(rebuilt.conj().T @ element.unitary)) / 2.0
+        for pulses, unitary in zip(rb.PULSES, rb.UNITARIES):
+            rebuilt = rb.decomposition_unitary(pulses)
+            overlap = abs(np.trace(rebuilt.conj().T @ unitary)) / 2.0
             assert overlap > 1.0 - 1e-12
 
     def test_gates_per_clifford(self):
-        assert rb.gates_per_clifford() == pytest.approx(44.0 / 24.0)
+        assert rb.GATES_PER_CLIFFORD == pytest.approx(44.0 / 24.0)
 
     def test_non_clifford_rejected(self):
         theta = 0.3
@@ -160,23 +155,22 @@ class TestRandomSequence:
         rng = substream(501, "seq0")
         indices, recovery = rb.random_sequence(0, rng)
         assert indices == []
-        assert recovery == rb.identity_index()
+        assert recovery == rb.IDENTITY_INDEX
 
     def test_single_element_recovery_is_inverse(self):
         rng = substream(502, "seq1")
         for _ in range(20):
             indices, recovery = rb.random_sequence(1, rng)
-            assert recovery == rb._inverse_indices()[indices[0]]
+            assert recovery == rb.INVERSE[indices[0]]
 
     def test_recovery_closes_to_identity(self):
-        table = rb.clifford_table()
         rng = substream(503, "seqn")
         for _ in range(100):
             length = int(rng.integers(0, 33))
             indices, recovery = rb.random_sequence(length, rng)
             u = np.eye(2, dtype=complex)
             for idx in indices + [recovery]:
-                u = table[idx].unitary @ u
+                u = rb.UNITARIES[idx] @ u
             assert abs(abs(np.trace(u)) / 2.0 - 1.0) < 1e-12
 
     def test_negative_length_rejected(self):
@@ -470,7 +464,7 @@ class TestFitExponential:
     def test_r_native_scaling(self):
         survivals = 0.5 * 0.999**self.DEPTHS + 0.5
         fit = rb.fit_exponential(self.DEPTHS, survivals)
-        assert fit.r_native == pytest.approx(fit.r_clifford / rb.gates_per_clifford())
+        assert fit.r_native == pytest.approx(fit.r_clifford / rb.GATES_PER_CLIFFORD)
 
 
 class TestInterleavedRun:

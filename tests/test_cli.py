@@ -363,6 +363,17 @@ class TestMain:
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_unused_section_is_checked_but_not_built(self, tmp_path, capsys):
+        # The mitigation tau grid is built for mitigate runs only: 1e19 points
+        # would not fit in memory.  The schema still checks the section's types.
+        config = tmp_path / "c.json"
+        config.write_text('{"mitigate": {"n_tau": 10000000000000000000}}')
+        assert cli.main(["perr", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "perr.csv").exists()
+        config.write_text('{"mitigate": {"n_tau": "x"}}')
+        assert cli.main(["perr", "--config", str(config), "--out", str(tmp_path / "bad")]) == 2
+        assert "mitigate.n_tau" in capsys.readouterr().err
+
     def test_no_contrast_probe_time_still_runs_ramsey(self, tmp_path):
         # The probe time only decodes syndromes; a fringe sweep runs none.
         config = tmp_path / "c.json"

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import curve_fit
 
+from bistable_qubit import fitting
+from bistable_qubit.benchmarking import fit_exponential
 from bistable_qubit.fitting import (
     fit_cosine,
     fit_fringe_time_offset,
@@ -116,3 +119,74 @@ def test_fringe_time_offset():
 def test_fringe_time_offset_failure_returns_nan(taus, signal, delta, offset_guess):
     fitted, amp = fit_fringe_time_offset(np.array(taus), np.array(signal), delta, offset_guess)
     assert math.isnan(fitted) and math.isnan(amp)
+
+
+# The solver contract: every fit goes through ``fitting._least_squares``, which
+# tries its start points in order, keeps the first that converges and fails
+# the fit when none does or the converged parameters are not finite.
+RB_DEPTHS = np.array([1, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+F1, F2 = 2.0e6, 1.626e6
+FITS = {  # each call returns whether the fit is ok
+    "exponential": lambda: fit_exponential(RB_DEPTHS, 0.5 * 0.999**RB_DEPTHS + 0.5).ok,
+    "cosine": lambda: fit_cosine(TAUS, 0.5 + 0.4 * np.cos(2 * math.pi * 1.7e6 * TAUS + 0.3), 1.6e6).ok,
+    "mixture": lambda: fit_two_frequency_mixture(
+        TAUS, 0.5 + 0.2 * np.cos(2 * math.pi * F1 * TAUS) + 0.27 * np.cos(2 * math.pi * F2 * TAUS), F1, F2
+    ).ok,
+    "fringe-offset": lambda: not math.isnan(
+        fit_fringe_time_offset(TAUS, 0.9 * np.abs(np.sin(math.pi * 374e3 * (TAUS + 30e-9))), 374e3)[0]
+    ),
+}
+
+
+def _patch_curve_fit(monkeypatch, fake):
+    """Route every ``curve_fit`` call through ``fake(call, *args, **kwargs)``, ``call``
+    counting from 0; return the list of start points the calls receive."""
+    starts = []
+
+    def patched(*args, **kwargs):
+        starts.append(kwargs["p0"])
+        return fake(len(starts) - 1, *args, **kwargs)
+
+    monkeypatch.setattr(fitting, "curve_fit", patched)
+    return starts
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("Optimal parameters not found")
+
+
+def test_fit_exponential_falls_through_to_the_second_start(monkeypatch):
+    results = []
+
+    def first_raises(call, *args, **kwargs):
+        if call == 0:
+            _raise()
+        results.append(curve_fit(*args, **kwargs))
+        return results[-1]
+
+    starts = _patch_curve_fit(monkeypatch, first_raises)
+    fit = fit_exponential(RB_DEPTHS, 0.5 * 0.999**RB_DEPTHS + 0.5)
+    assert [p0[1] for p0 in starts] == [0.999, 0.99]
+    (popt, pcov), = results
+    assert fit.ok
+    assert (fit.amplitude, fit.decay, fit.offset) == (popt[0], min(popt[1], 1.0), popt[2])
+    assert fit.decay_err == math.sqrt(abs(pcov[1, 1]))
+
+
+@pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
+def test_fit_fails_when_every_start_raises(monkeypatch, fit):
+    starts = _patch_curve_fit(monkeypatch, _raise)
+    assert not fit()
+    assert len(starts) == (4 if fit is FITS["exponential"] else 1)
+
+
+@pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
+def test_fit_with_non_finite_parameters_is_not_ok(monkeypatch, fit):
+    assert fit()  # the data converge without the patch
+
+    def nan_fit(call, *args, p0, **kwargs):
+        return np.full(len(p0), np.nan), np.eye(len(p0))
+
+    starts = _patch_curve_fit(monkeypatch, nan_fit)
+    assert not fit()
+    assert len(starts) == 1  # a converged start is final, finite or not
