@@ -19,9 +19,13 @@ import numpy as np
 
 from .bloch import QubitParams, rabi_transition_probability
 
-# Trajectories drawn per block by ak_coherence_mc; the block size fixes the draw
-# order and bounds the (block, grid) phase and coherence arrays.
+# Trajectories drawn per chunk by ak_coherence_mc; the chunk size fixes the draw
+# order and bounds the (chunk, dwell) arrays.
 MC_CHUNK = 20000
+# Grid cells per row block of ak_coherence_mc's trig-and-sum loop; it bounds the
+# (block, grid) phase and trig buffers.  At least MC_CHUNK, so that a one-point
+# grid, whose column numpy sums pairwise rather than row by row, is one block.
+MC_BLOCK_CELLS = 400_000
 
 
 def ramsey_likelihood(m: int, xi: int, tau, delta_f: float, params: QubitParams):
@@ -269,6 +273,17 @@ def ak_coherence_mc(
     grid time segment by segment, so the result equals that loop's exactly.
     The phase is computed on the sorted grid and only the summed coherence is
     un-permuted (a column sum does not depend on the column's position).
+
+    Each chunk of MC_CHUNK trajectories is drawn whole, then its phase and
+    trig are taken over row blocks of max(1, MC_BLOCK_CELLS // grid size)
+    rows, frozen (gamma <= 0) and switching alike, so memory is a few
+    (block, grid) buffers whatever the chunk.  The sum stays the one of
+    ``exp(1j * w * phi).sum(axis=0)`` over the chunk bit for bit: exp of a
+    purely imaginary argument is cos + i sin exactly, numpy adds the rows of
+    a C-contiguous (rows, grid) array one at a time in order, and every
+    block after the first carries the running column sum in as its row 0.
+    Summing each block apart and adding the partial sums would round
+    differently.
     """
     if initial not in ("equal", "plus", "minus"):
         raise ValueError("initial must be 'equal', 'plus' or 'minus'")
@@ -280,7 +295,10 @@ def ak_coherence_mc(
     order = np.argsort(t_grid, kind="stable")
     t_sorted = t_grid[order]
     w = math.pi * delta_tls
+    wt = w * t_sorted
     horizon = float(t_grid.max(initial=0.0))
+    rows = max(1, MC_BLOCK_CELLS // t_sorted.size)
+    buf = np.empty((min(rows, MC_CHUNK, n_trajectories) + 1, t_sorted.size))
     total = np.zeros(t_grid.shape, dtype=complex)
     remaining = n_trajectories
     while remaining > 0:
@@ -290,20 +308,30 @@ def ak_coherence_mc(
             s0 = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         else:
             s0 = np.full(n, 1.0 if initial == "plus" else -1.0)
-        if gamma <= 0.0:
-            phase = s0[:, None] * (w * t_sorted)[None, :]
-            total += np.exp(1j * phase).sum(axis=0)
-            continue
-        scale = 2.0 / gamma
-        n_dwell = max(16, int(0.5 * gamma * horizon + 8.0 * math.sqrt(0.5 * gamma * horizon) + 8))
-        dwells = rng.exponential(scale, size=(n, n_dwell))
-        flips = np.cumsum(dwells, axis=1)
-        while flips[:, -1].min() <= horizon:
-            extra = rng.exponential(scale, size=(n, n_dwell))
-            dwells = np.hstack([dwells, extra])
+        if gamma > 0.0:
+            scale = 2.0 / gamma
+            n_dwell = max(16, int(0.5 * gamma * horizon + 8.0 * math.sqrt(0.5 * gamma * horizon) + 8))
+            dwells = rng.exponential(scale, size=(n, n_dwell))
             flips = np.cumsum(dwells, axis=1)
-        phase = _switching_phase(s0, dwells, flips, t_sorted)
-        total += np.exp(1j * w * phase).sum(axis=0)
+            while flips[:, -1].min() <= horizon:
+                extra = rng.exponential(scale, size=(n, n_dwell))
+                dwells = np.hstack([dwells, extra])
+                flips = np.cumsum(dwells, axis=1)
+        sums = np.empty((2, t_sorted.size))  # the chunk's cos and sin column sums
+        for lo in range(0, n, rows):
+            block = slice(lo, lo + rows)
+            if gamma > 0.0:
+                phase = _switching_phase(s0[block], dwells[block], flips[block], t_sorted)
+                np.multiply(w, phase, out=phase)
+            else:
+                phase = s0[block, None] * wt
+            k, carried = phase.shape[0], int(lo > 0)
+            for trig, col_sum in ((np.cos, sums[0]), (np.sin, sums[1])):
+                buf[0] = col_sum
+                trig(phase, out=buf[carried : carried + k])
+                buf[: carried + k].sum(axis=0, out=col_sum)
+        total.real += sums[0]
+        total.imag += sums[1]
     unsorted = np.empty_like(total)
     unsorted[order] = total
     return 0.5 * unsorted / n_trajectories

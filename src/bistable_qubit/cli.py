@@ -58,6 +58,7 @@ DOMAINS = {
     "finite and > 0": lambda v: 0 < v < math.inf,
     "finite and >= 0": lambda v: 0 <= v < math.inf,
     ">= 1": lambda v: v >= 1,
+    "in [1, 10**7]": lambda v: 1 <= v <= 10**7,  # an array length
     "in (0, 1]": lambda v: 0 < v <= 1,
     '"high" or "low"': lambda v: v in ("high", "low"),
     'null, "H", "L", 0 or 1': lambda v: any(v == m and type(v) is type(m) for m in _MODE_NAMES),
@@ -97,14 +98,14 @@ SCHEMA: dict = {
         "frame": ("high", '"high" or "low"'),
         "virtual_detuning_hz": (2.0e6, "finite"),
         "tau_max_s": (2.5e-6, "finite and > 0"),
-        "n_tau": (50, ">= 1"),
+        "n_tau": (50, "in [1, 10**7]"),
         "shots": (200, ">= 1"),
     },
     "mitigate": {
-        "n_tau": (50, ">= 1"),
+        "n_tau": (50, "in [1, 10**7]"),
         "n_reps": (MitigationConfig.n_reps, None),
         "tau_max_s": (2.5e-6, "finite and > 0"),
-        "rows": (120, None),
+        "rows": (120, "in [1, 10**7]"),
         "det_nofb_hz": (MitigationConfig.det_nofb, "finite"),
         "det_fb_hz": (MitigationConfig.det_fb, "finite"),
         "idle_between_rows_s": (1.0, None),
@@ -131,10 +132,10 @@ SCHEMA: dict = {
     "heatmap": {
         "splitting_min": (5e-3, "finite and > 0"),
         "splitting_max": (0.5, "finite and > 0"),
-        "n_splitting": (40, ">= 1"),
+        "n_splitting": (40, "in [1, 10**7]"),
         "switching_min": (1e-3, "finite and > 0"),
         "switching_max": (3.0, "finite and > 0"),
-        "n_switching": (60, ">= 1"),
+        "n_switching": (60, "in [1, 10**7]"),
         "log_axes": (True, None),
         "alpha": (0.94, "in (0, 1]"),
         "t_pi_s": (48e-9, "finite and > 0"),
@@ -144,7 +145,7 @@ SCHEMA: dict = {
     "ak": {
         "gamma_hz": (2.0e5, "finite and >= 0"),
         "t_max_s": (0.0, "finite and >= 0"),  # 0 -> 3/delta_tls
-        "n_t": (200, ">= 1"),
+        "n_t": (200, "in [1, 10**7]"),
         "n_trajectories": (0, "finite and >= 0"),
     },
 }

@@ -1,6 +1,8 @@
 """Closed forms: likelihood, contrast, optimal probing, error budgets, coherence."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,6 +69,18 @@ def _reference_ak_mc(delta_tls, gamma, t_grid, n_trajectories, rng, initial="equ
                 break
         total += np.exp(1j * w * phase).sum(axis=0)
     return 0.5 * total / n_trajectories
+
+
+def _block_rows(rows, t):
+    """Patch ak_coherence_mc's trig-and-sum loop to row blocks of ``rows`` rows
+    on grid ``t``; None keeps the configured block."""
+    cells = analytics.MC_BLOCK_CELLS if rows is None else rows * np.size(t)
+    return mock.patch.object(analytics, "MC_BLOCK_CELLS", cells)
+
+
+# Row blocks of the exactness cases: as configured, one row, an odd count that
+# leaves a partial last block, and more rows than a chunk holds.
+BLOCK_ROWS = [None, 1, 7, analytics.MC_CHUNK + 1]
 
 
 class _ShortFirstBlock:
@@ -436,23 +450,45 @@ class TestAndersonKubo:
         duplicate=st.integers(0, 9),
         n_trajectories=st.sampled_from([1, 7, analytics.MC_CHUNK - 1, analytics.MC_CHUNK, analytics.MC_CHUNK + 3]),
         seed=st.integers(0, 2**32 - 1),
+        block_rows=st.sampled_from(BLOCK_ROWS),
     )
-    def test_monte_carlo_equals_clip_loop(self, gamma_over_critical, initial, times, duplicate, n_trajectories, seed):
+    def test_monte_carlo_equals_clip_loop(
+        self, gamma_over_critical, initial, times, duplicate, n_trajectories, seed, block_rows
+    ):
         # Unsorted grid in units of 1/delta_tls, with t = 0 and a duplicate time.
+        # The reference sums np.exp(1j * phase) over whole chunks, frozen too.
         t = np.array([0.0, *times, times[duplicate % len(times)]]) / self.DELTA
         gamma = gamma_over_critical * self.W2
-        got = analytics.ak_coherence_mc(self.DELTA, gamma, t, n_trajectories, np.random.default_rng(seed), initial)
+        with _block_rows(block_rows, t):
+            got = analytics.ak_coherence_mc(self.DELTA, gamma, t, n_trajectories, np.random.default_rng(seed), initial)
         want = _reference_ak_mc(self.DELTA, gamma, t, n_trajectories, np.random.default_rng(seed), initial)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("initial", ["equal", "plus", "minus"])
     def test_monte_carlo_refill_equals_clip_loop(self, initial):
         t = np.linspace(3.0, 0.0, 25) / self.DELTA
-        fast, slow = _ShortFirstBlock(11), _ShortFirstBlock(11)
-        got = analytics.ak_coherence_mc(self.DELTA, 0.4 * self.W2, t, analytics.MC_CHUNK + 5, fast, initial)
-        want = _reference_ak_mc(self.DELTA, 0.4 * self.W2, t, analytics.MC_CHUNK + 5, slow, initial)
-        assert fast.blocks > 2  # two chunks, and at least one refill
-        assert np.array_equal(got, want)
+        want = _reference_ak_mc(self.DELTA, 0.4 * self.W2, t, analytics.MC_CHUNK + 5, _ShortFirstBlock(11), initial)
+        for block_rows in BLOCK_ROWS:
+            fast = _ShortFirstBlock(11)
+            with _block_rows(block_rows, t):
+                got = analytics.ak_coherence_mc(self.DELTA, 0.4 * self.W2, t, analytics.MC_CHUNK + 5, fast, initial)
+            assert fast.blocks > 2  # two chunks, and at least one refill
+            assert np.array_equal(got, want), block_rows
+
+    @pytest.mark.parametrize("gamma_over_critical", [0.0, 0.4])
+    def test_monte_carlo_chunk_memory_is_bounded(self, gamma_over_critical):
+        # numpy reports its buffers to tracemalloc, so the traced peak of one
+        # chunk on 200 points does not depend on the host.  A whole-chunk
+        # complex exp traces 160-170 MB.
+        t = np.linspace(0.0, 3.0, 200) / self.DELTA
+        gamma, rng = gamma_over_critical * self.W2, substream(304, "akmem")
+        tracemalloc.start()
+        try:
+            analytics.ak_coherence_mc(self.DELTA, gamma, t, analytics.MC_CHUNK, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
     @pytest.mark.parametrize("t", [[0.0, -1e-9], [0.0, math.nan], [math.inf], [1e-6, -math.inf]])
     def test_monte_carlo_rejects_bad_grid(self, t):

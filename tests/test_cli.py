@@ -341,6 +341,12 @@ class TestMain:
             ("syndrome-sweep", '{"syndrome_sweep": {"gammas_hz": [1%s]}}' % ("0" * 400), [],
              "syndrome_sweep.gammas_hz[0]"),
             ("perr", "{}", ["--seed", str(2**64)], "seed"),
+            ("ramsey", '{"ramsey": {"n_tau": %d}}' % 10**19, [], "ramsey.n_tau"),
+            ("mitigate", '{"mitigate": {"n_tau": %d}}' % 10**19, [], "mitigate.n_tau"),
+            ("mitigate", '{"mitigate": {"rows": %d}}' % 10**19, [], "mitigate.rows"),
+            ("heatmap", '{"heatmap": {"n_splitting": %d}}' % 10**19, [], "heatmap.n_splitting"),
+            ("heatmap", '{"heatmap": {"n_switching": %d}}' % 10**19, [], "heatmap.n_switching"),
+            ("ak", '{"ak": {"n_t": %d}}' % 10**19, [], "ak.n_t"),
         ],
         ids=[
             "unknown-key", "malformed-json", "missing-file", "zero-shots", "string-count", "boolean-seed",
@@ -351,7 +357,8 @@ class TestMain:
             "infinite-readout", "infinite-reset", "infinite-mitigate-idle", "infinite-rb-idle",
             "infinite-rabi-rate", "no-contrast-mitigate", "no-contrast-rb", "no-contrast-sweep",
             "integer-beyond-float-t1", "integer-beyond-float-tau-max", "integer-beyond-float-rate",
-            "seed-beyond-64-bits",
+            "seed-beyond-64-bits", "oversized-ramsey-taus", "oversized-mitigate-taus", "oversized-mitigate-rows",
+            "oversized-heatmap-splittings", "oversized-heatmap-switching", "oversized-ak-grid",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, text, extra, named):
@@ -364,15 +371,17 @@ class TestMain:
         assert not (tmp_path / "out").exists()
 
     def test_unused_section_is_checked_but_not_built(self, tmp_path, capsys):
-        # The mitigation tau grid is built for mitigate runs only: 1e19 points
-        # would not fit in memory.  The schema still checks the section's types.
+        # MitigationConfig, which rejects zero repetitions, is built for
+        # mitigate runs only.  The schema still checks the section's types and
+        # domains, so an oversized tau grid is rejected before anything is built.
         config = tmp_path / "c.json"
-        config.write_text('{"mitigate": {"n_tau": 10000000000000000000}}')
+        config.write_text('{"mitigate": {"n_reps": 0}}')
         assert cli.main(["perr", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "perr.csv").exists()
-        config.write_text('{"mitigate": {"n_tau": "x"}}')
-        assert cli.main(["perr", "--config", str(config), "--out", str(tmp_path / "bad")]) == 2
-        assert "mitigate.n_tau" in capsys.readouterr().err
+        for bad in ('"x"', "10000000000000000000"):
+            config.write_text('{"mitigate": {"n_tau": %s}}' % bad)
+            assert cli.main(["perr", "--config", str(config), "--out", str(tmp_path / "bad")]) == 2
+            assert "mitigate.n_tau" in capsys.readouterr().err
 
     def test_no_contrast_probe_time_still_runs_ramsey(self, tmp_path):
         # The probe time only decodes syndromes; a fringe sweep runs none.
@@ -671,6 +680,16 @@ GOLDEN = {
     "ak-mc-two-chunks": (
         {"experiment": "ak", "seed": 49, "ak": {"gamma_hz": 1e6, "n_t": 9, "n_trajectories": 20003}},
         {"ak.csv": "775b63e366fc7e90197b56b596c5dd0c6715cc60c696ee175709bfae49ea3f3f"},
+    ),
+    # Two chunks on 200 grid points, so each chunk spans several row blocks of
+    # the Monte Carlo's trig-and-sum loop: frozen and switching.
+    "ak-mc-frozen": (
+        {"experiment": "ak", "seed": 53, "ak": {"gamma_hz": 0, "n_trajectories": 20003}},
+        {"ak.csv": "86f03049b3ce4c617cc2240f89b18dcedef0e6c8bf5c55d7d7c16941fc1ef389"},
+    ),
+    "ak-mc-blocks": (
+        {"experiment": "ak", "seed": 54, "ak": {"gamma_hz": 1e6, "n_t": 200, "n_trajectories": 20003}},
+        {"ak.csv": "3581c1fa704e30e22911d0384049e83cfed32db1e247f17961d5d1423de51ac2"},
     ),
     "perr": (
         {"experiment": "perr", "seed": 50},
