@@ -305,7 +305,7 @@ def fit_exponential(depths, survivals, weights=None) -> FitResult:
     """
     depths = np.asarray(depths, dtype=float)
     survivals = np.asarray(survivals, dtype=float)
-    if np.unique(depths).size < 3:
+    if len(set(depths.tolist())) < 3:  # np.unique would load numpy.ma at the first fit
         raise ValueError("need at least three distinct depths")
     if np.any((survivals < 0) | (survivals > 1)):
         raise ValueError("survivals must lie in [0, 1]")

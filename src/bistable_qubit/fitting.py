@@ -6,23 +6,117 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
+
+_EPS = float(np.finfo(float).eps)
+_TOL = math.sqrt(_EPS)  # MINPACK's default ftol and xtol, and its relative difference step
 
 
 def _least_squares(model, x, y, starts, **kw):
-    """``curve_fit`` of ``model`` to (x, y) from each start point in turn.
+    """Least-squares fit of ``model(x, *p)`` to ``y`` from each start point in turn.
 
     Returns (popt, pcov) of the first start that converges, or None when every
     start raises or the converged parameters are not finite.  ``kw`` passes
-    through to ``curve_fit``.
+    through to :func:`_levenberg_marquardt`.
     """
     for p0 in starts:
         try:
-            popt, pcov = curve_fit(model, x, y, p0=p0, **kw)
+            popt, pcov = _levenberg_marquardt(model, x, y, p0, **kw)
         except (RuntimeError, ValueError):
             continue
         return (popt, pcov) if np.all(np.isfinite(popt)) else None
     return None
+
+
+def _levenberg_marquardt(model, x, y, p0, maxfev, sigma=None, absolute_sigma=False, bounds=None):
+    """Levenberg-Marquardt fit of ``model(x, *p)`` to ``y`` from ``p0``; returns (popt, pcov).
+
+    The method of MINPACK's ``lmdif`` (Moré 1978): a forward-difference
+    Jacobian with step sqrt(eps)|p_j| (sqrt(eps) at p_j = 0), damping scaled by
+    the largest column norms of the Jacobian seen so far (Marquardt), and the
+    stop tests at ftol = xtol = sqrt(eps).  A trial step is taken when it gains
+    at least 1e-4 of the reduction its linear model predicts, and the damping,
+    dimensionless and 1e-3 at the start, follows that gain ratio (Nielsen's
+    rule, but shrinking up to tenfold a step: a slower shrink stops a noise-free
+    fit short of its last digits).  ``bounds = (lower, upper)`` confine the
+    parameters to a box: each step is projected into it, and a parameter held
+    at a bound by the gradient stays there for the step.  ``sigma`` weights the
+    residuals by 1/sigma.
+
+    pcov is the pseudo-inverse of J^T J at the solution, scaled by the reduced
+    chi-square unless ``absolute_sigma``; with no more points than parameters
+    that scale is undefined and pcov is all inf.  Raises ValueError when the
+    residuals at ``p0`` are not finite, RuntimeError when ``maxfev`` model
+    evaluations do not converge.
+    """
+    p = np.array(p0, dtype=float)
+    lower, upper = (-np.inf, np.inf) if bounds is None else bounds
+    weight = 1.0 if sigma is None else 1.0 / np.asarray(sigma, dtype=float)
+
+    def residual(q):
+        return weight * (model(x, *q) - y)
+
+    r = residual(p)
+    cost = float(r @ r)
+    if not math.isfinite(cost):
+        raise ValueError("residuals are not finite at the start point")
+    nfev = 1
+    damping, growth = 1e-3, 2.0
+    scale = np.zeros(p.size)
+    converged = False
+    while cost > 0.0 and not converged:
+        jac = _jacobian(residual, p, r)
+        nfev += p.size
+        scale = np.maximum(scale, np.linalg.norm(jac, axis=0))
+        scale[scale == 0.0] = 1.0
+        grad = jac.T @ r
+        held = ((p <= lower) & (grad > 0.0)) | ((p >= upper) & (grad < 0.0))
+        free_jac = np.where(held, 0.0, jac)  # a held parameter meets only its damping row: step 0
+        rhs = np.concatenate([-r, np.zeros(p.size)])
+        accepted = False
+        while not (accepted or converged):
+            system = np.vstack([free_jac, np.diag(math.sqrt(damping) * scale)])
+            trial = np.clip(p + np.linalg.lstsq(system, rhs, rcond=None)[0], lower, upper)
+            step = trial - p
+            r_trial = residual(trial)
+            nfev += 1
+            cost_trial = float(r_trial @ r_trial)
+            linear = r + jac @ step
+            predicted = 1.0 - float(linear @ linear) / cost
+            actual = 1.0 - cost_trial / cost if math.isfinite(cost_trial) else -math.inf
+            ratio = actual / predicted if predicted > 0.0 else 0.0
+            accepted = ratio >= 1e-4
+            if accepted:
+                p, r, cost = trial, r_trial, cost_trial
+                damping *= max(0.1, 1.0 - (2.0 * ratio - 1.0) ** 3)
+                growth = 2.0
+            else:
+                damping *= growth
+                growth *= 2.0
+            converged = (abs(actual) <= _TOL and predicted <= _TOL and ratio <= 2.0) or (
+                np.linalg.norm(scale * step) <= _TOL * np.linalg.norm(scale * p)
+            )
+            if nfev >= maxfev and not converged:
+                raise RuntimeError(f"no convergence within {maxfev} model evaluations")
+
+    jac = _jacobian(residual, p, r)
+    m, n = jac.shape
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    kept = s > _EPS * max(m, n) * s[0]
+    pcov = (vt[kept].T / s[kept] ** 2) @ vt[kept]
+    if not absolute_sigma:
+        pcov = pcov * (cost / (m - n)) if m > n else np.full((n, n), np.inf)
+    return p, pcov
+
+
+def _jacobian(residual, p, r):
+    """Forward differences of ``residual`` at ``p`` (where it is ``r``), MINPACK's step."""
+    jac = np.empty((r.size, p.size))
+    for j, pj in enumerate(p):
+        h = _TOL * abs(pj) or _TOL
+        q = p.copy()
+        q[j] = pj + h
+        jac[:, j] = (residual(q) - r) / h
+    return jac
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random import Generator, Philox, SeedSequence  # loaded with the package, not at the first draw
 
 _MASK64 = (1 << 64) - 1
 
@@ -24,11 +25,11 @@ def _label_entropy(label) -> int:
     return int.from_bytes(digest, "little")
 
 
-def substream(root_seed: int, *path) -> np.random.Generator:
+def substream(root_seed: int, *path) -> Generator:
     """Return the generator for the substream identified by ``path``.
 
     The same (root_seed, path) always yields the same stream; distinct paths
     yield statistically independent streams.
     """
     entropy = [int(root_seed) & _MASK64] + [_label_entropy(p) for p in path]
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    return Generator(Philox(SeedSequence(entropy)))

@@ -541,11 +541,11 @@ def test_csv_writer_prints_every_value_as_fmt(tmp_path):
 
 
 # Golden outputs: data-file SHA-256 of small pinned configs, as written by
-# artifact version 0.1.0.  Speed-ups must keep them byte-identical.  A
-# deliberate change of the random streams or of the arithmetic behind a state
-# must update these hashes together with a bump of ``__version__`` (the
-# manifest's ``artifact_version``).
-GOLDEN_VERSION = "0.1.0"
+# artifact version 0.2.0.  Speed-ups must keep them byte-identical.  A
+# deliberate change of the random streams, of the arithmetic behind a state or
+# of the fit solver must update these hashes together with a bump of
+# ``__version__`` (the manifest's ``artifact_version``).
+GOLDEN_VERSION = "0.2.0"
 GOLDEN = {
     "mitigate-switching-blocks": (
         {
@@ -615,7 +615,7 @@ GOLDEN = {
             "rb": {"depths": [1, 4, 16, 64], "n_sequences": 4, "shots_per_sequence": 2, "n_windows": 2},
         },
         {
-            "rb_timeseries.csv": "bea4c5146f8c8ae096bd080fa0b54b3ae8c80bd862ad78df4df4c7576c0c179e",
+            "rb_timeseries.csv": "d959062d89556d405de5fa7de0ea88f3d9b632340d9d45c4044783b939437a70",
             "rb_survivals.csv": "909a2119e4151810ea06fe4550a4423ab30679199975b8ee126ba052fa23c0a4",
         },
     ),
@@ -635,7 +635,7 @@ GOLDEN = {
             },
         },
         {
-            "rb_timeseries.csv": "fb8d00a0f5e3a7fd80ed3bad2224cc0c2ed6b68eb4b8a930d246e2af9e55e43b",
+            "rb_timeseries.csv": "4bdd46c3ab4ded7f8b30c11e919e3f4a03b5bee4440fdab779ebbb43a9dcbdca",
             "rb_survivals.csv": "199e4843a690a1cec56fd158845d766d4af3bcc0303c0c7b75e852e46111659a",
         },
     ),
@@ -656,7 +656,7 @@ GOLDEN = {
             },
         },
         {
-            "rb_timeseries.csv": "b53e1384723983efe6e078fc004617404e70645a64db9221f39dc3b252542794",
+            "rb_timeseries.csv": "fcce757e9b20edbefb7af8fc2e26f7ff53e37ca0907bfc91c3151d43b122a518",
             "rb_survivals.csv": "22788a6aab93fde516b090be2d71ac0e185698fcde34308aeb3de94ffc433d4b",
         },
     ),

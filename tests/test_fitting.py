@@ -1,13 +1,14 @@
 """Fringe-fitting utilities on synthetic data."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.optimize import curve_fit
+from scipy.optimize import OptimizeWarning, curve_fit
 
-from bistable_qubit import fitting
-from bistable_qubit.benchmarking import fit_exponential
+from bistable_qubit import benchmarking, fitting
+from bistable_qubit.benchmarking import RbConfig, fit_exponential
 from bistable_qubit.fitting import (
     fit_cosine,
     fit_fringe_time_offset,
@@ -102,14 +103,14 @@ def test_fringe_time_offset():
 @pytest.mark.parametrize(
     "taus, signal, delta, offset_guess",
     [
-        # Levenberg-Marquardt exhausts its 20000 evaluations on this input.
+        # Levenberg-Marquardt exhausts its 20000 evaluations on this input:
+        # it crawls toward the exact fit a = -255.23, dt = 0.49002587, which it
+        # (and scipy's curve_fit alike) reaches only with ten times the budget.
         (
-            [0.023969032559723782, 0.012790697570407206, 0.01541417549424323,
-             0.021311433334190884, 0.02494239669666596],
-            [-45.80618703896165, -31.64677492447767, 186.09814204505545,
-             -35.25654107863605, -235.68552843626065],
-            3.9193779525544863,
-            -5.110252746687177e-08,
+            [4.62074981273039e-08, 1.2716241434024978e-07],
+            [-0.07069318467578121, -0.07056072981554844],
+            2.0405284693250247,
+            6.580820652454965e-07,
         ),
         (TAUS, np.full(TAUS.size, np.nan), 374e3, 0.0),
         ([1e-6], [0.5], 374e3, 0.0),
@@ -138,33 +139,34 @@ FITS = {  # each call returns whether the fit is ok
 }
 
 
-def _patch_curve_fit(monkeypatch, fake):
-    """Route every ``curve_fit`` call through ``fake(call, *args, **kwargs)``, ``call``
-    counting from 0; return the list of start points the calls receive."""
+def _patch_solver(monkeypatch, fake):
+    """Route every call of the per-start solver through ``fake(call, model, x, y, p0, **kwargs)``,
+    ``call`` counting from 0; return the list of start points the calls receive."""
     starts = []
 
-    def patched(*args, **kwargs):
-        starts.append(kwargs["p0"])
-        return fake(len(starts) - 1, *args, **kwargs)
+    def patched(model, x, y, p0, **kwargs):
+        starts.append(p0)
+        return fake(len(starts) - 1, model, x, y, p0, **kwargs)
 
-    monkeypatch.setattr(fitting, "curve_fit", patched)
+    monkeypatch.setattr(fitting, "_levenberg_marquardt", patched)
     return starts
 
 
 def _raise(*args, **kwargs):
-    raise RuntimeError("Optimal parameters not found")
+    raise RuntimeError("no convergence")
 
 
 def test_fit_exponential_falls_through_to_the_second_start(monkeypatch):
     results = []
+    solve = fitting._levenberg_marquardt
 
     def first_raises(call, *args, **kwargs):
         if call == 0:
             _raise()
-        results.append(curve_fit(*args, **kwargs))
+        results.append(solve(*args, **kwargs))
         return results[-1]
 
-    starts = _patch_curve_fit(monkeypatch, first_raises)
+    starts = _patch_solver(monkeypatch, first_raises)
     fit = fit_exponential(RB_DEPTHS, 0.5 * 0.999**RB_DEPTHS + 0.5)
     assert [p0[1] for p0 in starts] == [0.999, 0.99]
     (popt, pcov), = results
@@ -175,7 +177,7 @@ def test_fit_exponential_falls_through_to_the_second_start(monkeypatch):
 
 @pytest.mark.parametrize("fit", FITS.values(), ids=FITS)
 def test_fit_fails_when_every_start_raises(monkeypatch, fit):
-    starts = _patch_curve_fit(monkeypatch, _raise)
+    starts = _patch_solver(monkeypatch, _raise)
     assert not fit()
     assert len(starts) == (4 if fit is FITS["exponential"] else 1)
 
@@ -184,9 +186,135 @@ def test_fit_fails_when_every_start_raises(monkeypatch, fit):
 def test_fit_with_non_finite_parameters_is_not_ok(monkeypatch, fit):
     assert fit()  # the data converge without the patch
 
-    def nan_fit(call, *args, p0, **kwargs):
+    def nan_fit(call, model, x, y, p0, **kwargs):
         return np.full(len(p0), np.nan), np.eye(len(p0))
 
-    starts = _patch_curve_fit(monkeypatch, nan_fit)
+    starts = _patch_solver(monkeypatch, nan_fit)
     assert not fit()
     assert len(starts) == 1  # a converged start is final, finite or not
+
+
+# Agreement with the reference: scipy.optimize.curve_fit, which fitted before
+# the package owned its solver, stays a test dependency.  Both stop at
+# MINPACK's tolerances (curve_fit runs TRF on the bounded exponential fit),
+# each up to ~1e-3 standard errors from the exact minimum along strongly
+# correlated directions, so the two agree to a small fraction of a standard
+# error rather than to the last digits.  The errors are compared
+# where they are reported and well determined: in the exponential fits off
+# the box.  Elsewhere a forward-difference Jacobian of condition ~1e6 (the
+# mixture) or a fit whose amplitude and offset the data do not separate (on
+# the box) leaves them uncertain at the percent level in both solvers.
+PARAM_TOL = 1e-2  # |difference| in standard errors, beyond 1e-5 relative
+ERROR_TOL = 1e-3  # relative difference of the standard errors
+
+
+def _curve_fit(model, x, y, p0, **kwargs):
+    """``scipy.optimize.curve_fit`` in the per-start solver's place."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)  # it warns where pcov is all inf
+        return curve_fit(model, x, y, p0=p0, **kwargs)
+
+
+def _solutions(monkeypatch, fit, solver):
+    """The result of each ``_least_squares`` call of ``fit()``, ``solver`` run per start."""
+    found = []
+    least_squares = fitting._least_squares
+
+    def record(*args, **kwargs):
+        found.append(least_squares(*args, **kwargs))
+        return found[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fitting, "_levenberg_marquardt", solver)
+        patch.setattr(fitting, "_least_squares", record)
+        patch.setattr(benchmarking, "_least_squares", record)
+        fit()
+    return found
+
+
+def _binomial(rng, p, shots):
+    return rng.binomial(shots, np.clip(p, 0.0, 1.0)) / shots
+
+
+def _cosine_draw(rng):
+    taus = np.linspace(0.0, rng.uniform(1e-6, 4e-6), int(rng.integers(8, 120)))
+    f, t2 = rng.uniform(0.5e6, 3e6), rng.choice([math.inf, rng.uniform(5e-6, 60e-6)])
+    fringe = 0.5 + rng.uniform(0.1, 0.5) * np.exp(-taus / t2) * np.cos(2 * math.pi * f * taus + rng.uniform(-1, 1))
+    values, f_guess = _binomial(rng, fringe, int(rng.integers(20, 400))), f * rng.uniform(0.98, 1.02)
+    return lambda: fit_cosine(taus, values, f_guess, t2)
+
+
+def _mixture_draw(rng):
+    taus = np.linspace(0.0, rng.uniform(2e-6, 6e-6), int(rng.integers(20, 160)))
+    f1 = rng.uniform(1.5e6, 2.5e6)
+    f2, w, t2 = f1 - rng.uniform(0.2e6, 0.6e6), rng.uniform(0.2, 0.8), 61e-6
+    beating = 0.5 + 0.45 * np.exp(-taus / t2) * (
+        w * np.cos(2 * math.pi * f1 * taus) + (1 - w) * np.cos(2 * math.pi * f2 * taus)
+    )
+    values = _binomial(rng, beating, int(rng.integers(50, 1000)))
+    guesses = f1 * rng.uniform(0.99, 1.01), f2 * rng.uniform(0.99, 1.01)
+    return lambda: fit_two_frequency_mixture(taus, values, *guesses, t2)
+
+
+def _fringe_offset_draw(rng):
+    delta, offset = rng.uniform(2e5, 6e5), rng.uniform(-50e-9, 50e-9)
+    taus = np.linspace(0.05e-6, rng.uniform(1e-6, 3e-6), int(rng.integers(10, 200)))
+    contrast = rng.uniform(0.5, 1.0) * np.abs(np.sin(math.pi * delta * (taus + offset)))
+    signal, guess = contrast + rng.normal(0.0, 10 ** rng.uniform(-4, -2), taus.size), offset + rng.uniform(-2e-8, 2e-8)
+    return lambda: fit_fringe_time_offset(taus, signal, delta, guess)
+
+
+def _rb_draw(rng, weighted):
+    depths, shots = np.array(RbConfig.depths), RbConfig.n_sequences * RbConfig.shots_per_sequence
+    k = rng.binomial(shots, 0.5 * rng.uniform(0.99, 0.9995) ** depths + 0.5)
+    weights = benchmarking._survival_weights(k, shots) if weighted else None
+    return lambda: fit_exponential(depths, k / shots, weights)
+
+
+def _bounded_rb_draw(rng):
+    # An amplitude above 1 or an offset below 0 puts the best fit on the box.
+    depths, shots = np.array(RbConfig.depths[:9]), int(rng.integers(50, 400))
+    decay = rng.uniform(0.99, 0.999) ** depths
+    k = rng.binomial(shots, np.clip(rng.uniform(0.9, 1.15) * decay + rng.uniform(-0.1, 0.05), 0.0, 1.0))
+    return lambda: fit_exponential(depths, k / shots, benchmarking._survival_weights(k, shots))
+
+
+DRAWS = {
+    "cosine": _cosine_draw,
+    "mixture": _mixture_draw,
+    "fringe-offset": _fringe_offset_draw,
+    "exponential-weighted": lambda rng: _rb_draw(rng, True),
+    "exponential-unweighted": lambda rng: _rb_draw(rng, False),
+    "exponential-bounded": _bounded_rb_draw,
+}
+
+
+@pytest.mark.parametrize("family", DRAWS)
+def test_solver_agrees_with_curve_fit(monkeypatch, family):
+    rng = np.random.default_rng(20261019)
+    for _ in range(30):
+        fit = DRAWS[family](rng)
+        (ours,), (reference,) = _solutions(monkeypatch, fit, fitting._levenberg_marquardt), _solutions(
+            monkeypatch, fit, _curve_fit
+        )
+        assert (ours is None) == (reference is None)
+        if ours is None:
+            continue
+        (popt, pcov), (ref_popt, ref_pcov) = ours, reference
+        errors, ref_errors = np.sqrt(np.abs(np.diag(pcov))), np.sqrt(np.abs(np.diag(ref_pcov)))
+        assert np.all(np.abs(popt - ref_popt) <= 1e-5 * np.abs(ref_popt) + PARAM_TOL * ref_errors)
+        if family in ("exponential-weighted", "exponential-unweighted"):
+            np.testing.assert_allclose(errors, ref_errors, rtol=ERROR_TOL)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_exponential_fit_on_three_depths_warns_nothing(weighted):
+    depths, survivals = np.array([1, 16, 256]), np.array([0.97, 0.9, 0.62])
+    weights = np.full(3, 1e4) if weighted else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_exponential(depths, survivals, weights)
+    assert fit.ok
+    errors = (fit.amplitude_err, fit.decay_err, fit.offset_err)
+    # The reduced chi-square has no degrees of freedom left; inverse variances do not need it.
+    assert all(map(math.isfinite, errors)) if weighted else all(map(math.isinf, errors))

@@ -1,10 +1,17 @@
-"""Every name a package module imports is used by that module, and every name
-it defines at top level is read somewhere in the repository's code."""
+"""Every name a package module imports is used by that module, every name it
+defines at top level is read somewhere in the repository's code, and no CLI
+experiment imports scipy."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from bistable_qubit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bistable_qubit"
@@ -75,3 +82,38 @@ def test_guard_flags_an_unread_definition():
     module = "X = 1\n_Y: int = 2\n__all__ = []\ndef used():\n    return X\ndef unused():\n    pass\nclass Unused:\n    pass\n"
     reader = "import m\nm.used()\nm.Unused = None\n"
     assert unread_definitions({"m": module}, [module, reader]) == ["m._Y", "m.unused", "m.Unused"]
+
+
+# A CLI process imports only what its experiment runs: the package owns its
+# fit solver, so no experiment, fits included, pays for importing scipy.
+NO_SCIPY = """
+import json, sys, tempfile
+import bistable_qubit.cli as cli
+loaded = ["import"] if "scipy" in sys.modules else []
+for doc in json.loads(sys.argv[1]):
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.run(cli.parse_config(json.dumps(dict(doc, out_dir=out)))) == 0, doc
+    if "scipy" in sys.modules:
+        loaded.append(doc["experiment"])
+print(json.dumps(loaded))
+"""
+TINY_RUNS = [  # every experiment at a small size; mitigate and rb fit
+    {"experiment": "mitigate", "seed": 1, "tls": {"gamma_hl_hz": 5e4, "gamma_lh_hz": 5e4},
+     "mitigate": {"rows": 2, "n_tau": 8, "n_reps": 2}},
+    {"experiment": "rb", "seed": 2, "tls": {"gamma_hl_hz": 1e4, "gamma_lh_hz": 1e4},
+     "rb": {"depths": [1, 4, 16, 64], "n_sequences": 4, "shots_per_sequence": 2}},
+    {"experiment": "ramsey", "seed": 3, "ramsey": {"n_tau": 4, "shots": 4}},
+    {"experiment": "syndrome-sweep", "seed": 4, "syndrome_sweep": {"n_cycles": 100}},
+    {"experiment": "heatmap", "seed": 5, "heatmap": {"n_splitting": 3, "n_switching": 3}},
+    {"experiment": "perr", "seed": 6},
+    {"experiment": "ak", "seed": 7, "ak": {"n_t": 5, "n_trajectories": 100}},
+]
+
+
+def test_no_experiment_imports_scipy():
+    assert sorted(doc["experiment"] for doc in TINY_RUNS) == sorted(cli.EXPERIMENTS)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY, json.dumps(TINY_RUNS)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []  # the steps after which scipy was loaded
