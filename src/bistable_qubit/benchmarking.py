@@ -145,7 +145,7 @@ class SequenceExecutor:
         self._totals: dict[bytes, float] = {}
         self._shots: list[tuple[tuple[bytes, int, float], float | None, float, float]] = []
 
-    def run(self, indices: list[int] | bytes, f_c: float, rng: np.random.Generator) -> None:
+    def run(self, indices: list[int] | bytes, f_c: float) -> None:
         """Queue reset -> sequence -> measure in frame f_c; ``outcomes`` returns its bit.
 
         ``indices`` holds the Clifford indices as ints (a list, or ``bytes``).
@@ -166,10 +166,10 @@ class SequenceExecutor:
             for i in sequence:
                 total += self.durations[i]
             self._totals[sequence] = total
-        segments = env.dwell(total, rng)
+        segments = env.dwell(total)
         z = self._step(sequence, f_c, segments)[2] if len(segments) > 1 else None
         key = (sequence, env.xi, f_c)  # env.xi: the one mode of a switch-free run
-        self._shots.append((key, z, *env.readout_draws(rng)))
+        self._shots.append((key, z, *env.readout_draws()))
 
     def outcomes(self) -> list[int]:
         """The reported bits of every run queued since the last call, in run order.
@@ -405,15 +405,14 @@ def _survival_weights(k: np.ndarray, n: int) -> np.ndarray:
     return n / (smoothed * (1.0 - smoothed))
 
 
-def run_rb_interleaved(
-    env: Environment, config: RbConfig, rng: np.random.Generator
-) -> RbTimeSeries:
+def run_rb_interleaved(env: Environment, config: RbConfig) -> RbTimeSeries:
     """Interleave each random sequence without and with syndrome feedback.
 
     Per sequence the frame is first reset to the high-mode frequency and the
     sequence is executed; one syndrome cycle then retunes the frame and the
-    same sequence runs again.  Each window holds one full depth sweep and is
-    fitted per arm; non-converged fits are flagged, not raised.
+    same sequence runs again.  The sequences are drawn from ``env.rng``, the
+    stream of every other draw of the run.  Each window holds one full depth
+    sweep and is fitted per arm; non-converged fits are flagged, not raised.
     """
     qp = env.qubit
     executor = SequenceExecutor(env)
@@ -428,15 +427,15 @@ def run_rb_interleaved(
         xi_sum = 0  # the mode at the start of each of the window's sequences
         for di, length in enumerate(depths):
             for _ in range(config.n_sequences):
-                indices, recovery = random_sequence(int(length), rng)
+                indices, recovery = random_sequence(int(length), env.rng)
                 indices.append(recovery)
                 sequence = bytes(indices)
                 xi_sum += env.xi
                 for _ in range(config.shots_per_sequence):
-                    executor.run(sequence, qp.f_high, rng)
-                _, f_c = syndrome_cycle(env, config.tau_probe, rng)
+                    executor.run(sequence, qp.f_high)
+                _, f_c = syndrome_cycle(env, config.tau_probe)
                 for _ in range(config.shots_per_sequence):
-                    executor.run(sequence, f_c, rng)
+                    executor.run(sequence, f_c)
             # Per sequence: its open-loop shots, then its feedback shots.
             bits = np.array(executor.outcomes()).reshape(config.n_sequences, 2, -1)
             k_nofb[di], k_fb[di] = (bits == 0).sum(axis=(0, 2))
@@ -460,7 +459,7 @@ def run_rb_interleaved(
             )
         )
         if config.idle_between_windows > 0:
-            env.advance(config.idle_between_windows, rng)
+            env.advance(config.idle_between_windows)
 
     return RbTimeSeries(depths=depths, windows=windows)
 

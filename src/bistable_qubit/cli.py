@@ -245,6 +245,13 @@ def _config_from_dict(data) -> RunConfig:
             calibrate_decode_map(qubit, tau_probe, finite_pulses)
         except ValueError as exc:
             raise ConfigError(f"protocol.tau_probe_s: {exc}") from exc
+    if experiment == "ak":
+        ak = merged["ak"]
+        if 0.5 * ak["gamma_hz"] * _ak_t_max(ak, qubit) > 10**7:  # the flips are drawn into arrays
+            raise ConfigError(
+                "ak.gamma_hz: the expected flips per trajectory, 0.5 * gamma_hz * t_max, must be <= 10**7,"
+                f" got {json.dumps(ak['gamma_hz'])}"
+            )
     # A section the run does not use gets only the schema's checks: its type is
     # not built, so a count in it that is too large to allocate costs nothing.
     rb = mitigation = None
@@ -358,10 +365,10 @@ def _derived_block(cfg: RunConfig) -> dict:
 
 
 def _replicas(cfg: RunConfig):
-    """Yield (replica, env, rng) per replica: the replica's substream and the environment drawn from it."""
+    """Yield (replica, env) per replica: the environment owns the replica's substream."""
     for replica in range(cfg.replicas):
         rng = substream(cfg.seed, cfg.experiment, "replica", replica)
-        yield replica, make_environment(cfg.qubit, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses), rng
+        yield replica, make_environment(cfg.qubit, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
 
 
 def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
@@ -370,11 +377,11 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
     taus = np.linspace(0.0, p["tau_max_s"], p["n_tau"])
     f_c = qp.f_high if p["frame"] == "high" else qp.f_low
     rows = []
-    for replica, env, rng in _replicas(cfg):
+    for replica, env in _replicas(cfg):
         for tau in taus.tolist():
             hits = 0
             for _ in range(p["shots"]):
-                hits += ramsey_cycle(env, f_c, tau, p["virtual_detuning_hz"], rng)
+                hits += ramsey_cycle(env, f_c, tau, p["virtual_detuning_hz"])
             model = None
             if cfg.pinned_mode is not None and cfg.tls.total_rate == 0:
                 model = ramsey_probability(
@@ -396,8 +403,8 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
     taus = np.asarray(mit.tau_grid)
     nofb_rows, fb_rows, trace_rows, avg_rows = [], [], [], []
     fits = {}
-    for replica, env, rng in _replicas(cfg):
-        result = run_mitigation(env, mit, rng)
+    for replica, env in _replicas(cfg):
+        result = run_mitigation(env, mit)
         for matrix, sink in ((result.no_feedback, nofb_rows), (result.feedback, fb_rows)):
             for r, (row_time, values) in enumerate(zip(matrix.row_times.tolist(), matrix.values.tolist())):
                 for i, (tau, value) in enumerate(zip(matrix.taus.tolist(), values)):
@@ -445,8 +452,8 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
         "decoherence_floor_per_gate": decoherence_floor_per_gate(qp),
         "replicas": {},
     }
-    for replica, env, rng in _replicas(cfg):
-        series = run_rb_interleaved(env, cfg.rb, rng)
+    for replica, env in _replicas(cfg):
+        series = run_rb_interleaved(env, cfg.rb)
         valid_nofb, valid_fb = [], []
         for win in series.windows:
             mid = 0.5 * (win.lab_time_start + win.lab_time_end)
@@ -516,7 +523,7 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
                 pinned = cfg.pinned_mode if cfg.pinned_mode is not None else (0 if frozen else None)
                 env = make_environment(qp_run, tlsp, rng, pinned, cfg.finite_pulses)
                 resample = frozen and cfg.pinned_mode is None
-                p_mc = syndrome_error_rate(env, p["n_cycles"], cfg.tau_probe, rng, resample)
+                p_mc = syndrome_error_rate(env, p["n_cycles"], cfg.tau_probe, resample)
                 rows.append(
                     (
                         replica,
@@ -606,11 +613,15 @@ def _run_heatmap(cfg: RunConfig) -> tuple[dict, dict]:
     return files, {}
 
 
+def _ak_t_max(p: dict, qubit: QubitParams) -> float:
+    """The end of the ak time grid: ``ak.t_max_s``, or 3/delta_tls when that is 0."""
+    return p["t_max_s"] if p["t_max_s"] > 0 else 3.0 / qubit.delta_tls
+
+
 def _run_ak(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     delta = cfg.qubit.delta_tls
-    t_max = p["t_max_s"] if p["t_max_s"] > 0 else 3.0 / delta
-    t_grid = np.linspace(0.0, t_max, p["n_t"])
+    t_grid = np.linspace(0.0, _ak_t_max(p, cfg.qubit), p["n_t"])
     ak = analytics.ak_coherence(t_grid, delta, p["gamma_hz"])
     mc = None
     if p["n_trajectories"] > 0:

@@ -9,6 +9,7 @@ import numpy as np
 
 _EPS = float(np.finfo(float).eps)
 _TOL = math.sqrt(_EPS)  # MINPACK's default ftol and xtol, and its relative difference step
+_NEAR_EXACT = _EPS**0.75  # a cost this far below the start cost ends a crawling fit
 
 
 def _least_squares(model, x, y, starts, **kw):
@@ -33,8 +34,13 @@ def _levenberg_marquardt(model, x, y, p0, maxfev, sigma=None, absolute_sigma=Fal
     The method of MINPACK's ``lmdif`` (Moré 1978): a forward-difference
     Jacobian with step sqrt(eps)|p_j| (sqrt(eps) at p_j = 0), damping scaled by
     the largest column norms of the Jacobian seen so far (Marquardt), and the
-    stop tests at ftol = xtol = sqrt(eps).  A trial step is taken when it gains
-    at least 1e-4 of the reduction its linear model predicts, and the damping,
+    stop tests at ftol = xtol = sqrt(eps).  A fit also stops at a step that
+    gains less than half the cost once the cost is below eps**0.75 of the start
+    cost: near an exact fit a converging step gains nearly all of it, while a
+    fit whose exact solution lies outside the box, such as A p^L + B through
+    as many depths as parameters, crawls along a valley toward the box a few
+    percent a step until ``maxfev``.  A trial step is taken when it gains at
+    least 1e-4 of the reduction its linear model predicts, and the damping,
     dimensionless and 1e-3 at the start, follows that gain ratio (Nielsen's
     rule, but shrinking up to tenfold a step: a slower shrink stops a noise-free
     fit short of its last digits).  ``bounds = (lower, upper)`` confine the
@@ -60,6 +66,7 @@ def _levenberg_marquardt(model, x, y, p0, maxfev, sigma=None, absolute_sigma=Fal
     if not math.isfinite(cost):
         raise ValueError("residuals are not finite at the start point")
     nfev = 1
+    negligible = _NEAR_EXACT * cost
     damping, growth = 1e-3, 2.0
     scale = np.zeros(p.size)
     converged = False
@@ -92,8 +99,10 @@ def _levenberg_marquardt(model, x, y, p0, maxfev, sigma=None, absolute_sigma=Fal
             else:
                 damping *= growth
                 growth *= 2.0
-            converged = (abs(actual) <= _TOL and predicted <= _TOL and ratio <= 2.0) or (
-                np.linalg.norm(scale * step) <= _TOL * np.linalg.norm(scale * p)
+            converged = (
+                (abs(actual) <= _TOL and predicted <= _TOL and ratio <= 2.0)
+                or np.linalg.norm(scale * step) <= _TOL * np.linalg.norm(scale * p)
+                or (accepted and actual < 0.5 and cost <= negligible)
             )
             if nfev >= maxfev and not converged:
                 raise RuntimeError(f"no convergence within {maxfev} model evaluations")

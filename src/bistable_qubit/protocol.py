@@ -4,10 +4,11 @@ The controller runs in a rotating frame at ``f_c`` (one of the two mode
 frequencies).  One syndrome cycle estimates the current mode from a single
 measurement and returns the retuned ``f_c``; probing (Ramsey-style) cycles
 read the qubit phase evolution with a software-applied virtual detuning.
-The ``Environment`` owns lab time: the defect mode, an int ``xi`` (0 = H,
-1 = L), and the lab clock advance together over every elapsed interval,
-including the readout and reset dead time after each measurement, which is
-what makes stale estimates possible.
+The ``Environment`` owns lab time and its randomness: the defect mode, an int
+``xi`` (0 = H, 1 = L), and the lab clock advance together over every elapsed
+interval, including the readout and reset dead time after each measurement,
+which is what makes stale estimates possible, and every switch and readout is
+drawn from its generator ``rng``.
 
 Conventions:
 
@@ -29,6 +30,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import telegraph
+from .analytics import tau_opt
 from .bloch import (
     GROUND,
     QubitParams,
@@ -49,6 +51,9 @@ HALF_PI = 0.5 * math.pi
 class Environment:
     """Mutable world state shared by the cycles of one experiment run.
 
+    ``rng`` is the replica's random stream: every random event of the run,
+    the defect's switches and each readout's projection and misassignment,
+    is drawn from it, in the order the methods below are called.
     ``finite_pulses`` selects rectangular finite-duration pulses (with their
     detuning-tilted rotation axes) versus idealized instantaneous rotations.
     ``clock`` is the lab time (s); the methods below are the only place that
@@ -59,35 +64,36 @@ class Environment:
     qubit: QubitParams
     tls_params: TelegraphParams
     xi: int
+    rng: np.random.Generator
     finite_pulses: bool = True
     clock: float = 0.0
 
-    def advance(self, dt: float, rng: np.random.Generator) -> None:
+    def advance(self, dt: float) -> None:
         """Let ``dt`` of lab time pass: the defect evolves and the clock moves on."""
-        self.xi = telegraph.evolve(self.xi, self.tls_params, dt, rng)
+        self.xi = telegraph.evolve(self.xi, self.tls_params, dt, self.rng)
         self.clock += dt
 
-    def dwell(self, dt: float, rng: np.random.Generator) -> list[tuple[int, float]]:
+    def dwell(self, dt: float) -> list[tuple[int, float]]:
         """``advance`` over ``dt``, returning the (xi, duration) segments the defect dwelt in."""
-        segments, self.xi = telegraph.dwell_segments(self.xi, self.tls_params, dt, rng)
+        segments, self.xi = telegraph.dwell_segments(self.xi, self.tls_params, dt, self.rng)
         self.clock += dt
         return segments
 
-    def readout(self, z: float, rng: np.random.Generator) -> int:
+    def readout(self, z: float) -> int:
         """Measure a state with Bloch z-component ``z``, then wait out the readout and reset."""
-        m = measure(z, self.qubit, rng)
-        self.advance(self.qubit.t_wall, rng)
+        m = measure(z, self.qubit, self.rng)
+        self.advance(self.qubit.t_wall)
         return m
 
-    def readout_draws(self, rng: np.random.Generator) -> tuple[float, float]:
+    def readout_draws(self) -> tuple[float, float]:
         """``readout`` with its decision deferred: draw the two uniforms ``measure``
         draws, wait out the readout and reset, and return the uniforms.
 
         ``bloch.readout_bit(z, u1, u2, qubit)`` on them later gives the bit that
-        ``readout(z, rng)`` returns now, from the same random stream.
+        ``readout(z)`` would return now: the same draws in the same order.
         """
-        u = rng.random(), rng.random()
-        self.advance(self.qubit.t_wall, rng)
+        u = self.rng.random(), self.rng.random()
+        self.advance(self.qubit.t_wall)
         return u
 
 
@@ -98,7 +104,10 @@ def make_environment(
     pinned_mode: int | None = None,
     finite_pulses: bool = True,
 ) -> Environment:
-    """Build an environment, drawing the initial mode stationarily unless pinned."""
+    """Build an environment, drawing the initial mode stationarily unless pinned.
+
+    The environment then owns ``rng``: every later draw of the run comes from it.
+    """
     if pinned_mode is not None:
         if pinned_mode not in (telegraph.XI_H, telegraph.XI_L):
             raise ValueError("pinned_mode must be 0 (H mode) or 1 (L mode)")
@@ -107,7 +116,7 @@ def make_environment(
         xi = telegraph.draw_stationary(tls_params, rng)
     else:
         raise ValueError("both switching rates are zero: pin the mode explicitly")
-    return Environment(qubit=qubit, tls_params=tls_params, xi=xi, finite_pulses=finite_pulses)
+    return Environment(qubit=qubit, tls_params=tls_params, xi=xi, rng=rng, finite_pulses=finite_pulses)
 
 
 def cycle_bandwidth(tau: float, t_readout: float, t_reset: float) -> float:
@@ -172,11 +181,7 @@ def _switch_free_state(
 
 
 def _two_pulse_cycle(
-    env: Environment,
-    f_c: float,
-    tau: float,
-    second_axis_phase: float,
-    rng: np.random.Generator,
+    env: Environment, f_c: float, tau: float, second_axis_phase: float
 ) -> tuple[float, float, float]:
     """Reset, X(-pi/2), free evolution over tau, then X(-pi/2) about ``second_axis_phase``.
 
@@ -189,10 +194,10 @@ def _two_pulse_cycle(
     qp = env.qubit
     pulse_time = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
     xi_first = env.xi
-    env.advance(pulse_time, rng)
-    segments = env.dwell(tau, rng)
+    env.advance(pulse_time)
+    segments = env.dwell(tau)
     xi_second = env.xi
-    env.advance(pulse_time, rng)
+    env.advance(pulse_time)
     if len(segments) <= 1 and xi_second == xi_first:
         return _switch_free_state(qp, env.finite_pulses, f_c, xi_first, tau, second_axis_phase)
     return _cycle_state(qp, env.finite_pulses, f_c, xi_first, segments, xi_second, second_axis_phase)
@@ -235,9 +240,7 @@ def calibrate_decode_map(
     return (1 - xi_for_m1, xi_for_m1)
 
 
-def syndrome_cycle(
-    env: Environment, tau_probe: float, rng: np.random.Generator
-) -> tuple[int, float]:
+def syndrome_cycle(env: Environment, tau_probe: float) -> tuple[int, float]:
     """One mode-estimation cycle; returns the outcome and the retuned frame f_c.
 
     Probes in the high-mode frame, decodes the single shot into a mode
@@ -247,13 +250,11 @@ def syndrome_cycle(
         raise ValueError("tau_probe must be positive")
     qp = env.qubit
     decode = calibrate_decode_map(qp, tau_probe, env.finite_pulses)
-    m = env.readout(_two_pulse_cycle(env, qp.f_high, tau_probe, 0.0, rng)[2], rng)
+    m = env.readout(_two_pulse_cycle(env, qp.f_high, tau_probe, 0.0)[2])
     return m, qp.mode_frequency(decode[m])
 
 
-def ramsey_cycle(
-    env: Environment, f_c: float, tau: float, virtual_detuning: float, rng: np.random.Generator
-) -> int:
+def ramsey_cycle(env: Environment, f_c: float, tau: float, virtual_detuning: float) -> int:
     """One probing cycle in frame f_c with a virtual detuning; returns the outcome.
 
     The second pulse's axis is advanced by 2*pi*virtual_detuning*tau.
@@ -262,7 +263,7 @@ def ramsey_cycle(
         raise ValueError("tau must be nonnegative")
     _check_f_c(f_c, env.qubit)
     virtual_phase = 2.0 * math.pi * virtual_detuning * tau
-    return env.readout(_two_pulse_cycle(env, f_c, tau, virtual_phase, rng)[2], rng)
+    return env.readout(_two_pulse_cycle(env, f_c, tau, virtual_phase)[2])
 
 
 @dataclass(frozen=True)
@@ -319,14 +320,10 @@ class MitigationResult:
 
 def default_tau_probe(qp: QubitParams) -> float:
     """Optimal probing time for the engine parameters."""
-    from .analytics import tau_opt
-
     return tau_opt(qp.delta_tls, qp.t2)
 
 
-def run_mitigation(
-    env: Environment, config: MitigationConfig, rng: np.random.Generator
-) -> MitigationResult:
+def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResult:
     """Run the interleaved fringe experiment.
 
     Per probe time and repetition: one open-loop cycle in the high-mode frame
@@ -349,9 +346,9 @@ def run_mitigation(
             while rep < config.n_reps:
                 block = min(config.block_size, config.n_reps - rep)
                 for _ in range(block):
-                    counts_nofb[row, i] += ramsey_cycle(env, qp.f_high, tau, config.det_nofb, rng)
+                    counts_nofb[row, i] += ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
                 for k in range(block):
-                    m_syn, f_c = syndrome_cycle(env, config.tau_probe, rng)
+                    m_syn, f_c = syndrome_cycle(env, config.tau_probe)
                     est_xi = 0 if f_c == qp.f_high else 1
                     trace.append(
                         SyndromeRecord(
@@ -364,10 +361,10 @@ def run_mitigation(
                             outcome=m_syn,
                         )
                     )
-                    counts_fb[row, i] += ramsey_cycle(env, f_c, tau, config.det_fb, rng)
+                    counts_fb[row, i] += ramsey_cycle(env, f_c, tau, config.det_fb)
                 rep += block
         if config.idle_between_rows > 0:
-            env.advance(config.idle_between_rows, rng)
+            env.advance(config.idle_between_rows)
 
     return MitigationResult(
         no_feedback=FringeMatrix(taus=taus, values=counts_nofb / config.n_reps, row_times=row_times),
@@ -377,11 +374,7 @@ def run_mitigation(
 
 
 def syndrome_error_rate(
-    env: Environment,
-    n_cycles: int,
-    tau_probe: float,
-    rng: np.random.Generator,
-    resample_each_cycle: bool,
+    env: Environment, n_cycles: int, tau_probe: float, resample_each_cycle: bool
 ) -> float:
     """Monte Carlo fraction of cycles whose retuned f_c misses the true mode.
 
@@ -397,8 +390,8 @@ def syndrome_error_rate(
     errors = 0
     for _ in range(n_cycles):
         if resample_each_cycle:
-            env.xi = telegraph.XI_L if rng.random() < 0.5 else telegraph.XI_H
-        _, f_c = syndrome_cycle(env, tau_probe, rng)
+            env.xi = telegraph.XI_L if env.rng.random() < 0.5 else telegraph.XI_H
+        _, f_c = syndrome_cycle(env, tau_probe)
         if f_c != qp.mode_frequency(env.xi):
             errors += 1
     return errors / n_cycles

@@ -64,7 +64,7 @@ def mitigation_run():
     rng = substream(SEED, "acceptance-mitigate")
     env = make_environment(QP, TelegraphParams.from_dwell_time(10.0), rng)
     started = time.monotonic()
-    result = run_mitigation(env, config, rng)
+    result = run_mitigation(env, config)
     return config, result, time.monotonic() - started
 
 
@@ -148,7 +148,7 @@ def test_criterion_04_syndrome_error_rate():
     rng = substream(SEED, "acceptance-perr-static")
     env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
     n_static = 1_000_000
-    p_mc = syndrome_error_rate(env, n_static, tau, rng, True)
+    p_mc = syndrome_error_rate(env, n_static, tau, True)
     p_th = analytics.p_err_static(QP.delta_tls, QP.t2, QP.alpha)
     sigma = math.sqrt(p_th * (1.0 - p_th) / n_static)
     static_ok = abs(p_mc - p_th) < 3.0 * sigma
@@ -162,7 +162,7 @@ def test_criterion_04_syndrome_error_rate():
         env = make_environment(
             QP, TelegraphParams.symmetric(gamma), rng, finite_pulses=False
         )
-        measured.append(syndrome_error_rate(env, n_dyn, tau, rng, False))
+        measured.append(syndrome_error_rate(env, n_dyn, tau, False))
         expected.append(
             analytics.p_err_bandwidth_exact(QP.delta_tls, gamma, QP.alpha, QP.t2, QP.t_wall)
         )
@@ -188,7 +188,7 @@ def test_criterion_05_benchmarking_decoherence_floor():
     rng = substream(SEED, "acceptance-rb-floor")
     env = make_environment(QP, FROZEN, rng, pinned_mode=0)
     config = rb.RbConfig(tau_probe=default_tau_probe(QP), n_sequences=100, shots_per_sequence=6, n_windows=1)
-    series = rb.run_rb_interleaved(env, config, rng)
+    series = rb.run_rb_interleaved(env, config)
     window = series.windows[0]
     floor = rb.decoherence_floor_per_gate(QP)
     fitted = window.fit_nofb.r_native
@@ -211,7 +211,7 @@ def test_criterion_06_benchmarking_improvement():
     config = rb.RbConfig(
         tau_probe=default_tau_probe(QP), n_sequences=84, shots_per_sequence=4, n_windows=70, idle_between_windows=0.6
     )
-    series = rb.run_rb_interleaved(env, config, rng)
+    series = rb.run_rb_interleaved(env, config)
     floor = rb.decoherence_floor_per_gate(QP)
 
     valid = [w for w in series.windows if w.fit_nofb.ok and w.fit_fb.ok]
@@ -296,7 +296,7 @@ def _threshold_point(qp, gamma, n_shots, seed_label):
     for i in range(n_shots):
         if gamma == 0:
             env.xi = int(rng.random() < 0.5)
-        _, f_c = syndrome_cycle(env, tau, rng)
+        _, f_c = syndrome_cycle(env, tau)
         xi = env.xi
         wrong += f_c != qp.mode_frequency(xi)
         active[i] = x_gate_excited_population(qp, f_c, xi)
@@ -393,7 +393,7 @@ def test_criterion_09_design_space_map():
     active_sum = blind_sum = 0.0
     for _ in range(n):
         env.xi = int(rng.random() < 0.5)
-        _, f_c = syndrome_cycle(env, tau, rng)
+        _, f_c = syndrome_cycle(env, tau)
         xi = env.xi
         active_sum += QP.alpha * x_gate_excited_population(QP, f_c, xi)
         blind_sum += QP.alpha * x_gate_excited_population(QP, f_blind, xi)

@@ -62,8 +62,8 @@ def _slot_by_slot(executor, indices, f_c, segments):
     return state
 
 
-def _reference_run(executor, indices, f_c, rng):
-    """The executor's run without its memo: every run steps the whole sequence.
+def _reference_run(executor, indices, f_c):
+    """The executor's run without its memo: every run steps the whole sequence, drawing from ``env.rng``.
 
     Advances ``executor.env.clock``; returns (outcome, state handed to readout).
     """
@@ -74,7 +74,7 @@ def _reference_run(executor, indices, f_c, rng):
     total = 0.0
     for i in indices:
         total += durations[i]
-    segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, total, rng)
+    segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, total, env.rng)
     env.clock += total
     ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
     seg = 0
@@ -96,8 +96,8 @@ def _reference_run(executor, indices, f_c, rng):
         t += durations[i]
         for m in steps:
             state = apply(m, state)
-    outcome = measure(state[2], qp, rng)
-    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, rng)
+    outcome = measure(state[2], qp, env.rng)
+    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, env.rng)
     env.clock += qp.t_wall
     return outcome, state
 
@@ -217,7 +217,7 @@ class TestExecutor:
         for _ in range(300):
             length = int(rng.integers(0, 33))
             indices, recovery = rb.random_sequence(length, rng)
-            executor.run(indices + [recovery], IDEAL.f_high, rng)
+            executor.run(indices + [recovery], IDEAL.f_high)
         assert executor.outcomes() == [0] * 300
         assert executor.outcomes() == []
 
@@ -235,7 +235,8 @@ class TestExecutor:
             total = sum(executor.durations[i] for i in seq)
             segments, _ = telegraph.dwell_segments(env.xi, fast, total, substream(506, "run", k))
             switched += len(segments) > 1
-            executor.run(seq, f_c, substream(506, "run", k))
+            env.rng = substream(506, "run", k)
+            executor.run(seq, f_c)
             executor.outcomes()
             expected = _slot_by_slot(executor, seq, f_c, segments)
             assert captured[-1] == pytest.approx(expected[2], abs=1e-12)
@@ -258,12 +259,12 @@ class TestExecutor:
     )
     def test_run_matches_unmemoised_reference(self, seed, rate, sequences, runs):
         tls = TelegraphParams(rate, 0.7 * rate)
-        env = Environment(QP, tls, seed % 2, True)
-        ref_env = Environment(QP, tls, env.xi, True)
-        executor = rb.SequenceExecutor(env)
-        reference = rb.SequenceExecutor(ref_env)
         rng = substream(515, "memo", seed)
         ref_rng = copy.deepcopy(rng)
+        env = Environment(QP, tls, seed % 2, rng, True)
+        ref_env = Environment(QP, tls, env.xi, ref_rng, True)
+        executor = rb.SequenceExecutor(env)
+        reference = rb.SequenceExecutor(ref_env)
         with pytest.MonkeyPatch.context() as mp:
             captured = _capture_decisions(mp)
             outcomes, ref_outcomes, ref_z = [], [], []
@@ -271,8 +272,8 @@ class TestExecutor:
                 seq = sequences[which % len(sequences)]
                 f_c = QP.f_high if high else QP.f_low
                 for _ in range(shots):  # back-to-back shots of one sequence, as in rb
-                    executor.run(list(seq), f_c, rng)
-                    ref_m, ref_state = _reference_run(reference, seq, f_c, ref_rng)
+                    executor.run(list(seq), f_c)
+                    ref_m, ref_state = _reference_run(reference, seq, f_c)
                     ref_outcomes.append(ref_m)
                     ref_z.append(ref_state[2])
                     assert (env.clock, env.xi) == (ref_env.clock, ref_env.xi)
@@ -293,9 +294,9 @@ class TestExecutor:
     def test_batched_state_equals_the_scalar_step(self, seed, lengths):
         # One queue mixing lengths 0, 1, odd and 2049, both modes and both
         # frames, on a frozen defect.
-        env = Environment(QP, FROZEN, 0, True)
-        executor = rb.SequenceExecutor(env)
         rng = substream(518, "batch", seed)
+        env = Environment(QP, FROZEN, 0, rng, True)
+        executor = rb.SequenceExecutor(env)
         draw = np.random.default_rng(seed)
         expected, distinct = [], set()
         with pytest.MonkeyPatch.context() as mp:
@@ -310,7 +311,7 @@ class TestExecutor:
                     for xi in (0, 1):
                         for f_c in (QP.f_high, QP.f_low):
                             env.xi = xi
-                            executor.run(seq, f_c, rng)
+                            executor.run(seq, f_c)
                             total = sum(executor.durations[i] for i in seq)
                             expected.append(executor._step(seq, f_c, [(xi, total)])[2])
                             distinct.add((bytes(seq), xi, f_c))
@@ -321,9 +322,9 @@ class TestExecutor:
         assert sorted(k for keys in batches for k in keys) == sorted(distinct) and stepped == []
 
     def test_each_distinct_key_is_stepped_once(self, monkeypatch):
-        env = make_environment(QP, FROZEN, None, pinned_mode=0)
-        executor = rb.SequenceExecutor(env)
         rng = substream(516, "distinct-keys")
+        env = make_environment(QP, FROZEN, rng, pinned_mode=0)
+        executor = rb.SequenceExecutor(env)
         batches, stepped = _record_resolved_keys(monkeypatch)
         first, second = [0, 5, 7, 11], [3, 3, 20]
         short = [[k, 23 - k] for k in range(3)]
@@ -331,7 +332,7 @@ class TestExecutor:
         runs += [(seq, QP.f_high) for seq in short] + [(second, QP.f_low), (short[0], QP.f_high), ([], QP.f_high)]
         for seq, f_c in runs:
             for _ in range(3):
-                executor.run(seq, f_c, rng)
+                executor.run(seq, f_c)
         assert len(executor.outcomes()) == 3 * len(runs)
         distinct = {(bytes(seq), 0, f_c) for seq, f_c in runs}
         assert sorted(len(keys[0][0]) for keys in batches) == [0, 2, 3, 4]  # one batch per length
@@ -342,9 +343,9 @@ class TestExecutor:
 
     def test_segmented_runs_never_enter_the_batch(self, monkeypatch):
         fast = TelegraphParams(1e5, 1e5)  # 10 us dwells against ~6 us sequences
-        env = Environment(QP, fast, 0, True)
-        executor = rb.SequenceExecutor(env)
         rng = substream(517, "segmented")
+        env = Environment(QP, fast, 0, rng, True)
+        executor = rb.SequenceExecutor(env)
         batches, stepped = _record_resolved_keys(monkeypatch)
         switch_free = []
         segmented = 0
@@ -353,7 +354,7 @@ class TestExecutor:
             f_c = QP.f_low if k % 2 else QP.f_high
             total = sum(executor.durations[i] for i in seq)
             segments, xi = telegraph.dwell_segments(env.xi, fast, total, copy.deepcopy(rng))
-            executor.run(seq, f_c, rng)
+            executor.run(seq, f_c)
             if len(segments) > 1:
                 segmented += 1
             else:
@@ -366,16 +367,16 @@ class TestExecutor:
     def test_resolving_an_rb_depth_stays_small(self):
         # The bench rb-slow depth: 84 sequences of 2048 Cliffords plus recovery,
         # four shots per arm, the two arms in different frames.
-        env = make_environment(QP, FROZEN, None, pinned_mode=1)
-        executor = rb.SequenceExecutor(env)
         rng = substream(520, "memory")
+        env = make_environment(QP, FROZEN, rng, pinned_mode=1)
+        executor = rb.SequenceExecutor(env)
         sequences = [bytes(rng.integers(0, 24, size=2049).tolist()) for _ in range(84)]
         tracemalloc.start()
         try:
             for seq in sequences:
                 for f_c in (QP.f_high, QP.f_low):
                     for _ in range(4):
-                        executor.run(seq, f_c, rng)
+                        executor.run(seq, f_c)
             bits = executor.outcomes()
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -390,21 +391,21 @@ class TestExecutor:
         seq = [0, 1, 2]
         total = sum(executor.durations[i] for i in seq)
         env.clock = 5.0
-        executor.run(seq, QP.f_high, rng)
+        executor.run(seq, QP.f_high)
         assert env.clock == pytest.approx(5.0 + total + QP.t_wall)
         executor.outcomes()
         assert env.clock == pytest.approx(5.0 + total + QP.t_wall)
 
     def test_off_grid_frame_rejected(self):
-        env = make_environment(QP, FROZEN, None, pinned_mode=0)
+        env = make_environment(QP, FROZEN, substream(508, "frame"), pinned_mode=0)
         with pytest.raises(ValueError, match="mode frequencies"):
-            rb.SequenceExecutor(env).run([0, 1], QP.f_high + 1.0, substream(508, "frame"))
+            rb.SequenceExecutor(env).run([0, 1], QP.f_high + 1.0)
 
     def test_wide_integer_buffer_rejected(self):
-        env = make_environment(QP, FROZEN, None, pinned_mode=0)
+        env = make_environment(QP, FROZEN, substream(519, "wide"), pinned_mode=0)
         executor = rb.SequenceExecutor(env)
         with pytest.raises(TypeError, match="list of ints or bytes"):
-            executor.run(np.array([0, 1, 2]), QP.f_high, substream(519, "wide"))
+            executor.run(np.array([0, 1, 2]), QP.f_high)
         assert env.clock == 0.0
 
 
@@ -473,7 +474,7 @@ class TestInterleavedRun:
         rng = substream(511, "spamfloor")
         env = make_environment(qp, FROZEN, rng, pinned_mode=0)
         cfg = rb.RbConfig(tau_probe=default_tau_probe(qp), depths=(1, 8, 64, 512), n_sequences=400, n_windows=1)
-        series = rb.run_rb_interleaved(env, cfg, rng)
+        series = rb.run_rb_interleaved(env, cfg)
         win = series.windows[0]
         floor = 1.0 - qp.readout_eps_0to1
         for survivals in (win.survivals_nofb, win.survivals_fb):
@@ -488,7 +489,7 @@ class TestInterleavedRun:
         rng = substream(514, "noiseoff")
         env = make_environment(IDEAL, FROZEN, rng, pinned_mode=0)
         cfg = rb.RbConfig(tau_probe=default_tau_probe(IDEAL), depths=(1, 8, 64, 512), n_sequences=50, n_windows=1)
-        series = rb.run_rb_interleaved(env, cfg, rng)
+        series = rb.run_rb_interleaved(env, cfg)
         win = series.windows[0]
         assert np.all(win.survivals_nofb == 1.0)
         assert np.all(win.survivals_fb == 1.0)
@@ -505,7 +506,7 @@ class TestInterleavedRun:
         rng = substream(512, "floor")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0)
         cfg = rb.RbConfig(tau_probe=default_tau_probe(QP), n_sequences=30, shots_per_sequence=4, n_windows=1)
-        series = rb.run_rb_interleaved(env, cfg, rng)
+        series = rb.run_rb_interleaved(env, cfg)
         win = series.windows[0]
         floor = rb.decoherence_floor_per_gate(QP)
         assert win.fit_nofb.ok
@@ -518,7 +519,7 @@ class TestInterleavedRun:
         cfg = rb.RbConfig(
             tau_probe=default_tau_probe(QP), depths=(1, 4, 16), n_sequences=5, n_windows=3, idle_between_windows=0.5
         )
-        series = rb.run_rb_interleaved(env, cfg, rng)
+        series = rb.run_rb_interleaved(env, cfg)
         assert len(series.windows) == 3
         starts = [w.lab_time_start for w in series.windows]
         assert starts == sorted(starts)
@@ -568,10 +569,10 @@ class TestInterleavedRun:
             qp = dreplace(QP, t_readout=0.0, t_reset=t_wall)
             rng = substream(515, "threshold", f"{t_wall}")
             env = make_environment(qp, TelegraphParams.from_dwell_time(dwell), rng)
-            p_err = syndrome_error_rate(env, 20_000, default_tau_probe(qp), rng, False)
+            p_err = syndrome_error_rate(env, 20_000, default_tau_probe(qp), False)
             assert p_err < 0.25
             env = make_environment(qp, TelegraphParams.from_dwell_time(dwell), rng)
-            series = rb.run_rb_interleaved(env, cfg, rng)
+            series = rb.run_rb_interleaved(env, cfg)
             valid = [w for w in series.windows if w.fit_nofb.ok and w.fit_fb.ok]
             r_fb = np.array([w.fit_fb.r_native for w in valid])
             r_nofb = np.array([w.fit_nofb.r_native for w in valid])

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit import cli
+from bistable_qubit.bloch import QubitParams
 from bistable_qubit.cli import ConfigError, parse_config
 
 
@@ -347,6 +348,7 @@ class TestMain:
             ("heatmap", '{"heatmap": {"n_splitting": %d}}' % 10**19, [], "heatmap.n_splitting"),
             ("heatmap", '{"heatmap": {"n_switching": %d}}' % 10**19, [], "heatmap.n_switching"),
             ("ak", '{"ak": {"n_t": %d}}' % 10**19, [], "ak.n_t"),
+            ("ak", '{"ak": {"gamma_hz": 1e300, "n_t": 3, "n_trajectories": 5}}', [], "ak.gamma_hz"),
         ],
         ids=[
             "unknown-key", "malformed-json", "missing-file", "zero-shots", "string-count", "boolean-seed",
@@ -359,6 +361,7 @@ class TestMain:
             "integer-beyond-float-t1", "integer-beyond-float-tau-max", "integer-beyond-float-rate",
             "seed-beyond-64-bits", "oversized-ramsey-taus", "oversized-mitigate-taus", "oversized-mitigate-rows",
             "oversized-heatmap-splittings", "oversized-heatmap-switching", "oversized-ak-grid",
+            "oversized-ak-flips",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, text, extra, named):
@@ -369,6 +372,15 @@ class TestMain:
         assert rc == 2
         assert named in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_ak_rate_is_bounded_by_the_expected_flips_per_trajectory(self):
+        # 0.5 * gamma_hz * t_max flips per trajectory, t_max = 3/delta_tls when
+        # ak.t_max_s is 0; the bound is the array-length domain of the size keys.
+        bound = 2 * 10**7 / (3.0 / QubitParams.defaults().delta_tls)
+        inside = parse_config(json.dumps({"experiment": "ak", "ak": {"gamma_hz": bound * (1 - 1e-9)}}))
+        assert inside.params["gamma_hz"] == bound * (1 - 1e-9)
+        with pytest.raises(ConfigError, match="^ak.gamma_hz: "):
+            parse_config(json.dumps({"experiment": "ak", "ak": {"gamma_hz": bound * (1 + 1e-9)}}))
 
     def test_unused_section_is_checked_but_not_built(self, tmp_path, capsys):
         # MitigationConfig, which rejects zero repetitions, is built for

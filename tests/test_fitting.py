@@ -307,6 +307,36 @@ def test_solver_agrees_with_curve_fit(monkeypatch, family):
             np.testing.assert_allclose(errors, ref_errors, rtol=ERROR_TOL)
 
 
+# Three depths whose survivals A p^L + B meets exactly only as A -> inf and
+# p^L -> 0: the fit crawls along that valley toward the box face A = 1.
+# curve_fit (TRF) stops on its absolute gradient test after 730 and 1157
+# model evaluations.
+@pytest.mark.parametrize("depths, survivals", [([1, 30, 55], [1, 0.5, 0.5]), ([1, 19, 33], [1, 2 / 3, 2 / 3])])
+def test_a_crawling_near_exact_fit_stops_within_a_thousand_evaluations(monkeypatch, depths, survivals):
+    depths, survivals = np.array(depths, dtype=float), np.array(survivals)
+    weights = benchmarking._survival_weights(survivals, 1)  # one shot per depth
+    evaluations = []
+    solve = fitting._levenberg_marquardt
+
+    def counted(model, *args, **kwargs):
+        def model_counted(x, *p):
+            evaluations.append(p)
+            return model(x, *p)
+
+        return solve(model_counted, *args, **kwargs)
+
+    def cost(popt):
+        return float(weights @ (popt[0] * popt[1] ** depths + popt[2] - survivals) ** 2)
+
+    def fit():
+        return fit_exponential(depths, survivals, weights)
+
+    (ours,), (reference,) = _solutions(monkeypatch, fit, counted), _solutions(monkeypatch, fit, _curve_fit)
+    assert fit().ok
+    assert len(evaluations) <= 1000
+    assert cost(ours[0]) <= cost(reference[0])
+
+
 @pytest.mark.parametrize("weighted", [False, True])
 def test_exponential_fit_on_three_depths_warns_nothing(weighted):
     depths, survivals = np.array([1, 16, 256]), np.array([0.97, 0.9, 0.62])

@@ -1,6 +1,7 @@
 """Every name a package module imports is used by that module, every name it
-defines at top level is read somewhere in the repository's code, and no CLI
-experiment imports scipy."""
+defines at top level is read somewhere in the repository's code, the engine
+draws from the environment's own random stream, and no CLI experiment imports
+scipy."""
 
 import ast
 import json
@@ -82,6 +83,28 @@ def test_guard_flags_an_unread_definition():
     module = "X = 1\n_Y: int = 2\n__all__ = []\ndef used():\n    return X\ndef unused():\n    pass\nclass Unused:\n    pass\n"
     reader = "import m\nm.used()\nm.Unused = None\n"
     assert unread_definitions({"m": module}, [module, reader]) == ["m._Y", "m.unused", "m.Unused"]
+
+
+def functions_taking(source: str, parameter: str) -> list[str]:
+    """Every function and method of ``source``, nested ones included, with a parameter named ``parameter``."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and parameter in {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}]
+
+
+# The environment owns the replica's random stream: a cycle, a run or a CLI
+# runner draws from ``env.rng``.  Only the builder that hands a generator to an
+# environment and the stateless sequence draw take one.
+@pytest.mark.parametrize("module, takers", [("protocol", ["make_environment"]),
+                                            ("benchmarking", ["random_sequence"]),
+                                            ("cli", [])])
+def test_only_the_environment_builder_and_stateless_draws_take_a_generator(module, takers):
+    assert functions_taking((PACKAGE / f"{module}.py").read_text(encoding="utf-8"), "rng") == takers
+
+
+def test_guard_flags_a_generator_parameter():
+    source = "def f(rng):\n    pass\nclass C:\n    def m(self, x, *, rng=None):\n        pass\ndef g(x):\n    pass\n"
+    assert functions_taking(source, "rng") == ["f", "m"]
 
 
 # A CLI process imports only what its experiment runs: the package owns its

@@ -83,14 +83,14 @@ class TestSyndromeCycle:
             rng = substream(401, "synd", xi)
             env = ideal_env(rng, pinned=xi)
             for _ in range(25):
-                _, f_c = syndrome_cycle(env, tau, rng)
+                _, f_c = syndrome_cycle(env, tau)
                 assert f_c == IDEAL.mode_frequency(xi)
 
     def test_invalid_probe_time(self):
         rng = substream(402, "synd")
         env = ideal_env(rng)
         with pytest.raises(ValueError):
-            syndrome_cycle(env, 0.0, rng)
+            syndrome_cycle(env, 0.0)
 
     def test_clock_and_tls_advance(self, monkeypatch):
         rng = substream(404, "synd")
@@ -105,7 +105,7 @@ class TestSyndromeCycle:
 
         monkeypatch.setattr(telegraph, "evolve", record)
         env.clock = 3.0
-        syndrome_cycle(env, tau, rng)
+        syndrome_cycle(env, tau)
         t_pulse = 0.5 * math.pi / QP.rabi_rate
         expected = tau + QP.t_wall + 2 * t_pulse
         assert env.clock - 3.0 == pytest.approx(expected)
@@ -116,13 +116,13 @@ class TestSyndromeCycle:
         rng = substream(405, "syndmc-empty")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0)
         with pytest.raises(ValueError, match="n_cycles"):
-            syndrome_error_rate(env, 0, default_tau_probe(QP), rng, True)
+            syndrome_error_rate(env, 0, default_tau_probe(QP), True)
 
     def test_error_rate_matches_static_budget(self):
         rng = substream(405, "syndmc")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
         n = 100_000
-        p_mc = syndrome_error_rate(env, n, default_tau_probe(QP), rng, True)
+        p_mc = syndrome_error_rate(env, n, default_tau_probe(QP), True)
         p_th = analytics.p_err_static(QP.delta_tls, QP.t2, QP.alpha)
         sigma = math.sqrt(p_th * (1 - p_th) / n)
         assert abs(p_mc - p_th) < 3.0 * sigma
@@ -135,7 +135,7 @@ class TestRamseyCycle:
         n = 20_000
         ones = 0
         for _ in range(n):
-            ones += ramsey_cycle(env, QP.f_high, 0.0, 2e6, rng)
+            ones += ramsey_cycle(env, QP.f_high, 0.0, 2e6)
         expected = 1.0 - QP.readout_eps_1to0
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(ones / n - expected) < 3.0 * sigma
@@ -144,7 +144,7 @@ class TestRamseyCycle:
         rng = substream(403, "synd")
         env = ideal_env(rng)
         with pytest.raises(ValueError, match="mode frequencies"):
-            ramsey_cycle(env, IDEAL.f_high + 1.0, 1e-6, 0.0, rng)
+            ramsey_cycle(env, IDEAL.f_high + 1.0, 1e-6, 0.0)
 
     def test_virtual_detuning_sets_fringe_frequency(self):
         taus = np.linspace(0.0, 2.5e-6, 120)
@@ -192,7 +192,7 @@ class TestMitigation:
         cfg = MitigationConfig(tau_grid=taus, n_reps=10, rows=30, tau_probe=1.33e-6)
         rng = substream(408, "mitpin")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
-        result = run_mitigation(env, cfg, rng)
+        result = run_mitigation(env, cfg)
         n_eff = cfg.n_reps * cfg.rows
         for matrix, det in ((result.no_feedback, cfg.det_nofb), (result.feedback, cfg.det_fb)):
             avg = matrix.values.mean(axis=0)
@@ -206,7 +206,7 @@ class TestMitigation:
         cfg = MitigationConfig(tau_grid=taus, n_reps=10, rows=200, tau_probe=1.33e-6)
         rng = substream(409, "mitnoise")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
-        result = run_mitigation(env, cfg, rng)
+        result = run_mitigation(env, cfg)
         column = result.no_feedback.values[:, 0]
         p = column.mean()
         expected = math.sqrt(p * (1 - p) / cfg.n_reps)
@@ -218,7 +218,7 @@ class TestMitigation:
         for xi in (0, 1):
             rng = substream(410, "mitideal", xi)
             env = ideal_env(rng, pinned=xi)
-            result = run_mitigation(env, cfg, rng)
+            result = run_mitigation(env, cfg)
             assert all(rec.est_xi == xi for rec in result.trace)
 
     def test_matrix_values_are_rep_fractions(self):
@@ -226,7 +226,7 @@ class TestMitigation:
         cfg = MitigationConfig(tau_grid=taus, n_reps=7, rows=3, tau_probe=1.33e-6)
         rng = substream(411, "mitfrac")
         env = make_environment(QP, TelegraphParams.from_dwell_time(5.0), rng)
-        result = run_mitigation(env, cfg, rng)
+        result = run_mitigation(env, cfg)
         for matrix in (result.no_feedback, result.feedback):
             assert matrix.values.shape == (3, 8)
             scaled = matrix.values * cfg.n_reps
@@ -239,7 +239,7 @@ class TestMitigation:
         blocked = replace(base, block_size=3)
         rng = substream(412, "mitblock")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
-        result = run_mitigation(env, blocked, rng)
+        result = run_mitigation(env, blocked)
         assert result.no_feedback.values.shape == (2, 2)
         assert len(result.trace) == 2 * 2 * 6
 
@@ -255,7 +255,7 @@ class TestMitigation:
             ones = 0
             for _ in range(shots):
                 env.xi = int(rng.random() < 0.5)
-                ones += ramsey_cycle(env, QP.f_high, float(tau), det, rng)
+                ones += ramsey_cycle(env, QP.f_high, float(tau), det)
             expected = 0.5 * (
                 ramsey_probability(QP, QP.f_high, 0, float(tau), det)
                 + ramsey_probability(QP, QP.f_high, 1, float(tau), det)
@@ -273,7 +273,7 @@ class TestStaleness:
             rng = substream(414, "stale", f"{t_wall}")
             qp = replace(QP, t_readout=0.0, t_reset=t_wall)
             env = make_environment(qp, TelegraphParams.symmetric(gamma), rng, finite_pulses=False)
-            rates.append(syndrome_error_rate(env, 60_000, tau, rng, False))
+            rates.append(syndrome_error_rate(env, 60_000, tau, False))
         measured_slope = (rates[1] - rates[0]) / (gamma * 12e-6)
         exact = [
             analytics.p_err_bandwidth_exact(QP.delta_tls, gamma, QP.alpha, QP.t2, t)
@@ -305,17 +305,15 @@ class TestEnvironment:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda env, rng: run_mitigation(
+            lambda env: run_mitigation(
                 env,
                 MitigationConfig(tau_grid=(0.3e-6, 1.1e-6), tau_probe=default_tau_probe(QP), n_reps=3, rows=3,
                                  idle_between_rows=2e-5),
-                rng,
             ),
-            lambda env, rng: rb.run_rb_interleaved(
+            lambda env: rb.run_rb_interleaved(
                 env,
                 rb.RbConfig(tau_probe=default_tau_probe(QP), depths=(1, 8, 64), n_sequences=3,
                             shots_per_sequence=2, n_windows=2, idle_between_windows=2e-5),
-                rng,
             ),
         ],
         ids=["mitigation", "benchmarking"],
@@ -337,7 +335,7 @@ class TestEnvironment:
         monkeypatch.setattr(telegraph, "evolve", record_evolve)
         rng = substream(419, "clock-sum")
         env = make_environment(QP, TelegraphParams(1e5, 1e5), rng, finite_pulses=True)
-        run(env, rng)
+        run(env)
         assert sum(switches) > 10
         assert env.clock == list(accumulate(advanced, initial=0.0))[-1]
 
@@ -372,8 +370,8 @@ class TestXGatePopulation:
         assert x_gate_excited_population(QP, QP.f_high, 0) < 1.0
 
 
-def _reference_cycle(env, f_c, tau, phase, rng):
-    """The stepwise two-pulse cycle with no memo: each Bloch step applied as its mode is drawn.
+def _reference_cycle(env, f_c, tau, phase):
+    """The stepwise two-pulse cycle with no memo: each Bloch step applied as its mode is drawn from ``env.rng``.
 
     Advances ``env.clock``; returns the state before readout and whether the
     mode changed anywhere between the first pulse and the second.
@@ -385,14 +383,14 @@ def _reference_cycle(env, f_c, tau, phase, rng):
     duration = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
     for k, axis_phase in enumerate((0.0, phase)):
         if k == 1:
-            segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, tau, rng)
+            segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, tau, env.rng)
             for xi, dt in segments:
                 state = apply(free_map(detuning(qp, f_c, xi), dt, qp), state)
             switched = len(segments) > 1 or env.xi != xi_first
             env.clock += tau
         state = apply(pulse_map(axis_phase, -HALF_PI, detuning(qp, f_c, env.xi), qp, env.finite_pulses), state)
         if duration > 0.0:
-            env.xi = telegraph.evolve(env.xi, env.tls_params, duration, rng)
+            env.xi = telegraph.evolve(env.xi, env.tls_params, duration, env.rng)
         env.clock += duration
     return state, switched
 
@@ -419,7 +417,7 @@ class TestCycleMemo:
             qp, fin, f_c, mode, t, ph = k
             assert state == _switch_free_state(*k) == _switch_free_state.__wrapped__(*k)
             env = make_environment(qp, FROZEN, None, pinned_mode=mode, finite_pulses=fin)
-            assert state == _reference_cycle(env, f_c, t, ph, None)[0]
+            assert state == _reference_cycle(env, f_c, t, ph)[0]
 
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(
@@ -433,13 +431,13 @@ class TestCycleMemo:
     def test_cycle_matches_stepwise_reference(self, seed, rate, high, tau, phase, finite):
         tls = TelegraphParams(rate, 0.6 * rate)
         rng = substream(417, "cycle", seed)
-        env = Environment(QP, tls, seed % 2, finite)
-        ref_env = Environment(QP, tls, env.xi, finite)
         ref_rng = copy.deepcopy(rng)
+        env = Environment(QP, tls, seed % 2, rng, finite)
+        ref_env = Environment(QP, tls, env.xi, ref_rng, finite)
         f_c = QP.f_high if high else QP.f_low
         for _ in range(15):
-            state = _two_pulse_cycle(env, f_c, tau, phase, rng)
-            ref_state, _ = _reference_cycle(ref_env, f_c, tau, phase, ref_rng)
+            state = _two_pulse_cycle(env, f_c, tau, phase)
+            ref_state, _ = _reference_cycle(ref_env, f_c, tau, phase)
             assert (state, env.clock, env.xi) == (ref_state, ref_env.clock, ref_env.xi)
             assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
 
@@ -447,14 +445,14 @@ class TestCycleMemo:
         # Dwell ~ tau: cycles with and without a switch both occur.
         tls = TelegraphParams(4e5, 3e5)
         rng = substream(418, "cycle-switching")
-        env = Environment(QP, tls, 0, True)
-        ref_env = Environment(QP, tls, env.xi, True)
         ref_rng = copy.deepcopy(rng)
+        env = Environment(QP, tls, 0, rng, True)
+        ref_env = Environment(QP, tls, env.xi, ref_rng, True)
         switched = 0
         for k in range(400):
             tau = 0.5e-6 + 1e-8 * k
-            state = _two_pulse_cycle(env, QP.f_high, tau, 0.3, rng)
-            ref_state, ref_switched = _reference_cycle(ref_env, QP.f_high, tau, 0.3, ref_rng)
+            state = _two_pulse_cycle(env, QP.f_high, tau, 0.3)
+            ref_state, ref_switched = _reference_cycle(ref_env, QP.f_high, tau, 0.3)
             assert (state, env.clock, env.xi) == (ref_state, ref_env.clock, ref_env.xi)
             assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
             switched += ref_switched
