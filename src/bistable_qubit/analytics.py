@@ -13,6 +13,7 @@ All frequencies are in Hz except Rabi rates, which are angular (rad/s).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -276,7 +277,7 @@ def ak_coherence_mc(
 
     Each chunk of MC_CHUNK trajectories is drawn whole, then its phase and
     trig are taken over row blocks of max(1, MC_BLOCK_CELLS // grid size)
-    rows, frozen (gamma <= 0) and switching alike, so memory is a few
+    rows, frozen and switching alike, so memory is a few
     (block, grid) buffers whatever the chunk.  The sum stays the one of
     ``exp(1j * w * phi).sum(axis=0)`` over the chunk bit for bit: exp of a
     purely imaginary argument is cos + i sin exactly, numpy adds the rows of
@@ -284,6 +285,11 @@ def ak_coherence_mc(
     block after the first carries the running column sum in as its row 0.
     Summing each block apart and adding the partial sums would round
     differently.
+
+    A rate so low that a row of dwell draws could sum past the largest float
+    (numpy draws no standard exponential above 45) reads as frozen, like
+    gamma = 0: such a defect does not flip within any grid of this model's
+    time scales, and the overflowing sums would turn the phase to inf - inf.
     """
     if initial not in ("equal", "plus", "minus"):
         raise ValueError("initial must be 'equal', 'plus' or 'minus'")
@@ -297,6 +303,11 @@ def ak_coherence_mc(
     w = math.pi * delta_tls
     wt = w * t_sorted
     horizon = float(t_grid.max(initial=0.0))
+    switching = False
+    if gamma > 0.0:
+        scale = 2.0 / gamma  # the mean dwell
+        n_dwell = max(16, int(0.5 * gamma * horizon + 8.0 * math.sqrt(0.5 * gamma * horizon) + 8))
+        switching = 45.0 * n_dwell * scale <= sys.float_info.max
     rows = max(1, MC_BLOCK_CELLS // t_sorted.size)
     buf = np.empty((min(rows, MC_CHUNK, n_trajectories) + 1, t_sorted.size))
     total = np.zeros(t_grid.shape, dtype=complex)
@@ -308,9 +319,7 @@ def ak_coherence_mc(
             s0 = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         else:
             s0 = np.full(n, 1.0 if initial == "plus" else -1.0)
-        if gamma > 0.0:
-            scale = 2.0 / gamma
-            n_dwell = max(16, int(0.5 * gamma * horizon + 8.0 * math.sqrt(0.5 * gamma * horizon) + 8))
+        if switching:
             dwells = rng.exponential(scale, size=(n, n_dwell))
             flips = np.cumsum(dwells, axis=1)
             while flips[:, -1].min() <= horizon:
@@ -320,7 +329,7 @@ def ak_coherence_mc(
         sums = np.empty((2, t_sorted.size))  # the chunk's cos and sin column sums
         for lo in range(0, n, rows):
             block = slice(lo, lo + rows)
-            if gamma > 0.0:
+            if switching:
                 phase = _switching_phase(s0[block], dwells[block], flips[block], t_sorted)
                 np.multiply(w, phase, out=phase)
             else:

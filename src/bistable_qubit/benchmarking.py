@@ -383,21 +383,13 @@ class RbConfig:
 
 @dataclass(frozen=True)
 class RbWindow:
-    index: int
     lab_time_start: float
     lab_time_end: float
     survivals_nofb: np.ndarray
     survivals_fb: np.ndarray
-    shots_per_depth: int
     fit_nofb: FitResult
     fit_fb: FitResult
     mode_fraction_l: float
-
-
-@dataclass(frozen=True)
-class RbTimeSeries:
-    depths: np.ndarray
-    windows: list[RbWindow]
 
 
 def _survival_weights(k: np.ndarray, n: int) -> np.ndarray:
@@ -405,14 +397,15 @@ def _survival_weights(k: np.ndarray, n: int) -> np.ndarray:
     return n / (smoothed * (1.0 - smoothed))
 
 
-def run_rb_interleaved(env: Environment, config: RbConfig) -> RbTimeSeries:
+def run_rb_interleaved(env: Environment, config: RbConfig) -> list[RbWindow]:
     """Interleave each random sequence without and with syndrome feedback.
 
     Per sequence the frame is first reset to the high-mode frequency and the
-    sequence is executed; one syndrome cycle then retunes the frame and the
-    same sequence runs again.  The sequences are drawn from ``env.rng``, the
-    stream of every other draw of the run.  Each window holds one full depth
-    sweep and is fitted per arm; non-converged fits are flagged, not raised.
+    sequence is executed; one syndrome cycle then estimates the mode and the
+    same sequence runs again in that mode's frame.  The sequences are drawn
+    from ``env.rng``, the stream of every other draw of the run.  Each window
+    holds one full depth sweep and is fitted per arm; non-converged fits are
+    flagged, not raised.
     """
     qp = env.qubit
     executor = SequenceExecutor(env)
@@ -420,7 +413,7 @@ def run_rb_interleaved(env: Environment, config: RbConfig) -> RbTimeSeries:
     shots_per_depth = config.n_sequences * config.shots_per_sequence
     windows: list[RbWindow] = []
 
-    for w in range(config.n_windows):
+    for _ in range(config.n_windows):
         t_start = env.clock
         k_nofb = np.zeros(depths.size)
         k_fb = np.zeros(depths.size)
@@ -433,7 +426,7 @@ def run_rb_interleaved(env: Environment, config: RbConfig) -> RbTimeSeries:
                 xi_sum += env.xi
                 for _ in range(config.shots_per_sequence):
                     executor.run(sequence, qp.f_high)
-                _, f_c = syndrome_cycle(env, config.tau_probe)
+                f_c = qp.mode_frequency(syndrome_cycle(env, config.tau_probe)[1])
                 for _ in range(config.shots_per_sequence):
                     executor.run(sequence, f_c)
             # Per sequence: its open-loop shots, then its feedback shots.
@@ -443,12 +436,10 @@ def run_rb_interleaved(env: Environment, config: RbConfig) -> RbTimeSeries:
         surv_fb = k_fb / shots_per_depth
         windows.append(
             RbWindow(
-                index=w,
                 lab_time_start=t_start,
                 lab_time_end=env.clock,
                 survivals_nofb=surv_nofb,
                 survivals_fb=surv_fb,
-                shots_per_depth=shots_per_depth,
                 fit_nofb=fit_exponential(
                     depths, surv_nofb, _survival_weights(k_nofb, shots_per_depth)
                 ),
@@ -461,7 +452,7 @@ def run_rb_interleaved(env: Environment, config: RbConfig) -> RbTimeSeries:
         if config.idle_between_windows > 0:
             env.advance(config.idle_between_windows)
 
-    return RbTimeSeries(depths=depths, windows=windows)
+    return windows
 
 
 def decoherence_floor_per_gate(qp: QubitParams) -> float:

@@ -400,22 +400,21 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
 def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
     qp = cfg.qubit
     mit = cfg.mitigation
-    taus = np.asarray(mit.tau_grid)
+    taus = mit.tau_grid
     nofb_rows, fb_rows, trace_rows, avg_rows = [], [], [], []
     fits = {}
     for replica, env in _replicas(cfg):
         result = run_mitigation(env, mit)
-        for matrix, sink in ((result.no_feedback, nofb_rows), (result.feedback, fb_rows)):
-            for r, (row_time, values) in enumerate(zip(matrix.row_times.tolist(), matrix.values.tolist())):
-                for i, (tau, value) in enumerate(zip(matrix.taus.tolist(), values)):
+        for fringes, sink in ((result.no_feedback, nofb_rows), (result.feedback, fb_rows)):
+            for r, (row_time, values) in enumerate(zip(result.row_times.tolist(), fringes.tolist())):
+                for i, (tau, value) in enumerate(zip(taus, values)):
                     sink.append((replica, r, i, tau, row_time, value))
-        for rec in result.trace:
-            trace_rows.append(
-                (replica, rec.row, rec.tau_index, rec.rep, float(rec.lab_time), rec.true_xi, rec.est_xi, rec.outcome)
-            )
-        avg_nofb = result.no_feedback.values.mean(axis=0)
-        avg_fb = result.feedback.values.mean(axis=0)
-        for tau, p_nofb, p_fb in zip(taus.tolist(), avg_nofb.tolist(), avg_fb.tolist()):
+        trace = (result.syndrome_time, result.true_xi, result.est_xi, result.outcome)
+        for cell, values in zip(np.ndindex(result.outcome.shape), zip(*(a.ravel().tolist() for a in trace))):
+            trace_rows.append((replica, *cell, *values))
+        avg_nofb = result.no_feedback.mean(axis=0)
+        avg_fb = result.feedback.mean(axis=0)
+        for tau, p_nofb, p_fb in zip(taus, avg_nofb.tolist(), avg_fb.tolist()):
             avg_rows.append((replica, tau, p_nofb, p_fb))
         mix = fit_two_frequency_mixture(taus, avg_nofb, mit.det_nofb, mit.det_nofb - qp.delta_tls, qp.t2)
         side = quadrature_amplitudes(
@@ -447,20 +446,20 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
 def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
     qp = cfg.qubit
     ts_rows, surv_rows = [], []
+    shots = cfg.rb.n_sequences * cfg.rb.shots_per_sequence  # per window, arm and depth
     summary = {
         "gates_per_clifford": GATES_PER_CLIFFORD,
         "decoherence_floor_per_gate": decoherence_floor_per_gate(qp),
         "replicas": {},
     }
     for replica, env in _replicas(cfg):
-        series = run_rb_interleaved(env, cfg.rb)
-        valid_nofb, valid_fb = [], []
-        for win in series.windows:
+        windows = run_rb_interleaved(env, cfg.rb)
+        for w, win in enumerate(windows):
             mid = 0.5 * (win.lab_time_start + win.lab_time_end)
             ts_rows.append(
                 (
                     replica,
-                    win.index,
+                    w,
                     mid,
                     win.fit_nofb.r_native,
                     win.fit_nofb.r_native_err,
@@ -471,18 +470,17 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
                     win.mode_fraction_l,
                 )
             )
-            for depth, s_nofb, s_fb in zip(series.depths, win.survivals_nofb.tolist(), win.survivals_fb.tolist()):
-                surv_rows.append((replica, win.index, int(depth), "nofb", s_nofb, win.shots_per_depth))
-                surv_rows.append((replica, win.index, int(depth), "fb", s_fb, win.shots_per_depth))
-            if win.fit_nofb.ok:
-                valid_nofb.append(win.fit_nofb.r_native)
-            if win.fit_fb.ok:
-                valid_fb.append(win.fit_fb.r_native)
+            for depth, s_nofb, s_fb in zip(cfg.rb.depths, win.survivals_nofb.tolist(), win.survivals_fb.tolist()):
+                surv_rows.append((replica, w, depth, "nofb", s_nofb, shots))
+                surv_rows.append((replica, w, depth, "fb", s_fb, shots))
+        # A window enters the mean only when its fit converged and determined the decay.
+        valid_nofb = [win.fit_nofb.r_native for win in windows if win.fit_nofb.ok and win.fit_nofb.decay_err <= 1]
+        valid_fb = [win.fit_fb.r_native for win in windows if win.fit_fb.ok and win.fit_fb.decay_err <= 1]
         summary["replicas"][f"replica_{replica}"] = {
             "mean_r_native_nofb": float(np.mean(valid_nofb)) if valid_nofb else None,
             "mean_r_native_fb": float(np.mean(valid_fb)) if valid_fb else None,
-            "n_windows_flagged_nofb": sum(1 for w in series.windows if not w.fit_nofb.ok),
-            "n_windows_flagged_fb": sum(1 for w in series.windows if not w.fit_fb.ok),
+            "n_windows_flagged_nofb": len(windows) - len(valid_nofb),
+            "n_windows_flagged_fb": len(windows) - len(valid_fb),
         }
     files = {
         "rb_timeseries.csv": (

@@ -2,8 +2,9 @@
 
 The controller runs in a rotating frame at ``f_c`` (one of the two mode
 frequencies).  One syndrome cycle estimates the current mode from a single
-measurement and returns the retuned ``f_c``; probing (Ramsey-style) cycles
-read the qubit phase evolution with a software-applied virtual detuning.
+measurement and returns the estimate, to whose frequency ``f_c`` is retuned;
+probing (Ramsey-style) cycles read the qubit phase evolution with a
+software-applied virtual detuning.
 The ``Environment`` owns lab time and its randomness: the defect mode, an int
 ``xi`` (0 = H, 1 = L), and the lab clock advance together over every elapsed
 interval, including the readout and reset dead time after each measurement,
@@ -24,7 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -240,18 +241,18 @@ def calibrate_decode_map(
     return (1 - xi_for_m1, xi_for_m1)
 
 
-def syndrome_cycle(env: Environment, tau_probe: float) -> tuple[int, float]:
-    """One mode-estimation cycle; returns the outcome and the retuned frame f_c.
+def syndrome_cycle(env: Environment, tau_probe: float) -> tuple[int, int]:
+    """One mode-estimation cycle; returns the outcome m and the mode estimate.
 
-    Probes in the high-mode frame, decodes the single shot into a mode
-    estimate, and returns the estimated mode's frequency.
+    Probes in the high-mode frame and decodes the single shot into the
+    estimate ``decode[m]`` by the calibrated map.
     """
     if tau_probe <= 0:
         raise ValueError("tau_probe must be positive")
     qp = env.qubit
     decode = calibrate_decode_map(qp, tau_probe, env.finite_pulses)
     m = env.readout(_two_pulse_cycle(env, qp.f_high, tau_probe, 0.0)[2])
-    return m, qp.mode_frequency(decode[m])
+    return m, decode[m]
 
 
 def ramsey_cycle(env: Environment, f_c: float, tau: float, virtual_detuning: float) -> int:
@@ -264,26 +265,6 @@ def ramsey_cycle(env: Environment, f_c: float, tau: float, virtual_detuning: flo
     _check_f_c(f_c, env.qubit)
     virtual_phase = 2.0 * math.pi * virtual_detuning * tau
     return env.readout(_two_pulse_cycle(env, f_c, tau, virtual_phase)[2])
-
-
-@dataclass(frozen=True)
-class FringeMatrix:
-    """Fraction of m=1 outcomes per (repetition row, probe time)."""
-
-    taus: np.ndarray
-    values: np.ndarray
-    row_times: np.ndarray
-
-
-@dataclass(frozen=True)
-class SyndromeRecord:
-    row: int
-    tau_index: int
-    rep: int
-    lab_time: float
-    true_xi: int
-    est_xi: int
-    outcome: int
 
 
 @dataclass(frozen=True)
@@ -311,11 +292,19 @@ class MitigationConfig:
             raise ValueError("idle_between_rows must be finite and nonnegative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MitigationResult:
-    no_feedback: FringeMatrix
-    feedback: FringeMatrix
-    trace: list[SyndromeRecord] = field(default_factory=list)
+    """Per (row, tau): each arm's m=1 fraction; per row: its start time; per
+    (row, tau, rep) syndrome cycle: the lab time after it, the true mode then,
+    the estimate and the outcome.  C order is the order the cycles ran in."""
+
+    no_feedback: np.ndarray
+    feedback: np.ndarray
+    row_times: np.ndarray
+    syndrome_time: np.ndarray
+    true_xi: np.ndarray
+    est_xi: np.ndarray
+    outcome: np.ndarray
 
 
 def default_tau_probe(qp: QubitParams) -> float:
@@ -327,56 +316,42 @@ def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResu
     """Run the interleaved fringe experiment.
 
     Per probe time and repetition: one open-loop cycle in the high-mode frame
-    (virtual detuning ``det_nofb``), one syndrome cycle retuning f_c, one
-    feedback cycle at the retuned frame (``det_fb``).  ``block_size`` groups
-    repetitions that run one arm back-to-back before switching arms.
+    (virtual detuning ``det_nofb``), one syndrome cycle estimating the mode,
+    one feedback cycle in the estimated mode's frame (``det_fb``).
+    ``block_size`` groups repetitions that run one arm back-to-back before
+    switching arms; a block runs its repetitions in ascending order.
     """
     qp = env.qubit
-    taus = np.asarray(config.tau_grid, dtype=float)
-    n_tau = taus.size
-    counts_nofb = np.zeros((config.rows, n_tau))
-    counts_fb = np.zeros((config.rows, n_tau))
+    shape = (config.rows, len(config.tau_grid), config.n_reps)
+    counts_nofb, counts_fb = np.zeros((2, *shape[:2]))
     row_times = np.zeros(config.rows)
-    trace: list[SyndromeRecord] = []
+    syndrome_time = np.zeros(shape)
+    true_xi, est_xi, outcome = np.zeros((3, *shape), dtype=int)
 
     for row in range(config.rows):
         row_times[row] = env.clock
-        for i, tau in enumerate(taus):
-            rep = 0
-            while rep < config.n_reps:
-                block = min(config.block_size, config.n_reps - rep)
-                for _ in range(block):
+        for i, tau in enumerate(config.tau_grid):
+            for first in range(0, config.n_reps, config.block_size):
+                block = range(first, min(first + config.block_size, config.n_reps))
+                for _ in block:
                     counts_nofb[row, i] += ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
-                for k in range(block):
-                    m_syn, f_c = syndrome_cycle(env, config.tau_probe)
-                    est_xi = 0 if f_c == qp.f_high else 1
-                    trace.append(
-                        SyndromeRecord(
-                            row=row,
-                            tau_index=i,
-                            rep=rep + k,
-                            lab_time=env.clock,
-                            true_xi=env.xi,
-                            est_xi=est_xi,
-                            outcome=m_syn,
-                        )
-                    )
-                    counts_fb[row, i] += ramsey_cycle(env, f_c, tau, config.det_fb)
-                rep += block
+                for rep in block:
+                    cell = row, i, rep
+                    outcome[cell], est_xi[cell] = syndrome_cycle(env, config.tau_probe)
+                    syndrome_time[cell], true_xi[cell] = env.clock, env.xi
+                    counts_fb[row, i] += ramsey_cycle(env, qp.mode_frequency(est_xi[cell]), tau, config.det_fb)
         if config.idle_between_rows > 0:
             env.advance(config.idle_between_rows)
 
     return MitigationResult(
-        no_feedback=FringeMatrix(taus=taus, values=counts_nofb / config.n_reps, row_times=row_times),
-        feedback=FringeMatrix(taus=taus, values=counts_fb / config.n_reps, row_times=row_times),
-        trace=trace,
+        counts_nofb / config.n_reps, counts_fb / config.n_reps, row_times, syndrome_time, true_xi, est_xi, outcome
     )
 
 
 def syndrome_error_rate(
     env: Environment, n_cycles: int, tau_probe: float, resample_each_cycle: bool
 ) -> float:
-    """Monte Carlo fraction of cycles whose retuned f_c misses the true mode.
+    """Monte Carlo fraction of cycles whose mode estimate misses the true mode.
 
     The comparison uses the mode *after* the readout + reset dead time, i.e.
     at the moment the estimate would first be used.  ``resample_each_cycle``
@@ -386,13 +361,12 @@ def syndrome_error_rate(
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    qp = env.qubit
     errors = 0
     for _ in range(n_cycles):
         if resample_each_cycle:
             env.xi = telegraph.XI_L if env.rng.random() < 0.5 else telegraph.XI_H
-        _, f_c = syndrome_cycle(env, tau_probe)
-        if f_c != qp.mode_frequency(env.xi):
+        _, xi_hat = syndrome_cycle(env, tau_probe)
+        if xi_hat != env.xi:
             errors += 1
     return errors / n_cycles
 

@@ -97,7 +97,7 @@ def test_criterion_02_open_loop_beating_node(mitigation_run):
     config, result, run_time = mitigation_run
     started = time.monotonic() - run_time
     taus = np.asarray(config.tau_grid)
-    averaged = result.no_feedback.values.mean(axis=0)
+    averaged = result.no_feedback.mean(axis=0)
     shots_per_point = config.n_reps * config.rows
     fit = fit_two_frequency_mixture(
         taus, averaged, config.det_nofb, config.det_nofb - QP.delta_tls, QP.t2
@@ -121,7 +121,7 @@ def test_criterion_03_feedback_suppresses_beating(mitigation_run):
     config, result, run_time = mitigation_run
     started = time.monotonic() - run_time
     taus = np.asarray(config.tau_grid)
-    averaged = result.feedback.values.mean(axis=0)
+    averaged = result.feedback.mean(axis=0)
     amps = quadrature_amplitudes(
         taus,
         averaged,
@@ -188,8 +188,7 @@ def test_criterion_05_benchmarking_decoherence_floor():
     rng = substream(SEED, "acceptance-rb-floor")
     env = make_environment(QP, FROZEN, rng, pinned_mode=0)
     config = rb.RbConfig(tau_probe=default_tau_probe(QP), n_sequences=100, shots_per_sequence=6, n_windows=1)
-    series = rb.run_rb_interleaved(env, config)
-    window = series.windows[0]
+    window = rb.run_rb_interleaved(env, config)[0]
     floor = rb.decoherence_floor_per_gate(QP)
     fitted = window.fit_nofb.r_native
     rel = abs(fitted - floor) / floor
@@ -211,10 +210,10 @@ def test_criterion_06_benchmarking_improvement():
     config = rb.RbConfig(
         tau_probe=default_tau_probe(QP), n_sequences=84, shots_per_sequence=4, n_windows=70, idle_between_windows=0.6
     )
-    series = rb.run_rb_interleaved(env, config)
+    windows = rb.run_rb_interleaved(env, config)
     floor = rb.decoherence_floor_per_gate(QP)
 
-    valid = [w for w in series.windows if w.fit_nofb.ok and w.fit_fb.ok]
+    valid = [w for w in windows if w.fit_nofb.ok and w.fit_fb.ok]
     l_windows = [w for w in valid if w.mode_fraction_l >= 0.9]
     h_windows = [w for w in valid if w.mode_fraction_l <= 0.1]
     r_l = np.array([w.fit_nofb.r_native for w in l_windows])
@@ -296,10 +295,10 @@ def _threshold_point(qp, gamma, n_shots, seed_label):
     for i in range(n_shots):
         if gamma == 0:
             env.xi = int(rng.random() < 0.5)
-        _, f_c = syndrome_cycle(env, tau)
+        _, xi_hat = syndrome_cycle(env, tau)
         xi = env.xi
-        wrong += f_c != qp.mode_frequency(xi)
-        active[i] = x_gate_excited_population(qp, f_c, xi)
+        wrong += xi_hat != xi
+        active[i] = x_gate_excited_population(qp, qp.mode_frequency(xi_hat), xi)
         blind[i] = x_gate_excited_population(qp, f_blind, xi)
     # Populations are fidelity-like: feedback wins when the active arm's
     # excited population exceeds the blind arm's.
@@ -393,9 +392,9 @@ def test_criterion_09_design_space_map():
     active_sum = blind_sum = 0.0
     for _ in range(n):
         env.xi = int(rng.random() < 0.5)
-        _, f_c = syndrome_cycle(env, tau)
+        _, xi_hat = syndrome_cycle(env, tau)
         xi = env.xi
-        active_sum += QP.alpha * x_gate_excited_population(QP, f_c, xi)
+        active_sum += QP.alpha * x_gate_excited_population(QP, QP.mode_frequency(xi_hat), xi)
         blind_sum += QP.alpha * x_gate_excited_population(QP, f_blind, xi)
     sim_ratio = (1.0 - blind_sum / n) / (1.0 - active_sum / n)
     factor = max(sim_ratio / map_ratio, map_ratio / sim_ratio)

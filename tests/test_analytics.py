@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -489,6 +490,17 @@ class TestAndersonKubo:
         finally:
             tracemalloc.stop()
         assert peak < 48e6
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-320, 1e-310, 1e-308, 1.2e-308, 2e-308, 1e-307, 1e-306])
+    def test_monte_carlo_subnormal_rate_reads_as_frozen(self, gamma):
+        # Dwell draws at these rates sum past the largest float; the rate
+        # reads as frozen, with no warning and the frozen result exactly.
+        t = np.linspace(0.0, 3.0, 5) / self.DELTA
+        frozen = analytics.ak_coherence_mc(self.DELTA, 0.0, t, analytics.MC_CHUNK, substream(305, "aksub"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = analytics.ak_coherence_mc(self.DELTA, gamma, t, analytics.MC_CHUNK, substream(305, "aksub"))
+        assert np.array_equal(got, frozen)
 
     @pytest.mark.parametrize("t", [[0.0, -1e-9], [0.0, math.nan], [math.inf], [1e-6, -math.inf]])
     def test_monte_carlo_rejects_bad_grid(self, t):

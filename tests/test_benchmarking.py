@@ -474,11 +474,10 @@ class TestInterleavedRun:
         rng = substream(511, "spamfloor")
         env = make_environment(qp, FROZEN, rng, pinned_mode=0)
         cfg = rb.RbConfig(tau_probe=default_tau_probe(qp), depths=(1, 8, 64, 512), n_sequences=400, n_windows=1)
-        series = rb.run_rb_interleaved(env, cfg)
-        win = series.windows[0]
+        win = rb.run_rb_interleaved(env, cfg)[0]
         floor = 1.0 - qp.readout_eps_0to1
         for survivals in (win.survivals_nofb, win.survivals_fb):
-            sigma = math.sqrt(floor * (1 - floor) / win.shots_per_depth)
+            sigma = math.sqrt(floor * (1 - floor) / (cfg.n_sequences * cfg.shots_per_sequence))
             assert np.all(np.abs(survivals - floor) < 4.0 * sigma)
         # With only flat noise left, the decay is weakly identified: the fit is
         # either flagged or consistent with zero error.
@@ -489,8 +488,7 @@ class TestInterleavedRun:
         rng = substream(514, "noiseoff")
         env = make_environment(IDEAL, FROZEN, rng, pinned_mode=0)
         cfg = rb.RbConfig(tau_probe=default_tau_probe(IDEAL), depths=(1, 8, 64, 512), n_sequences=50, n_windows=1)
-        series = rb.run_rb_interleaved(env, cfg)
-        win = series.windows[0]
+        win = rb.run_rb_interleaved(env, cfg)[0]
         assert np.all(win.survivals_nofb == 1.0)
         assert np.all(win.survivals_fb == 1.0)
         assert win.fit_nofb.ok and win.fit_nofb.r_native == 0.0
@@ -506,8 +504,7 @@ class TestInterleavedRun:
         rng = substream(512, "floor")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0)
         cfg = rb.RbConfig(tau_probe=default_tau_probe(QP), n_sequences=30, shots_per_sequence=4, n_windows=1)
-        series = rb.run_rb_interleaved(env, cfg)
-        win = series.windows[0]
+        win = rb.run_rb_interleaved(env, cfg)[0]
         floor = rb.decoherence_floor_per_gate(QP)
         assert win.fit_nofb.ok
         assert abs(win.fit_nofb.r_native - floor) < 4.0 * win.fit_nofb.r_native_err
@@ -519,11 +516,11 @@ class TestInterleavedRun:
         cfg = rb.RbConfig(
             tau_probe=default_tau_probe(QP), depths=(1, 4, 16), n_sequences=5, n_windows=3, idle_between_windows=0.5
         )
-        series = rb.run_rb_interleaved(env, cfg)
-        assert len(series.windows) == 3
-        starts = [w.lab_time_start for w in series.windows]
+        windows = rb.run_rb_interleaved(env, cfg)
+        assert len(windows) == 3
+        starts = [w.lab_time_start for w in windows]
         assert starts == sorted(starts)
-        for win in series.windows:
+        for win in windows:
             assert win.lab_time_end > win.lab_time_start
             assert 0.0 <= win.mode_fraction_l <= 1.0
 
@@ -572,8 +569,8 @@ class TestInterleavedRun:
             p_err = syndrome_error_rate(env, 20_000, default_tau_probe(qp), False)
             assert p_err < 0.25
             env = make_environment(qp, TelegraphParams.from_dwell_time(dwell), rng)
-            series = rb.run_rb_interleaved(env, cfg)
-            valid = [w for w in series.windows if w.fit_nofb.ok and w.fit_fb.ok]
+            windows = rb.run_rb_interleaved(env, cfg)
+            valid = [w for w in windows if w.fit_nofb.ok and w.fit_fb.ok]
             r_fb = np.array([w.fit_fb.r_native for w in valid])
             r_nofb = np.array([w.fit_nofb.r_native for w in valid])
             sem = math.sqrt(

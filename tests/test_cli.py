@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bistable_qubit import cli
+from bistable_qubit import benchmarking, cli
 from bistable_qubit.bloch import QubitParams
 from bistable_qubit.cli import ConfigError, parse_config
 
@@ -269,6 +269,19 @@ class TestRun:
         lines = (tmp_path / "ramsey.csv").read_text().splitlines()
         replicas = {line.split(",")[0] for line in lines[1:]}
         assert replicas == {"0", "1"}
+
+    def test_undetermined_decay_stays_out_of_the_rb_mean(self, tmp_path, monkeypatch):
+        # As many depths as fit parameters: this fit converges (ok) but leaves
+        # the decay undetermined, with decay_err in the thousands.
+        survivals = np.array([1.0, 0.5, 0.5])
+        fit = benchmarking.fit_exponential([1, 30, 55], survivals, benchmarking._survival_weights(survivals, 1))
+        assert fit.ok and fit.decay_err > 1
+        monkeypatch.setattr(benchmarking, "fit_exponential", lambda *args: fit)
+        doc = {"experiment": "rb", "out_dir": str(tmp_path), "rb": dict(SMALL["rb"]["rb"], n_windows=2)}
+        assert cli.run(parse_config(json.dumps(doc))) == 0
+        summary = _strict_json((tmp_path / "manifest.json").read_text())["rb_summary"]["replicas"]["replica_0"]
+        assert summary["mean_r_native_nofb"] is None and summary["mean_r_native_fb"] is None
+        assert summary["n_windows_flagged_nofb"] == summary["n_windows_flagged_fb"] == 2
 
 
 # 1/delta_tls with instantaneous pulses: both modes give the same outcome law.

@@ -83,8 +83,8 @@ class TestSyndromeCycle:
             rng = substream(401, "synd", xi)
             env = ideal_env(rng, pinned=xi)
             for _ in range(25):
-                _, f_c = syndrome_cycle(env, tau)
-                assert f_c == IDEAL.mode_frequency(xi)
+                _, xi_hat = syndrome_cycle(env, tau)
+                assert xi_hat == xi
 
     def test_invalid_probe_time(self):
         rng = substream(402, "synd")
@@ -194,8 +194,8 @@ class TestMitigation:
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
         result = run_mitigation(env, cfg)
         n_eff = cfg.n_reps * cfg.rows
-        for matrix, det in ((result.no_feedback, cfg.det_nofb), (result.feedback, cfg.det_fb)):
-            avg = matrix.values.mean(axis=0)
+        for fringes, det in ((result.no_feedback, cfg.det_nofb), (result.feedback, cfg.det_fb)):
+            avg = fringes.mean(axis=0)
             fit = fit_cosine(np.array(taus), avg, f_guess=det, t2=QP.t2)
             assert fit.ok
             assert fit.frequency == pytest.approx(det, rel=5e-3)
@@ -207,7 +207,7 @@ class TestMitigation:
         rng = substream(409, "mitnoise")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
         result = run_mitigation(env, cfg)
-        column = result.no_feedback.values[:, 0]
+        column = result.no_feedback[:, 0]
         p = column.mean()
         expected = math.sqrt(p * (1 - p) / cfg.n_reps)
         assert 0.7 * expected < column.std(ddof=1) < 1.3 * expected
@@ -219,7 +219,7 @@ class TestMitigation:
             rng = substream(410, "mitideal", xi)
             env = ideal_env(rng, pinned=xi)
             result = run_mitigation(env, cfg)
-            assert all(rec.est_xi == xi for rec in result.trace)
+            assert np.all(result.est_xi == xi)
 
     def test_matrix_values_are_rep_fractions(self):
         taus = tuple(np.linspace(0.0, 2e-6, 8))
@@ -227,11 +227,11 @@ class TestMitigation:
         rng = substream(411, "mitfrac")
         env = make_environment(QP, TelegraphParams.from_dwell_time(5.0), rng)
         result = run_mitigation(env, cfg)
-        for matrix in (result.no_feedback, result.feedback):
-            assert matrix.values.shape == (3, 8)
-            scaled = matrix.values * cfg.n_reps
+        for fringes in (result.no_feedback, result.feedback):
+            assert fringes.shape == (3, 8)
+            scaled = fringes * cfg.n_reps
             assert np.max(np.abs(scaled - np.round(scaled))) < 1e-9
-        assert len(result.trace) == 3 * 8 * 7
+        assert result.outcome.size == 3 * 8 * 7
 
     def test_block_interleaving_preserves_counts(self):
         taus = (0.4e-6, 0.9e-6)
@@ -240,8 +240,12 @@ class TestMitigation:
         rng = substream(412, "mitblock")
         env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
         result = run_mitigation(env, blocked)
-        assert result.no_feedback.values.shape == (2, 2)
-        assert len(result.trace) == 2 * 2 * 6
+        assert result.no_feedback.shape == result.feedback.shape == (2, 2)
+        assert result.row_times.shape == (2,)
+        for trace in (result.syndrome_time, result.true_xi, result.est_xi, result.outcome):
+            assert trace.shape == (2, 2, 6)
+        # C order is cycle order, also across blocks: the trace file is written in it.
+        assert np.all(np.diff(result.syndrome_time.ravel()) > 0)
 
     def test_stationary_mixture_property(self):
         # Open-loop fringe over a stationary symmetric defect equals the
