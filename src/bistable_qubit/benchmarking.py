@@ -69,8 +69,8 @@ def match_element(u: np.ndarray) -> int:
     return idx
 
 
-# PRODUCT[a][b] is the index of U_a @ U_b (group closure), as tuples of ints cheap to index.
-PRODUCT = tuple(tuple(match_element(a @ b) for b in UNITARIES) for a in UNITARIES)
+# PRODUCT[a, b] is the index of U_a @ U_b (group closure).
+PRODUCT = np.array([[match_element(a @ b) for b in UNITARIES] for a in UNITARIES])
 INVERSE = tuple(match_element(u.conj().T) for u in UNITARIES)
 IDENTITY_INDEX = match_element(np.eye(2, dtype=complex))
 
@@ -80,15 +80,19 @@ def random_sequence(length: int, rng: np.random.Generator) -> tuple[list[int], i
 
     The recovery is the inverse of the composed sequence, so executing the
     sequence followed by the recovery implements the identity up to phase.
+    The composition is a pairwise reduction over ``PRODUCT``: the group product
+    is associative, so it is the element of the product taken one index at a time.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    prod = PRODUCT  # a local: read once per drawn index
-    indices = rng.integers(0, len(PULSES), size=length).tolist()
-    composed = IDENTITY_INDEX
-    for idx in indices:
-        composed = prod[idx][composed]
-    return indices, INVERSE[composed]
+    indices = rng.integers(0, len(PULSES), size=length)
+    level = indices[::-1]  # U_last @ ... @ U_first, the time order reversed
+    while level.size > 1:
+        if level.size % 2:
+            level = np.append(level, IDENTITY_INDEX)
+        level = PRODUCT[level[0::2], level[1::2]]
+    composed = int(level[0]) if level.size else IDENTITY_INDEX
+    return indices.tolist(), INVERSE[composed]
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +407,7 @@ def run_rb_interleaved(env: Environment, config: RbConfig) -> list[RbWindow]:
     Per sequence the frame is first reset to the high-mode frequency and the
     sequence is executed; one syndrome cycle then estimates the mode and the
     same sequence runs again in that mode's frame.  The sequences are drawn
-    from ``env.rng``, the stream of every other draw of the run.  Each window
+    from the environment's own stream, ``env.sequences``.  Each window
     holds one full depth sweep and is fitted per arm; non-converged fits are
     flagged, not raised.
     """
@@ -420,7 +424,7 @@ def run_rb_interleaved(env: Environment, config: RbConfig) -> list[RbWindow]:
         xi_sum = 0  # the mode at the start of each of the window's sequences
         for di, length in enumerate(depths):
             for _ in range(config.n_sequences):
-                indices, recovery = random_sequence(int(length), env.rng)
+                indices, recovery = random_sequence(int(length), env.sequences)
                 indices.append(recovery)
                 sequence = bytes(indices)
                 xi_sum += env.xi

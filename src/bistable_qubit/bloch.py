@@ -250,6 +250,12 @@ def readout_bit(z: float, u1: float, u2: float, params: QubitParams) -> int:
     return 1 if u2 < params.readout_eps_0to1 else 0
 
 
+def readout_bits(z: np.ndarray, u1: np.ndarray, u2: np.ndarray, params: QubitParams) -> np.ndarray:
+    """``readout_bit`` elementwise on arrays: the same arithmetic and comparisons, so the same bits."""
+    p_excited = np.clip((1.0 - z) / 2.0, 0.0, 1.0)
+    return np.where(u1 < p_excited, u2 >= params.readout_eps_1to0, u2 < params.readout_eps_0to1).astype(int)
+
+
 def measure(z: float, params: QubitParams, rng: np.random.Generator) -> int:
     """Reported outcome of a projective z measurement of a state with Bloch z-component ``z``.
 

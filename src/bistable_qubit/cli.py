@@ -6,8 +6,9 @@ once with its default and domain; ``parse_config`` rejects, naming the key
 path, an unknown key, a wrong JSON type, NaN, an integer too large for a float
 or a value out of its domain, and builds the library types the sections feed,
 whose own checks also run.  Outputs are UTF-8 CSV tables with header rows plus
-a JSON manifest that echoes the configuration, records derived quantities, and
-checksums the bytes written to every produced file.  For a fixed seed the data
+a JSON manifest that echoes the configuration, records derived quantities,
+checksums the bytes written to every produced file, and reports per replica
+the draws each random stream gave the run.  For a fixed seed the data
 files are byte-identical across runs; only the manifest's wall_time_s field
 varies.
 """
@@ -22,6 +23,7 @@ import math
 import re
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -364,11 +366,16 @@ def _derived_block(cfg: RunConfig) -> dict:
 # Experiment runners; each returns {filename: (header, rows)} plus extras
 
 
-def _replicas(cfg: RunConfig):
-    """Yield (replica, env) per replica: the environment owns the replica's substream."""
+def _replicas(cfg: RunConfig, draws: dict):
+    """Yield (replica, env) per replica: the environment owns the replica's substreams.
+
+    Once the caller is done with a replica, its draw counts go into ``draws``.
+    """
     for replica in range(cfg.replicas):
         rng = substream(cfg.seed, cfg.experiment, "replica", replica)
-        yield replica, make_environment(cfg.qubit, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
+        env = make_environment(cfg.qubit, cfg.tls, rng, cfg.pinned_mode, cfg.finite_pulses)
+        yield replica, env
+        draws[f"replica_{replica}"] = env.draw_counts()
 
 
 def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
@@ -377,7 +384,8 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
     taus = np.linspace(0.0, p["tau_max_s"], p["n_tau"])
     f_c = qp.f_high if p["frame"] == "high" else qp.f_low
     rows = []
-    for replica, env in _replicas(cfg):
+    draws: dict = {}
+    for replica, env in _replicas(cfg, draws):
         for tau in taus.tolist():
             hits = 0
             for _ in range(p["shots"]):
@@ -394,7 +402,7 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
             rows,
         )
     }
-    return files, {}
+    return files, {"draws": draws}
 
 
 def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
@@ -403,7 +411,8 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
     taus = mit.tau_grid
     nofb_rows, fb_rows, trace_rows, avg_rows = [], [], [], []
     fits = {}
-    for replica, env in _replicas(cfg):
+    draws: dict = {}
+    for replica, env in _replicas(cfg, draws):
         result = run_mitigation(env, mit)
         for fringes, sink in ((result.no_feedback, nofb_rows), (result.feedback, fb_rows)):
             for r, (row_time, values) in enumerate(zip(result.row_times.tolist(), fringes.tolist())):
@@ -440,7 +449,7 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
         ),
         "mitigate_avg.csv": (["replica", "tau_s", "p_nofb", "p_fb"], avg_rows),
     }
-    return files, {"fringe_fits": fits}
+    return files, {"fringe_fits": fits, "draws": draws}
 
 
 def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
@@ -452,7 +461,8 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
         "decoherence_floor_per_gate": decoherence_floor_per_gate(qp),
         "replicas": {},
     }
-    for replica, env in _replicas(cfg):
+    draws: dict = {}
+    for replica, env in _replicas(cfg, draws):
         windows = run_rb_interleaved(env, cfg.rb)
         for w, win in enumerate(windows):
             mid = 0.5 * (win.lab_time_start + win.lab_time_end)
@@ -503,7 +513,7 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
             surv_rows,
         ),
     }
-    return files, {"rb_summary": summary}
+    return files, {"rb_summary": summary, "draws": draws}
 
 
 def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
@@ -511,7 +521,9 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
     qp = cfg.qubit
     t_walls = [float(v) for v in p["t_walls_s"]] or [qp.t_wall]
     rows = []
+    draws: dict = {}
     for replica in range(cfg.replicas):
+        counts: Counter = Counter()
         for gamma in p["gammas_hz"]:
             for t_wall in t_walls:
                 rng = substream(cfg.seed, cfg.experiment, "replica", replica, f"{gamma}", f"{t_wall}")
@@ -522,6 +534,7 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
                 env = make_environment(qp_run, tlsp, rng, pinned, cfg.finite_pulses)
                 resample = frozen and cfg.pinned_mode is None
                 p_mc = syndrome_error_rate(env, p["n_cycles"], cfg.tau_probe, resample)
+                counts.update(env.draw_counts())
                 rows.append(
                     (
                         replica,
@@ -534,6 +547,7 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
                         analytics.p_err_static(qp.delta_tls, qp.t2, qp.alpha),
                     )
                 )
+        draws[f"replica_{replica}"] = dict(counts)
     files = {
         "syndrome_sweep.csv": (
             [
@@ -549,7 +563,7 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
             rows,
         )
     }
-    return files, {}
+    return files, {"draws": draws}
 
 
 def _run_perr(cfg: RunConfig) -> tuple[dict, dict]:
@@ -683,6 +697,7 @@ def run(cfg: RunConfig) -> int:
         "derived": _derived_block(cfg),
         "outputs": outputs,
         "wall_time_s": time.monotonic() - started,
+        "report": {"draws": extras.pop("draws", {})},
     }
     manifest.update(extras)
     _write_json(out_dir / "manifest.json", manifest)

@@ -8,8 +8,8 @@ software-applied virtual detuning.
 The ``Environment`` owns lab time and its randomness: the defect mode, an int
 ``xi`` (0 = H, 1 = L), and the lab clock advance together over every elapsed
 interval, including the readout and reset dead time after each measurement,
-which is what makes stale estimates possible, and every switch and readout is
-drawn from its generator ``rng``.
+which is what makes stale estimates possible; every switch is drawn from its
+defect stream and every readout from its readout stream.
 
 Conventions:
 
@@ -41,20 +41,26 @@ from .bloch import (
     measure,
     pulse_duration,
     pulse_map,
+    readout_bits,
     reported_excited_probability,
 )
+from .streams import BLOCK, Draws, substream, words_drawn
 from .telegraph import TelegraphParams
 
 HALF_PI = 0.5 * math.pi
+OPEN, SYNDROME, FEEDBACK = 0, 1, 2  # the kinds of a mitigation cycle
+CHUNK = BLOCK // 4  # mitigation cycles staged at once: their dwell draws, at most 4 a cycle, fit one block
 
 
 @dataclass
 class Environment:
     """Mutable world state shared by the cycles of one experiment run.
 
-    ``rng`` is the replica's random stream: every random event of the run,
-    the defect's switches and each readout's projection and misassignment,
-    is drawn from it, in the order the methods below are called.
+    The run's random events come from three streams, one kind of draw each:
+    ``dwells`` holds the defect's standard exponential dwell draws,
+    ``uniforms`` the two uniforms of every readout (the projection's, then the
+    report's), and ``sequences`` is the generator of the benchmarking
+    sequences.  Each stream is drawn in the order the methods below are called.
     ``finite_pulses`` selects rectangular finite-duration pulses (with their
     detuning-tilted rotation axes) versus idealized instantaneous rotations.
     ``clock`` is the lab time (s); the methods below are the only place that
@@ -65,24 +71,26 @@ class Environment:
     qubit: QubitParams
     tls_params: TelegraphParams
     xi: int
-    rng: np.random.Generator
+    dwells: Draws
+    uniforms: Draws
+    sequences: np.random.Generator
     finite_pulses: bool = True
     clock: float = 0.0
 
     def advance(self, dt: float) -> None:
         """Let ``dt`` of lab time pass: the defect evolves and the clock moves on."""
-        self.xi = telegraph.evolve(self.xi, self.tls_params, dt, self.rng)
+        self.xi = telegraph.evolve(self.xi, self.tls_params, dt, self.dwells)
         self.clock += dt
 
     def dwell(self, dt: float) -> list[tuple[int, float]]:
         """``advance`` over ``dt``, returning the (xi, duration) segments the defect dwelt in."""
-        segments, self.xi = telegraph.dwell_segments(self.xi, self.tls_params, dt, self.rng)
+        segments, self.xi = telegraph.dwell_segments(self.xi, self.tls_params, dt, self.dwells)
         self.clock += dt
         return segments
 
     def readout(self, z: float) -> int:
         """Measure a state with Bloch z-component ``z``, then wait out the readout and reset."""
-        m = measure(z, self.qubit, self.rng)
+        m = measure(z, self.qubit, self.uniforms)
         self.advance(self.qubit.t_wall)
         return m
 
@@ -93,9 +101,22 @@ class Environment:
         ``bloch.readout_bit(z, u1, u2, qubit)`` on them later gives the bit that
         ``readout(z)`` would return now: the same draws in the same order.
         """
-        u = self.rng.random(), self.rng.random()
+        u = self.uniforms.next(), self.uniforms.next()
         self.advance(self.qubit.t_wall)
         return u
+
+    def draw_counts(self) -> dict[str, int]:
+        """Draws read from each stream so far; counting draws no random number.
+
+        The defect count includes the draw of a stationary initial mode; the
+        sequences count is in 64-bit words, since a bounded integer draw uses a
+        varying number of them.
+        """
+        return {
+            "defect_draws": self.dwells.taken,
+            "readout_draws": self.uniforms.taken,
+            "sequences_words": words_drawn(self.sequences),
+        }
 
 
 def make_environment(
@@ -107,17 +128,22 @@ def make_environment(
 ) -> Environment:
     """Build an environment, drawing the initial mode stationarily unless pinned.
 
-    The environment then owns ``rng``: every later draw of the run comes from it.
+    One 64-bit word of ``rng`` roots the environment's three named substreams,
+    made in the order ``defect``, ``readout``, ``sequences``.  The defect
+    stream draws the initial mode (unless pinned) and then only dwell
+    exponentials.
     """
-    if pinned_mode is not None:
-        if pinned_mode not in (telegraph.XI_H, telegraph.XI_L):
-            raise ValueError("pinned_mode must be 0 (H mode) or 1 (L mode)")
-        xi = pinned_mode
-    elif tls_params.total_rate > 0:
-        xi = telegraph.draw_stationary(tls_params, rng)
-    else:
+    if pinned_mode is not None and pinned_mode not in (telegraph.XI_H, telegraph.XI_L):
+        raise ValueError("pinned_mode must be 0 (H mode) or 1 (L mode)")
+    if pinned_mode is None and not tls_params.total_rate > 0:
         raise ValueError("both switching rates are zero: pin the mode explicitly")
-    return Environment(qubit=qubit, tls_params=tls_params, xi=xi, rng=rng, finite_pulses=finite_pulses)
+    root = rng.bit_generator.random_raw()
+    defect, readout, sequences = (substream(root, name) for name in ("defect", "readout", "sequences"))
+    xi = telegraph.draw_stationary(tls_params, defect) if pinned_mode is None else pinned_mode
+    dwells = Draws(defect, "standard_exponential", taken=int(pinned_mode is None))
+    return Environment(
+        qubit, tls_params, xi, dwells, Draws(readout, "random"), sequences, finite_pulses=finite_pulses
+    )
 
 
 def cycle_bandwidth(tau: float, t_readout: float, t_reset: float) -> float:
@@ -290,6 +316,8 @@ class MitigationConfig:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.idle_between_rows < math.inf:
             raise ValueError("idle_between_rows must be finite and nonnegative")
+        if not all(0 <= tau < math.inf for tau in self.tau_grid):
+            raise ValueError("tau_grid values must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -312,6 +340,21 @@ def default_tau_probe(qp: QubitParams) -> float:
     return tau_opt(qp.delta_tls, qp.t2)
 
 
+def _mitigation_schedule(config: MitigationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row's cycles in run order: per cycle its kind and tau index, and
+    ``at[kind, i, rep]``, the cycle of each kind run for (tau index, rep)."""
+    cycles = []
+    for i in range(len(config.tau_grid)):
+        for first in range(0, config.n_reps, config.block_size):
+            block = range(first, min(first + config.block_size, config.n_reps))
+            cycles += [(OPEN, i, rep) for rep in block]
+            cycles += [(kind, i, rep) for rep in block for kind in (SYNDROME, FEEDBACK)]
+    kinds, tau_index, reps = np.array(cycles).T
+    at = np.empty((3, len(config.tau_grid), config.n_reps), dtype=np.intp)
+    at[kinds, tau_index, reps] = np.arange(len(cycles))
+    return kinds, tau_index, at
+
+
 def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResult:
     """Run the interleaved fringe experiment.
 
@@ -320,26 +363,107 @@ def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResu
     one feedback cycle in the estimated mode's frame (``det_fb``).
     ``block_size`` groups repetitions that run one arm back-to-back before
     switching arms; a block runs its repetitions in ascending order.
+
+    The defect path and the clock never depend on an outcome, so each row is
+    decided in stages, up to ``CHUNK`` cycles at a time, with the draws and
+    arithmetic of running its cycles one by one: the schedule (each cycle's
+    four advances: pulse, tau, pulse, readout and reset) and the clock as
+    their running sum; the defect's dwell draws, one per advance with dt > 0
+    while the mode can be left, where the first dwell shorter than its
+    advance marks the cycle a switch lands in; the readout uniforms; the
+    switch-free states from the memo; the syndrome bits, their estimates, and
+    from those the feedback frames and bits.  The cycle a switch lands in runs
+    as ``ramsey_cycle`` or ``syndrome_cycle`` on the same streams, and staging
+    resumes after it.  While the mode's exit rate puts a switch within about
+    four cycles, where a stage would stop at once, each cycle runs so too.
     """
     qp = env.qubit
-    shape = (config.rows, len(config.tau_grid), config.n_reps)
-    counts_nofb, counts_fb = np.zeros((2, *shape[:2]))
+    n_tau = len(config.tau_grid)
+    shape = (config.rows, n_tau, config.n_reps)
+    counts_nofb, counts_fb = np.zeros((2, *shape[:2]), dtype=int)
     row_times = np.zeros(config.rows)
     syndrome_time = np.zeros(shape)
     true_xi, est_xi, outcome = np.zeros((3, *shape), dtype=int)
 
+    kinds, tau_index, at = _mitigation_schedule(config)
+    n = kinds.size
+    feedback = kinds == FEEDBACK
+    taus = np.append(config.tau_grid, config.tau_probe)
+    steps = np.empty((n, 4))
+    steps[:, 0::2] = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
+    steps[:, 1] = taus[np.where(kinds == SYNDROME, n_tau, tau_index)]
+    steps[:, 3] = qp.t_wall
+    steps = steps.ravel()
+    drawing = np.flatnonzero(steps > 0.0)  # the advances that draw a dwell while the mode can be left
+    drawn_before = np.searchsorted(drawing, np.arange(0, steps.size + 1, 4))  # per cycle start
+    cycle_time = float(steps.sum()) / n
+    schedule = [(kind, config.tau_grid[i]) for kind, i in zip(kinds.tolist(), tau_index.tolist())]  # for lone cycles
+    # Per cycle its column of the per-mode z table: open loop, feedback in the
+    # high frame (the low frame is n_tau further), syndrome.
+    column = tau_index + n_tau * feedback
+    column[kinds == SYNDROME] = 3 * n_tau
+    keys = [(qp.f_high, tau, 2.0 * math.pi * config.det_nofb * tau) for tau in config.tau_grid]
+    for f_c in (qp.f_high, qp.f_low):
+        keys += [(f_c, tau, 2.0 * math.pi * config.det_fb * tau) for tau in config.tau_grid]
+    keys.append((qp.f_high, config.tau_probe, 0.0))
+    z_tables: dict[int, np.ndarray] = {}
+    decode = np.array(calibrate_decode_map(qp, config.tau_probe, env.finite_pulses))
+
     for row in range(config.rows):
         row_times[row] = env.clock
-        for i, tau in enumerate(config.tau_grid):
-            for first in range(0, config.n_reps, config.block_size):
-                block = range(first, min(first + config.block_size, config.n_reps))
-                for _ in block:
-                    counts_nofb[row, i] += ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
-                for rep in block:
-                    cell = row, i, rep
-                    outcome[cell], est_xi[cell] = syndrome_cycle(env, config.tau_probe)
-                    syndrome_time[cell], true_xi[cell] = env.clock, env.xi
-                    counts_fb[row, i] += ramsey_cycle(env, qp.mode_frequency(est_xi[cell]), tau, config.det_fb)
+        clocks = np.cumsum(np.append(env.clock, steps))  # the clock += chain of the advances
+        bits, est, modes = np.zeros((3, n), dtype=int)
+        p = 0
+        while p < n:
+            x = env.xi
+            rate = env.tls_params.exit_rate(x)
+            switches = rate * cycle_time  # expected per cycle
+            # Stage about four mean switch-free runs, at most CHUNK cycles.
+            # With a switch due within four cycles a stage would stop at once,
+            # so the cycle runs alone.
+            alone = switches > 0.25
+            if not alone:
+                q = min(n, p + (CHUNK if switches * CHUNK <= 4.0 else int(4.0 / switches)))
+                advances = drawing[drawn_before[p]:drawn_before[q]]
+                if rate > 0.0 and advances.size:
+                    hits = np.flatnonzero(env.dwells.peek(advances.size) * (1.0 / rate) < steps[advances])
+                    if hits.size:
+                        q = int(advances[hits[0]]) // 4
+                        alone = True
+                    env.dwells.take(int(drawn_before[q] - drawn_before[p]))
+                if q > p:
+                    if x not in z_tables:
+                        z_tables[x] = np.array(
+                            [_switch_free_state(qp, env.finite_pulses, f_c, x, tau, phase)[2] for f_c, tau, phase in keys]
+                        )
+                    z = z_tables[x]
+                    u = env.uniforms.take(2 * (q - p))
+                    u1, u2 = u[0::2], u[1::2]
+                    col = column[p:q]
+                    m = readout_bits(z[col], u1, u2, qp)
+                    syndromes = np.flatnonzero(kinds[p:q] == SYNDROME)
+                    est[p + syndromes] = decode[m[syndromes]]
+                    fb = np.flatnonzero(feedback[p:q])
+                    m[fb] = readout_bits(z[col[fb] + n_tau * est[p + fb - 1]], u1[fb], u2[fb], qp)
+                    bits[p:q] = m
+                    modes[p:q] = x
+                    env.clock = float(clocks[4 * q])
+                p = q
+            if alone:
+                kind, tau = schedule[p]
+                if kind == OPEN:
+                    bits[p] = ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
+                elif kind == SYNDROME:
+                    bits[p], est[p] = syndrome_cycle(env, config.tau_probe)
+                else:
+                    bits[p] = ramsey_cycle(env, qp.mode_frequency(est[p - 1]), tau, config.det_fb)
+                modes[p] = env.xi
+                p += 1
+        counts_nofb[row] = bits[at[OPEN]].sum(axis=1)
+        counts_fb[row] = bits[at[FEEDBACK]].sum(axis=1)
+        syndromes = at[SYNDROME]
+        outcome[row], est_xi[row], true_xi[row] = bits[syndromes], est[syndromes], modes[syndromes]
+        syndrome_time[row] = clocks[4 * syndromes + 4]
         if config.idle_between_rows > 0:
             env.advance(config.idle_between_rows)
 
@@ -364,7 +488,7 @@ def syndrome_error_rate(
     errors = 0
     for _ in range(n_cycles):
         if resample_each_cycle:
-            env.xi = telegraph.XI_L if env.rng.random() < 0.5 else telegraph.XI_H
+            env.xi = telegraph.XI_L if env.uniforms.next() < 0.5 else telegraph.XI_H
         _, xi_hat = syndrome_cycle(env, tau_probe)
         if xi_hat != env.xi:
             errors += 1

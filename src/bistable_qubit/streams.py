@@ -1,10 +1,15 @@
-"""Deterministic counter-based random substreams.
+"""Deterministic counter-based random substreams, and block reads of one kind of draw.
 
 A single 64-bit root seed fans out to independent substreams keyed by an
 arbitrary path of labels (experiment name, replica index, shot index, ...).
 Substreams are backed by the Philox counter-based bit generator, so every
 stream is reproducible on its own, independent of how many draws any other
 stream has consumed.
+
+A stream that yields one kind of draw can be read in blocks with no change in
+value: n ``random()`` calls equal ``random(n)``, and n ``exponential(scale)``
+calls equal ``standard_exponential(n) * scale``, bit for bit.  ``Draws`` reads
+such a stream through a buffer of at most ``BLOCK`` draws.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence  # loaded with the package, not at the first draw
 
 _MASK64 = (1 << 64) - 1
+BLOCK = 2048  # the most draws a Draws buffer holds
 
 
 def _label_entropy(label) -> int:
@@ -33,3 +39,67 @@ def substream(root_seed: int, *path) -> Generator:
     """
     entropy = [int(root_seed) & _MASK64] + [_label_entropy(p) for p in path]
     return Generator(Philox(SeedSequence(entropy)))
+
+
+def words_drawn(generator: Generator) -> int:
+    """64-bit words a Philox generator has produced, read from its state: no draw is made."""
+    state = generator.bit_generator.state
+    return 4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4
+
+
+class Draws:
+    """The draws of one kind from ``generator``, read through a buffer of at most ``BLOCK``.
+
+    ``kind`` is ``"random"`` (uniforms) or ``"standard_exponential"``.  ``next``
+    reads one draw as a Python float; ``peek(n)`` returns the next n (n <= BLOCK)
+    as an array without reading them and ``take(n)`` reads them.  ``taken``
+    counts the draws read, the ``taken`` draws of ``generator`` made before
+    the buffer included.  ``random()`` and ``exponential(scale)`` are the
+    Generator calls that ``bloch.measure`` and ``telegraph.evolve`` make,
+    served from a uniform and an exponential buffer respectively, with the
+    values the generator's own calls would return.
+    """
+
+    def __init__(self, generator: Generator, kind: str, taken: int = 0):
+        self._fill = getattr(generator, kind)
+        self._block = np.empty(0)
+        self._values: list[float] = []  # the block as Python floats, for scalar reads
+        self._pos = 0
+        self._filled = taken  # draws made from the generator, ``taken`` of them before this buffer
+
+    @property
+    def taken(self) -> int:
+        return self._filled - len(self._values) + self._pos
+
+    def _refill(self) -> None:
+        """Keep the unread draws and top the block up to ``BLOCK`` from the generator."""
+        fresh = self._fill(BLOCK - len(self._values) + self._pos)
+        self._filled += fresh.size
+        self._block = np.concatenate((self._block[self._pos:], fresh))
+        self._values = self._block.tolist()
+        self._pos = 0
+
+    def next(self) -> float:
+        pos = self._pos
+        if pos == len(self._values):
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._values[pos]
+
+    random = next
+
+    def exponential(self, scale: float) -> float:
+        return self.next() * scale
+
+    def peek(self, n: int) -> np.ndarray:
+        if n > BLOCK:
+            raise ValueError("a peek sees at most BLOCK draws")
+        if len(self._values) - self._pos < n:
+            self._refill()
+        return self._block[self._pos:self._pos + n]
+
+    def take(self, n: int) -> np.ndarray:
+        draws = self.peek(n)
+        self._pos += n
+        return draws

@@ -48,19 +48,29 @@ def _report(number: int, name: str, ok: bool, detail: str, elapsed: float, budge
     assert elapsed < budget, f"criterion {number} exceeded runtime budget"
 
 
-@pytest.fixture(scope="module")
-def mitigation_run():
-    """Shared interleaved fringe experiment used by criteria 2 and 3."""
-    taus = tuple(np.linspace(0.0, 2.5e-6, 50))
-    config = MitigationConfig(
-        tau_grid=taus,
+# Sample sizes of the Monte Carlo criteria, sized by the seed sweep of
+# tools/margins.py so that no stream can fail a criterion by the draw.
+MITIGATION_ROWS = 1280  # criteria 02 and 03: rows of 50 probe times x 10 repetitions
+FLOOR_SEQUENCES = 400  # criterion 05: sequences per depth
+
+
+def mitigation_config(rows: int) -> MitigationConfig:
+    """The interleaved fringe experiment of criteria 02 and 03, at ``rows`` rows."""
+    return MitigationConfig(
+        tau_grid=tuple(np.linspace(0.0, 2.5e-6, 50)),
         n_reps=10,
-        rows=160,
+        rows=rows,
         det_nofb=2.0e6,
         det_fb=2.33e6,
         tau_probe=default_tau_probe(QP),
         idle_between_rows=1.0,
     )
+
+
+@pytest.fixture(scope="module")
+def mitigation_run():
+    """Shared interleaved fringe experiment used by criteria 2 and 3."""
+    config = mitigation_config(MITIGATION_ROWS)
     rng = substream(SEED, "acceptance-mitigate")
     env = make_environment(QP, TelegraphParams.from_dwell_time(10.0), rng)
     started = time.monotonic()
@@ -187,7 +197,7 @@ def test_criterion_05_benchmarking_decoherence_floor():
     started = time.monotonic()
     rng = substream(SEED, "acceptance-rb-floor")
     env = make_environment(QP, FROZEN, rng, pinned_mode=0)
-    config = rb.RbConfig(tau_probe=default_tau_probe(QP), n_sequences=100, shots_per_sequence=6, n_windows=1)
+    config = rb.RbConfig(tau_probe=default_tau_probe(QP), n_sequences=FLOOR_SEQUENCES, shots_per_sequence=6)
     window = rb.run_rb_interleaved(env, config)[0]
     floor = rb.decoherence_floor_per_gate(QP)
     fitted = window.fit_nofb.r_native

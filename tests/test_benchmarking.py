@@ -24,8 +24,8 @@ from bistable_qubit.bloch import (
     pulse_map,
     readout_bit,
 )
-from bistable_qubit.protocol import Environment, default_tau_probe, make_environment
-from bistable_qubit.streams import substream
+from bistable_qubit.protocol import default_tau_probe, make_environment
+from bistable_qubit.streams import Draws, substream
 from bistable_qubit.telegraph import TelegraphParams
 
 QP = QubitParams.defaults()
@@ -63,7 +63,7 @@ def _slot_by_slot(executor, indices, f_c, segments):
 
 
 def _reference_run(executor, indices, f_c):
-    """The executor's run without its memo: every run steps the whole sequence, drawing from ``env.rng``.
+    """The executor's run without its memo: every run steps the whole sequence, drawing from the environment's streams.
 
     Advances ``executor.env.clock``; returns (outcome, state handed to readout).
     """
@@ -74,7 +74,7 @@ def _reference_run(executor, indices, f_c):
     total = 0.0
     for i in indices:
         total += durations[i]
-    segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, total, env.rng)
+    segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, total, env.dwells)
     env.clock += total
     ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
     seg = 0
@@ -96,8 +96,8 @@ def _reference_run(executor, indices, f_c):
         t += durations[i]
         for m in steps:
             state = apply(m, state)
-    outcome = measure(state[2], qp, env.rng)
-    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, env.rng)
+    outcome = measure(state[2], qp, env.uniforms)
+    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, env.dwells)
     env.clock += qp.t_wall
     return outcome, state
 
@@ -173,6 +173,19 @@ class TestRandomSequence:
                 u = rb.UNITARIES[idx] @ u
             assert abs(abs(np.trace(u)) / 2.0 - 1.0) < 1e-12
 
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 10_000), length=st.one_of(st.integers(0, 70), st.sampled_from([255, 1024, 2049])))
+    def test_pairwise_recovery_equals_the_loop_over_the_product_table(self, seed, length):
+        rng = substream(504, "pairwise", seed)
+        reference = copy.deepcopy(rng)
+        indices, recovery = rb.random_sequence(length, rng)
+        assert indices == reference.integers(0, 24, size=length).tolist()
+        composed = rb.IDENTITY_INDEX
+        for idx in indices:  # one index at a time, in time order
+            composed = rb.PRODUCT[idx][composed]
+        assert recovery == rb.INVERSE[composed]
+        assert all(type(i) is int for i in indices) and type(recovery) is int
+
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
             rb.random_sequence(-1, substream(504, "neg"))
@@ -235,7 +248,7 @@ class TestExecutor:
             total = sum(executor.durations[i] for i in seq)
             segments, _ = telegraph.dwell_segments(env.xi, fast, total, substream(506, "run", k))
             switched += len(segments) > 1
-            env.rng = substream(506, "run", k)
+            env.dwells = Draws(substream(506, "run", k), "standard_exponential")
             executor.run(seq, f_c)
             executor.outcomes()
             expected = _slot_by_slot(executor, seq, f_c, segments)
@@ -259,10 +272,8 @@ class TestExecutor:
     )
     def test_run_matches_unmemoised_reference(self, seed, rate, sequences, runs):
         tls = TelegraphParams(rate, 0.7 * rate)
-        rng = substream(515, "memo", seed)
-        ref_rng = copy.deepcopy(rng)
-        env = Environment(QP, tls, seed % 2, rng, True)
-        ref_env = Environment(QP, tls, env.xi, ref_rng, True)
+        env = make_environment(QP, tls, substream(515, "memo", seed), pinned_mode=seed % 2)
+        ref_env = copy.deepcopy(env)
         executor = rb.SequenceExecutor(env)
         reference = rb.SequenceExecutor(ref_env)
         with pytest.MonkeyPatch.context() as mp:
@@ -277,7 +288,7 @@ class TestExecutor:
                     ref_outcomes.append(ref_m)
                     ref_z.append(ref_state[2])
                     assert (env.clock, env.xi) == (ref_env.clock, ref_env.xi)
-                    assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+                    assert env.draw_counts() == ref_env.draw_counts()
                 if resolve:
                     outcomes += executor.outcomes()
                     assert (outcomes, captured) == (ref_outcomes, ref_z)
@@ -294,8 +305,7 @@ class TestExecutor:
     def test_batched_state_equals_the_scalar_step(self, seed, lengths):
         # One queue mixing lengths 0, 1, odd and 2049, both modes and both
         # frames, on a frozen defect.
-        rng = substream(518, "batch", seed)
-        env = Environment(QP, FROZEN, 0, rng, True)
+        env = make_environment(QP, FROZEN, substream(518, "batch", seed), pinned_mode=0)
         executor = rb.SequenceExecutor(env)
         draw = np.random.default_rng(seed)
         expected, distinct = [], set()
@@ -343,8 +353,7 @@ class TestExecutor:
 
     def test_segmented_runs_never_enter_the_batch(self, monkeypatch):
         fast = TelegraphParams(1e5, 1e5)  # 10 us dwells against ~6 us sequences
-        rng = substream(517, "segmented")
-        env = Environment(QP, fast, 0, rng, True)
+        env = make_environment(QP, fast, substream(517, "segmented"), pinned_mode=0)
         executor = rb.SequenceExecutor(env)
         batches, stepped = _record_resolved_keys(monkeypatch)
         switch_free = []
@@ -353,7 +362,7 @@ class TestExecutor:
             seq = [int(i) for i in np.random.default_rng([517, k]).integers(0, 24, size=64)]
             f_c = QP.f_low if k % 2 else QP.f_high
             total = sum(executor.durations[i] for i in seq)
-            segments, xi = telegraph.dwell_segments(env.xi, fast, total, copy.deepcopy(rng))
+            segments, xi = telegraph.dwell_segments(env.xi, fast, total, copy.deepcopy(env.dwells))
             executor.run(seq, f_c)
             if len(segments) > 1:
                 segmented += 1

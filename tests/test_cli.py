@@ -169,6 +169,29 @@ class TestRun:
         assert derived["tau_probe_s"] == 1e-6
         assert derived["estimation_bandwidth_hz"] == pytest.approx(1 / (1e-6 + 8e-6))
 
+    def test_report_counts_the_draws_of_each_stream(self, tmp_path):
+        # A pinned, frozen defect draws no dwell; every cycle reads two uniforms.
+        mit = {"rows": 3, "n_tau": 4, "n_reps": 5, "block_size": 2}
+        doc = {"experiment": "mitigate", "out_dir": str(tmp_path), "replicas": 2,
+               "tls": {"gamma_hl_hz": 0.0, "gamma_lh_hz": 0.0, "pinned_mode": "H"}, "mitigate": mit}
+        assert cli.run(parse_config(json.dumps(doc))) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        cycles = 3 * mit["rows"] * mit["n_tau"] * mit["n_reps"]
+        counts = {"defect_draws": 0, "readout_draws": 2 * cycles, "sequences_words": 0}
+        assert manifest["report"] == {"draws": {"replica_0": counts, "replica_1": counts}}
+        # Switching: the stationary initial mode and the dwells are counted too.
+        doc = dict(doc, replicas=1, tls={"gamma_hl_hz": 1e3, "gamma_lh_hz": 2e3})
+        assert cli.run(parse_config(json.dumps(doc))) == 0
+        draws = json.loads((tmp_path / "manifest.json").read_text())["report"]["draws"]["replica_0"]
+        assert draws["readout_draws"] == 2 * cycles and draws["defect_draws"] > 4 * cycles
+        doc = {"experiment": "rb", "out_dir": str(tmp_path), "rb": {"depths": [1, 4, 16], "n_sequences": 3}}
+        assert cli.run(parse_config(json.dumps(doc))) == 0
+        draws = json.loads((tmp_path / "manifest.json").read_text())["report"]["draws"]["replica_0"]
+        assert draws["sequences_words"] > 0
+        doc = {"experiment": "perr", "out_dir": str(tmp_path)}
+        assert cli.run(parse_config(json.dumps(doc))) == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["report"] == {"draws": {}}
+
     def test_manifest_references_all_outputs(self, tmp_path):
         import hashlib
 
@@ -566,11 +589,11 @@ def test_csv_writer_prints_every_value_as_fmt(tmp_path):
 
 
 # Golden outputs: data-file SHA-256 of small pinned configs, as written by
-# artifact version 0.2.0.  Speed-ups must keep them byte-identical.  A
+# artifact version 0.3.0.  Speed-ups must keep them byte-identical.  A
 # deliberate change of the random streams, of the arithmetic behind a state or
 # of the fit solver must update these hashes together with a bump of
 # ``__version__`` (the manifest's ``artifact_version``).
-GOLDEN_VERSION = "0.2.0"
+GOLDEN_VERSION = "0.3.0"
 GOLDEN = {
     "mitigate-switching-blocks": (
         {
@@ -580,10 +603,10 @@ GOLDEN = {
             "mitigate": {"rows": 2, "n_tau": 12, "n_reps": 6, "block_size": 3},
         },
         {
-            "mitigate_nofb.csv": "a5b1e7b512308074b7852ce3548e9787c88303600f19d4763357496f6cfe0db7",
-            "mitigate_fb.csv": "11b40dca6f80ef5ee4efa4fed19d97d35d5f5eb14c884fa991c5047cbfa598e9",
-            "mitigate_trace.csv": "bf65c8cd53b51ce4d8326f824595805ef49ba04f32f6c5cf991b2971331e6cee",
-            "mitigate_avg.csv": "937a432737a4e831c3c372f589de987df861275362258d6cf0a65730b6d9d4f6",
+            "mitigate_nofb.csv": "c0aea36e6eadc8a196e89b737be8c024bf42858426840dc9b457d950df605392",
+            "mitigate_fb.csv": "7213cbdf7ce1cbfe3de72d80b03656f51afbeea0174735876a1b6f0f722f2c02",
+            "mitigate_trace.csv": "537ab0cac4bf0077852563f1ecbd02893b354c8fef4b1638ba29b7290dfd8ae4",
+            "mitigate_avg.csv": "76edaa9561c2c8a6b104ca9924c4cefe06623e25f15995db7ac12c377638fb96",
         },
     ),
     # Instantaneous pulses under switching: cycles a switch lands in, in both
@@ -597,10 +620,10 @@ GOLDEN = {
             "mitigate": {"rows": 2, "n_tau": 12, "n_reps": 6, "block_size": 2},
         },
         {
-            "mitigate_nofb.csv": "e2d3c5cacb8fe4843ba15052f7ab38405160c76d55a87928f3940acaea726583",
-            "mitigate_fb.csv": "6494e0919b5b17df7a8457d8f56ae7c1b4220d03569a4537445ca5abea19dadc",
-            "mitigate_trace.csv": "a487773d036bbc21b2c139efd41686321b9b7aa1d8733a9c4d49e10293dad337",
-            "mitigate_avg.csv": "e826983a77a5b0d48836e034535decb64c298783f8ea8e5d6fe70fb704eee2b4",
+            "mitigate_nofb.csv": "218525755ccda7b84d533ad44f41e14a9408fca05ba80672b9706ecdde1cdb47",
+            "mitigate_fb.csv": "7f1136935d4405cfb595f059721ab6a8965e83c70839b82bf40d9d4bc6e736c8",
+            "mitigate_trace.csv": "acbc8379c7570030361d8492e57e7977cad3d44032ab7826b2f8f351a78e75c1",
+            "mitigate_avg.csv": "6bf9f10ecaf3df0763eee4219ded8f59fc835f1034dfcda46829a6b7ed72f337",
         },
     ),
     "ramsey-pinned-instantaneous": (
@@ -611,7 +634,7 @@ GOLDEN = {
             "tls": {"gamma_hl_hz": 0.0, "gamma_lh_hz": 0.0, "pinned_mode": "L"},
             "ramsey": {"n_tau": 16, "shots": 40},
         },
-        {"ramsey.csv": "baa818f9d4b96057c2c4d1b57ea64b6bbdbc2756497463b7b0e6b965aba31c58"},
+        {"ramsey.csv": "ec1d2c2041511d7fdd914f2c44e4a9e34c08d766731565d9c37ad9533c3f6858"},
     ),
     # 100 us mean dwell against ~10 us cycles: the defect switches tens of
     # times in the run, inside and between the controller's finite-pulse cycles.
@@ -622,7 +645,7 @@ GOLDEN = {
             "tls": {"gamma_hl_hz": 1e4, "gamma_lh_hz": 1e4},
             "ramsey": {"n_tau": 12, "shots": 30},
         },
-        {"ramsey.csv": "def476e9a95cda1d4a138fa2200dbe1b7e39b2ed5d5d4eb8d5ac985e79f2d963"},
+        {"ramsey.csv": "3dd6df0a5e90740379bab498ca8398fe8bfeefe3d434aca11a7a3cab06328a39"},
     ),
     "syndrome-sweep": (
         {
@@ -630,7 +653,7 @@ GOLDEN = {
             "seed": 43,
             "syndrome_sweep": {"n_cycles": 3000, "gammas_hz": [0, 1e5]},
         },
-        {"syndrome_sweep.csv": "b1b87eec5e9d40b710fdd7962465559ab183ac2651c16962cbc1abddaa32b436"},
+        {"syndrome_sweep.csv": "47d24c26eed09810ab09196b5b41729110930f89ff3a85d720a3492a1329222e"},
     ),
     "rb-switching": (
         {
@@ -640,8 +663,8 @@ GOLDEN = {
             "rb": {"depths": [1, 4, 16, 64], "n_sequences": 4, "shots_per_sequence": 2, "n_windows": 2},
         },
         {
-            "rb_timeseries.csv": "d959062d89556d405de5fa7de0ea88f3d9b632340d9d45c4044783b939437a70",
-            "rb_survivals.csv": "909a2119e4151810ea06fe4550a4423ab30679199975b8ee126ba052fa23c0a4",
+            "rb_timeseries.csv": "689e1fac4136ab1b4fa3d7f50fe859a862a3c9075bb721cbdeef20c4d4cc4f5d",
+            "rb_survivals.csv": "47be90a8c8de5d621247e8856a12f91abda3178b1fb78278bf6fa90cdf982ead",
         },
     ),
     # 6 s mean dwell: nearly every run is switch-free, so repeated shots and
@@ -660,8 +683,8 @@ GOLDEN = {
             },
         },
         {
-            "rb_timeseries.csv": "4bdd46c3ab4ded7f8b30c11e919e3f4a03b5bee4440fdab779ebbb43a9dcbdca",
-            "rb_survivals.csv": "199e4843a690a1cec56fd158845d766d4af3bcc0303c0c7b75e852e46111659a",
+            "rb_timeseries.csv": "8cceb7cf734172bea0bc81324eb4c78541f193cdbb232f57761301bba49be982",
+            "rb_survivals.csv": "9f5175fedba74573aa4efbdbdf409d0e2bd603df8f0306e13b2026aa55ce0e6f",
         },
     ),
     # A frozen L defect: the open-loop arm runs at f_high and the feedback arm
@@ -681,8 +704,8 @@ GOLDEN = {
             },
         },
         {
-            "rb_timeseries.csv": "fcce757e9b20edbefb7af8fc2e26f7ff53e37ca0907bfc91c3151d43b122a518",
-            "rb_survivals.csv": "22788a6aab93fde516b090be2d71ac0e185698fcde34308aeb3de94ffc433d4b",
+            "rb_timeseries.csv": "fefbcd7c368c62d4ff39d040835dccd2cc6c34dbd9f1821168270baa701d65b1",
+            "rb_survivals.csv": "5ce0c8fbbabd1da59670784a655fa3b712c85825cc6194542dd988c430c654fa",
         },
     ),
     # The oracle layer: the improvement map on log and linear axes (the default

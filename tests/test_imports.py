@@ -1,6 +1,6 @@
 """Every name a package module imports is used by that module, every name it
 defines at top level is read somewhere in the repository's code, the engine
-draws from the environment's own random stream, and no CLI experiment imports
+draws from the environment's own random streams, and no CLI experiment imports
 scipy."""
 
 import ast
@@ -92,9 +92,9 @@ def functions_taking(source: str, parameter: str) -> list[str]:
             and parameter in {a.arg for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)}]
 
 
-# The environment owns the replica's random stream: a cycle, a run or a CLI
-# runner draws from ``env.rng``.  Only the builder that hands a generator to an
-# environment and the stateless sequence draw take one.
+# The environment owns the replica's random streams: a cycle, a run or a CLI
+# runner draws from the environment.  Only the builder that hands a generator
+# to an environment and the stateless sequence draw take one.
 @pytest.mark.parametrize("module, takers", [("protocol", ["make_environment"]),
                                             ("benchmarking", ["random_sequence"]),
                                             ("cli", [])])

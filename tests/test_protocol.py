@@ -10,14 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistable_qubit import analytics, telegraph
+from bistable_qubit import analytics, protocol, streams, telegraph
 from bistable_qubit import benchmarking as rb
 from bistable_qubit.bloch import GROUND, QubitParams, apply, detuning, free_map, pulse_duration, pulse_map
 from bistable_qubit.fitting import fit_cosine, fit_two_frequency_mixture
 from bistable_qubit.protocol import (
     HALF_PI,
-    Environment,
     MitigationConfig,
+    MitigationResult,
     calibrate_decode_map,
     cycle_bandwidth,
     default_tau_probe,
@@ -309,7 +309,8 @@ class TestEnvironment:
     @pytest.mark.parametrize(
         "run",
         [
-            lambda env: run_mitigation(
+            # The per-cycle loop: the staged run equals it, clock included (TestStagedMitigation).
+            lambda env: _per_cycle_mitigation(
                 env,
                 MitigationConfig(tau_grid=(0.3e-6, 1.1e-6), tau_probe=default_tau_probe(QP), n_reps=3, rows=3,
                                  idle_between_rows=2e-5),
@@ -360,6 +361,13 @@ class TestProbeTime:
             config(tau_probe=tau)
 
 
+@pytest.mark.parametrize("tau", [-1e-9, math.inf, math.nan])
+def test_mitigation_rejects_a_probe_grid_time_that_is_not_finite_and_nonnegative(tau):
+    # The staged run takes every tau of the grid as a lab-time advance, as the cycles would.
+    with pytest.raises(ValueError, match="^tau_grid values must be finite and nonnegative$"):
+        MitigationConfig(tau_grid=(0.0, tau), tau_probe=1e-6)
+
+
 class TestXGatePopulation:
     def test_matches_rabi_formula_without_decoherence(self):
         from bistable_qubit.bloch import rabi_transition_probability
@@ -375,7 +383,7 @@ class TestXGatePopulation:
 
 
 def _reference_cycle(env, f_c, tau, phase):
-    """The stepwise two-pulse cycle with no memo: each Bloch step applied as its mode is drawn from ``env.rng``.
+    """The stepwise two-pulse cycle with no memo: each Bloch step applied as its mode is drawn from ``env.dwells``.
 
     Advances ``env.clock``; returns the state before readout and whether the
     mode changed anywhere between the first pulse and the second.
@@ -387,14 +395,14 @@ def _reference_cycle(env, f_c, tau, phase):
     duration = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
     for k, axis_phase in enumerate((0.0, phase)):
         if k == 1:
-            segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, tau, env.rng)
+            segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, tau, env.dwells)
             for xi, dt in segments:
                 state = apply(free_map(detuning(qp, f_c, xi), dt, qp), state)
             switched = len(segments) > 1 or env.xi != xi_first
             env.clock += tau
         state = apply(pulse_map(axis_phase, -HALF_PI, detuning(qp, f_c, env.xi), qp, env.finite_pulses), state)
         if duration > 0.0:
-            env.xi = telegraph.evolve(env.xi, env.tls_params, duration, env.rng)
+            env.xi = telegraph.evolve(env.xi, env.tls_params, duration, env.dwells)
         env.clock += duration
     return state, switched
 
@@ -420,7 +428,7 @@ class TestCycleMemo:
         for k, state in zip(keys, states):
             qp, fin, f_c, mode, t, ph = k
             assert state == _switch_free_state(*k) == _switch_free_state.__wrapped__(*k)
-            env = make_environment(qp, FROZEN, None, pinned_mode=mode, finite_pulses=fin)
+            env = make_environment(qp, FROZEN, substream(417, "memo"), pinned_mode=mode, finite_pulses=fin)
             assert state == _reference_cycle(env, f_c, t, ph)[0]
 
     @settings(max_examples=40, derandomize=True, deadline=None)
@@ -434,33 +442,175 @@ class TestCycleMemo:
     )
     def test_cycle_matches_stepwise_reference(self, seed, rate, high, tau, phase, finite):
         tls = TelegraphParams(rate, 0.6 * rate)
-        rng = substream(417, "cycle", seed)
-        ref_rng = copy.deepcopy(rng)
-        env = Environment(QP, tls, seed % 2, rng, finite)
-        ref_env = Environment(QP, tls, env.xi, ref_rng, finite)
+        env = make_environment(QP, tls, substream(417, "cycle", seed), pinned_mode=seed % 2, finite_pulses=finite)
+        ref_env = copy.deepcopy(env)
         f_c = QP.f_high if high else QP.f_low
         for _ in range(15):
             state = _two_pulse_cycle(env, f_c, tau, phase)
             ref_state, _ = _reference_cycle(ref_env, f_c, tau, phase)
             assert (state, env.clock, env.xi) == (ref_state, ref_env.clock, ref_env.xi)
-            assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+            assert env.draw_counts() == ref_env.draw_counts()
 
     def test_switching_cycles_match_the_reference(self):
         # Dwell ~ tau: cycles with and without a switch both occur.
         tls = TelegraphParams(4e5, 3e5)
-        rng = substream(418, "cycle-switching")
-        ref_rng = copy.deepcopy(rng)
-        env = Environment(QP, tls, 0, rng, True)
-        ref_env = Environment(QP, tls, env.xi, ref_rng, True)
+        env = make_environment(QP, tls, substream(418, "cycle-switching"), pinned_mode=0)
+        ref_env = copy.deepcopy(env)
         switched = 0
         for k in range(400):
             tau = 0.5e-6 + 1e-8 * k
             state = _two_pulse_cycle(env, QP.f_high, tau, 0.3)
             ref_state, ref_switched = _reference_cycle(ref_env, QP.f_high, tau, 0.3)
             assert (state, env.clock, env.xi) == (ref_state, ref_env.clock, ref_env.xi)
-            assert repr(rng.bit_generator.state) == repr(ref_rng.bit_generator.state)
+            assert env.draw_counts() == ref_env.draw_counts()
             switched += ref_switched
         assert 100 < switched < 300
+
+
+def _per_cycle_mitigation(env, config):
+    """The mitigation run one cycle at a time: ``ramsey_cycle`` and ``syndrome_cycle`` in run order."""
+    qp = env.qubit
+    shape = (config.rows, len(config.tau_grid), config.n_reps)
+    counts_nofb, counts_fb = np.zeros((2, *shape[:2]))
+    row_times = np.zeros(config.rows)
+    syndrome_time = np.zeros(shape)
+    true_xi, est_xi, outcome = np.zeros((3, *shape), dtype=int)
+    for row in range(config.rows):
+        row_times[row] = env.clock
+        for i, tau in enumerate(config.tau_grid):
+            for first in range(0, config.n_reps, config.block_size):
+                block = range(first, min(first + config.block_size, config.n_reps))
+                for _ in block:
+                    counts_nofb[row, i] += ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
+                for rep in block:
+                    cell = row, i, rep
+                    outcome[cell], est_xi[cell] = syndrome_cycle(env, config.tau_probe)
+                    syndrome_time[cell], true_xi[cell] = env.clock, env.xi
+                    counts_fb[row, i] += ramsey_cycle(env, qp.mode_frequency(est_xi[cell]), tau, config.det_fb)
+        if config.idle_between_rows > 0:
+            env.advance(config.idle_between_rows)
+    return MitigationResult(
+        counts_nofb / config.n_reps, counts_fb / config.n_reps, row_times, syndrome_time, true_xi, est_xi, outcome
+    )
+
+
+RATES = st.sampled_from([0.0, 1.0, 1e3, 3e4, 1e5])
+
+
+class TestStagedMitigation:
+    def _assert_equal_runs(self, env, config):
+        ref_env = copy.deepcopy(env)
+        result = run_mitigation(env, config)
+        expected = _per_cycle_mitigation(ref_env, config)
+        for name in MitigationResult.__dataclass_fields__:
+            assert np.array_equal(getattr(result, name), getattr(expected, name)), name
+            assert getattr(result, name).dtype == getattr(expected, name).dtype, name
+        assert (env.clock, env.xi, env.draw_counts()) == (ref_env.clock, ref_env.xi, ref_env.draw_counts())
+        return result
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rates=st.tuples(RATES, RATES),
+        pinned=st.sampled_from([None, 0, 1]),
+        finite=st.booleans(),
+        n_tau=st.integers(1, 4),
+        from_zero=st.booleans(),
+        n_reps=st.integers(1, 5),
+        rows=st.integers(1, 3),
+        block_size=st.integers(1, 4),
+        idle=st.sampled_from([0.0, 3e-6, 1e-3]),
+        small_blocks=st.booleans(),
+    )
+    def test_staged_run_equals_the_per_cycle_loop(
+        self, seed, rates, pinned, finite, n_tau, from_zero, n_reps, rows, block_size, idle, small_blocks
+    ):
+        # Switching up to 1e5/s with asymmetric rates, a pinned or frozen mode,
+        # instantaneous pulses, tau = 0, blocks and row idles; with small
+        # blocks, rows span several stages and the buffers refill within them.
+        tls = TelegraphParams(*rates)
+        if tls.total_rate == 0 and pinned is None:
+            pinned = seed % 2
+        taus = tuple(np.linspace(0.0 if from_zero else 0.3e-6, 2.0e-6, n_tau).tolist())
+        config = MitigationConfig(tau_grid=taus, tau_probe=default_tau_probe(QP), n_reps=n_reps, rows=rows,
+                                  block_size=block_size, idle_between_rows=idle)
+        env = make_environment(QP, tls, substream(421, "staged", seed), pinned, finite)
+        with pytest.MonkeyPatch.context() as mp:
+            if small_blocks:
+                mp.setattr(protocol, "CHUNK", 3)
+                mp.setattr(streams, "BLOCK", 12)
+            self._assert_equal_runs(env, config)
+
+    def test_rows_longer_than_a_stage(self):
+        # 2250 cycles a row, several stages of CHUNK cycles; about one cycle in
+        # a few hundred has a switch land in it.
+        taus = tuple(np.linspace(0.0, 2.5e-6, 25).tolist())
+        config = MitigationConfig(tau_grid=taus, tau_probe=default_tau_probe(QP), n_reps=30, rows=2,
+                                  block_size=4, idle_between_rows=1e-4)
+        env = make_environment(QP, TelegraphParams(400.0, 150.0), substream(422, "long-rows"))
+        result = self._assert_equal_runs(env, config)
+        assert 3 * result.outcome[0].size > protocol.CHUNK
+        assert env.draw_counts()["readout_draws"] == 2 * 3 * result.outcome.size
+
+    def test_frozen_run_draws_two_uniforms_a_cycle_and_no_dwell(self):
+        config = MitigationConfig(tau_grid=(0.0, 1e-6), tau_probe=default_tau_probe(QP), n_reps=3, rows=2,
+                                  idle_between_rows=1.0)
+        env = make_environment(QP, FROZEN, substream(423, "frozen-draws"), pinned_mode=1)
+        result = run_mitigation(env, config)
+        cycles = 3 * result.outcome.size
+        assert env.draw_counts() == {"defect_draws": 0, "readout_draws": 2 * cycles, "sequences_words": 0}
+
+
+# The laws of the streams, checked on many cheap replicas within 4 binomial
+# sigma: a fault that the staged run and the per-cycle loop share (a dwell
+# drawn at the other mode's rate, a readout uniform used twice) keeps them
+# equal, but breaks these.
+LAW_TLS = TelegraphParams(1500.0, 500.0)  # asymmetric: the stationary L share is 3/4
+
+
+def _within_4_sigma(hits: int, n: int, p: float) -> bool:
+    return abs(hits - n * p) < 4.0 * math.sqrt(n * p * (1.0 - p))
+
+
+class TestStreamLaws:
+    def test_mode_changes_across_an_idle_follow_the_propagator(self):
+        idle = 4e-4  # total rate x idle = 0.8
+        changed, started = [0, 0], [0, 0]
+        for k in range(3000):
+            env = make_environment(QP, LAW_TLS, substream(424, "law-idle", k))
+            xi = env.xi
+            for _ in range(4):
+                env.advance(idle / 4)
+            started[xi] += 1
+            changed[xi] += env.xi != xi
+        for xi in (0, 1):
+            assert _within_4_sigma(changed[xi], started[xi], telegraph.flip_probability(LAW_TLS, xi, idle)), xi
+
+    def test_confusion_per_mode_follows_the_error_budget(self):
+        # Instantaneous pulses probing at 1/(2 delta_tls) with symmetric
+        # assignment errors: the static error p0 is p_err_bandwidth_exact at
+        # gamma = 0.  Over the dead time the mode the estimate is compared
+        # with has changed, seen backwards from it, with the flip probability
+        # f of the (reversible) process, so the error given mode x is
+        # p0 + f_x (1 - 2 p0); with symmetric rates this is
+        # p_err_bandwidth_exact's dead-time factor.  A switch within the
+        # 1.3 us probe (rate x tau < 2e-3) is left out.
+        t_wall = 2e-4
+        qp = replace(QP, t_readout=0.0, t_reset=t_wall)
+        tau = 0.5 / qp.delta_tls
+        config = MitigationConfig(tau_grid=(0.5e-6,), tau_probe=tau, n_reps=10)
+        wrong, seen = np.zeros(2), np.zeros(2)
+        for k in range(2000):
+            env = make_environment(qp, LAW_TLS, substream(425, "law-confusion", k), finite_pulses=False)
+            result = run_mitigation(env, config)
+            for xi in (0, 1):
+                at = result.true_xi == xi
+                seen[xi] += at.sum()
+                wrong[xi] += (result.est_xi[at] != xi).sum()
+        p0 = analytics.p_err_bandwidth_exact(qp.delta_tls, 0.0, qp.alpha, qp.t2, 0.0)
+        for xi in (0, 1):
+            expected = p0 + telegraph.flip_probability(LAW_TLS, xi, t_wall) * (1.0 - 2.0 * p0)
+            assert _within_4_sigma(int(wrong[xi]), int(seen[xi]), expected), (xi, wrong[xi] / seen[xi], expected)
 
 
 def _cosine_model(taus, fit, t2):

@@ -1,0 +1,73 @@
+"""Counter-based substreams and their block reads."""
+
+import copy
+
+import numpy as np
+import pytest
+
+from bistable_qubit.streams import BLOCK, Draws, substream, words_drawn
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-4, 3.7, 2.5e5, 1e300])
+def test_buffered_draws_equal_scalar_generator_draws_across_a_block_boundary(scale):
+    exponentials = Draws(substream(601, "draws", scale), "standard_exponential")
+    uniforms = Draws(substream(601, "draws", scale), "random")
+    reference = substream(601, "draws", scale)
+    uniform_reference = substream(601, "draws", scale)
+    got = [exponentials.exponential(scale) for _ in range(BLOCK - 3)]
+    exponentials.peek(10)  # across the boundary: shows the next ten and reads none
+    got += (exponentials.take(10) * scale).tolist()
+    exponentials.take(5)
+    got += [exponentials.exponential(scale) for _ in range(BLOCK)]
+    expected = [reference.exponential(scale) for _ in range(2 * BLOCK + 12)]
+    assert got == expected[: BLOCK + 7] + expected[BLOCK + 12:]
+    assert exponentials.taken == 2 * BLOCK + 12
+    assert [uniforms.random() for _ in range(BLOCK + 7)] == [uniform_reference.random() for _ in range(BLOCK + 7)]
+    assert uniforms.take(3).tolist() == uniform_reference.random(3).tolist()
+    assert uniforms.taken == BLOCK + 10
+
+
+def test_peek_reads_nothing_and_take_reads_what_peek_showed():
+    draws = Draws(substream(602, "peek"), "random")
+    draws.take(BLOCK - 2)
+    shown = draws.peek(6).copy()
+    assert draws.taken == BLOCK - 2
+    assert draws.take(6).tolist() == shown.tolist()
+    assert [draws.next() for _ in range(3)] == substream(602, "peek").random(BLOCK + 7)[-3:].tolist()
+    with pytest.raises(ValueError, match="BLOCK"):
+        draws.peek(BLOCK + 1)
+
+
+def test_taken_starts_at_the_draws_made_before_the_buffer():
+    generator = substream(603, "before")
+    generator.random()
+    draws = Draws(generator, "standard_exponential", taken=1)
+    assert draws.taken == 1
+    draws.next()
+    assert draws.taken == 2
+
+
+def test_scalar_reads_are_python_floats():
+    draws = Draws(substream(604, "floats"), "random")
+    assert type(draws.next()) is float and type(draws.random()) is float
+    assert type(Draws(substream(604, "exp"), "standard_exponential").exponential(2.0)) is float
+
+
+def test_words_drawn_reads_the_philox_counter():
+    generator = substream(605, "words")
+    assert words_drawn(generator) == 0
+    generator.random(10)
+    generator.standard_exponential(1000)
+    before = repr(generator.bit_generator.state)
+    words = words_drawn(generator)
+    assert repr(generator.bit_generator.state) == before  # reading the count draws nothing
+    assert words >= 1010
+    probe = substream(605, "words")
+    probe.bit_generator.random_raw(words)
+    assert probe.random() == generator.random()
+
+
+def test_substreams_are_named_and_reproducible():
+    a = substream(606, "x", 1).random(4)
+    assert np.array_equal(a, substream(606, "x", 1).random(4))
+    assert not np.array_equal(a, substream(606, "x", 2).random(4))
