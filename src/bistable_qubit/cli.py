@@ -254,6 +254,10 @@ def _config_from_dict(data) -> RunConfig:
                 "ak.gamma_hz: the expected flips per trajectory, 0.5 * gamma_hz * t_max, must be <= 10**7,"
                 f" got {json.dumps(ak['gamma_hz'])}"
             )
+    if experiment == "heatmap":
+        _check_heatmap(merged["heatmap"])
+    if experiment == "perr" and not math.isfinite(2.0 / qubit.delta_tls / merged["perr"]["t2_s"]):
+        raise ConfigError(f"perr.t2_s: must keep (2 / delta_tls) / t2_s finite, got {merged['perr']['t2_s']}")
     # A section the run does not use gets only the schema's checks: its type is
     # not built, so a count in it that is too large to allocate costs nothing.
     rb = mitigation = None
@@ -278,6 +282,22 @@ def _config_from_dict(data) -> RunConfig:
         params=merged[experiment.replace("-", "_")],
         raw=merged,
     )
+
+
+def _check_heatmap(p: dict) -> None:
+    """Name the key whose value takes the map out of the floats: a Rabi rate pi / t_pi_s that
+    overflows, or a splitting end whose cells against both switching ends are not finite."""
+    if not math.isfinite(math.pi / p["t_pi_s"]):
+        raise ConfigError(f"heatmap.t_pi_s: must give a finite Rabi rate pi / t_pi_s, got {json.dumps(p['t_pi_s'])}")
+    for key in ("splitting_min", "splitting_max"):
+        args = p[key], [p["switching_min"], p["switching_max"]], p["alpha"], p["t_pi_s"], p["t2_s"], p["t_wall_s"]
+        try:
+            with np.errstate(all="raise"):
+                finite = np.all(np.isfinite(analytics.improvement_map(*args).values))
+        except ArithmeticError:  # numpy's FloatingPointError; Python's ZeroDivisionError and OverflowError
+            finite = False
+        if not finite:
+            raise ConfigError(f"heatmap.{key}: must give finite map cells, got {json.dumps(p[key])}")
 
 
 def parse_config(text: str) -> RunConfig:

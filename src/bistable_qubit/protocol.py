@@ -8,8 +8,9 @@ software-applied virtual detuning.
 The ``Environment`` owns lab time and its randomness: the defect mode, an int
 ``xi`` (0 = H, 1 = L), and the lab clock advance together over every elapsed
 interval, including the readout and reset dead time after each measurement,
-which is what makes stale estimates possible; every switch is drawn from its
-defect stream and every readout from its readout stream.
+which is what makes stale estimates possible; each dwell of the defect is
+drawn from its defect stream as its mode is entered, and every readout from
+its readout stream.
 
 Conventions:
 
@@ -49,7 +50,7 @@ from .telegraph import TelegraphParams
 
 HALF_PI = 0.5 * math.pi
 OPEN, SYNDROME, FEEDBACK = 0, 1, 2  # the kinds of a mitigation cycle
-CHUNK = BLOCK // 4  # mitigation cycles staged at once: their dwell draws, at most 4 a cycle, fit one block
+CHUNK = BLOCK // 2  # mitigation cycles staged at once: their readout uniforms, 2 a cycle, fit one block
 
 
 @dataclass
@@ -57,7 +58,8 @@ class Environment:
     """Mutable world state shared by the cycles of one experiment run.
 
     The run's random events come from three streams, one kind of draw each:
-    ``dwells`` holds the defect's standard exponential dwell draws,
+    ``dwells`` holds the defect's dwell draws, one per mode entered, which
+    put its next switch at ``switch_at`` (lab time; ``inf`` if it cannot switch),
     ``uniforms`` the two uniforms of every readout (the projection's, then the
     report's), and ``sequences`` is the generator of the benchmarking
     sequences.  Each stream is drawn in the order the methods below are called.
@@ -71,6 +73,7 @@ class Environment:
     qubit: QubitParams
     tls_params: TelegraphParams
     xi: int
+    switch_at: float
     dwells: Draws
     uniforms: Draws
     sequences: np.random.Generator
@@ -79,12 +82,16 @@ class Environment:
 
     def advance(self, dt: float) -> None:
         """Let ``dt`` of lab time pass: the defect evolves and the clock moves on."""
-        self.xi = telegraph.evolve(self.xi, self.tls_params, dt, self.dwells)
+        self.xi, self.switch_at = telegraph.evolve(
+            self.xi, self.switch_at, self.tls_params, self.clock, dt, self.dwells
+        )
         self.clock += dt
 
     def dwell(self, dt: float) -> list[tuple[int, float]]:
         """``advance`` over ``dt``, returning the (xi, duration) segments the defect dwelt in."""
-        segments, self.xi = telegraph.dwell_segments(self.xi, self.tls_params, dt, self.dwells)
+        segments, self.xi, self.switch_at = telegraph.dwell_segments(
+            self.xi, self.switch_at, self.tls_params, self.clock, dt, self.dwells
+        )
         self.clock += dt
         return segments
 
@@ -130,8 +137,7 @@ def make_environment(
 
     One 64-bit word of ``rng`` roots the environment's three named substreams,
     made in the order ``defect``, ``readout``, ``sequences``.  The defect
-    stream draws the initial mode (unless pinned) and then only dwell
-    exponentials.
+    stream draws the initial mode (unless pinned), then each mode's dwell.
     """
     if pinned_mode is not None and pinned_mode not in (telegraph.XI_H, telegraph.XI_L):
         raise ValueError("pinned_mode must be 0 (H mode) or 1 (L mode)")
@@ -141,9 +147,8 @@ def make_environment(
     defect, readout, sequences = (substream(root, name) for name in ("defect", "readout", "sequences"))
     xi = telegraph.draw_stationary(tls_params, defect) if pinned_mode is None else pinned_mode
     dwells = Draws(defect, "standard_exponential", taken=int(pinned_mode is None))
-    return Environment(
-        qubit, tls_params, xi, dwells, Draws(readout, "random"), sequences, finite_pulses=finite_pulses
-    )
+    switch_at = telegraph.next_switch(tls_params, xi, 0.0, dwells)
+    return Environment(qubit, tls_params, xi, switch_at, dwells, Draws(readout, "random"), sequences, finite_pulses)
 
 
 def cycle_bandwidth(tau: float, t_readout: float, t_reset: float) -> float:
@@ -368,14 +373,13 @@ def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResu
     decided in stages, up to ``CHUNK`` cycles at a time, with the draws and
     arithmetic of running its cycles one by one: the schedule (each cycle's
     four advances: pulse, tau, pulse, readout and reset) and the clock as
-    their running sum; the defect's dwell draws, one per advance with dt > 0
-    while the mode can be left, where the first dwell shorter than its
-    advance marks the cycle a switch lands in; the readout uniforms; the
-    switch-free states from the memo; the syndrome bits, their estimates, and
-    from those the feedback frames and bits.  The cycle a switch lands in runs
-    as ``ramsey_cycle`` or ``syndrome_cycle`` on the same streams, and staging
-    resumes after it.  While the mode's exit rate puts a switch within about
-    four cycles, where a stage would stop at once, each cycle runs so too.
+    their running sum; the cycles that end by the defect's next switch
+    (``env.switch_at``), in which nothing switches and nothing is drawn from
+    the defect stream; their readout uniforms; the switch-free states from the
+    memo; the syndrome bits, their estimates, and from those the feedback
+    frames and bits.  The cycle the next switch lands in, and any cycle with
+    a switch due within four cycles, runs as ``ramsey_cycle`` or
+    ``syndrome_cycle`` on the same streams, and staging resumes after it.
     """
     qp = env.qubit
     n_tau = len(config.tau_grid)
@@ -393,11 +397,6 @@ def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResu
     steps[:, 0::2] = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
     steps[:, 1] = taus[np.where(kinds == SYNDROME, n_tau, tau_index)]
     steps[:, 3] = qp.t_wall
-    steps = steps.ravel()
-    drawing = np.flatnonzero(steps > 0.0)  # the advances that draw a dwell while the mode can be left
-    drawn_before = np.searchsorted(drawing, np.arange(0, steps.size + 1, 4))  # per cycle start
-    cycle_time = float(steps.sum()) / n
-    schedule = [(kind, config.tau_grid[i]) for kind, i in zip(kinds.tolist(), tau_index.tolist())]  # for lone cycles
     # Per cycle its column of the per-mode z table: open loop, feedback in the
     # high frame (the low frame is n_tau further), syndrome.
     column = tau_index + n_tau * feedback
@@ -411,46 +410,32 @@ def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResu
 
     for row in range(config.rows):
         row_times[row] = env.clock
-        clocks = np.cumsum(np.append(env.clock, steps))  # the clock += chain of the advances
+        ends = np.cumsum(np.append(env.clock, steps))[4::4]  # the clock += chain of the advances, per cycle end
         bits, est, modes = np.zeros((3, n), dtype=int)
         p = 0
         while p < n:
-            x = env.xi
-            rate = env.tls_params.exit_rate(x)
-            switches = rate * cycle_time  # expected per cycle
-            # Stage about four mean switch-free runs, at most CHUNK cycles.
-            # With a switch due within four cycles a stage would stop at once,
-            # so the cycle runs alone.
-            alone = switches > 0.25
-            if not alone:
-                q = min(n, p + (CHUNK if switches * CHUNK <= 4.0 else int(4.0 / switches)))
-                advances = drawing[drawn_before[p]:drawn_before[q]]
-                if rate > 0.0 and advances.size:
-                    hits = np.flatnonzero(env.dwells.peek(advances.size) * (1.0 / rate) < steps[advances])
-                    if hits.size:
-                        q = int(advances[hits[0]]) // 4
-                        alone = True
-                    env.dwells.take(int(drawn_before[q] - drawn_before[p]))
-                if q > p:
-                    if x not in z_tables:
-                        z_tables[x] = np.array(
-                            [_switch_free_state(qp, env.finite_pulses, f_c, x, tau, phase)[2] for f_c, tau, phase in keys]
-                        )
-                    z = z_tables[x]
-                    u = env.uniforms.take(2 * (q - p))
-                    u1, u2 = u[0::2], u[1::2]
-                    col = column[p:q]
-                    m = readout_bits(z[col], u1, u2, qp)
-                    syndromes = np.flatnonzero(kinds[p:q] == SYNDROME)
-                    est[p + syndromes] = decode[m[syndromes]]
-                    fb = np.flatnonzero(feedback[p:q])
-                    m[fb] = readout_bits(z[col[fb] + n_tau * est[p + fb - 1]], u1[fb], u2[fb], qp)
-                    bits[p:q] = m
-                    modes[p:q] = x
-                    env.clock = float(clocks[4 * q])
+            if env.switch_at >= ends[min(n, p + 4) - 1]:  # no switch within four cycles: stage
+                q = min(n, p + CHUNK, int(np.searchsorted(ends, env.switch_at, side="right")))  # those ending by it
+                x = env.xi
+                if x not in z_tables:
+                    z_tables[x] = np.array(
+                        [_switch_free_state(qp, env.finite_pulses, f_c, x, tau, phase)[2] for f_c, tau, phase in keys]
+                    )
+                z = z_tables[x]
+                u = env.uniforms.take(2 * (q - p))
+                u1, u2 = u[0::2], u[1::2]
+                col = column[p:q]
+                m = readout_bits(z[col], u1, u2, qp)
+                syndromes = np.flatnonzero(kinds[p:q] == SYNDROME)
+                est[p + syndromes] = decode[m[syndromes]]
+                fb = np.flatnonzero(feedback[p:q])
+                m[fb] = readout_bits(z[col[fb] + n_tau * est[p + fb - 1]], u1[fb], u2[fb], qp)
+                bits[p:q] = m
+                modes[p:q] = x
+                env.clock = float(ends[q - 1])
                 p = q
-            if alone:
-                kind, tau = schedule[p]
+            else:  # the cycle runs alone, since a stage would stop at once
+                kind, tau = kinds[p], config.tau_grid[tau_index[p]]
                 if kind == OPEN:
                     bits[p] = ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
                 elif kind == SYNDROME:
@@ -463,7 +448,7 @@ def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResu
         counts_fb[row] = bits[at[FEEDBACK]].sum(axis=1)
         syndromes = at[SYNDROME]
         outcome[row], est_xi[row], true_xi[row] = bits[syndromes], est[syndromes], modes[syndromes]
-        syndrome_time[row] = clocks[4 * syndromes + 4]
+        syndrome_time[row] = ends[syndromes]
         if config.idle_between_rows > 0:
             env.advance(config.idle_between_rows)
 
@@ -479,12 +464,14 @@ def syndrome_error_rate(
 
     The comparison uses the mode *after* the readout + reset dead time, i.e.
     at the moment the estimate would first be used.  ``resample_each_cycle``
-    redraws the mode with equal odds before each cycle, which with a frozen
-    defect realizes the stationary ensemble without switching dynamics;
-    without it the environment's own mode (pinned or switching) is kept.
+    redraws the mode with equal odds before each cycle, the stationary
+    ensemble of a frozen defect (one that can switch holds its mode's dwell,
+    so it is refused); without it the environment's own mode is kept.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
+    if resample_each_cycle and env.tls_params.total_rate > 0:
+        raise ValueError("resample_each_cycle needs a frozen defect")
     errors = 0
     for _ in range(n_cycles):
         if resample_each_cycle:

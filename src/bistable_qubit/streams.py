@@ -51,13 +51,13 @@ class Draws:
     """The draws of one kind from ``generator``, read through a buffer of at most ``BLOCK``.
 
     ``kind`` is ``"random"`` (uniforms) or ``"standard_exponential"``.  ``next``
-    reads one draw as a Python float; ``peek(n)`` returns the next n (n <= BLOCK)
-    as an array without reading them and ``take(n)`` reads them.  ``taken``
-    counts the draws read, the ``taken`` draws of ``generator`` made before
-    the buffer included.  ``random()`` and ``exponential(scale)`` are the
-    Generator calls that ``bloch.measure`` and ``telegraph.evolve`` make,
-    served from a uniform and an exponential buffer respectively, with the
-    values the generator's own calls would return.
+    reads one draw as a Python float and ``take(n)`` reads the next n
+    (n <= BLOCK) as an array.  ``taken`` counts the draws read, the ``taken``
+    draws of ``generator`` made before the buffer included.  ``random()`` and
+    ``exponential(scale)`` are the Generator calls that ``bloch.measure`` and
+    ``telegraph.next_switch`` make, served from a uniform and an exponential
+    buffer respectively, with the values the generator's own calls would
+    return.
     """
 
     def __init__(self, generator: Generator, kind: str, taken: int = 0):
@@ -92,14 +92,10 @@ class Draws:
     def exponential(self, scale: float) -> float:
         return self.next() * scale
 
-    def peek(self, n: int) -> np.ndarray:
+    def take(self, n: int) -> np.ndarray:
         if n > BLOCK:
-            raise ValueError("a peek sees at most BLOCK draws")
+            raise ValueError("a take reads at most BLOCK draws")
         if len(self._values) - self._pos < n:
             self._refill()
-        return self._block[self._pos:self._pos + n]
-
-    def take(self, n: int) -> np.ndarray:
-        draws = self.peek(n)
         self._pos += n
-        return draws
+        return self._block[self._pos - n:self._pos]

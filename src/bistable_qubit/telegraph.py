@@ -6,8 +6,9 @@ switching rate and ``gamma_lh`` the L->H rate.  The symmetric case
 ``gamma_hl = gamma_lh = g/2`` has autocorrelation decaying as exp(-g*t) and
 mean dwell time 2/g in each mode.
 
-Evolution is simulated exactly by sampling exponential dwell times, so any
-time step is handled without discretization error.
+Evolution is simulated exactly by drawing each exponential dwell once, as its
+mode is entered (Gillespie 1977), so any time step is handled without
+discretization error and the path depends on lab time alone.
 """
 
 from __future__ import annotations
@@ -87,49 +88,44 @@ def flip_probability(params: TelegraphParams, state_from: int, dt: float) -> flo
     return p_other * (1.0 - math.exp(-total * dt))
 
 
-def dwell_segments(
-    xi: int, params: TelegraphParams, dt: float, rng: np.random.Generator
-) -> tuple[list[tuple[int, float]], int]:
-    """Advance the process from mode ``xi`` by ``dt``; return the visited (xi, duration)
-    segments and the final mode.
+def next_switch(params: TelegraphParams, xi: int, t: float, dwells) -> float:
+    """Lab time of the switch out of mode ``xi``, entered at lab time ``t``: one
+    dwell drawn from ``dwells`` (a Generator or ``streams.Draws``), or ``inf``
+    with no draw when the mode cannot be left."""
+    rate = params.exit_rate(xi)
+    return t + dwells.exponential(1.0 / rate) if rate > 0.0 else math.inf
 
-    Segment durations sum to ``dt``; the final (possibly truncated) dwell is
-    included.  The draws are those of ``evolve``.
-    """
+
+def dwell_segments(
+    xi: int, switch_at: float, params: TelegraphParams, start: float, dt: float, dwells
+) -> tuple[list[tuple[int, float]], int, float]:
+    """``evolve``, also returning the visited (xi, duration) segments: ``(segments, xi, switch_at)``."""
     segments: list[tuple[int, float]] = []
-    return segments, evolve(xi, params, dt, rng, segments)
+    xi, switch_at = evolve(xi, switch_at, params, start, dt, dwells, segments)
+    return segments, xi, switch_at
 
 
 def evolve(
-    xi: int,
-    params: TelegraphParams,
-    dt: float,
-    rng: np.random.Generator,
+    xi: int, switch_at: float, params: TelegraphParams, start: float, dt: float, dwells,
     segments: list[tuple[int, float]] | None = None,
-) -> int:
-    """Jump-simulate the process from mode ``xi`` over ``dt`` and return the new mode.
+) -> tuple[int, float]:
+    """Walk the switch times of mode ``xi``, next switching at ``switch_at``, from lab
+    time ``start`` to ``start + dt``; return the end mode and its ``switch_at``.
 
-    Each visited dwell draws one exponential unless its mode cannot be left,
-    so a call in which nothing switches draws at most one, and ``dt == 0``
-    none.  Exactness relies on the memorylessness of the exponential dwell
-    law, so repeated calls compose to the same process as a single call.  The
-    (xi, duration) segments are appended to ``segments`` when it is given;
-    otherwise nothing is kept, so memory stays constant however many dwells
-    ``dt`` spans (time still grows with them).
+    A switch at the end time has not happened by it.  Each switch draws the
+    dwell of the mode it enters (``next_switch``), so any partition of the walk
+    gives the same mode, switch time and draws.  Segments go to ``segments``
+    if given (else memory stays constant): durations are differences of lab
+    times, but an interval no switch cuts is the one segment ``(xi, dt)``.
     """
     if not 0 <= dt < math.inf:
         raise ValueError("dt must be finite and nonnegative")
-    if dt == 0.0:
-        return xi
-    remaining = dt
-    while True:  # until a dwell outlasts the remainder
-        rate = params.exit_rate(xi)
-        dwell = rng.exponential(1.0 / rate) if rate > 0.0 else math.inf
-        if dwell >= remaining:
-            if segments is not None:
-                segments.append((xi, remaining))
-            return xi
+    end, t = start + dt, start
+    while switch_at < end:
         if segments is not None:
-            segments.append((xi, dwell))
-        remaining -= dwell
-        xi = 1 - xi
+            segments.append((xi, switch_at - t))
+        t, xi = switch_at, 1 - xi
+        switch_at = next_switch(params, xi, t, dwells)
+    if segments is not None and dt > 0.0:
+        segments.append((xi, dt if t == start else end - t))
+    return xi, switch_at

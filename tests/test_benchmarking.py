@@ -25,7 +25,7 @@ from bistable_qubit.bloch import (
     readout_bit,
 )
 from bistable_qubit.protocol import default_tau_probe, make_environment
-from bistable_qubit.streams import Draws, substream
+from bistable_qubit.streams import substream
 from bistable_qubit.telegraph import TelegraphParams
 
 QP = QubitParams.defaults()
@@ -74,7 +74,9 @@ def _reference_run(executor, indices, f_c):
     total = 0.0
     for i in indices:
         total += durations[i]
-    segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, total, env.dwells)
+    segments, env.xi, env.switch_at = telegraph.dwell_segments(
+        env.xi, env.switch_at, env.tls_params, env.clock, total, env.dwells
+    )
     env.clock += total
     ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
     seg = 0
@@ -97,7 +99,7 @@ def _reference_run(executor, indices, f_c):
         for m in steps:
             state = apply(m, state)
     outcome = measure(state[2], qp, env.uniforms)
-    env.xi = telegraph.evolve(env.xi, env.tls_params, qp.t_wall, env.dwells)
+    env.xi, env.switch_at = telegraph.evolve(env.xi, env.switch_at, env.tls_params, env.clock, qp.t_wall, env.dwells)
     env.clock += qp.t_wall
     return outcome, state
 
@@ -246,9 +248,10 @@ class TestExecutor:
             executor = rb.SequenceExecutor(env)
             seq = [int(i) for i in np.random.default_rng(k).integers(0, 24, size=64)]
             total = sum(executor.durations[i] for i in seq)
-            segments, _ = telegraph.dwell_segments(env.xi, fast, total, substream(506, "run", k))
+            segments, _, _ = telegraph.dwell_segments(
+                env.xi, env.switch_at, fast, env.clock, total, copy.deepcopy(env.dwells)
+            )
             switched += len(segments) > 1
-            env.dwells = Draws(substream(506, "run", k), "standard_exponential")
             executor.run(seq, f_c)
             executor.outcomes()
             expected = _slot_by_slot(executor, seq, f_c, segments)
@@ -362,7 +365,7 @@ class TestExecutor:
             seq = [int(i) for i in np.random.default_rng([517, k]).integers(0, 24, size=64)]
             f_c = QP.f_low if k % 2 else QP.f_high
             total = sum(executor.durations[i] for i in seq)
-            segments, xi = telegraph.dwell_segments(env.xi, fast, total, copy.deepcopy(env.dwells))
+            segments, xi, _ = telegraph.dwell_segments(env.xi, env.switch_at, fast, env.clock, total, copy.deepcopy(env.dwells))
             executor.run(seq, f_c)
             if len(segments) > 1:
                 segmented += 1

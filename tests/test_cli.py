@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,16 +296,33 @@ class TestRun:
 
     def test_undetermined_decay_stays_out_of_the_rb_mean(self, tmp_path, monkeypatch):
         # As many depths as fit parameters: this fit converges (ok) but leaves
-        # the decay undetermined, with decay_err in the thousands.
+        # the decay undetermined, with decay_err in the thousands.  The other
+        # arm's fit is determined, so each arm's flag must come from its own fit.
         survivals = np.array([1.0, 0.5, 0.5])
-        fit = benchmarking.fit_exponential([1, 30, 55], survivals, benchmarking._survival_weights(survivals, 1))
-        assert fit.ok and fit.decay_err > 1
-        monkeypatch.setattr(benchmarking, "fit_exponential", lambda *args: fit)
-        doc = {"experiment": "rb", "out_dir": str(tmp_path), "rb": dict(SMALL["rb"]["rb"], n_windows=2)}
-        assert cli.run(parse_config(json.dumps(doc))) == 0
-        summary = _strict_json((tmp_path / "manifest.json").read_text())["rb_summary"]["replicas"]["replica_0"]
-        assert summary["mean_r_native_nofb"] is None and summary["mean_r_native_fb"] is None
-        assert summary["n_windows_flagged_nofb"] == summary["n_windows_flagged_fb"] == 2
+        undetermined = benchmarking.fit_exponential([1, 30, 55], survivals, benchmarking._survival_weights(survivals, 1))
+        assert undetermined.ok and undetermined.decay_err > 1
+        depths = np.array([1, 4, 16, 64, 128])
+        survivals = 0.5 + 0.5 * 0.99**depths
+        determined = benchmarking.fit_exponential(depths, survivals, benchmarking._survival_weights(survivals, 100))
+        assert determined.ok and determined.decay_err <= 1
+        for undetermined_arm in ("nofb", "fb"):
+            fits = {"nofb": determined, "fb": determined, undetermined_arm: undetermined}
+            calls = []
+
+            def fit_exponential(*args):  # a window fits its open-loop arm, then its feedback arm
+                calls.append(None)
+                return fits["nofb" if len(calls) % 2 else "fb"]
+
+            monkeypatch.setattr(benchmarking, "fit_exponential", fit_exponential)
+            out = tmp_path / undetermined_arm
+            doc = {"experiment": "rb", "out_dir": str(out), "rb": dict(SMALL["rb"]["rb"], n_windows=2)}
+            assert cli.run(parse_config(json.dumps(doc))) == 0
+            summary = _strict_json((out / "manifest.json").read_text())["rb_summary"]["replicas"]["replica_0"]
+            assert len(calls) == 4
+            for arm, fit in fits.items():
+                flagged = fit is undetermined
+                assert summary[f"n_windows_flagged_{arm}"] == (2 if flagged else 0), (undetermined_arm, arm)
+                assert summary[f"mean_r_native_{arm}"] == (None if flagged else fit.r_native), (undetermined_arm, arm)
 
 
 # 1/delta_tls with instantaneous pulses: both modes give the same outcome law.
@@ -536,10 +554,18 @@ def fuzz_configs(draw):
 @example(doc={"experiment": "mitigate", "qubit": FAR_LOW_MODE, **SMALL["mitigate"]})
 @example(doc={"experiment": "perr", "qubit": {"t1_s": 5e-324}})  # 1/T2 overflows: T2 = 0
 @example(doc={"experiment": "syndrome-sweep", "syndrome_sweep": {"n_cycles": 5, "gammas_hz": [5e-324]}})
+@example(doc={"experiment": "perr", "perr": {"t2_s": 5e-324}})  # tau / t2 overflows on the contrast grid
+@example(doc={"experiment": "heatmap", "heatmap": {"t_pi_s": 5e-324}})  # pi / t_pi overflows
+@example(doc={"experiment": "heatmap", "heatmap": {"splitting_max": 5e-324}})  # the cycle time overflows
+@example(doc={"experiment": "heatmap", "heatmap": {"splitting_max": 1e200}})  # its square overflows: a traceback
+# A subnormal splitting over a pulse floor that rounds to 0: a 0 / 0 cell.
+@example(doc={"experiment": "heatmap", "heatmap": {"splitting_min": 5e-324, "alpha": 1.0, "t_pi_s": 1e-300}})
 def test_schema_drawn_config_runs_or_names_its_key(doc):
     # Exit 0 with a strict-JSON manifest and data files a rerun reproduces
-    # byte for byte, or exit 2 naming a key path; never a traceback.
-    with tempfile.TemporaryDirectory() as tmp:
+    # byte for byte, or exit 2 naming a key path; never a traceback, and no
+    # warning (a float extreme that warns writes nan).
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
         config = Path(tmp) / "c.json"
         config.write_text(json.dumps(doc))
         data = []
@@ -589,11 +615,11 @@ def test_csv_writer_prints_every_value_as_fmt(tmp_path):
 
 
 # Golden outputs: data-file SHA-256 of small pinned configs, as written by
-# artifact version 0.3.0.  Speed-ups must keep them byte-identical.  A
+# artifact version 0.4.0.  Speed-ups must keep them byte-identical.  A
 # deliberate change of the random streams, of the arithmetic behind a state or
 # of the fit solver must update these hashes together with a bump of
 # ``__version__`` (the manifest's ``artifact_version``).
-GOLDEN_VERSION = "0.3.0"
+GOLDEN_VERSION = "0.4.0"
 GOLDEN = {
     "mitigate-switching-blocks": (
         {
@@ -603,10 +629,10 @@ GOLDEN = {
             "mitigate": {"rows": 2, "n_tau": 12, "n_reps": 6, "block_size": 3},
         },
         {
-            "mitigate_nofb.csv": "c0aea36e6eadc8a196e89b737be8c024bf42858426840dc9b457d950df605392",
-            "mitigate_fb.csv": "7213cbdf7ce1cbfe3de72d80b03656f51afbeea0174735876a1b6f0f722f2c02",
-            "mitigate_trace.csv": "537ab0cac4bf0077852563f1ecbd02893b354c8fef4b1638ba29b7290dfd8ae4",
-            "mitigate_avg.csv": "76edaa9561c2c8a6b104ca9924c4cefe06623e25f15995db7ac12c377638fb96",
+            "mitigate_nofb.csv": "b1aeb37f439d6e44127a6db0c6926f3f78e7a2f4e45cbeb654b6911eff40c95b",
+            "mitigate_fb.csv": "19c2b06bed1142bab7981da8a3807363211b67b1da2fcb7a22ec18ffcfd714f8",
+            "mitigate_trace.csv": "ce0829fb9e53b489c96aa24239c7c8e807322dee2cefc3c41e19d51f1597922c",
+            "mitigate_avg.csv": "b4ccbd721bafcb9002cfd0a20c2ede65d5459ff17b92d97a4b59cc267123ac47",
         },
     ),
     # Instantaneous pulses under switching: cycles a switch lands in, in both
@@ -620,10 +646,10 @@ GOLDEN = {
             "mitigate": {"rows": 2, "n_tau": 12, "n_reps": 6, "block_size": 2},
         },
         {
-            "mitigate_nofb.csv": "218525755ccda7b84d533ad44f41e14a9408fca05ba80672b9706ecdde1cdb47",
-            "mitigate_fb.csv": "7f1136935d4405cfb595f059721ab6a8965e83c70839b82bf40d9d4bc6e736c8",
-            "mitigate_trace.csv": "acbc8379c7570030361d8492e57e7977cad3d44032ab7826b2f8f351a78e75c1",
-            "mitigate_avg.csv": "6bf9f10ecaf3df0763eee4219ded8f59fc835f1034dfcda46829a6b7ed72f337",
+            "mitigate_nofb.csv": "8b32bd611ca5dbfdd601706e309c0315b25f13cfb6a8b4d8a6b6458d6d1ef886",
+            "mitigate_fb.csv": "7aa4046a7ffdf9df8e6837a33ac5fc97ca93c5c09b327a185ea0da709f698250",
+            "mitigate_trace.csv": "1d14733952021f8a3269bbc396673d31c753812a0131291bdb10cb0bd6571b72",
+            "mitigate_avg.csv": "a3b419f19f5a9409d8561c1c9078abae25e42a98c82a2f4349a35c5d6a0d59aa",
         },
     ),
     "ramsey-pinned-instantaneous": (
@@ -645,7 +671,7 @@ GOLDEN = {
             "tls": {"gamma_hl_hz": 1e4, "gamma_lh_hz": 1e4},
             "ramsey": {"n_tau": 12, "shots": 30},
         },
-        {"ramsey.csv": "3dd6df0a5e90740379bab498ca8398fe8bfeefe3d434aca11a7a3cab06328a39"},
+        {"ramsey.csv": "337081b1bf4ffa21c8e096d73e52b5559573624aae79b8eddcc3e9ab8d3abdda"},
     ),
     "syndrome-sweep": (
         {
@@ -653,7 +679,7 @@ GOLDEN = {
             "seed": 43,
             "syndrome_sweep": {"n_cycles": 3000, "gammas_hz": [0, 1e5]},
         },
-        {"syndrome_sweep.csv": "47d24c26eed09810ab09196b5b41729110930f89ff3a85d720a3492a1329222e"},
+        {"syndrome_sweep.csv": "04e17c742b7b117852ea247b2479e9588d420fd5d94a34c6041d376f34e3d1ae"},
     ),
     "rb-switching": (
         {
@@ -663,8 +689,8 @@ GOLDEN = {
             "rb": {"depths": [1, 4, 16, 64], "n_sequences": 4, "shots_per_sequence": 2, "n_windows": 2},
         },
         {
-            "rb_timeseries.csv": "689e1fac4136ab1b4fa3d7f50fe859a862a3c9075bb721cbdeef20c4d4cc4f5d",
-            "rb_survivals.csv": "47be90a8c8de5d621247e8856a12f91abda3178b1fb78278bf6fa90cdf982ead",
+            "rb_timeseries.csv": "117198dc5d59b48e1acaa8d02e25da736c1ddc0724fe397744e078792eefbf79",
+            "rb_survivals.csv": "163d77eaa8d2a8616d699c7b79b9af7b1a734b63179e3b30a13e07d001c00e06",
         },
     ),
     # 6 s mean dwell: nearly every run is switch-free, so repeated shots and

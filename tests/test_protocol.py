@@ -99,9 +99,9 @@ class TestSyndromeCycle:
         advanced = []
         evolve = telegraph.evolve
 
-        def record(xi, params, dt, rng, segments=None):  # every interval the defect is advanced over
+        def record(xi, switch_at, params, start, dt, dwells, segments=None):  # every interval the defect is advanced over
             advanced.append(dt)
-            return evolve(xi, params, dt, rng, segments)
+            return evolve(xi, switch_at, params, start, dt, dwells, segments)
 
         monkeypatch.setattr(telegraph, "evolve", record)
         env.clock = 3.0
@@ -306,6 +306,32 @@ class TestEnvironment:
         sigma = math.sqrt(0.75 * 0.25 / 4000)
         assert abs(counts / 4000 - 0.75) < 4 * sigma
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rates=st.tuples(*[st.sampled_from([0.0, 10.0, 3e4, 1e6])] * 2),
+        pieces=st.lists(st.tuples(st.floats(0.0, 3e-5), st.booleans()), max_size=12),
+    )
+    def test_the_defect_path_is_a_function_of_lab_time(self, seed, rates, pieces):
+        # Advancing to one end clock in any partition, by advance or dwell,
+        # gives the mode, next switch and draws of advancing in one call.
+        tls = TelegraphParams(*rates)
+        pinned = seed % 2 if tls.total_rate == 0 else None
+        split = make_environment(QP, tls, substream(426, "partition", seed), pinned)
+        whole = copy.deepcopy(split)
+        for dt, by_dwell in pieces:
+            (split.dwell if by_dwell else split.advance)(dt)
+        whole.advance(split.clock)  # from clock 0, so both end on the same clock
+        assert (whole.clock, whole.xi, whole.switch_at) == (split.clock, split.xi, split.switch_at)
+        assert whole.draw_counts() == split.draw_counts()
+        assert split.switch_at >= split.clock
+
+    def test_a_switching_defect_is_not_resampled(self):
+        env = make_environment(QP, TelegraphParams(0.0, 5.0), substream(427, "resample"), pinned_mode=0)
+        with pytest.raises(ValueError, match="frozen"):
+            syndrome_error_rate(env, 10, default_tau_probe(QP), True)
+        assert env.draw_counts()["readout_draws"] == 0
+
     @pytest.mark.parametrize(
         "run",
         [
@@ -330,12 +356,12 @@ class TestEnvironment:
         switches = []
         evolve = telegraph.evolve
 
-        def record_evolve(xi, params, dt, rng, segments=None):
+        def record_evolve(xi, switch_at, params, start, dt, dwells, segments=None):
             advanced.append(dt)
             seen = [] if segments is None else segments  # a list to fill draws nothing more
-            xi = evolve(xi, params, dt, rng, seen)
+            walked = evolve(xi, switch_at, params, start, dt, dwells, seen)
             switches.append(max(len(seen) - 1, 0))
-            return xi
+            return walked
 
         monkeypatch.setattr(telegraph, "evolve", record_evolve)
         rng = substream(419, "clock-sum")
@@ -395,14 +421,18 @@ def _reference_cycle(env, f_c, tau, phase):
     duration = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
     for k, axis_phase in enumerate((0.0, phase)):
         if k == 1:
-            segments, env.xi = telegraph.dwell_segments(env.xi, env.tls_params, tau, env.dwells)
+            segments, env.xi, env.switch_at = telegraph.dwell_segments(
+                env.xi, env.switch_at, env.tls_params, env.clock, tau, env.dwells
+            )
             for xi, dt in segments:
                 state = apply(free_map(detuning(qp, f_c, xi), dt, qp), state)
             switched = len(segments) > 1 or env.xi != xi_first
             env.clock += tau
         state = apply(pulse_map(axis_phase, -HALF_PI, detuning(qp, f_c, env.xi), qp, env.finite_pulses), state)
         if duration > 0.0:
-            env.xi = telegraph.evolve(env.xi, env.tls_params, duration, env.dwells)
+            env.xi, env.switch_at = telegraph.evolve(
+                env.xi, env.switch_at, env.tls_params, env.clock, duration, env.dwells
+            )
         env.clock += duration
     return state, switched
 
@@ -461,7 +491,7 @@ class TestCycleMemo:
             tau = 0.5e-6 + 1e-8 * k
             state = _two_pulse_cycle(env, QP.f_high, tau, 0.3)
             ref_state, ref_switched = _reference_cycle(ref_env, QP.f_high, tau, 0.3)
-            assert (state, env.clock, env.xi) == (ref_state, ref_env.clock, ref_env.xi)
+            assert (state, env.clock, env.xi, env.switch_at) == (ref_state, ref_env.clock, ref_env.xi, ref_env.switch_at)
             assert env.draw_counts() == ref_env.draw_counts()
             switched += ref_switched
         assert 100 < switched < 300

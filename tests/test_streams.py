@@ -15,8 +15,7 @@ def test_buffered_draws_equal_scalar_generator_draws_across_a_block_boundary(sca
     reference = substream(601, "draws", scale)
     uniform_reference = substream(601, "draws", scale)
     got = [exponentials.exponential(scale) for _ in range(BLOCK - 3)]
-    exponentials.peek(10)  # across the boundary: shows the next ten and reads none
-    got += (exponentials.take(10) * scale).tolist()
+    got += (exponentials.take(10) * scale).tolist()  # across the boundary
     exponentials.take(5)
     got += [exponentials.exponential(scale) for _ in range(BLOCK)]
     expected = [reference.exponential(scale) for _ in range(2 * BLOCK + 12)]
@@ -27,15 +26,15 @@ def test_buffered_draws_equal_scalar_generator_draws_across_a_block_boundary(sca
     assert uniforms.taken == BLOCK + 10
 
 
-def test_peek_reads_nothing_and_take_reads_what_peek_showed():
-    draws = Draws(substream(602, "peek"), "random")
+def test_take_reads_across_a_refill_and_at_most_a_block():
+    draws = Draws(substream(602, "take"), "random")
     draws.take(BLOCK - 2)
-    shown = draws.peek(6).copy()
-    assert draws.taken == BLOCK - 2
-    assert draws.take(6).tolist() == shown.tolist()
-    assert [draws.next() for _ in range(3)] == substream(602, "peek").random(BLOCK + 7)[-3:].tolist()
+    taken = draws.take(6)
+    assert draws.taken == BLOCK + 4
+    assert taken.tolist() == substream(602, "take").random(BLOCK + 4)[-6:].tolist()
+    assert [draws.next() for _ in range(3)] == substream(602, "take").random(BLOCK + 7)[-3:].tolist()
     with pytest.raises(ValueError, match="BLOCK"):
-        draws.peek(BLOCK + 1)
+        draws.take(BLOCK + 1)
 
 
 def test_taken_starts_at_the_draws_made_before_the_buffer():

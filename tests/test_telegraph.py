@@ -45,6 +45,11 @@ def test_stationary_asymmetric_vs_renewal_oracle():
     assert abs(fractions.mean() - prob_l) < 3.0 * sem
 
 
+def _evolve(xi, params, dt, rng):
+    """The mode ``dt`` after mode ``xi`` is entered: its dwell drawn, then the walk."""
+    return telegraph.evolve(xi, telegraph.next_switch(params, xi, 0.0, rng), params, 0.0, dt, rng)[0]
+
+
 def test_flip_probability_zero_dt():
     assert telegraph.flip_probability(TelegraphParams(2.0, 3.0), telegraph.XI_H, 0.0) == 0.0
 
@@ -70,7 +75,7 @@ def test_flip_probability_half_life_point():
     n = 300_000
     flips = 0
     for _ in range(n):
-        flips += telegraph.evolve(telegraph.XI_H, params, math.log(2.0) / g, rng) != telegraph.XI_H
+        flips += _evolve(telegraph.XI_H, params, math.log(2.0) / g, rng) != telegraph.XI_H
     sigma = math.sqrt(0.25 * 0.75 / n)
     assert abs(flips / n - 0.25) < 3.0 * sigma
 
@@ -94,8 +99,9 @@ def test_flip_probability_bounded_and_monotone(gamma_hl, gamma_lh, dt1, dt2, xi)
 
 def test_evolve_frozen_process():
     rng = substream(103, "frozen")
-    out = telegraph.evolve(telegraph.XI_L, TelegraphParams(0.0, 0.0), 5.0, rng)
-    assert out == telegraph.XI_L
+    frozen = TelegraphParams(0.0, 0.0)
+    assert telegraph.next_switch(frozen, telegraph.XI_L, 0.0, rng) == math.inf
+    assert telegraph.evolve(telegraph.XI_L, math.inf, frozen, 0.0, 5.0, rng) == (telegraph.XI_L, math.inf)
 
 
 def test_evolve_marginal_matches_flip_probability():
@@ -104,7 +110,7 @@ def test_evolve_marginal_matches_flip_probability():
     rng = substream(104, "marginal")
     for xi0 in (telegraph.XI_H, telegraph.XI_L):
         n = 200_000
-        flips = sum(telegraph.evolve(xi0, params, dt, rng) != xi0 for _ in range(n))
+        flips = sum(_evolve(xi0, params, dt, rng) != xi0 for _ in range(n))
         p = telegraph.flip_probability(params, xi0, dt)
         sigma = math.sqrt(p * (1.0 - p) / n)
         assert abs(flips / n - p) < 3.0 * sigma
@@ -117,8 +123,9 @@ def test_chapman_kolmogorov_composition():
     n = 200_000
     flips = 0
     for _ in range(n):
-        mid = telegraph.evolve(telegraph.XI_H, params, dt1, rng)
-        flips += telegraph.evolve(mid, params, dt2, rng) != telegraph.XI_H
+        switch_at = telegraph.next_switch(params, telegraph.XI_H, 0.0, rng)
+        mid, switch_at = telegraph.evolve(telegraph.XI_H, switch_at, params, 0.0, dt1, rng)
+        flips += telegraph.evolve(mid, switch_at, params, dt1, dt2, rng)[0] != telegraph.XI_H
     p = telegraph.flip_probability(params, telegraph.XI_H, dt1 + dt2)
     sigma = math.sqrt(p * (1.0 - p) / n)
     assert abs(flips / n - p) < 3.0 * sigma
@@ -128,7 +135,8 @@ def test_dwell_distribution_is_exponential():
     params = TelegraphParams(2.0, 5.0)
     rng = substream(106, "dwell")
     # One long interval; interior segments are complete dwells.
-    segments, _ = telegraph.dwell_segments(telegraph.XI_H, params, 75_000.0, rng)
+    switch_at = telegraph.next_switch(params, telegraph.XI_H, 0.0, rng)
+    segments, _, _ = telegraph.dwell_segments(telegraph.XI_H, switch_at, params, 0.0, 75_000.0, rng)
     dwells_h = [d for xi, d in segments[1:-1] if xi == telegraph.XI_H]
     assert len(dwells_h) > 100_000
     from scipy import stats
@@ -140,7 +148,8 @@ def test_dwell_distribution_is_exponential():
 def test_dwell_segments_structure():
     params = TelegraphParams(4.0, 4.0)
     rng = substream(107, "segments")
-    segments, out = telegraph.dwell_segments(telegraph.XI_L, params, 3.0, rng)
+    switch_at = telegraph.next_switch(params, telegraph.XI_L, 0.0, rng)
+    segments, out, _ = telegraph.dwell_segments(telegraph.XI_L, switch_at, params, 0.0, 3.0, rng)
     assert abs(sum(d for _, d in segments) - 3.0) < 1e-12
     assert segments[0][0] == telegraph.XI_L
     for (xi_a, _), (xi_b, _) in zip(segments, segments[1:]):
@@ -151,13 +160,13 @@ def test_dwell_segments_structure():
 def test_negative_dt_raises():
     rng = substream(108, "neg")
     with pytest.raises(ValueError):
-        telegraph.evolve(0, TelegraphParams(1.0, 1.0), -0.1, rng)
+        telegraph.evolve(0, 1.0, TelegraphParams(1.0, 1.0), 0.0, -0.1, rng)
 
 
 def test_nan_dt_raises():
     rng = substream(108, "nan")
     with pytest.raises(ValueError):
-        telegraph.evolve(0, TelegraphParams(1.0, 1.0), math.nan, rng)
+        telegraph.evolve(0, 1.0, TelegraphParams(1.0, 1.0), 0.0, math.nan, rng)
 
 
 def test_infinite_dt_raises():
@@ -165,7 +174,7 @@ def test_infinite_dt_raises():
     rng = substream(108, "inf")
     for params in (TelegraphParams(1.0, 1.0), TelegraphParams(0.0, 0.0)):
         with pytest.raises(ValueError, match="finite"):
-            telegraph.dwell_segments(0, params, math.inf, rng)
+            telegraph.dwell_segments(0, 1.0, params, 0.0, math.inf, rng)
 
 
 def test_flip_probability_nan_dt_raises():
@@ -200,42 +209,57 @@ def _state(rng):
 )
 def test_dwell_segments_draws_nothing_without_an_exit(params, xi, dt):
     rng = substream(107, "no-draw")
+    switch_at = telegraph.next_switch(params, xi, 0.0, rng)
     before = _state(rng)
-    segments, out = telegraph.dwell_segments(xi, params, dt, rng)
+    segments, out, after = telegraph.dwell_segments(xi, switch_at, params, 0.0, dt, rng)
     assert _state(rng) == before
     assert segments == ([(xi, dt)] if dt > 0.0 else [])
-    assert out == xi
+    assert (out, after) == (xi, switch_at)
+
+
+def test_next_switch_draws_one_dwell_only_where_the_mode_can_be_left():
+    params = TelegraphParams(30.0, 0.0)
+    rng = substream(108, "next-switch")
+    reference = copy.deepcopy(rng)
+    assert telegraph.next_switch(params, telegraph.XI_H, 2.5, rng) == 2.5 + reference.exponential(1.0 / 30.0)
+    assert telegraph.next_switch(params, telegraph.XI_L, 2.5, rng) == math.inf
+    assert _state(rng) == _state(reference)
 
 
 @pytest.mark.parametrize("xi", [telegraph.XI_H, telegraph.XI_L])
-def test_dwell_segments_without_a_switch_draws_one_dwell(xi):
+def test_dwell_segments_without_a_switch_draw_nothing(xi):
     params = TelegraphParams(30.0, 70.0)
     dt = 1.3e-6  # switch probability ~1e-4 per call
     rng = substream(108, "one-draw", xi)
-    reference = copy.deepcopy(rng)
+    switch_at = telegraph.next_switch(params, xi, 0.0, rng)
+    before = _state(rng)
+    t = 0.0
     for _ in range(200):
-        segments, out = telegraph.dwell_segments(xi, params, dt, rng)
-        dwell = reference.exponential(1.0 / params.exit_rate(xi))
-        assert dwell >= dt
+        segments, out, after = telegraph.dwell_segments(xi, switch_at, params, t, dt, rng)
+        t += dt
         assert segments == [(xi, dt)]
-        assert out == xi
-        assert _state(rng) == _state(reference)
+        assert (out, after) == (xi, switch_at)
+    assert switch_at >= t
+    assert _state(rng) == before
 
 
 def test_dwell_segments_draw_one_dwell_per_segment():
     params = TelegraphParams(4e5, 9e5)
-    dt = 2e-5
+    start, dt = 1e-3, 2e-5
     rng = substream(109, "per-segment")
+    switch_at = telegraph.next_switch(params, telegraph.XI_H, start, rng)
     reference = copy.deepcopy(rng)
-    segments, out = telegraph.dwell_segments(telegraph.XI_H, params, dt, rng)
+    segments, out, after = telegraph.dwell_segments(telegraph.XI_H, switch_at, params, start, dt, rng)
     assert len(segments) > 3
-    xi = telegraph.XI_H
+    # Each segment ends at a switch drawn as its mode was entered, or at the end.
+    xi, t, s = telegraph.XI_H, start, switch_at
     for seg_xi, duration in segments[:-1]:
-        assert (seg_xi, duration) == (xi, reference.exponential(1.0 / params.exit_rate(xi)))
-        xi = 1 - xi
-    last_xi, last = segments[-1]
-    assert last_xi == xi == out
-    assert reference.exponential(1.0 / params.exit_rate(xi)) >= last
+        assert (seg_xi, duration) == (xi, s - t)
+        xi, t = 1 - xi, s
+        s = t + reference.exponential(1.0 / params.exit_rate(xi))
+    assert segments[-1] == (xi, start + dt - t)
+    assert (out, after) == (xi, s)
+    assert after >= start + dt
     assert _state(rng) == _state(reference)
 
 
@@ -250,10 +274,10 @@ def test_dwell_segments_draw_one_dwell_per_segment():
 def test_evolve_keeps_the_draws_of_dwell_segments(seed, gamma_hl, gamma_lh, xi, dt):
     params = TelegraphParams(gamma_hl, gamma_lh)
     rng = substream(110, "evolve-draws", seed)
+    switch_at = telegraph.next_switch(params, xi, 0.5, rng)
     reference = copy.deepcopy(rng)
-    out = telegraph.evolve(xi, params, dt, rng)
-    _, expected = telegraph.dwell_segments(xi, params, dt, reference)
-    assert out == expected
+    out = telegraph.evolve(xi, switch_at, params, 0.5, dt, rng)
+    assert out == telegraph.dwell_segments(xi, switch_at, params, 0.5, dt, reference)[1:]
     assert _state(rng) == _state(reference)
 
 
@@ -261,15 +285,16 @@ def test_evolve_over_many_dwells_keeps_no_segments():
     params = TelegraphParams(1e5, 1e5)
     dt = 1.0  # ~1e5 dwells of 10 us
     rng = substream(111, "long-idle")
+    switch_at = telegraph.next_switch(params, telegraph.XI_H, 0.0, rng)
     reference = copy.deepcopy(rng)
     tracemalloc.start()
     try:
-        out = telegraph.evolve(telegraph.XI_H, params, dt, rng)
+        out = telegraph.evolve(telegraph.XI_H, switch_at, params, 0.0, dt, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    segments, expected = telegraph.dwell_segments(telegraph.XI_H, params, dt, reference)
+    segments, *expected = telegraph.dwell_segments(telegraph.XI_H, switch_at, params, 0.0, dt, reference)
     assert len(segments) > 90_000
-    assert out == expected
+    assert out == tuple(expected)
     assert _state(rng) == _state(reference)
     assert peak < 100_000
