@@ -66,6 +66,7 @@ DOMAINS = {
     'null, "H", "L", 0 or 1': lambda v: any(v == m and type(v) is type(m) for m in _MODE_NAMES),
     "a list of finite values >= 0": lambda v: all(0 <= x < math.inf for x in v),
     "a nonempty list of finite values >= 0": lambda v: len(v) > 0 and all(0 <= x < math.inf for x in v),
+    "a list of values in [0, 10**7]": lambda v: all(0 <= x <= 10**7 for x in v),  # array lengths
 }
 
 # Every key as (default, domain).  The default fixes the JSON type.  A key whose
@@ -105,7 +106,7 @@ SCHEMA: dict = {
     },
     "mitigate": {
         "n_tau": (50, "in [1, 10**7]"),
-        "n_reps": (MitigationConfig.n_reps, None),
+        "n_reps": (MitigationConfig.n_reps, "in [1, 10**7]"),
         "tau_max_s": (2.5e-6, "finite and > 0"),
         "rows": (120, "in [1, 10**7]"),
         "det_nofb_hz": (MitigationConfig.det_nofb, "finite"),
@@ -114,7 +115,7 @@ SCHEMA: dict = {
         "block_size": (MitigationConfig.block_size, None),
     },
     "rb": {
-        "depths": (list(RbConfig.depths), None),
+        "depths": (list(RbConfig.depths), "a list of values in [0, 10**7]"),
         "n_sequences": (RbConfig.n_sequences, None),
         "shots_per_sequence": (RbConfig.shots_per_sequence, None),
         "n_windows": (RbConfig.n_windows, None),

@@ -399,6 +399,8 @@ class TestMain:
             ("ramsey", '{"ramsey": {"n_tau": %d}}' % 10**19, [], "ramsey.n_tau"),
             ("mitigate", '{"mitigate": {"n_tau": %d}}' % 10**19, [], "mitigate.n_tau"),
             ("mitigate", '{"mitigate": {"rows": %d}}' % 10**19, [], "mitigate.rows"),
+            ("mitigate", '{"mitigate": {"n_reps": %d}}' % 10**19, [], "mitigate.n_reps"),
+            ("rb", '{"rb": {"depths": [1, 2, %d]}}' % 2**63, [], "rb.depths"),
             ("heatmap", '{"heatmap": {"n_splitting": %d}}' % 10**19, [], "heatmap.n_splitting"),
             ("heatmap", '{"heatmap": {"n_switching": %d}}' % 10**19, [], "heatmap.n_switching"),
             ("ak", '{"ak": {"n_t": %d}}' % 10**19, [], "ak.n_t"),
@@ -414,6 +416,7 @@ class TestMain:
             "infinite-rabi-rate", "no-contrast-mitigate", "no-contrast-rb", "no-contrast-sweep",
             "integer-beyond-float-t1", "integer-beyond-float-tau-max", "integer-beyond-float-rate",
             "seed-beyond-64-bits", "oversized-ramsey-taus", "oversized-mitigate-taus", "oversized-mitigate-rows",
+            "oversized-mitigate-reps", "oversized-rb-depth",
             "oversized-heatmap-splittings", "oversized-heatmap-switching", "oversized-ak-grid",
             "oversized-ak-flips",
         ],
@@ -437,11 +440,11 @@ class TestMain:
             parse_config(json.dumps({"experiment": "ak", "ak": {"gamma_hz": bound * (1 + 1e-9)}}))
 
     def test_unused_section_is_checked_but_not_built(self, tmp_path, capsys):
-        # MitigationConfig, which rejects zero repetitions, is built for
+        # MitigationConfig, which rejects a zero block size, is built for
         # mitigate runs only.  The schema still checks the section's types and
         # domains, so an oversized tau grid is rejected before anything is built.
         config = tmp_path / "c.json"
-        config.write_text('{"mitigate": {"n_reps": 0}}')
+        config.write_text('{"mitigate": {"block_size": 0}}')
         assert cli.main(["perr", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert (tmp_path / "out" / "perr.csv").exists()
         for bad in ('"x"', "10000000000000000000"):
