@@ -49,9 +49,9 @@ def _report(number: int, name: str, ok: bool, detail: str, elapsed: float, budge
     assert elapsed < budget, f"criterion {number} exceeded runtime budget"
 
 
-# Each Monte Carlo criterion is one function of its root seed and sample sizes,
-# run by its test at SEED and by tools/margins.py at the sweep seeds.  It
-# returns an Outcome: every pass rule as a Check, and the detail the test prints.
+# Each Monte Carlo criterion is one function of its root seed, run by its test
+# at SEED and by tools/margins.py at the sweep seeds.  It returns an Outcome:
+# every pass rule as a Check, and the detail the test prints.
 class Check(NamedTuple):
     """One pass rule as statistic / tolerance, and whether the rule holds (an
     inclusive bound holds at a ratio of exactly 1)."""
@@ -186,17 +186,15 @@ def test_criterion_03_feedback_suppresses_beating(mitigation_run):
     _report(3, "feedback beating suppression", outcome.ok, outcome.detail, elapsed, budget=120.0)
 
 
-def criterion_04(
-    seed: int, static_cycles: int = STATIC_CYCLES, bandwidth_cycles: int = BANDWIDTH_CYCLES
-) -> Outcome:
+def criterion_04(seed: int) -> Outcome:
     tau = default_tau_probe(QP)
 
     # Static budget: cycles against the closed form, 3-sigma binomial.
     rng = substream(seed, "acceptance-perr-static")
     env = make_environment(QP, FROZEN, rng, pinned_mode=0, finite_pulses=False)
-    p_mc = syndrome_error_rate(env, static_cycles, tau, True)
+    p_mc = syndrome_error_rate(env, STATIC_CYCLES, tau, True)
     p_th = analytics.p_err_static(QP.delta_tls, QP.t2, QP.alpha)
-    sigma = math.sqrt(p_th * (1.0 - p_th) / static_cycles)
+    sigma = math.sqrt(p_th * (1.0 - p_th) / STATIC_CYCLES)
 
     # Finite switching: stale-estimate penalty slope against the exact form.
     gammas = (2e3, 6e3, 1.2e4)
@@ -206,7 +204,7 @@ def criterion_04(
         env = make_environment(
             QP, TelegraphParams.symmetric(gamma), rng, finite_pulses=False
         )
-        measured.append(syndrome_error_rate(env, bandwidth_cycles, tau, False))
+        measured.append(syndrome_error_rate(env, BANDWIDTH_CYCLES, tau, False))
         expected.append(
             analytics.p_err_bandwidth_exact(QP.delta_tls, gamma, QP.alpha, QP.t2, QP.t_wall)
         )
@@ -252,14 +250,14 @@ def test_criterion_05_benchmarking_decoherence_floor():
     )
 
 
-def criterion_06(seed: int, n_windows: int = IMPROVEMENT_WINDOWS) -> Outcome:
+def criterion_06(seed: int) -> Outcome:
     rng = substream(seed, "acceptance6")
     env = make_environment(QP, TelegraphParams.from_dwell_time(6.0), rng)
     config = rb.RbConfig(
         tau_probe=default_tau_probe(QP),
         n_sequences=IMPROVEMENT_SEQUENCES,
         shots_per_sequence=IMPROVEMENT_SHOTS,
-        n_windows=n_windows,
+        n_windows=IMPROVEMENT_WINDOWS,
         idle_between_windows=0.6,
     )
     windows = rb.run_rb_interleaved(env, config)
@@ -301,7 +299,7 @@ def test_criterion_06_benchmarking_improvement():
     _report(6, "benchmarking improvement", outcome.ok, outcome.detail, time.monotonic() - started, budget=1800.0)
 
 
-def criterion_07(seed: int, n_trajectories: int = AK_TRAJECTORIES) -> Outcome:
+def criterion_07(seed: int) -> Outcome:
     delta = QP.delta_tls
     w = math.pi * delta
 
@@ -320,10 +318,9 @@ def criterion_07(seed: int, n_trajectories: int = AK_TRAJECTORIES) -> Outcome:
     gamma = 0.4 * 2 * math.pi * delta
     t_grid = np.linspace(0.0, 3.0 / delta, 75)
     rng = substream(seed, "acceptance-ak")
-    mc = analytics.ak_coherence_mc(delta, gamma, t_grid, n_trajectories, rng)
+    mc = analytics.ak_coherence_mc(delta, gamma, t_grid, AK_TRAJECTORIES, rng)
     closed = analytics.ak_coherence(t_grid, delta, gamma)
     deviation = float(np.max(np.abs(mc.real - closed.c_eq)))
-    trajectories = f"{n_trajectories:.0e}".replace("e+0", "e")  # 100000 prints as 1e5
 
     return Outcome(
         {
@@ -331,7 +328,7 @@ def criterion_07(seed: int, n_trajectories: int = AK_TRAJECTORIES) -> Outcome:
             "07 MC deviation / 0.01": below(deviation, 0.01),
             "07 MC imaginary / 0.01": below(float(np.max(np.abs(mc.imag))), 0.01),
         },
-        f"ODE residual {residual_max:.1e}; MC deviation {deviation:.4f} over {trajectories} trajectories",
+        f"ODE residual {residual_max:.1e}; MC deviation {deviation:.4f} over 1e5 trajectories",
     )
 
 
@@ -367,7 +364,7 @@ def _threshold_point(qp, gamma, n_shots, rng):
     return wrong / n_shots, diff, sigma
 
 
-def criterion_08(seed: int, n_shots: int = THRESHOLD_SHOTS, n_guesses: int = FORCED_GUESSES) -> Outcome:
+def criterion_08(seed: int) -> Outcome:
     # Larger splitting makes the coherent errors resolvable above shot noise.
     qp = QubitParams.defaults(f_low=5.10e9 - 3e6)
     gammas = (0.0, 1e4, 4e4, 1.1e5, 2.5e5, 5e5)
@@ -375,7 +372,7 @@ def criterion_08(seed: int, n_shots: int = THRESHOLD_SHOTS, n_guesses: int = FOR
     details = []
     for gamma in gammas:
         rng = substream(seed, "acceptance-threshold", f"{gamma}")
-        p_err, diff, sigma = _threshold_point(qp, gamma, n_shots, rng)
+        p_err, diff, sigma = _threshold_point(qp, gamma, THRESHOLD_SHOTS, rng)
         if abs(diff) > 3.0 * sigma:
             disagreements += (diff > 0) != (p_err < 0.25)
             wins += diff > 0
@@ -387,14 +384,14 @@ def criterion_08(seed: int, n_shots: int = THRESHOLD_SHOTS, n_guesses: int = FOR
     f_blind = analytics.optimal_blind_frequency((0.5, 0.5), qp2)
     rng = substream(seed, "acceptance-forced")
     active_sum = blind_sum = 0.0
-    for _ in range(n_guesses):
+    for _ in range(FORCED_GUESSES):
         xi = int(rng.random() < 0.5)
         f_guess = qp2.mode_frequency(int(rng.random() < 0.5))
         active_sum += x_gate_excited_population(qp2, f_guess, xi)
         blind_sum += x_gate_excited_population(qp2, f_blind, xi)
     floor = 1.0 - x_gate_excited_population(qp2, qp2.f_high, 0)
-    active_coherent = 1.0 - active_sum / n_guesses - floor
-    blind_coherent = 1.0 - blind_sum / n_guesses - floor
+    active_coherent = 1.0 - active_sum / FORCED_GUESSES - floor
+    blind_coherent = 1.0 - blind_sum / FORCED_GUESSES - floor
     ratio = active_coherent / blind_coherent
 
     return Outcome(
@@ -413,7 +410,7 @@ def test_criterion_08_feedback_utility_thresholds():
     _report(8, "feedback utility thresholds", outcome.ok, outcome.detail, time.monotonic() - started, budget=300.0)
 
 
-def criterion_09(seed: int, n_cycles: int = MAP_CYCLES) -> Outcome:
+def criterion_09(seed: int) -> Outcome:
     splittings = np.logspace(math.log10(5e-3), math.log10(0.5), 40)
     switching = np.logspace(-3, math.log10(3.0), 60)
     amap = analytics.improvement_map(splittings, switching)
@@ -441,13 +438,13 @@ def criterion_09(seed: int, n_cycles: int = MAP_CYCLES) -> Outcome:
     tau = default_tau_probe(QP)
     f_blind = analytics.optimal_blind_frequency((0.5, 0.5), QP)
     active_sum = blind_sum = 0.0
-    for _ in range(n_cycles):
+    for _ in range(MAP_CYCLES):
         env.xi = int(rng.random() < 0.5)
         _, xi_hat = syndrome_cycle(env, tau)
         xi = env.xi
         active_sum += QP.alpha * x_gate_excited_population(QP, QP.mode_frequency(xi_hat), xi)
         blind_sum += QP.alpha * x_gate_excited_population(QP, f_blind, xi)
-    sim_ratio = (1.0 - blind_sum / n_cycles) / (1.0 - active_sum / n_cycles)
+    sim_ratio = (1.0 - blind_sum / MAP_CYCLES) / (1.0 - active_sum / MAP_CYCLES)
     factor = max(sim_ratio / map_ratio, map_ratio / sim_ratio)
 
     # Steps against the map's monotonicity: along each splitting's switching
