@@ -23,7 +23,7 @@ import numpy as np
 
 from .bloch import IDENTITY, QubitParams, compose, detuning, free_map, pulse_duration, pulse_map, readout_bit
 from .fitting import _least_squares
-from .protocol import HALF_PI, Environment, _check_f_c, syndrome_cycle
+from .protocol import HALF_PI, Environment, syndrome_cycle
 
 
 def decomposition_unitary(pulses: tuple) -> np.ndarray:
@@ -160,7 +160,8 @@ class SequenceExecutor:
         (sequence, mode, frame) key, and the key is queued.
         """
         env = self.env
-        _check_f_c(f_c, env.qubit)
+        if f_c not in (env.qubit.f_low, env.qubit.f_high):
+            raise ValueError("frame f_c must sit on one of the two mode frequencies")
         sequence = bytes(indices)
         if len(sequence) != len(indices):  # a buffer of wider ints, e.g. an int64 array
             raise TypeError("indices must be a list of ints or bytes")

@@ -59,8 +59,8 @@ class QubitParams:
     t_reset: float = 6e-6
 
     def __post_init__(self):
-        if not -math.inf < self.f_low < self.f_high < math.inf:
-            raise ValueError("f_high must exceed f_low, both finite")
+        if not -math.inf < self.f_low < self.f_high < math.inf or self.delta_tls == math.inf:
+            raise ValueError("f_high must exceed f_low, both finite, by a finite splitting")
         for name in ("rabi_rate", "t1", "t_phi"):  # t1, t_phi = inf: no decay
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")

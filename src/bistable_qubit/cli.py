@@ -39,8 +39,8 @@ from .protocol import (
     cycle_bandwidth,
     default_tau_probe,
     make_environment,
-    ramsey_cycle,
     ramsey_probability,
+    repeat_cycle,
     run_mitigation,
     syndrome_error_rate,
 )
@@ -257,6 +257,10 @@ def _config_from_dict(data) -> RunConfig:
             )
     if experiment == "heatmap":
         _check_heatmap(merged["heatmap"])
+    for key in {"ramsey": ["virtual_detuning_hz"], "mitigate": ["det_nofb_hz", "det_fb_hz"]}.get(experiment, []):
+        section = merged[experiment]  # a probe's second pulse leads by 2 pi D tau, largest at tau_max_s
+        if not math.isfinite(2.0 * math.pi * section[key] * section["tau_max_s"]):
+            raise ConfigError(f"{experiment}.{key}: must keep 2 pi {key} tau_max_s finite, got {json.dumps(section[key])}")
     if experiment == "perr" and not math.isfinite(2.0 / qubit.delta_tls / merged["perr"]["t2_s"]):
         raise ConfigError(f"perr.t2_s: must keep (2 / delta_tls) / t2_s finite, got {merged['perr']['t2_s']}")
     # A section the run does not use gets only the schema's checks: its type is
@@ -408,9 +412,8 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
     draws: dict = {}
     for replica, env in _replicas(cfg, draws):
         for tau in taus.tolist():
-            hits = 0
-            for _ in range(p["shots"]):
-                hits += ramsey_cycle(env, f_c, tau, p["virtual_detuning_hz"])
+            key = (f_c, tau, 2.0 * math.pi * p["virtual_detuning_hz"] * tau)  # the second pulse leads by 2 pi D tau
+            hits = sum(int(bits.sum()) for bits, *_ in repeat_cycle(env, key, p["shots"]))
             model = None
             if cfg.pinned_mode is not None and cfg.tls.total_rate == 0:
                 model = ramsey_probability(

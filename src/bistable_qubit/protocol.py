@@ -49,8 +49,9 @@ from .streams import BLOCK, Draws, substream, words_drawn
 from .telegraph import TelegraphParams
 
 HALF_PI = 0.5 * math.pi
-OPEN, SYNDROME, FEEDBACK = 0, 1, 2  # the kinds of a mitigation cycle
-CHUNK = BLOCK // 2  # mitigation cycles staged at once: their readout uniforms, 2 a cycle, fit one block
+OPEN, SYNDROME, FEEDBACK = 0, 1, 2  # the kinds of a cycle: probing in a fixed frame, estimating, retuned probing
+CHUNK = BLOCK // 2  # cycles staged at once (2/3 as many if each redraws the mode): their readout uniforms fit a block
+ALONE = 8  # a cycle with a switch due within ALONE cycles runs alone; a stage costs about as much as 8 of them
 
 
 @dataclass
@@ -167,11 +168,6 @@ def cycle_bandwidth(tau: float, t_readout: float, t_reset: float) -> float:
     return 1.0 / denom
 
 
-def _check_f_c(f_c: float, qp: QubitParams) -> None:
-    if f_c not in (qp.f_low, qp.f_high):
-        raise ValueError("frame f_c must sit on one of the two mode frequencies")
-
-
 def _cycle_state(
     qp: QubitParams,
     finite_pulses: bool,
@@ -261,9 +257,11 @@ def calibrate_decode_map(
 ) -> tuple[int, int]:
     """Map measurement outcome -> mode estimate, frozen from a noiseless run.
 
-    Returns (xi_for_m0, xi_for_m1).  Raises if the probe time gives no
-    contrast between the modes.
+    Returns (xi_for_m0, xi_for_m1).  Raises if the probe time is not positive
+    or gives no contrast between the modes.
     """
+    if not tau_probe > 0:
+        raise ValueError("tau_probe must be positive")
     ideal = _noiseless(qp)
     p1 = [ramsey_probability(ideal, qp.f_high, xi, tau_probe, 0.0, finite_pulses) for xi in (0, 1)]
     if abs(p1[0] - p1[1]) < 1e-6:
@@ -278,24 +276,10 @@ def syndrome_cycle(env: Environment, tau_probe: float) -> tuple[int, int]:
     Probes in the high-mode frame and decodes the single shot into the
     estimate ``decode[m]`` by the calibrated map.
     """
-    if tau_probe <= 0:
-        raise ValueError("tau_probe must be positive")
     qp = env.qubit
     decode = calibrate_decode_map(qp, tau_probe, env.finite_pulses)
     m = env.readout(_two_pulse_cycle(env, qp.f_high, tau_probe, 0.0)[2])
     return m, decode[m]
-
-
-def ramsey_cycle(env: Environment, f_c: float, tau: float, virtual_detuning: float) -> int:
-    """One probing cycle in frame f_c with a virtual detuning; returns the outcome.
-
-    The second pulse's axis is advanced by 2*pi*virtual_detuning*tau.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    _check_f_c(f_c, env.qubit)
-    virtual_phase = 2.0 * math.pi * virtual_detuning * tau
-    return env.readout(_two_pulse_cycle(env, f_c, tau, virtual_phase)[2])
 
 
 @dataclass(frozen=True)
@@ -345,19 +329,86 @@ def default_tau_probe(qp: QubitParams) -> float:
     return tau_opt(qp.delta_tls, qp.t2)
 
 
-def _mitigation_schedule(config: MitigationConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One row's cycles in run order: per cycle its kind and tau index, and
-    ``at[kind, i, rep]``, the cycle of each kind run for (tau index, rep)."""
-    cycles = []
-    for i in range(len(config.tau_grid)):
-        for first in range(0, config.n_reps, config.block_size):
-            block = range(first, min(first + config.block_size, config.n_reps))
-            cycles += [(OPEN, i, rep) for rep in block]
-            cycles += [(kind, i, rep) for rep in block for kind in (SYNDROME, FEEDBACK)]
-    kinds, tau_index, reps = np.array(cycles).T
-    at = np.empty((3, len(config.tau_grid), config.n_reps), dtype=np.intp)
-    at[kinds, tau_index, reps] = np.arange(len(cycles))
-    return kinds, tau_index, at
+class CycleSchedule:
+    """A run's two-pulse cycles, built once: per cycle k its kind, its key (f_c, tau, second-axis
+    phase) ``keys[columns[e, k]]`` after estimate e (the two differ for a FEEDBACK cycle, which
+    follows a SYNDROME cycle and runs in the frame of its estimate) and its four advances (pulse,
+    tau, pulse, readout and reset).  A SYNDROME cycle decodes its outcome by the map of ``tau_probe``.
+    With ``resample`` each cycle first redraws the mode from a readout uniform (L below 1/2).
+    """
+
+    def __init__(self, env: Environment, kinds: np.ndarray, keys: list, columns: np.ndarray,
+                 tau_probe: float | None = None, resample: bool = False):
+        if resample and (env.tls_params.total_rate > 0 or FEEDBACK in kinds):  # all staged; feedback takes one mode
+            raise ValueError("resampling the mode needs a frozen defect and no feedback cycle")
+        qp = env.qubit
+        self.kinds, self.keys, self.columns, self.resample = kinds, keys, columns, resample
+        self.decode = (0, 0) if tau_probe is None else calibrate_decode_map(qp, tau_probe, env.finite_pulses)
+        self.steps = np.empty((kinds.size, 4))
+        self.steps[:, 0::2] = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
+        self.steps[:, 1] = np.array([key[1] for key in keys])[columns[0]]
+        self.steps[:, 3] = qp.t_wall
+        self.z = np.full((2, len(keys)), math.nan)  # per mode the keys' switch-free z, made as it is first staged
+
+    def run(self, env: Environment, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Run the first ``n`` cycles; return per cycle its outcome, its estimate (a
+        SYNDROME cycle's, else 0), the mode and the lab time after it.
+
+        The defect path and the clock never depend on an outcome, so the cycles that end
+        by the defect's next switch (``env.switch_at``) are decided in stages of up to
+        ``CHUNK``, with the draws and arithmetic of running them one by one: the clock as
+        the running sum of the advances, the readout uniforms, the switch-free z, the bits,
+        and from the syndrome outcomes the feedback frames and bits.  While a switch is due
+        within ``ALONE`` cycles, cycles run alone (``_two_pulse_cycle``, ``env.readout``).
+        """
+        qp, draws, keys, decode, z = env.qubit, 3 if self.resample else 2, self.keys, self.decode, self.z
+        ends = np.cumsum(np.append(env.clock, self.steps[:n]))[4::4]  # the clock += chain of the advances, per end
+        bits, modes = np.zeros((2, n), dtype=int)
+        p = hi = 0  # the lone cycles of [lo, hi) read their columns and ALONE-th ends from lists
+        while p < n:
+            if env.switch_at >= ends[min(n, p + ALONE) - 1]:  # no switch within ALONE cycles: stage
+                q = min(n, p + 2 * CHUNK // draws, int(np.searchsorted(ends, env.switch_at, side="right")))
+                u = env.uniforms.take(draws * (q - p))
+                x = np.where(u[0::3] < 0.5, telegraph.XI_L, telegraph.XI_H) if self.resample else env.xi
+                for mode in (0, 1) if self.resample else (x,):  # the stage's modes' switch-free z, made once
+                    if math.isnan(z[mode, 0]):
+                        z[mode] = [_switch_free_state(qp, env.finite_pulses, f_c, mode, tau, phase)[2]
+                                   for f_c, tau, phase in keys]
+                if self.resample:  # the last mode is kept
+                    env.xi = int(x[-1])
+                u1, u2 = u[draws - 2::draws], u[draws - 1::draws]
+                bits[p:q] = readout_bits(z[x, self.columns[0, p:q]], u1, u2, qp)
+                fb = np.flatnonzero(self.kinds[p:q] == FEEDBACK)
+                if fb.size:  # in the frame of the estimate the syndrome outcome before it decodes to
+                    frames = self.columns[np.take(decode, bits[p + fb - 1]), p + fb]
+                    bits[p + fb] = readout_bits(z[x, frames], u1[fb], u2[fb], qp)
+                modes[p:q], env.clock = x, float(ends[q - 1])
+                p = q
+            else:  # cycles run alone until a stage would not stop at once, or the lists end
+                if p >= hi:
+                    lo, hi = p, min(n, p + CHUNK)
+                    columns = self.columns[list(decode), lo:hi].tolist()  # row m: after a syndrome outcome m
+                    ahead = ends[np.minimum(np.arange(lo, hi) + ALONE + 1, n) - 1].tolist()  # the next cycle's check
+                first, m, lone_bits, lone_modes = p, int(bits[p - 1]), [], []  # m: the last outcome
+                for i in range(p - lo, hi - lo):
+                    m = env.readout(_two_pulse_cycle(env, *keys[columns[m][i]])[2])
+                    lone_bits.append(m)
+                    lone_modes.append(env.xi)
+                    if env.switch_at >= ahead[i]:
+                        break
+                p = first + len(lone_bits)
+                bits[first:p], modes[first:p] = lone_bits, lone_modes
+        return bits, np.where(self.kinds[:n] == SYNDROME, np.take(decode, bits), 0), modes, ends
+
+
+def repeat_cycle(env: Environment, key: tuple, n: int, tau_probe: float | None = None, resample: bool = False):
+    """Run ``n`` cycles of one key, SYNDROME cycles decoded by the map of ``tau_probe`` if it is
+    given, else OPEN ones, as one ``CycleSchedule`` of at most ``CHUNK`` cycles run over and
+    over; yield each run's result."""
+    size, kind = min(CHUNK, n), OPEN if tau_probe is None else SYNDROME
+    schedule = CycleSchedule(env, np.full(size, kind), [key], np.zeros((2, size), dtype=np.intp), tau_probe, resample)
+    for first in range(0, n, size):
+        yield schedule.run(env, min(size, n - first))
 
 
 def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResult:
@@ -367,19 +418,8 @@ def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResu
     (virtual detuning ``det_nofb``), one syndrome cycle estimating the mode,
     one feedback cycle in the estimated mode's frame (``det_fb``).
     ``block_size`` groups repetitions that run one arm back-to-back before
-    switching arms; a block runs its repetitions in ascending order.
-
-    The defect path and the clock never depend on an outcome, so each row is
-    decided in stages, up to ``CHUNK`` cycles at a time, with the draws and
-    arithmetic of running its cycles one by one: the schedule (each cycle's
-    four advances: pulse, tau, pulse, readout and reset) and the clock as
-    their running sum; the cycles that end by the defect's next switch
-    (``env.switch_at``), in which nothing switches and nothing is drawn from
-    the defect stream; their readout uniforms; the switch-free states from the
-    memo; the syndrome bits, their estimates, and from those the feedback
-    frames and bits.  The cycle the next switch lands in, and any cycle with
-    a switch due within four cycles, runs as ``ramsey_cycle`` or
-    ``syndrome_cycle`` on the same streams, and staging resumes after it.
+    switching arms; a block runs its repetitions in ascending order.  Every
+    row runs the one ``CycleSchedule`` of a row's cycles, built once.
     """
     qp = env.qubit
     n_tau = len(config.tau_grid)
@@ -389,61 +429,28 @@ def run_mitigation(env: Environment, config: MitigationConfig) -> MitigationResu
     syndrome_time = np.zeros(shape)
     true_xi, est_xi, outcome = np.zeros((3, *shape), dtype=int)
 
-    kinds, tau_index, at = _mitigation_schedule(config)
-    n = kinds.size
-    feedback = kinds == FEEDBACK
-    taus = np.append(config.tau_grid, config.tau_probe)
-    steps = np.empty((n, 4))
-    steps[:, 0::2] = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
-    steps[:, 1] = taus[np.where(kinds == SYNDROME, n_tau, tau_index)]
-    steps[:, 3] = qp.t_wall
-    # Per cycle its column of the per-mode z table: open loop, feedback in the
-    # high frame (the low frame is n_tau further), syndrome.
-    column = tau_index + n_tau * feedback
-    column[kinds == SYNDROME] = 3 * n_tau
+    cycles = []  # one probe time's cycles in run order, (kind, rep); a row runs them for each probe time
+    for first in range(0, config.n_reps, config.block_size):
+        block = range(first, min(first + config.block_size, config.n_reps))
+        cycles += [(OPEN, rep) for rep in block]
+        cycles += [(kind, rep) for rep in block for kind in (SYNDROME, FEEDBACK)]
+    kind, rep = np.array(cycles).T
+    kinds, tau_index = np.tile(kind, n_tau), np.repeat(np.arange(n_tau), kind.size)
+    at = np.empty((3, n_tau, config.n_reps), dtype=np.intp)  # at[kind, i, rep]: the cycle run for (i, rep)
+    at[kinds, tau_index, np.tile(rep, n_tau)] = np.arange(kinds.size)
+    # The keys: open loop, feedback in the high frame, then in the low frame, syndrome.
     keys = [(qp.f_high, tau, 2.0 * math.pi * config.det_nofb * tau) for tau in config.tau_grid]
     for f_c in (qp.f_high, qp.f_low):
         keys += [(f_c, tau, 2.0 * math.pi * config.det_fb * tau) for tau in config.tau_grid]
     keys.append((qp.f_high, config.tau_probe, 0.0))
-    z_tables: dict[int, np.ndarray] = {}
-    decode = np.array(calibrate_decode_map(qp, config.tau_probe, env.finite_pulses))
+    feedback = kinds == FEEDBACK
+    columns = np.array([tau_index + n_tau * feedback, tau_index + 2 * n_tau * feedback])
+    columns[:, kinds == SYNDROME] = 3 * n_tau
+    schedule = CycleSchedule(env, kinds, keys, columns, config.tau_probe)
 
     for row in range(config.rows):
         row_times[row] = env.clock
-        ends = np.cumsum(np.append(env.clock, steps))[4::4]  # the clock += chain of the advances, per cycle end
-        bits, est, modes = np.zeros((3, n), dtype=int)
-        p = 0
-        while p < n:
-            if env.switch_at >= ends[min(n, p + 4) - 1]:  # no switch within four cycles: stage
-                q = min(n, p + CHUNK, int(np.searchsorted(ends, env.switch_at, side="right")))  # those ending by it
-                x = env.xi
-                if x not in z_tables:
-                    z_tables[x] = np.array(
-                        [_switch_free_state(qp, env.finite_pulses, f_c, x, tau, phase)[2] for f_c, tau, phase in keys]
-                    )
-                z = z_tables[x]
-                u = env.uniforms.take(2 * (q - p))
-                u1, u2 = u[0::2], u[1::2]
-                col = column[p:q]
-                m = readout_bits(z[col], u1, u2, qp)
-                syndromes = np.flatnonzero(kinds[p:q] == SYNDROME)
-                est[p + syndromes] = decode[m[syndromes]]
-                fb = np.flatnonzero(feedback[p:q])
-                m[fb] = readout_bits(z[col[fb] + n_tau * est[p + fb - 1]], u1[fb], u2[fb], qp)
-                bits[p:q] = m
-                modes[p:q] = x
-                env.clock = float(ends[q - 1])
-                p = q
-            else:  # the cycle runs alone, since a stage would stop at once
-                kind, tau = kinds[p], config.tau_grid[tau_index[p]]
-                if kind == OPEN:
-                    bits[p] = ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
-                elif kind == SYNDROME:
-                    bits[p], est[p] = syndrome_cycle(env, config.tau_probe)
-                else:
-                    bits[p] = ramsey_cycle(env, qp.mode_frequency(est[p - 1]), tau, config.det_fb)
-                modes[p] = env.xi
-                p += 1
+        bits, est, modes, ends = schedule.run(env, kinds.size)
         counts_nofb[row] = bits[at[OPEN]].sum(axis=1)
         counts_fb[row] = bits[at[FEEDBACK]].sum(axis=1)
         syndromes = at[SYNDROME]
@@ -466,20 +473,13 @@ def syndrome_error_rate(
     at the moment the estimate would first be used.  ``resample_each_cycle``
     redraws the mode with equal odds before each cycle, the stationary
     ensemble of a frozen defect (one that can switch holds its mode's dwell,
-    so it is refused); without it the environment's own mode is kept.
+    so it is refused); without it the environment's own mode is kept.  The
+    cycles run as ``repeat_cycle`` schedules.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    if resample_each_cycle and env.tls_params.total_rate > 0:
-        raise ValueError("resample_each_cycle needs a frozen defect")
-    errors = 0
-    for _ in range(n_cycles):
-        if resample_each_cycle:
-            env.xi = telegraph.XI_L if env.uniforms.next() < 0.5 else telegraph.XI_H
-        _, xi_hat = syndrome_cycle(env, tau_probe)
-        if xi_hat != env.xi:
-            errors += 1
-    return errors / n_cycles
+    runs = repeat_cycle(env, (env.qubit.f_high, tau_probe, 0.0), n_cycles, tau_probe, resample_each_cycle)
+    return sum(int(np.count_nonzero(est != modes)) for _, est, modes, _ in runs) / n_cycles
 
 
 @lru_cache(maxsize=1024)

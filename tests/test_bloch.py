@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit.bloch import (
@@ -52,6 +52,11 @@ class TestParams:
         with pytest.raises(ValueError, match="f_high"):
             QubitParams.defaults(f_low=5.2e9)
 
+    def test_overflowing_splitting(self):
+        # Both frequencies finite, but f_high - f_low overflows to inf.
+        with pytest.raises(ValueError, match="^f_high must exceed f_low, both finite, by a finite splitting$"):
+            QubitParams.defaults(f_low=-1.7e308, f_high=1.7e308)
+
     def test_invalid_readout(self):
         with pytest.raises(ValueError, match="readout"):
             QubitParams.defaults(readout_eps_0to1=0.6)
@@ -63,6 +68,7 @@ class TestParams:
     @example(pair=[41650888.684, 1469297933.871])  # f_low < f_high / 2: f_high - delta_tls misses f_low
     def test_mode_frequency(self, pair):
         f_low, f_high = sorted(pair)
+        assume(f_high - f_low < math.inf)  # a splitting that overflows is rejected
         qp = QubitParams.defaults(f_low=f_low, f_high=f_high)
         assert qp.mode_frequency(0) == qp.f_high
         assert qp.mode_frequency(1) == qp.f_low

@@ -405,6 +405,10 @@ class TestMain:
             ("heatmap", '{"heatmap": {"n_switching": %d}}' % 10**19, [], "heatmap.n_switching"),
             ("ak", '{"ak": {"n_t": %d}}' % 10**19, [], "ak.n_t"),
             ("ak", '{"ak": {"gamma_hz": 1e300, "n_t": 3, "n_trajectories": 5}}', [], "ak.gamma_hz"),
+            ("ramsey", '{"ramsey": {"virtual_detuning_hz": 3e307}}', [], "ramsey.virtual_detuning_hz"),
+            ("mitigate", '{"mitigate": {"det_nofb_hz": 3e307}}', [], "mitigate.det_nofb_hz"),
+            ("mitigate", '{"mitigate": {"det_fb_hz": -3e307}}', [], "mitigate.det_fb_hz"),
+            ("ramsey", '{"qubit": {"f_high_hz": 1.7e308, "f_low_hz": -1.7e308}}', [], "qubit.f_high_hz"),
         ],
         ids=[
             "unknown-key", "malformed-json", "missing-file", "zero-shots", "string-count", "boolean-seed",
@@ -418,7 +422,8 @@ class TestMain:
             "seed-beyond-64-bits", "oversized-ramsey-taus", "oversized-mitigate-taus", "oversized-mitigate-rows",
             "oversized-mitigate-reps", "oversized-rb-depth",
             "oversized-heatmap-splittings", "oversized-heatmap-switching", "oversized-ak-grid",
-            "oversized-ak-flips",
+            "oversized-ak-flips", "overflowing-ramsey-phase", "overflowing-open-loop-phase",
+            "overflowing-feedback-phase", "overflowing-splitting",
         ],
     )
     def test_config_error_exit_code(self, tmp_path, capsys, experiment, text, extra, named):
@@ -675,6 +680,29 @@ GOLDEN = {
             "ramsey": {"n_tau": 12, "shots": 30},
         },
         {"ramsey.csv": "337081b1bf4ffa21c8e096d73e52b5559573624aae79b8eddcc3e9ab8d3abdda"},
+    ),
+    # A frozen H mode with finite pulses over two replicas: every shot of a tau
+    # is staged, and p_model is filled.
+    "ramsey-pinned-finite-replicas": (
+        {
+            "experiment": "ramsey",
+            "seed": 55,
+            "replicas": 2,
+            "tls": {"gamma_hl_hz": 0.0, "gamma_lh_hz": 0.0, "pinned_mode": "H"},
+            "ramsey": {"n_tau": 8, "shots": 30},
+        },
+        {"ramsey.csv": "6ec98ad5130aaeb43a6bf93ab5ddf8986f9bb1913765f76560886eb05b2f49a0"},
+    ),
+    # Instantaneous pulses: the frozen rows redraw the mode every cycle, the
+    # switching rows run some cycles alone, each at two dead times.
+    "syndrome-sweep-instantaneous": (
+        {
+            "experiment": "syndrome-sweep",
+            "seed": 56,
+            "protocol": {"finite_pulses": False},
+            "syndrome_sweep": {"n_cycles": 3000, "gammas_hz": [0, 3e3], "t_walls_s": [2e-6, 8e-6]},
+        },
+        {"syndrome_sweep.csv": "874542a2c5a3d1b24a59e588d5fd12ac51636ea1873ff39b613905c4faa97346"},
     ),
     "syndrome-sweep": (
         {

@@ -1,6 +1,7 @@
 """Feedback cycles: syndrome estimation, detuned probing, interleaved runs."""
 
 import copy
+import json
 import math
 from dataclasses import replace
 from itertools import accumulate
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistable_qubit import analytics, protocol, streams, telegraph
+from bistable_qubit import analytics, cli, protocol, streams, telegraph
 from bistable_qubit import benchmarking as rb
 from bistable_qubit.bloch import GROUND, QubitParams, apply, detuning, free_map, pulse_duration, pulse_map
+from bistable_qubit.cli import parse_config
 from bistable_qubit.fitting import fit_cosine, fit_two_frequency_mixture
 from bistable_qubit.protocol import (
     HALF_PI,
@@ -22,7 +24,6 @@ from bistable_qubit.protocol import (
     cycle_bandwidth,
     default_tau_probe,
     make_environment,
-    ramsey_cycle,
     ramsey_probability,
     run_mitigation,
     syndrome_cycle,
@@ -38,6 +39,11 @@ IDEAL = QubitParams.defaults(
     t1=math.inf, t_phi=math.inf, readout_eps_0to1=0.0, readout_eps_1to0=0.0
 )
 FROZEN = TelegraphParams(0.0, 0.0)
+
+
+def scalar_ramsey_cycle(env, f_c, tau, virtual_detuning):
+    """One probing cycle run alone, the scalar reference of the staged runs: its outcome."""
+    return env.readout(_two_pulse_cycle(env, f_c, tau, 2.0 * math.pi * virtual_detuning * tau)[2])
 
 
 def ideal_env(rng, pinned=0, finite=False):
@@ -135,16 +141,10 @@ class TestRamseyCycle:
         n = 20_000
         ones = 0
         for _ in range(n):
-            ones += ramsey_cycle(env, QP.f_high, 0.0, 2e6)
+            ones += scalar_ramsey_cycle(env, QP.f_high, 0.0, 2e6)
         expected = 1.0 - QP.readout_eps_1to0
         sigma = math.sqrt(expected * (1 - expected) / n)
         assert abs(ones / n - expected) < 3.0 * sigma
-
-    def test_off_grid_frame_rejected(self):
-        rng = substream(403, "synd")
-        env = ideal_env(rng)
-        with pytest.raises(ValueError, match="mode frequencies"):
-            ramsey_cycle(env, IDEAL.f_high + 1.0, 1e-6, 0.0)
 
     def test_virtual_detuning_sets_fringe_frequency(self):
         taus = np.linspace(0.0, 2.5e-6, 120)
@@ -259,7 +259,7 @@ class TestMitigation:
             ones = 0
             for _ in range(shots):
                 env.xi = int(rng.random() < 0.5)
-                ones += ramsey_cycle(env, QP.f_high, float(tau), det)
+                ones += scalar_ramsey_cycle(env, QP.f_high, float(tau), det)
             expected = 0.5 * (
                 ramsey_probability(QP, QP.f_high, 0, float(tau), det)
                 + ramsey_probability(QP, QP.f_high, 1, float(tau), det)
@@ -331,6 +331,13 @@ class TestEnvironment:
         with pytest.raises(ValueError, match="frozen"):
             syndrome_error_rate(env, 10, default_tau_probe(QP), True)
         assert env.draw_counts()["readout_draws"] == 0
+
+    def test_a_feedback_schedule_is_not_resampled(self):
+        # A feedback cycle's frame gather takes the stage's one mode.
+        env = make_environment(QP, FROZEN, substream(427, "resample-feedback"), pinned_mode=0)
+        kinds, key = np.array([protocol.SYNDROME, protocol.FEEDBACK]), (QP.f_high, 1e-6, 0.0)
+        with pytest.raises(ValueError, match="feedback"):
+            protocol.CycleSchedule(env, kinds, [key], np.zeros((2, 2), dtype=np.intp), 1e-6, resample=True)
 
     @pytest.mark.parametrize(
         "run",
@@ -498,7 +505,7 @@ class TestCycleMemo:
 
 
 def _per_cycle_mitigation(env, config):
-    """The mitigation run one cycle at a time: ``ramsey_cycle`` and ``syndrome_cycle`` in run order."""
+    """The mitigation run one cycle at a time: ``scalar_ramsey_cycle`` and ``syndrome_cycle`` in run order."""
     qp = env.qubit
     shape = (config.rows, len(config.tau_grid), config.n_reps)
     counts_nofb, counts_fb = np.zeros((2, *shape[:2]))
@@ -511,12 +518,12 @@ def _per_cycle_mitigation(env, config):
             for first in range(0, config.n_reps, config.block_size):
                 block = range(first, min(first + config.block_size, config.n_reps))
                 for _ in block:
-                    counts_nofb[row, i] += ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
+                    counts_nofb[row, i] += scalar_ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
                 for rep in block:
                     cell = row, i, rep
                     outcome[cell], est_xi[cell] = syndrome_cycle(env, config.tau_probe)
                     syndrome_time[cell], true_xi[cell] = env.clock, env.xi
-                    counts_fb[row, i] += ramsey_cycle(env, qp.mode_frequency(est_xi[cell]), tau, config.det_fb)
+                    counts_fb[row, i] += scalar_ramsey_cycle(env, qp.mode_frequency(est_xi[cell]), tau, config.det_fb)
         if config.idle_between_rows > 0:
             env.advance(config.idle_between_rows)
     return MitigationResult(
@@ -589,6 +596,115 @@ class TestStagedMitigation:
         result = run_mitigation(env, config)
         cycles = 3 * result.outcome.size
         assert env.draw_counts() == {"defect_draws": 0, "readout_draws": 2 * cycles, "sequences_words": 0}
+
+
+def _per_cycle_error_rate(env, n_cycles, tau_probe, resample_each_cycle):
+    """``syndrome_error_rate`` one cycle at a time: a redraw of the mode, then ``syndrome_cycle``."""
+    errors = 0
+    for _ in range(n_cycles):
+        if resample_each_cycle:
+            env.xi = telegraph.XI_L if env.uniforms.next() < 0.5 else telegraph.XI_H
+        _, xi_hat = syndrome_cycle(env, tau_probe)
+        if xi_hat != env.xi:
+            errors += 1
+    return errors / n_cycles
+
+
+def _per_cycle_ramsey(cfg):
+    """``cli._run_ramsey`` one cycle at a time: ``scalar_ramsey_cycle`` per shot."""
+    p, qp = cfg.params, cfg.qubit
+    f_c = qp.f_high if p["frame"] == "high" else qp.f_low
+    rows, draws = [], {}
+    for replica, env in cli._replicas(cfg, draws):
+        for tau in np.linspace(0.0, p["tau_max_s"], p["n_tau"]).tolist():
+            hits = 0
+            for _ in range(p["shots"]):
+                hits += scalar_ramsey_cycle(env, f_c, tau, p["virtual_detuning_hz"])
+            model = None
+            if cfg.pinned_mode is not None and cfg.tls.total_rate == 0:
+                model = ramsey_probability(qp, f_c, cfg.pinned_mode, tau, p["virtual_detuning_hz"], cfg.finite_pulses)
+            rows.append((replica, tau, p["shots"], hits / p["shots"], model))
+    return {"ramsey.csv": (["replica", "tau_s", "shots", "p_m1", "p_model"], rows)}, {"draws": draws}
+
+
+def _env_state(env):
+    return env.clock, env.xi, env.switch_at, env.draw_counts()
+
+
+class TestStagedRepeats:
+    """The staged ``syndrome_error_rate`` and ramsey runner equal their per-cycle loops."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rates=st.tuples(*[st.sampled_from([0.0, 1.0, 1e3, 3e4, 1e5, 1e6])] * 2),
+        resample=st.booleans(),
+        pinned=st.sampled_from([None, 0, 1]),
+        finite=st.booleans(),
+        n=st.one_of(st.integers(1, 40), st.integers(protocol.CHUNK - 3, 2 * protocol.CHUNK + 3)),
+        t_wall=st.sampled_from([0.0, 2e-6, 8e-6]),
+        small_blocks=st.booleans(),
+    )
+    def test_syndrome_error_rate_equals_the_per_cycle_loop(
+        self, seed, rates, resample, pinned, finite, n, t_wall, small_blocks
+    ):
+        # A frozen defect redrawn every cycle, or one switching up to 1e6/s
+        # (most cycles then run alone); with small blocks, n spans many stages
+        # and CHUNK-sized schedules, and is mostly not a multiple of either.
+        tls = FROZEN if resample else TelegraphParams(*rates)
+        if tls.total_rate == 0 and pinned is None:
+            pinned = seed % 2
+        qp = replace(QP, t_readout=0.0, t_reset=t_wall)
+        env = make_environment(qp, tls, substream(428, "staged-rate", seed), pinned, finite)
+        ref_env = copy.deepcopy(env)
+        with pytest.MonkeyPatch.context() as mp:
+            if small_blocks:
+                mp.setattr(protocol, "CHUNK", 3)
+                mp.setattr(streams, "BLOCK", 12)
+            rate = syndrome_error_rate(env, n, default_tau_probe(qp), resample)
+            assert rate == _per_cycle_error_rate(ref_env, n, default_tau_probe(qp), resample)
+        assert _env_state(env) == _env_state(ref_env)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rates=st.tuples(*[st.sampled_from([0.0, 1.0, 1e3, 1e4, 1e5, 1e6])] * 2),
+        pinned=st.sampled_from([None, "H", "L"]),
+        finite=st.booleans(),
+        frame=st.sampled_from(["high", "low"]),
+        n_tau=st.integers(1, 4),
+        shots=st.integers(1, 40),
+        replicas=st.integers(1, 2),
+        small_blocks=st.booleans(),
+    )
+    def test_ramsey_runner_equals_the_per_cycle_loop(
+        self, seed, rates, pinned, finite, frame, n_tau, shots, replicas, small_blocks
+    ):
+        if rates == (0.0, 0.0) and pinned is None:
+            pinned = "L"
+        doc = {"experiment": "ramsey", "seed": seed, "replicas": replicas,
+               "tls": {"gamma_hl_hz": rates[0], "gamma_lh_hz": rates[1], "pinned_mode": pinned},
+               "protocol": {"finite_pulses": finite},
+               "ramsey": {"frame": frame, "n_tau": n_tau, "shots": shots}}
+        cfg = parse_config(json.dumps(doc))
+        runs = []
+        for runner in (cli._run_ramsey, _per_cycle_ramsey):
+            envs = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "make_environment", lambda *args: envs.append(make_environment(*args)) or envs[-1])
+                if small_blocks:
+                    mp.setattr(protocol, "CHUNK", 3)
+                    mp.setattr(streams, "BLOCK", 12)
+                runs.append((runner(cfg), [_env_state(env) for env in envs]))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_error_rate_rejects_a_zero_probe_time_before_any_draw(self, resample):
+        env = make_environment(QP, FROZEN, substream(429, "zero-probe"), pinned_mode=0)
+        with pytest.raises(ValueError, match="tau_probe"):
+            syndrome_error_rate(env, 10, 0.0, resample)
+        assert env.draw_counts() == {"defect_draws": 0, "readout_draws": 0, "sequences_words": 0}
+        assert env.clock == 0.0
 
 
 # The laws of the streams, checked on many cheap replicas within 4 binomial
