@@ -21,9 +21,10 @@ from itertools import accumulate
 
 import numpy as np
 
-from .bloch import IDENTITY, QubitParams, compose, detuning, free_map, pulse_duration, pulse_map, readout_bit
+from .bloch import IDENTITY, QubitParams, compose, detuning, free_map, pulse_duration, pulse_map, readout_bits
 from .fitting import _least_squares
-from .protocol import HALF_PI, Environment, syndrome_cycle
+from .protocol import HALF_PI, Environment, _switch_free_state, calibrate_decode_map, syndrome_cycle
+from .streams import BLOCK
 
 
 def decomposition_unitary(pulses: tuple) -> np.ndarray:
@@ -75,24 +76,29 @@ INVERSE = tuple(match_element(u.conj().T) for u in UNITARIES)
 IDENTITY_INDEX = match_element(np.eye(2, dtype=complex))
 
 
-def random_sequence(length: int, rng: np.random.Generator) -> tuple[list[int], int]:
-    """Uniform i.i.d. Clifford indices plus the recovery element's index.
+def random_sequence(length: int, rng: np.random.Generator, n: int = 1) -> np.ndarray:
+    """``n`` sequences of ``length`` uniform i.i.d. Clifford indices, each followed by
+    its recovery element's index: an (n, length + 1) array, one sequence per row.
 
     The recovery is the inverse of the composed sequence, so executing the
     sequence followed by the recovery implements the identity up to phase.
     The composition is a pairwise reduction over ``PRODUCT``: the group product
     is associative, so it is the element of the product taken one index at a time.
+    The indices are one (n, length) draw, which reads ``rng`` as n draws of a
+    row each would.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    indices = rng.integers(0, len(PULSES), size=length)
-    level = indices[::-1]  # U_last @ ... @ U_first, the time order reversed
-    while level.size > 1:
-        if level.size % 2:
-            level = np.append(level, IDENTITY_INDEX)
-        level = PRODUCT[level[0::2], level[1::2]]
-    composed = int(level[0]) if level.size else IDENTITY_INDEX
-    return indices.tolist(), INVERSE[composed]
+    indices = rng.integers(0, len(PULSES), size=(n, length))
+    level = indices[:, ::-1]  # U_last @ ... @ U_first, the time order reversed
+    while level.shape[1] > 1:
+        if level.shape[1] % 2:
+            level = np.column_stack((level, np.full(n, IDENTITY_INDEX)))
+        level = PRODUCT[level[:, 0::2], level[:, 1::2]]
+    sequences = np.empty((n, length + 1), dtype=np.uint8)  # every index fits a byte
+    sequences[:, :length] = indices
+    sequences[:, length] = np.take(INVERSE, level[:, 0] if length else IDENTITY_INDEX)
+    return sequences
 
 
 # ---------------------------------------------------------------------------
@@ -108,14 +114,6 @@ class SequenceExecutor:
     into the affine Bloch maps of its slots and their composition, so an
     element that one dwell segment covers costs a single map application and
     only an element a switch lands inside is stepped slot by slot.
-
-    Queue contract: ``run`` makes every random draw of a shot at once, in the
-    order of a scalar run, and queues the shot; ``outcomes`` returns the bits
-    of the queued shots in run order and empties the queue.  No draw depends on
-    a Bloch state, so deferring the readout decision changes no outcome.  A
-    sequence is keyed by its bytes (every Clifford index fits one), so a caller
-    that runs one sequence many times passes it as ``bytes`` to make the key
-    free.
     """
 
     def __init__(self, env: Environment):
@@ -143,72 +141,95 @@ class SequenceExecutor:
         # Every element's composed map per (mode, frame), as the (4, 3, 24 * 4) gather table.
         m = np.array([entry[0][0] for entries in self._maps.values() for entry in entries]).T
         self._composed_table = np.ascontiguousarray([m[0:9:3], m[1:9:3], m[2:9:3], m[9:12]])
-        # The queue: the duration of each queued sequence, and per shot its
-        # (sequence, mode, frame) key, its state's z when a switch landed in it
-        # (else None) and its two readout uniforms.
-        self._totals: dict[bytes, float] = {}
-        self._shots: list[tuple[tuple[bytes, int, float], float | None, float, float]] = []
 
-    def run(self, indices: list[int] | bytes, f_c: float) -> None:
-        """Queue reset -> sequence -> measure in frame f_c; ``outcomes`` returns its bit.
+    def run(self, sequences: np.ndarray, shots: int, tau_probe: float) -> tuple[np.ndarray, np.ndarray]:
+        """Run one depth of interleaved sequences; return the (n, 2, shots) reported bits,
+        open-loop arm first, and each sequence's mode at its start.
 
-        ``indices`` holds the Clifford indices as ints (a list, or ``bytes``).
-        Draws now, in the order of a scalar run: the environment advances over
-        the sequence (the dwell draws), then the two readout uniforms, then the
-        readout + reset dead time.  A run that a switch lands in is stepped
-        now; a run that one mode covers has a state that depends only on its
-        (sequence, mode, frame) key, and the key is queued.
+        Row k of the (n, width) ``sequences`` holds a sequence's Clifford indices,
+        recovery included.  The rows run in order, each as ``shots`` runs in the
+        high-mode frame, one syndrome cycle probing for ``tau_probe``, then ``shots``
+        runs in the frame of its estimate; a run is reset -> sequence -> readout
+        and reset dead time.
+
+        The defect path and the clock never depend on an outcome, so the sequences
+        that end by the defect's next switch (``env.switch_at``) are decided in a
+        stage, with the draws and arithmetic of running them one by one: the clock
+        as the running sum of the advances, a block of readout uniforms, the
+        syndrome bits from the memoised switch-free state, and the feedback frames
+        from them.  A sequence a switch is due in runs alone: per run
+        ``env.dwell`` (and ``_step`` if the switch lands in the run), and the
+        syndrome through ``syndrome_cycle``.  A switch-free run's state depends
+        only on its (sequence, mode, frame) key; each distinct key is stepped once,
+        by ``_step_batch``, and then ``readout_bits`` decides every run.
         """
-        env = self.env
-        if f_c not in (env.qubit.f_low, env.qubit.f_high):
-            raise ValueError("frame f_c must sit on one of the two mode frequencies")
-        sequence = bytes(indices)
-        if len(sequence) != len(indices):  # a buffer of wider ints, e.g. an int64 array
-            raise TypeError("indices must be a list of ints or bytes")
-        total = self._totals.get(sequence)
-        if total is None:
-            total = 0.0
-            for i in sequence:
-                total += self.durations[i]
-            self._totals[sequence] = total
-        segments = env.dwell(total)
-        z = self._step(sequence, f_c, segments)[2] if len(segments) > 1 else None
-        key = (sequence, env.xi, f_c)  # env.xi: the one mode of a switch-free run
-        self._shots.append((key, z, *env.readout_draws()))
+        env, qp = self.env, self.env.qubit
+        n = len(sequences)
+        decode = calibrate_decode_map(qp, tau_probe, env.finite_pulses)
+        totals = np.cumsum(np.array(self.durations)[sequences], axis=1)[:, -1].copy()  # summed left to right
+        # Per sequence its advances in run order: shots x (sequence, readout and reset),
+        # the syndrome's pulse, tau, pulse, readout and reset, then shots x again.
+        steps = np.empty((n, 2 * shots + 2, 2))
+        steps[..., 0], steps[..., 1] = totals[:, None], qp.t_wall
+        steps[:, shots, 0] = steps[:, shots + 1, 0] = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
+        steps[:, shots, 1] = tau_probe
+        ends = np.cumsum(np.append(env.clock, steps))[1:]  # the clock += chain, per advance
+        per, draws = steps[0].size, 4 * shots + 2  # advances and readout uniforms per sequence
+        z = np.empty((n, 2, shots))  # per run the z it is read out from
+        keys = np.full((n, 2, shots), -1)  # per switch-free run 4 * row + 2 * mode + (frame is f_low)
+        u = np.empty((n, 2, shots, 2))  # per run its two readout uniforms
+        modes = np.empty(n, dtype=int)
+        p = 0
+        while p < n:
+            free = min(n, int(np.searchsorted(ends, env.switch_at, side="right")) // per)
+            if free > p:  # sequences p to free - 1 end by the next switch: one stage
+                count = (free - p) * draws
+                block = np.concatenate([env.uniforms.take(min(BLOCK, count - i)) for i in range(0, count, BLOCK)])
+                block = block.reshape(free - p, 2 * shots + 1, 2)
+                xi = env.xi
+                syndrome_z = _switch_free_state(qp, env.finite_pulses, qp.f_high, xi, tau_probe, 0.0)[2]
+                estimates = np.take(decode, readout_bits(syndrome_z, block[:, shots, 0], block[:, shots, 1], qp))
+                rows = 4 * np.arange(p, free) + 2 * xi
+                keys[p:free, 0] = rows[:, None]
+                keys[p:free, 1] = (rows + estimates)[:, None]  # estimate 1 runs in the low-mode frame
+                u[p:free, 0], u[p:free, 1] = block[:, :shots], block[:, shots + 1:]
+                modes[p:free], env.clock = xi, float(ends[free * per - 1])
+                p = free
+            else:  # a switch is due in sequence p: it runs alone
+                sequence, total, f_c = sequences[p].tolist(), float(totals[p]), qp.f_high
+                modes[p] = env.xi
+                for arm in (0, 1):
+                    if arm:
+                        f_c = qp.mode_frequency(syndrome_cycle(env, tau_probe)[1])
+                    for shot in range(shots):
+                        segments = env.dwell(total)
+                        if len(segments) > 1:
+                            z[p, arm, shot] = self._step(sequence, f_c, segments)[2]
+                        else:  # env.xi: the one mode of a switch-free run
+                            keys[p, arm, shot] = 4 * p + 2 * env.xi + (f_c == qp.f_low)
+                        u[p, arm, shot] = env.readout_draws()
+                p += 1
+        keyed = keys >= 0
+        distinct, inverse = np.unique(keys[keyed], return_inverse=True)
+        if distinct.size:
+            rows, columns = np.divmod(distinct, 4)
+            z[keyed] = self._step_batch(sequences[rows], len(PULSES) * columns)[inverse]
+        return readout_bits(z, u[..., 0], u[..., 1], qp), modes
 
-    def outcomes(self) -> list[int]:
-        """The reported bits of every run queued since the last call, in run order.
+    def _step_batch(self, sequences: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+        """Bloch z after each row of ``sequences`` from ground, switch-free in the
+        (mode, frame) whose gather-table columns start at its ``offsets`` entry,
+        24 * (2 * mode + (frame is f_low)).
 
-        Each distinct queued (sequence, mode, frame) key is stepped once, the
-        keys of one sequence length together, and the queue is emptied.
-        """
-        shots, self._shots = self._shots, []
-        self._totals = {}
-        states = dict.fromkeys(key for key, z, _, _ in shots if z is None)
-        by_length: dict[int, list[tuple[bytes, int, float]]] = {}
-        for key in states:
-            by_length.setdefault(len(key[0]), []).append(key)
-        for keys in by_length.values():
-            states.update(zip(keys, self._step_batch(keys)))
-        qp = self.env.qubit
-        return [readout_bit(states[key] if z is None else z, u1, u2, qp) for key, z, u1, u2 in shots]
-
-    def _step_batch(self, keys: list[tuple[bytes, int, float]]) -> list[float]:
-        """Bloch z after each key's sequence from ground, switch-free in its mode and frame.
-
-        The sequences have one length.  This is the arithmetic of ``_step`` on
-        a (3, n) state array: per Clifford the composed maps are gathered from
-        one (4, 3, 24 * 4) table (coefficients of x, y, z and the offset, per
-        row, per (mode, frame) and element) and applied as
-        ((m0*x + m1*y) + m2*z) + m9 elementwise: the scalar operations in the
-        scalar order, so every z equals ``_step``'s bit for bit.
+        This is the arithmetic of ``_step`` on a (3, n) state array: per Clifford
+        the composed maps are gathered from one (4, 3, 24 * 4) table (coefficients
+        of x, y, z and the offset, per row, per (mode, frame) and element) and
+        applied as ((m0*x + m1*y) + m2*z) + m9 elementwise: the scalar operations
+        in the scalar order, so every z equals ``_step``'s bit for bit.
         """
         table = self._composed_table
-        qp = self.env.qubit
-        n, length = len(keys), len(keys[0][0])
-        offsets = [len(PULSES) * (2 * xi + (f_c == qp.f_low)) for _, xi, f_c in keys]
-        sequences = np.frombuffer(b"".join(key[0] for key in keys), dtype=np.uint8).reshape(n, length)
-        codes = np.empty((length, n), dtype=np.intp)  # per Clifford, each row's table column
+        n = len(sequences)
+        codes = np.empty(sequences.shape[::-1], dtype=np.intp)  # per Clifford, each row's table column
         np.add(sequences.T, offsets, out=codes)
         state = np.zeros((3, n))
         state[2] = 1.0
@@ -220,7 +241,7 @@ class SequenceExecutor:
             np.add(m_x, m_y, out=state)
             state += m_z
             state += shift
-        return state[2].tolist()
+        return state[2]
 
     def _step(
         self, indices: list[int] | bytes, f_c: float, segments: list[tuple[int, float]]
@@ -412,7 +433,6 @@ def run_rb_interleaved(env: Environment, config: RbConfig) -> list[RbWindow]:
     holds one full depth sweep and is fitted per arm; non-converged fits are
     flagged, not raised.
     """
-    qp = env.qubit
     executor = SequenceExecutor(env)
     depths = np.asarray(config.depths, dtype=int)
     shots_per_depth = config.n_sequences * config.shots_per_sequence
@@ -424,18 +444,9 @@ def run_rb_interleaved(env: Environment, config: RbConfig) -> list[RbWindow]:
         k_fb = np.zeros(depths.size)
         xi_sum = 0  # the mode at the start of each of the window's sequences
         for di, length in enumerate(depths):
-            for _ in range(config.n_sequences):
-                indices, recovery = random_sequence(int(length), env.sequences)
-                indices.append(recovery)
-                sequence = bytes(indices)
-                xi_sum += env.xi
-                for _ in range(config.shots_per_sequence):
-                    executor.run(sequence, qp.f_high)
-                f_c = qp.mode_frequency(syndrome_cycle(env, config.tau_probe)[1])
-                for _ in range(config.shots_per_sequence):
-                    executor.run(sequence, f_c)
-            # Per sequence: its open-loop shots, then its feedback shots.
-            bits = np.array(executor.outcomes()).reshape(config.n_sequences, 2, -1)
+            sequences = random_sequence(int(length), env.sequences, config.n_sequences)
+            bits, modes = executor.run(sequences, config.shots_per_sequence, config.tau_probe)
+            xi_sum += int(modes.sum())
             k_nofb[di], k_fb[di] = (bits == 0).sum(axis=(0, 2))
         surv_nofb = k_nofb / shots_per_depth
         surv_fb = k_fb / shots_per_depth

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit import benchmarking as rb
-from bistable_qubit import telegraph
+from bistable_qubit import streams, telegraph
 from bistable_qubit.bloch import (
     GROUND,
     QubitParams,
@@ -22,10 +22,10 @@ from bistable_qubit.bloch import (
     measure,
     pulse_duration,
     pulse_map,
-    readout_bit,
+    readout_bits,
 )
-from bistable_qubit.protocol import default_tau_probe, make_environment
-from bistable_qubit.streams import substream
+from bistable_qubit.protocol import default_tau_probe, make_environment, syndrome_cycle
+from bistable_qubit.streams import substream, words_drawn
 from bistable_qubit.telegraph import TelegraphParams
 
 QP = QubitParams.defaults()
@@ -104,6 +104,41 @@ def _reference_run(executor, indices, f_c):
     return outcome, state
 
 
+def _reference_rb(env, config):
+    """``run_rb_interleaved`` run by run: the window loop drawing one sequence at a
+    time, each run stepped in full by ``_reference_run`` and read out at once, each
+    syndrome cycle run alone by ``syndrome_cycle``."""
+    executor = rb.SequenceExecutor(env)
+    qp = env.qubit
+    shots = config.n_sequences * config.shots_per_sequence
+    windows = []
+    for _ in range(config.n_windows):
+        t_start = env.clock
+        k = np.zeros((2, len(config.depths)))
+        xi_sum = 0
+        for di, length in enumerate(config.depths):
+            for _ in range(config.n_sequences):
+                sequence = rb.random_sequence(length, env.sequences)[0].tolist()
+                xi_sum += env.xi
+                f_c = qp.f_high
+                for arm in (0, 1):
+                    if arm:
+                        f_c = qp.mode_frequency(syndrome_cycle(env, config.tau_probe)[1])
+                    for _ in range(config.shots_per_sequence):
+                        k[arm, di] += _reference_run(executor, sequence, f_c)[0] == 0
+        fits = [rb.fit_exponential(config.depths, k[arm] / shots, rb._survival_weights(k[arm], shots)) for arm in (0, 1)]
+        windows.append(rb.RbWindow(t_start, env.clock, k[0] / shots, k[1] / shots, *fits,
+                                   xi_sum / (len(config.depths) * config.n_sequences)))
+        if config.idle_between_windows > 0:
+            env.advance(config.idle_between_windows)
+    return windows
+
+
+def _window_fields(window):
+    """Every field of an ``RbWindow``, arrays as lists, as its exact repr (nan equals nan)."""
+    return repr([v.tolist() if isinstance(v, np.ndarray) else v for v in vars(window).values()])
+
+
 class TestCliffordTable:
     def test_group_size_and_distinctness(self):
         assert len(rb.PULSES) == len(rb.UNITARIES) == 24
@@ -155,23 +190,20 @@ class TestCliffordTable:
 class TestRandomSequence:
     def test_empty_sequence_recovery_is_identity(self):
         rng = substream(501, "seq0")
-        indices, recovery = rb.random_sequence(0, rng)
-        assert indices == []
-        assert recovery == rb.IDENTITY_INDEX
+        assert rb.random_sequence(0, rng).tolist() == [[rb.IDENTITY_INDEX]]
+        assert words_drawn(rng) == 0
 
     def test_single_element_recovery_is_inverse(self):
         rng = substream(502, "seq1")
-        for _ in range(20):
-            indices, recovery = rb.random_sequence(1, rng)
-            assert recovery == rb.INVERSE[indices[0]]
+        for index, recovery in rb.random_sequence(1, rng, 20).tolist():
+            assert recovery == rb.INVERSE[index]
 
     def test_recovery_closes_to_identity(self):
         rng = substream(503, "seqn")
         for _ in range(100):
             length = int(rng.integers(0, 33))
-            indices, recovery = rb.random_sequence(length, rng)
             u = np.eye(2, dtype=complex)
-            for idx in indices + [recovery]:
+            for idx in rb.random_sequence(length, rng)[0]:
                 u = rb.UNITARIES[idx] @ u
             assert abs(abs(np.trace(u)) / 2.0 - 1.0) < 1e-12
 
@@ -180,13 +212,45 @@ class TestRandomSequence:
     def test_pairwise_recovery_equals_the_loop_over_the_product_table(self, seed, length):
         rng = substream(504, "pairwise", seed)
         reference = copy.deepcopy(rng)
-        indices, recovery = rb.random_sequence(length, rng)
+        *indices, recovery = rb.random_sequence(length, rng)[0].tolist()
         assert indices == reference.integers(0, 24, size=length).tolist()
         composed = rb.IDENTITY_INDEX
         for idx in indices:  # one index at a time, in time order
             composed = rb.PRODUCT[idx][composed]
         assert recovery == rb.INVERSE[composed]
-        assert all(type(i) is int for i in indices) and type(recovery) is int
+
+    @pytest.mark.parametrize("length", [0, 1, 17, 2048])
+    def test_a_block_draw_reads_the_stream_as_row_draws(self, length):
+        # The staged run draws a depth's sequences in one call: it must read the
+        # sequences stream as one call per sequence does, to the word.
+        block, rows = substream(521, "block", length), substream(521, "block", length)
+        drawn = block.integers(0, 24, size=(50, length))
+        assert drawn.tolist() == [rows.integers(0, 24, size=length).tolist() for _ in range(50)]
+        assert words_drawn(block) == words_drawn(rows)
+        assert repr(block.bit_generator.state) == repr(rows.bit_generator.state)  # the 32-bit half-word too
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 17, 2048])
+    def test_block_recoveries_equal_one_sequence_at_a_time(self, length):
+        block, rows = substream(522, "recoveries", length), substream(522, "recoveries", length)
+        sequences = rb.random_sequence(length, block, 40)
+        assert sequences.shape == (40, length + 1)
+        assert sequences.tolist() == [rb.random_sequence(length, rows)[0].tolist() for _ in range(40)]
+        assert repr(block.bit_generator.state) == repr(rows.bit_generator.state)  # the 32-bit half-word too
+
+    def test_row_cumsum_adds_left_to_right(self):
+        # A run's duration is the running sum of its Cliffords' durations, which
+        # the staged run takes from a row cumsum: it must equal the left-to-right
+        # Python sum bit for bit (np.sum, pairwise, does not).  rb-slow's shapes.
+        executor = rb.SequenceExecutor(make_environment(QP, FROZEN, substream(523, "sums"), pinned_mode=0))
+        sequences = rb.random_sequence(2048, substream(523, "durations"), 84)
+        durations = np.array(executor.durations)[sequences]
+        totals = np.cumsum(durations, axis=1)[:, -1].tolist()
+        assert totals != durations.sum(axis=1).tolist()  # the order of the additions shows
+        for row, total in zip(sequences.tolist(), totals):
+            expected = 0.0
+            for i in row:
+                expected += executor.durations[i]
+            assert total == expected
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
@@ -194,29 +258,29 @@ class TestRandomSequence:
 
 
 def _capture_decisions(monkeypatch):
-    """Record the z-component the executor hands to each readout decision."""
+    """Record the z-components the executor hands to its readout decisions, flattened in run order."""
     captured = []
 
     def capture(z, u1, u2, qp):
-        captured.append(z)
-        return readout_bit(z, u1, u2, qp)
+        captured.extend(np.ravel(z).tolist())
+        return readout_bits(z, u1, u2, qp)
 
-    monkeypatch.setattr(rb, "readout_bit", capture)
+    monkeypatch.setattr(rb, "readout_bits", capture)
     return captured
 
 
-def _record_resolved_keys(monkeypatch):
-    """Record the keys ``outcomes`` steps: batches, and any switch-free ``_step`` calls (one segment)."""
+def _record_stepping(monkeypatch):
+    """Record the keys ``_step_batch`` steps, as (sequence bytes, column offset) per row,
+    one list per call, and the segment counts of the ``_step`` calls."""
     batches, stepped = [], []
     step_batch, step = rb.SequenceExecutor._step_batch, rb.SequenceExecutor._step
 
-    def record_batch(self, keys):
-        batches.append(list(keys))
-        return step_batch(self, keys)
+    def record_batch(self, sequences, offsets):
+        batches.append([(bytes(row), int(o)) for row, o in zip(sequences.tolist(), offsets)])
+        return step_batch(self, sequences, offsets)
 
     def record_step(self, indices, f_c, segments):
-        if len(segments) == 1:
-            stepped.append((bytes(indices), segments[0][0], f_c))
+        stepped.append(len(segments))
         return step(self, indices, f_c, segments)
 
     monkeypatch.setattr(rb.SequenceExecutor, "_step_batch", record_batch)
@@ -229,21 +293,21 @@ class TestExecutor:
         rng = substream(505, "exec")
         env = make_environment(IDEAL, FROZEN, rng, pinned_mode=0)
         executor = rb.SequenceExecutor(env)
-        for _ in range(300):
-            length = int(rng.integers(0, 33))
-            indices, recovery = rb.random_sequence(length, rng)
-            executor.run(indices + [recovery], IDEAL.f_high)
-        assert executor.outcomes() == [0] * 300
-        assert executor.outcomes() == []
+        for length in range(0, 33, 4):
+            bits, modes = executor.run(rb.random_sequence(length, rng, 30), 2, default_tau_probe(IDEAL))
+            assert bits.shape == (30, 2, 2) and modes.tolist() == [0] * 30
+            assert not bits.any()
 
     @pytest.mark.parametrize("frame", ["high", "low"])
     def test_run_matches_slot_by_slot_reference(self, frame, monkeypatch):
-        # Fast switching puts several mode switches inside each sequence.
+        # Fast switching puts several mode switches inside each sequence.  The
+        # one open-loop run is read out from the slot-by-slot state, and so is
+        # the feedback run when the syndrome retunes to ``frame``.
         fast = TelegraphParams(2e6, 2e6)
         f_c = QP.f_high if frame == "high" else QP.f_low
         captured = _capture_decisions(monkeypatch)
-        switched = 0
-        for k in range(20):
+        switched = checked = 0
+        for k in range(40):
             env = make_environment(QP, fast, substream(506, "paths", k))
             executor = rb.SequenceExecutor(env)
             seq = [int(i) for i in np.random.default_rng(k).integers(0, 24, size=64)]
@@ -252,51 +316,23 @@ class TestExecutor:
                 env.xi, env.switch_at, fast, env.clock, total, copy.deepcopy(env.dwells)
             )
             switched += len(segments) > 1
-            executor.run(seq, f_c)
-            executor.outcomes()
-            expected = _slot_by_slot(executor, seq, f_c, segments)
-            assert captured[-1] == pytest.approx(expected[2], abs=1e-12)
-            assert executor._step(seq, f_c, segments) == pytest.approx(expected, abs=1e-12)
-        assert switched >= 15
-
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        # Pinned; switching mostly between runs (10 us dwell against ~8 us of
-        # dead time per run); and switching several times inside most runs.
-        rate=st.sampled_from([0.0, 1e5, 2e6]),
-        sequences=st.lists(st.lists(st.integers(0, 23), max_size=48), min_size=1, max_size=3),
-        # (sequence, frame, shots, resolve after these shots)
-        runs=st.lists(
-            st.tuples(st.integers(0, 2), st.booleans(), st.integers(1, 4), st.booleans()),
-            min_size=1,
-            max_size=8,
-        ),
-    )
-    def test_run_matches_unmemoised_reference(self, seed, rate, sequences, runs):
-        tls = TelegraphParams(rate, 0.7 * rate)
-        env = make_environment(QP, tls, substream(515, "memo", seed), pinned_mode=seed % 2)
-        ref_env = copy.deepcopy(env)
-        executor = rb.SequenceExecutor(env)
-        reference = rb.SequenceExecutor(ref_env)
-        with pytest.MonkeyPatch.context() as mp:
-            captured = _capture_decisions(mp)
-            outcomes, ref_outcomes, ref_z = [], [], []
-            for which, high, shots, resolve in runs:
-                seq = sequences[which % len(sequences)]
-                f_c = QP.f_high if high else QP.f_low
-                for _ in range(shots):  # back-to-back shots of one sequence, as in rb
-                    executor.run(list(seq), f_c)
-                    ref_m, ref_state = _reference_run(reference, seq, f_c)
-                    ref_outcomes.append(ref_m)
-                    ref_z.append(ref_state[2])
-                    assert (env.clock, env.xi) == (ref_env.clock, ref_env.xi)
-                    assert env.draw_counts() == ref_env.draw_counts()
-                if resolve:
-                    outcomes += executor.outcomes()
-                    assert (outcomes, captured) == (ref_outcomes, ref_z)
-            outcomes += executor.outcomes()
-            assert (outcomes, captured) == (ref_outcomes, ref_z)
+            ahead = copy.deepcopy(env)  # the open-loop run, its readout and the syndrome cycle
+            ahead.dwell(total)
+            ahead.readout_draws()
+            estimate = syndrome_cycle(ahead, default_tau_probe(QP))[1]
+            fb_segments = ahead.dwell(total)
+            executor.run(np.array([seq]), 1, default_tau_probe(QP))
+            if frame == "high":
+                expected = _slot_by_slot(executor, seq, f_c, segments)
+                assert captured[-2] == pytest.approx(expected[2], abs=1e-12)
+                assert executor._step(seq, f_c, segments) == pytest.approx(expected, abs=1e-12)
+                checked += 1
+            if QP.mode_frequency(estimate) == f_c:
+                expected = _slot_by_slot(executor, seq, f_c, fb_segments)
+                assert captured[-1] == pytest.approx(expected[2], abs=1e-12)
+                assert executor._step(seq, f_c, fb_segments) == pytest.approx(expected, abs=1e-12)
+                checked += 1
+        assert switched >= 30 and checked >= 15
 
     @settings(max_examples=12, derandomize=True, deadline=None)
     @given(
@@ -306,75 +342,71 @@ class TestExecutor:
         ),
     )
     def test_batched_state_equals_the_scalar_step(self, seed, lengths):
-        # One queue mixing lengths 0, 1, odd and 2049, both modes and both
-        # frames, on a frozen defect.
+        # Batches of lengths 0, 1, odd and 2049, each row in both modes and both frames.
         env = make_environment(QP, FROZEN, substream(518, "batch", seed), pinned_mode=0)
         executor = rb.SequenceExecutor(env)
         draw = np.random.default_rng(seed)
-        expected, distinct = [], set()
-        with pytest.MonkeyPatch.context() as mp:
-            captured = _capture_decisions(mp)
-            batches, stepped = _record_resolved_keys(mp)
-            for length in lengths:
-                if length == 1:  # distinct single elements
-                    sequences = draw.permutation(24)[:3, None]
-                else:
-                    sequences = draw.integers(0, 24, size=(1 if length == 0 else 3, length))
-                for seq in sequences.tolist():
-                    for xi in (0, 1):
-                        for f_c in (QP.f_high, QP.f_low):
-                            env.xi = xi
-                            executor.run(seq, f_c)
-                            total = sum(executor.durations[i] for i in seq)
-                            expected.append(executor._step(seq, f_c, [(xi, total)])[2])
-                            distinct.add((bytes(seq), xi, f_c))
-            stepped.clear()  # the reference calls above
-            executor.outcomes()
-        assert captured == expected
-        assert sorted(len(keys[0][0]) for keys in batches) == sorted(lengths)  # one batch per length
-        assert sorted(k for keys in batches for k in keys) == sorted(distinct) and stepped == []
+        for length in lengths:
+            if length == 1:  # distinct single elements
+                sequences = draw.permutation(24)[:3, None]
+            else:
+                sequences = draw.integers(0, 24, size=(1 if length == 0 else 3, length))
+            rows, offsets, expected = [], [], []
+            for seq in sequences.tolist():
+                total = sum(executor.durations[i] for i in seq)
+                for xi in (0, 1):
+                    for frame, f_c in enumerate((QP.f_high, QP.f_low)):
+                        rows.append(seq)
+                        offsets.append(24 * (2 * xi + frame))
+                        expected.append(executor._step(seq, f_c, [(xi, total)])[2])
+            got = executor._step_batch(np.array(rows, dtype=np.uint8).reshape(len(rows), length), np.array(offsets))
+            assert got.tolist() == expected
 
     def test_each_distinct_key_is_stepped_once(self, monkeypatch):
-        rng = substream(516, "distinct-keys")
-        env = make_environment(QP, FROZEN, rng, pinned_mode=0)
-        executor = rb.SequenceExecutor(env)
-        batches, stepped = _record_resolved_keys(monkeypatch)
-        first, second = [0, 5, 7, 11], [3, 3, 20]
-        short = [[k, 23 - k] for k in range(3)]
-        runs = [(first, QP.f_high), (second, QP.f_low), (first, QP.f_high), (first, QP.f_low), ([], QP.f_high)]
-        runs += [(seq, QP.f_high) for seq in short] + [(second, QP.f_low), (short[0], QP.f_high), ([], QP.f_high)]
-        for seq, f_c in runs:
-            for _ in range(3):
-                executor.run(seq, f_c)
-        assert len(executor.outcomes()) == 3 * len(runs)
-        distinct = {(bytes(seq), 0, f_c) for seq, f_c in runs}
-        assert sorted(len(keys[0][0]) for keys in batches) == [0, 2, 3, 4]  # one batch per length
-        assert sorted(k for keys in batches for k in keys) == sorted(distinct) and stepped == []
-        batches.clear()
-        assert executor.outcomes() == []
-        assert batches == []
+        # A frozen defect: every run is switch-free, so no run is stepped alone,
+        # and one batch per depth holds each sequence's keys once, in row order:
+        # the open-loop key in the high frame, then the feedback key if its
+        # estimate retunes to the low frame.
+        batches, stepped = _record_stepping(monkeypatch)
+        for pinned in (0, 1):
+            env = make_environment(QP, FROZEN, substream(516, "distinct-keys", pinned), pinned_mode=pinned)
+            executor = rb.SequenceExecutor(env)
+            high, low = 48 * pinned, 48 * pinned + 24
+            for length in (0, 2, 30):
+                sequences = rb.random_sequence(length, env.sequences, 12)
+                executor.run(sequences, 3, default_tau_probe(QP))
+                (batch,) = batches
+                batches.clear()
+                starts = [i for i, (_, offset) in enumerate(batch) if offset == high]
+                assert [batch[i][0] for i in starts] == [bytes(row) for row in sequences.tolist()]
+                groups = [batch[i:j] for i, j in zip(starts, starts[1:] + [len(batch)])]
+                assert all(group[1:] in ([], [(group[0][0], low)]) for group in groups)
+        assert stepped == []
 
     def test_segmented_runs_never_enter_the_batch(self, monkeypatch):
         fast = TelegraphParams(1e5, 1e5)  # 10 us dwells against ~6 us sequences
         env = make_environment(QP, fast, substream(517, "segmented"), pinned_mode=0)
         executor = rb.SequenceExecutor(env)
-        batches, stepped = _record_resolved_keys(monkeypatch)
-        switch_free = []
-        segmented = 0
-        for k in range(40):  # a sequence of its own per run, so no two runs share a key
-            seq = [int(i) for i in np.random.default_rng([517, k]).integers(0, 24, size=64)]
-            f_c = QP.f_low if k % 2 else QP.f_high
-            total = sum(executor.durations[i] for i in seq)
-            segments, xi, _ = telegraph.dwell_segments(env.xi, env.switch_at, fast, env.clock, total, copy.deepcopy(env.dwells))
-            executor.run(seq, f_c)
-            if len(segments) > 1:
-                segmented += 1
-            else:
-                switch_free.append((bytes(seq), xi, f_c))
-        stepped.clear()  # the segmented runs' own, stepped at run time, never have one segment
-        assert len(executor.outcomes()) == 40
+        sequences = np.random.default_rng(517).integers(0, 24, size=(40, 64))  # distinct rows
+        # The runs' dwells, read ahead on a copy: the switch-free runs' keys and the segmented count.
+        ahead, switch_free, segmented = copy.deepcopy(env), set(), 0
+        for row in sequences.tolist():
+            total = sum(executor.durations[i] for i in row)
+            frame = 0
+            for arm in (0, 1):
+                if arm:
+                    frame = syndrome_cycle(ahead, default_tau_probe(QP))[1]
+                if len(ahead.dwell(total)) > 1:
+                    segmented += 1
+                else:
+                    switch_free.add((bytes(row), 24 * (2 * ahead.xi + frame)))
+                ahead.readout_draws()
+        batches, stepped = _record_stepping(monkeypatch)
+        executor.run(sequences, 1, default_tau_probe(QP))
+        (batch,) = batches
         assert segmented >= 10 and len(switch_free) >= 10
-        assert sorted(k for keys in batches for k in keys) + stepped == sorted(switch_free)
+        assert sorted(batch) == sorted(switch_free) and len(stepped) == segmented
+        assert all(n > 1 for n in stepped)  # _step runs only the runs a switch lands in
 
     def test_resolving_an_rb_depth_stays_small(self):
         # The bench rb-slow depth: 84 sequences of 2048 Cliffords plus recovery,
@@ -382,18 +414,14 @@ class TestExecutor:
         rng = substream(520, "memory")
         env = make_environment(QP, FROZEN, rng, pinned_mode=1)
         executor = rb.SequenceExecutor(env)
-        sequences = [bytes(rng.integers(0, 24, size=2049).tolist()) for _ in range(84)]
+        sequences = rb.random_sequence(2048, rng, 84)
         tracemalloc.start()
         try:
-            for seq in sequences:
-                for f_c in (QP.f_high, QP.f_low):
-                    for _ in range(4):
-                        executor.run(seq, f_c)
-            bits = executor.outcomes()
+            bits, _ = executor.run(sequences, 4, default_tau_probe(QP))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(bits) == 84 * 8
+        assert bits.shape == (84, 2, 4)
         assert peak < 8_000_000
 
     def test_clock_advances_by_sequence_plus_dead_time(self):
@@ -402,23 +430,11 @@ class TestExecutor:
         executor = rb.SequenceExecutor(env)
         seq = [0, 1, 2]
         total = sum(executor.durations[i] for i in seq)
+        tau = default_tau_probe(QP)
         env.clock = 5.0
-        executor.run(seq, QP.f_high)
-        assert env.clock == pytest.approx(5.0 + total + QP.t_wall)
-        executor.outcomes()
-        assert env.clock == pytest.approx(5.0 + total + QP.t_wall)
-
-    def test_off_grid_frame_rejected(self):
-        env = make_environment(QP, FROZEN, substream(508, "frame"), pinned_mode=0)
-        with pytest.raises(ValueError, match="mode frequencies"):
-            rb.SequenceExecutor(env).run([0, 1], QP.f_high + 1.0)
-
-    def test_wide_integer_buffer_rejected(self):
-        env = make_environment(QP, FROZEN, substream(519, "wide"), pinned_mode=0)
-        executor = rb.SequenceExecutor(env)
-        with pytest.raises(TypeError, match="list of ints or bytes"):
-            executor.run(np.array([0, 1, 2]), QP.f_high)
-        assert env.clock == 0.0
+        executor.run(np.array([seq, seq]), 3, tau)
+        cycle = 2 * pulse_duration(math.pi / 2, QP) + tau + QP.t_wall
+        assert env.clock == pytest.approx(5.0 + 2 * (6 * (total + QP.t_wall) + cycle))
 
 
 class TestFitExponential:
@@ -481,6 +497,40 @@ class TestFitExponential:
 
 
 class TestInterleavedRun:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        rate=st.sampled_from([0.0, 1e3, 1e4, 3e4, 1e5]),
+        pinned=st.sampled_from([None, 0, 1]),
+        finite=st.booleans(),
+        depths=st.sets(st.integers(0, 40), min_size=3, max_size=4).map(sorted),
+        n_sequences=st.integers(1, 4),
+        shots=st.integers(1, 4),
+        n_windows=st.integers(1, 3),
+        idle=st.sampled_from([0.0, 2e-5, 1e-3]),
+        small_blocks=st.booleans(),
+    )
+    def test_staged_run_equals_the_scalar_reference(
+        self, seed, rate, pinned, finite, depths, n_sequences, shots, n_windows, idle, small_blocks
+    ):
+        # Pinned and switching defects, from switches between sequences to several
+        # in most sequences; a stage of a few draws when the blocks are small.
+        tls = TelegraphParams(rate, 0.6 * rate)
+        pinned = 0 if rate == 0.0 and pinned is None else pinned
+        env = make_environment(QP, tls, substream(524, "staged", seed), pinned_mode=pinned, finite_pulses=finite)
+        ref_env = copy.deepcopy(env)
+        cfg = rb.RbConfig(tau_probe=default_tau_probe(QP), depths=tuple(depths), n_sequences=n_sequences,
+                          shots_per_sequence=shots, n_windows=n_windows, idle_between_windows=idle)
+        with pytest.MonkeyPatch.context() as mp:
+            if small_blocks:
+                mp.setattr(streams, "BLOCK", 5)
+                mp.setattr(rb, "BLOCK", 5)
+            windows = rb.run_rb_interleaved(env, cfg)
+        expected = _reference_rb(ref_env, cfg)
+        assert list(map(_window_fields, windows)) == list(map(_window_fields, expected))
+        assert (env.clock, env.xi, env.switch_at) == (ref_env.clock, ref_env.xi, ref_env.switch_at)
+        assert env.draw_counts() == ref_env.draw_counts()
+
     def test_noiseless_survival_is_spam_floor(self):
         qp = QubitParams.defaults(t1=math.inf, t_phi=math.inf, readout_eps_1to0=0.0)
         rng = substream(511, "spamfloor")

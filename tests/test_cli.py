@@ -765,6 +765,44 @@ GOLDEN = {
             "rb_survivals.csv": "5ce0c8fbbabd1da59670784a655fa3b712c85825cc6194542dd988c430c654fa",
         },
     ),
+    # Instantaneous pulses under switching over two replicas: the syndrome's
+    # zero-length pulses advance the staged clock by 0.0, depth 0 runs the
+    # recovery alone, and switches land inside sequences.
+    "rb-instantaneous-replicas": (
+        {
+            "experiment": "rb",
+            "seed": 57,
+            "replicas": 2,
+            "protocol": {"finite_pulses": False},
+            "tls": {"gamma_hl_hz": 1e4, "gamma_lh_hz": 1e4},
+            "rb": {"depths": [0, 2, 8, 32], "n_sequences": 6, "shots_per_sequence": 3},
+        },
+        {
+            "rb_timeseries.csv": "6bc0ce059bc2ed372763ec186ac00be46e334134bdadff77e066ed54779267e5",
+            "rb_survivals.csv": "ed550c1b37172165ed3f1ee053ed530bc646e42e61187077ecd0e58246399d18",
+        },
+    ),
+    # 10 us mean dwell against sequences of up to ~25 us: most long sequences
+    # run alone, short ones between switches are staged, and a short idle
+    # separates the windows.
+    "rb-fast-switching-windows": (
+        {
+            "experiment": "rb",
+            "seed": 58,
+            "tls": {"gamma_hl_hz": 1e5, "gamma_lh_hz": 1e5},
+            "rb": {
+                "depths": [1, 8, 64, 256],
+                "n_sequences": 5,
+                "shots_per_sequence": 2,
+                "n_windows": 2,
+                "idle_between_windows_s": 1e-3,
+            },
+        },
+        {
+            "rb_timeseries.csv": "ebf2246a48ebf4c1b1da9b2f9cd109c86c79ffed5531615e2dab6bfb4717160a",
+            "rb_survivals.csv": "b8745a636836d0c809e045c251868c66f5e0d94ed0e20b9165fe35b726d07067",
+        },
+    ),
     # The oracle layer: the improvement map on log and linear axes (the default
     # switching range reaches cells where p_err clamps at 1/2), the A-K Monte
     # Carlo with switching over two MC_CHUNK blocks, and the error budgets.

@@ -1,6 +1,6 @@
 """Acceptance margins: rerun the Monte Carlo acceptance criteria at other seeds.
 
-Usage, from the root of a checkout (seeds 1-8 took 110 s on a two-CPU Intel Xeon):
+Usage, from the root of a checkout (seeds 1-8 took 64 s on a two-CPU Intel Xeon):
 
     PYTHONPATH=src python3 tools/margins.py --seeds 1-8 [--criteria 02,03,05] [--rows 160] [--rb-sequences 100]
 
