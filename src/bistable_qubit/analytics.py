@@ -12,6 +12,7 @@ All frequencies are in Hz except Rabi rates, which are angular (rad/s).
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -23,10 +24,9 @@ from .bloch import QubitParams, rabi_transition_probability
 # Trajectories drawn per chunk by ak_coherence_mc; the chunk size fixes the draw
 # order and bounds the (chunk, dwell) arrays.
 MC_CHUNK = 20000
-# Grid cells per row block of ak_coherence_mc's trig-and-sum loop; it bounds the
-# (block, grid) phase and trig buffers.  At least MC_CHUNK, so that a one-point
-# grid, whose column numpy sums pairwise rather than row by row, is one block.
-MC_BLOCK_CELLS = 400_000
+# Rows per block of ak_coherence_mc's segment pass; it bounds the (block, segment)
+# arrays beside the chunk's draws.
+MC_BLOCK_ROWS = 2048
 
 
 def ramsey_likelihood(m: int, xi: int, tau, delta_f: float, params: QubitParams):
@@ -189,12 +189,9 @@ def finite_pulse_contrast(
     return value if value.ndim else float(value)
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
+def _sinc(x: complex) -> complex:
     """Entire function sin(x)/x, safe for complex x and x = 0."""
-    x = np.asarray(x, dtype=complex)
-    small = np.abs(x) < 1e-8
-    safe = np.where(small, 1.0, x)
-    return np.where(small, 1.0 - x * x / 6.0, np.sin(safe) / safe)
+    return 1.0 - x * x / 6.0 if abs(x) < 1e-8 else cmath.sin(x) / x
 
 
 @dataclass(frozen=True)
@@ -221,7 +218,9 @@ def ak_coherence(t, delta_tls: float, gamma: float) -> AkCoherence:
 
     Underdamped for gamma < 2 pi delta_tls; larger gamma continues
     analytically into hyperbolic (overdamped) behavior.  Exact critical
-    damping is handled by an ulp-level rate shift.
+    damping is handled by an ulp-level rate shift.  Each time is evaluated
+    with ``math`` and ``cmath``, whose results do not depend on the SIMD
+    kernels numpy picks for the CPU.
     """
     if delta_tls <= 0:
         raise ValueError("delta_tls must be positive")
@@ -231,22 +230,24 @@ def ak_coherence(t, delta_tls: float, gamma: float) -> AkCoherence:
     w = math.pi * delta_tls
     if gamma == 2.0 * w:
         gamma *= 1.0 - 1e-12
-    beta = np.sqrt(complex(w * w - 0.25 * gamma * gamma))
-    envelope = np.exp(-0.5 * gamma * t)
-    bt = beta * t
-
-    c_eq = 0.5 * np.real(envelope * (np.cos(bt) + 0.5 * gamma * t * _sinc(bt)))
-
+    beta = cmath.sqrt(w * w - 0.25 * gamma * gamma)
     # Two-branch solution from the definite-mode initial conditions.
     a_plus = 0.25 * (1.0 - w / beta + 0.5j * gamma / beta)
     a_minus = 0.25 * (1.0 + w / beta + 0.5j * gamma / beta)
-    c_plus = envelope * (a_plus * np.exp(-1j * bt) + (0.5 - a_plus) * np.exp(1j * bt))
-    c_minus = envelope * (a_minus * np.exp(-1j * bt) + (0.5 - a_minus) * np.exp(1j * bt))
-
-    # Same quantity through the cancellation identity; |.| is the contrast.
-    c_eq_dot_over = -0.5 * w * w * t * _sinc(bt) * envelope
-    delta_c = -2j * c_eq_dot_over / w
-    s_ak = np.abs(delta_c)
+    c_eq, c_plus, c_minus, delta_c = [], [], [], []
+    for x in t.tolist():
+        envelope = math.exp(-0.5 * gamma * x)
+        bt = beta * x
+        sinc = _sinc(bt)
+        c_eq.append(0.5 * (envelope * (cmath.cos(bt) + 0.5 * gamma * x * sinc)).real)
+        back, forth = cmath.exp(-1j * bt), cmath.exp(1j * bt)
+        c_plus.append(envelope * (a_plus * back + (0.5 - a_plus) * forth))
+        c_minus.append(envelope * (a_minus * back + (0.5 - a_minus) * forth))
+        # Same quantity through the cancellation identity; |.| is the contrast.
+        delta_c.append(-2j * (-0.5 * w * w * x * sinc * envelope) / w)
+    s_ak = np.array([abs(d) for d in delta_c], dtype=float)
+    c_eq = np.array(c_eq, dtype=float)
+    c_plus, c_minus, delta_c = (np.array(c, dtype=complex) for c in (c_plus, c_minus, delta_c))
     return AkCoherence(t=t, c_eq=c_eq, c_plus=c_plus, c_minus=c_minus, delta_c=delta_c, s_ak=s_ak)
 
 
@@ -266,25 +267,31 @@ def ak_coherence_mc(
     "minus".  Returns a complex array on ``t_grid``, which may be in any order
     and hold duplicates; its times must be finite and nonnegative.
 
-    The phase is event-indexed.  With c the number of flips at or before t,
-    phi/w = prefix[c] + sign[c] (t - start[c]): prefix[c] sums the signed
-    dwells before segment c in order, start[c] is the flip that opens it and
-    sign[c] = s0 (-1)**c.  Those are the same draws and, per trajectory, the
-    same additions in the same order as clipping every dwell against every
-    grid time segment by segment, so the result equals that loop's exactly.
-    The phase is computed on the sorted grid and only the summed coherence is
-    un-permuted (a column sum does not depend on the column's position).
+    The sum runs once per dwell segment, not once per grid point.  With
+    w = pi*delta_tls and theta = w*t, segment c of a trajectory has the phase
+    w*phi(t) = a_c + s_c*theta: s_c = s0 (-1)**c is its branch, and
+    a_c = w*(prefix_c - s_c*start_c), with prefix_c the signed dwells before
+    it summed in order and start_c the flip that opens it.  So
+    cos(w*phi) = cos(a) cos(theta) - s sin(a) sin(theta) and
+    sin(w*phi) = sin(a) cos(theta) + s cos(a) sin(theta).  On the sorted grid
+    segment c covers the indices [lo_c, hi_c), with hi_c = searchsorted(t,
+    flip_c, "left") and lo_c = hi_{c-1}, lo_0 = 0: a flip at a grid time
+    counts as before it.  Each covering segment adds cos(a), s sin(a),
+    s cos(a) and sin(a) at lo and subtracts them at hi of a (4, grid + 1)
+    difference array; one cumulative sum along the grid gives the four sums
+    over the trajectories, and one angle addition per time the coherence.  A
+    frozen trajectory is one segment with a = 0 over the whole grid.  The
+    work is O(trajectories x segments + grid).
 
-    Each chunk of MC_CHUNK trajectories is drawn whole, then its phase and
-    trig are taken over row blocks of max(1, MC_BLOCK_CELLS // grid size)
-    rows, frozen and switching alike, so memory is a few
-    (block, grid) buffers whatever the chunk.  The sum stays the one of
-    ``exp(1j * w * phi).sum(axis=0)`` over the chunk bit for bit: exp of a
-    purely imaginary argument is cos + i sin exactly, numpy adds the rows of
-    a C-contiguous (rows, grid) array one at a time in order, and every
-    block after the first carries the running column sum in as its row 0.
-    Summing each block apart and adding the partial sums would round
-    differently.
+    This differs from summing exp(1j*w*phi) trajectory by trajectory by
+    rounding alone: each of the n unit terms carries an angle error of order
+    eps (1 + w t_max), and sums of n terms in another order differ by order
+    n eps, so the two agree to a few eps n (1 + w t_max).
+
+    Each chunk of MC_CHUNK trajectories is drawn whole, and its segment pass
+    runs in blocks of MC_BLOCK_ROWS rows up to the first flip past the grid
+    in every row, so memory is the chunk's draws, a few (block, segment)
+    arrays and the grid's sums.
 
     A rate so low that a row of dwell draws could sum past the largest float
     (numpy draws no standard exponential above 45) reads as frozen, like
@@ -301,16 +308,13 @@ def ak_coherence_mc(
     order = np.argsort(t_grid, kind="stable")
     t_sorted = t_grid[order]
     w = math.pi * delta_tls
-    wt = w * t_sorted
     horizon = float(t_grid.max(initial=0.0))
     switching = False
     if gamma > 0.0:
         scale = 2.0 / gamma  # the mean dwell
         n_dwell = max(16, int(0.5 * gamma * horizon + 8.0 * math.sqrt(0.5 * gamma * horizon) + 8))
         switching = 45.0 * n_dwell * scale <= sys.float_info.max
-    rows = max(1, MC_BLOCK_CELLS // t_sorted.size)
-    buf = np.empty((min(rows, MC_CHUNK, n_trajectories) + 1, t_sorted.size))
-    total = np.zeros(t_grid.shape, dtype=complex)
+    diff = np.zeros((4, t_sorted.size + 1))
     remaining = n_trajectories
     while remaining > 0:
         n = min(MC_CHUNK, remaining)
@@ -326,45 +330,37 @@ def ak_coherence_mc(
                 extra = rng.exponential(scale, size=(n, n_dwell))
                 dwells = np.hstack([dwells, extra])
                 flips = np.cumsum(dwells, axis=1)
-        sums = np.empty((2, t_sorted.size))  # the chunk's cos and sin column sums
-        for lo in range(0, n, rows):
-            block = slice(lo, lo + rows)
-            if switching:
-                phase = _switching_phase(s0[block], dwells[block], flips[block], t_sorted)
-                np.multiply(w, phase, out=phase)
-            else:
-                phase = s0[block, None] * wt
-            k, carried = phase.shape[0], int(lo > 0)
-            for trig, col_sum in ((np.cos, sums[0]), (np.sin, sums[1])):
-                buf[0] = col_sum
-                trig(phase, out=buf[carried : carried + k])
-                buf[: carried + k].sum(axis=0, out=col_sum)
-        total.real += sums[0]
-        total.imag += sums[1]
-    unsorted = np.empty_like(total)
-    unsorted[order] = total
-    return 0.5 * unsorted / n_trajectories
+            segments = int(np.argmax(flips > horizon, axis=1).max()) + 1
+        else:
+            dwells = flips = np.full((n, 1), math.inf)
+            segments = 1
+        for lo in range(0, n, MC_BLOCK_ROWS):
+            rows = slice(lo, lo + MC_BLOCK_ROWS)
+            _add_segments(diff, s0[rows], dwells[rows, :segments], flips[rows, :segments], t_sorted, w)
+    sums = np.cumsum(diff[:, :-1], axis=1)
+    cos_t, sin_t = np.cos(w * t_sorted), np.sin(w * t_sorted)
+    total = np.empty(t_grid.shape, dtype=complex)
+    total.real[order] = sums[0] * cos_t - sums[1] * sin_t
+    total.imag[order] = sums[3] * cos_t + sums[2] * sin_t
+    return 0.5 * total / n_trajectories
 
 
-def _switching_phase(s0: np.ndarray, dwells: np.ndarray, flips: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Signed time phi/w of each trajectory (row) at each sorted grid time ``t``.
-
-    Row i is in segment c at the grid times from its (c-1)-th flip up to, not
-    including, its c-th (a flip at a grid time counts as before it), so each
-    per-segment table is spread over the grid by one ``np.repeat`` with those
-    run lengths.  The last flip of every row lies beyond ``t[-1]``.
-    """
-    n, d = dwells.shape
-    runs = np.diff(np.searchsorted(t, flips, side="left"), axis=1, prepend=0).ravel()
-    negative = (np.arange(d) % 2 == 1) != (s0 < 0.0)[:, None]  # sign[c] = s0 (-1)**c is -1
-    sign = np.where(negative, -1.0, 1.0)
-    prefix = np.cumsum(np.hstack([np.zeros((n, 1)), sign[:, :-1] * dwells[:, :-1]]), axis=1)
-    start = np.hstack([np.zeros((n, 1)), flips[:, :-1]])
-    phase = np.repeat(start.ravel(), runs).reshape(n, t.size)
-    np.subtract(t, phase, out=phase)
-    np.negative(phase, out=phase, where=np.repeat(negative.ravel(), runs).reshape(n, t.size))
-    phase += np.repeat(prefix.ravel(), runs).reshape(n, t.size)
-    return phase
+def _add_segments(diff, s0, dwells, flips, t, w):
+    """Add each covering segment's cos(a), s sin(a), s cos(a) and sin(a) to
+    ``diff`` at its first sorted grid index and subtract them past its last."""
+    sign = s0[:, None] * np.where(np.arange(flips.shape[1]) % 2 == 1, -1.0, 1.0)
+    a = np.zeros(flips.shape)
+    np.cumsum(sign[:, :-1] * dwells[:, :-1], axis=1, out=a[:, 1:])  # prefix
+    a[:, 1:] -= sign[:, 1:] * flips[:, :-1]  # minus s * start
+    a *= w
+    hi = np.searchsorted(t, flips, side="left")
+    runs = np.diff(hi, axis=1, prepend=0)
+    covers = runs > 0
+    hi, sign, a = hi[covers], sign[covers], a[covers]
+    lo = hi - runs[covers]
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    for q, value in enumerate((cos_a, sign * sin_a, sign * cos_a, sin_a)):
+        diff[q] += np.bincount(lo, value, diff.shape[1]) - np.bincount(hi, value, diff.shape[1])
 
 
 def p_err_bandwidth(delta_tls, gamma, alpha: float, t2: float, t_wall: float):

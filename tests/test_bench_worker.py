@@ -28,7 +28,7 @@ def test_every_workload_sets_up(name, tmp_path):
     assert not any(tmp_path.iterdir())  # set-up writes nothing
 
 
-@pytest.mark.parametrize("name", ["mitigate", "rb-slow"])
+@pytest.mark.parametrize("name", ["mitigate", "rb-slow", "oracle-maps"])
 def test_a_repetition_passes_its_check_and_repeats_its_files(name, tmp_path):
     first, second = (worker.repetition(name, 1, tmp_path / side, False, time.monotonic(), False) for side in "ab")
     assert first["check_ok"], first["check"]

@@ -4,7 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -623,11 +626,11 @@ def test_csv_writer_prints_every_value_as_fmt(tmp_path):
 
 
 # Golden outputs: data-file SHA-256 of small pinned configs, as written by
-# artifact version 0.4.0.  Speed-ups must keep them byte-identical.  A
+# artifact version 0.5.0.  Speed-ups must keep them byte-identical.  A
 # deliberate change of the random streams, of the arithmetic behind a state or
 # of the fit solver must update these hashes together with a bump of
 # ``__version__`` (the manifest's ``artifact_version``).
-GOLDEN_VERSION = "0.4.0"
+GOLDEN_VERSION = "0.5.0"
 GOLDEN = {
     "mitigate-switching-blocks": (
         {
@@ -824,15 +827,15 @@ GOLDEN = {
         {"experiment": "ak", "seed": 49, "ak": {"gamma_hz": 1e6, "n_t": 9, "n_trajectories": 20003}},
         {"ak.csv": "775b63e366fc7e90197b56b596c5dd0c6715cc60c696ee175709bfae49ea3f3f"},
     ),
-    # Two chunks on 200 grid points, so each chunk spans several row blocks of
-    # the Monte Carlo's trig-and-sum loop: frozen and switching.
+    # Two chunks on 200 grid points, so each chunk's segment pass spans several
+    # row blocks: frozen and switching.
     "ak-mc-frozen": (
         {"experiment": "ak", "seed": 53, "ak": {"gamma_hz": 0, "n_trajectories": 20003}},
-        {"ak.csv": "86f03049b3ce4c617cc2240f89b18dcedef0e6c8bf5c55d7d7c16941fc1ef389"},
+        {"ak.csv": "64f2d352c41a693ad5021ca3bae3b30845c89e285aba2eef829790f088074d06"},
     ),
     "ak-mc-blocks": (
         {"experiment": "ak", "seed": 54, "ak": {"gamma_hz": 1e6, "n_t": 200, "n_trajectories": 20003}},
-        {"ak.csv": "3581c1fa704e30e22911d0384049e83cfed32db1e247f17961d5d1423de51ac2"},
+        {"ak.csv": "14e05b4c331621545bb9a505022ac52fe936b9156774c392eef537a20f823a17"},
     ),
     "perr": (
         {"experiment": "perr", "seed": 50},
@@ -851,3 +854,33 @@ def test_golden_data_files(tmp_path, name):
     manifest = _strict_json((tmp_path / "manifest.json").read_text())
     assert manifest["artifact_version"] == GOLDEN_VERSION
     assert {o["file"]: o["sha256"] for o in manifest["outputs"]} == expected
+
+
+# numpy picks its SIMD kernels by CPU, and some of them round differently from
+# others (np.exp and np.power under AVX-512).  Switching the highest groups off
+# in a child process stands in for an older CPU: the data files must not move.
+# The rb configs are left out: their fit digits still follow the dispatch.
+SIMD_OFF = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
+GOLDEN_HASHES = """
+import json, os, sys, tempfile
+import bistable_qubit.cli as cli
+hashes = {}
+for name, doc in json.loads(sys.argv[1]).items():
+    with tempfile.TemporaryDirectory() as out:
+        assert cli.run(cli.parse_config(json.dumps(dict(doc, out_dir=out)))) == 0, name
+        with open(os.path.join(out, "manifest.json")) as f:
+            hashes[name] = {o["file"]: o["sha256"] for o in json.load(f)["outputs"]}
+print(json.dumps(hashes))
+"""
+
+
+def test_golden_data_files_do_not_depend_on_the_simd_kernels():
+    docs = {name: doc for name, (doc, _) in GOLDEN.items() if doc["experiment"] != "rb"}
+    assert len(docs) == 13
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=SIMD_OFF,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", GOLDEN_HASHES, json.dumps(docs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {name: GOLDEN[name][1] for name in docs}
