@@ -459,17 +459,16 @@ def improvement_map(
     ratio = (blind / active).tolist()
     values = np.array([[math.log10(r) for r in row] for row in ratio]).reshape(gamma.shape)
     contour = np.full(splittings.size, np.nan)
-    for i in range(splittings.size):
-        row = values[i]
-        for j in range(row.size - 1):
-            a, b = row[j], row[j + 1]
-            if a == 0.0:
-                contour[i] = switching[j]
-                break
-            if a * b < 0.0:
-                frac = a / (a - b)
-                contour[i] = switching[j] + frac * (switching[j + 1] - switching[j])
-                break
+    if switching.size > 1:  # a row's contour lies in its first pair of cells that meets or crosses 0
+        a, b = values[:, :-1], values[:, 1:]
+        hit = (a == 0.0) | (a * b < 0.0)
+        i = np.flatnonzero(hit.any(axis=1))
+        j = hit[i].argmax(axis=1)
+        a, b = a[i, j], b[i, j]
+        contour[i] = switching[j]
+        cross = a != 0.0
+        i, j, a, b = i[cross], j[cross], a[cross], b[cross]
+        contour[i] = switching[j] + a / (a - b) * (switching[j + 1] - switching[j])
     return ImprovementMap(
         splittings=splittings, switching=switching, values=values, zero_contour=contour
     )

@@ -330,28 +330,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# %-conversions that print a value of one exact built-in type as ``_fmt`` does.
-_COLUMN_SPECS = {float: "%.12g", int: "%d", str: "%s"}
+# %-conversions that print a value as ``_fmt`` does: by an array's dtype kind
+# (``%d`` prints a bool as 1 or 0), or by the one exact built-in type of a list's values.
+_KIND_SPECS = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%d"}
+_TYPE_SPECS = {float: "%.12g", int: "%d", str: "%s"}
 
 
-def _write_csv(path: Path, header: list[str], rows: list[tuple]) -> tuple[str, int]:
-    """Write ``rows`` under ``header``; every value prints as ``_fmt`` prints it.
+def _write_csv(path: Path, header: list[str], columns: list) -> tuple[str, int]:
+    """Write the table of ``columns`` under ``header``; every value prints as ``_fmt`` prints it.
 
-    Each column's conversion is chosen once: a column of one type in
-    ``_COLUMN_SPECS`` gets its %-spec, any other column is passed through
-    ``_fmt`` value by value.  A row is then one %-format of one line pattern.
+    A column is a numpy array or a plain list, which is a 1-D column of its
+    elements as they are (never converted to an array, so ints and floats stay
+    apart).  The columns broadcast to one table shape, and the table's cells in
+    C order are the rows.  Each column's conversion is chosen once: an array's
+    from its dtype kind in ``_KIND_SPECS``, a list's from its values' type when
+    they share one in ``_TYPE_SPECS``, and any other column passes through
+    ``_fmt`` value by value.  Each stored value is formatted once: a column
+    smaller than the table is turned into strings before it is spread over the
+    table's shape.  A row is then one %-format of one line pattern.
     Returns the SHA-256 hex digest and the length of the bytes written.
     """
-    columns = list(zip(*rows))
-    specs = []
-    for i, values in enumerate(columns):
-        kinds = set(map(type, values))
-        spec = _COLUMN_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+    shapes = [column.shape if isinstance(column, np.ndarray) else (len(column),) for column in columns]
+    shape = np.broadcast_shapes(*shapes)
+    specs, cells = [], []
+    for column, own in zip(columns, shapes):
+        if isinstance(column, np.ndarray):
+            values, spec = column.ravel().tolist(), _KIND_SPECS.get(column.dtype.kind)
+        else:
+            kinds = set(map(type, column))
+            values, spec = column, _TYPE_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
         if spec is None:
-            columns[i], spec = [_fmt(v) for v in values], "%s"
+            values, spec = [_fmt(v) for v in values], "%s"
+        if math.prod(own) < math.prod(shape):
+            strings = np.array([spec % v for v in values], dtype=object).reshape(own)
+            values, spec = np.broadcast_to(strings, shape).ravel().tolist(), "%s"
         specs.append(spec)
+        cells.append(values)
     line = ",".join(specs) + "\n"
-    data = (",".join(header) + "\n" + "".join(map(line.__mod__, zip(*columns)))).encode("utf-8")
+    data = (",".join(header) + "\n" + "".join(map(line.__mod__, zip(*cells)))).encode("utf-8")
     path.write_bytes(data)
     return hashlib.sha256(data).hexdigest(), len(data)
 
@@ -388,7 +404,8 @@ def _derived_block(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Experiment runners; each returns {filename: (header, rows)} plus extras
+# Experiment runners; each returns {filename: (header, columns)} plus extras,
+# the columns broadcasting as ``_write_csv`` takes them
 
 
 def _replicas(cfg: RunConfig, draws: dict):
@@ -408,22 +425,23 @@ def _run_ramsey(cfg: RunConfig) -> tuple[dict, dict]:
     qp = cfg.qubit
     taus = np.linspace(0.0, p["tau_max_s"], p["n_tau"])
     f_c = qp.f_high if p["frame"] == "high" else qp.f_low
-    rows = []
+    p_m1 = np.empty((cfg.replicas, taus.size))
     draws: dict = {}
     for replica, env in _replicas(cfg, draws):
-        for tau in taus.tolist():
+        for i, tau in enumerate(taus.tolist()):
             key = (f_c, tau, 2.0 * math.pi * p["virtual_detuning_hz"] * tau)  # the second pulse leads by 2 pi D tau
             hits = sum(int(bits.sum()) for bits, *_ in repeat_cycle(env, key, p["shots"]))
-            model = None
-            if cfg.pinned_mode is not None and cfg.tls.total_rate == 0:
-                model = ramsey_probability(
-                    qp, f_c, cfg.pinned_mode, tau, p["virtual_detuning_hz"], cfg.finite_pulses
-                )
-            rows.append((replica, tau, p["shots"], hits / p["shots"], model))
+            p_m1[replica, i] = hits / p["shots"]
+    model = np.array(None)
+    if cfg.pinned_mode is not None and cfg.tls.total_rate == 0:
+        model = np.array([
+            ramsey_probability(qp, f_c, cfg.pinned_mode, tau, p["virtual_detuning_hz"], cfg.finite_pulses)
+            for tau in taus.tolist()
+        ])
     files = {
         "ramsey.csv": (
             ["replica", "tau_s", "shots", "p_m1", "p_model"],
-            rows,
+            [np.arange(cfg.replicas)[:, None], taus, np.array(p["shots"]), p_m1, model],
         )
     }
     return files, {"draws": draws}
@@ -433,25 +451,17 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
     qp = cfg.qubit
     mit = cfg.mitigation
     taus = mit.tau_grid
-    nofb_rows, fb_rows, trace_rows, avg_rows = [], [], [], []
+    results, avg_nofb, avg_fb = [], [], []
     fits = {}
     draws: dict = {}
     for replica, env in _replicas(cfg, draws):
         result = run_mitigation(env, mit)
-        for fringes, sink in ((result.no_feedback, nofb_rows), (result.feedback, fb_rows)):
-            for r, (row_time, values) in enumerate(zip(result.row_times.tolist(), fringes.tolist())):
-                for i, (tau, value) in enumerate(zip(taus, values)):
-                    sink.append((replica, r, i, tau, row_time, value))
-        trace = (result.syndrome_time, result.true_xi, result.est_xi, result.outcome)
-        for cell, values in zip(np.ndindex(result.outcome.shape), zip(*(a.ravel().tolist() for a in trace))):
-            trace_rows.append((replica, *cell, *values))
-        avg_nofb = result.no_feedback.mean(axis=0)
-        avg_fb = result.feedback.mean(axis=0)
-        for tau, p_nofb, p_fb in zip(taus, avg_nofb.tolist(), avg_fb.tolist()):
-            avg_rows.append((replica, tau, p_nofb, p_fb))
-        mix = fit_two_frequency_mixture(taus, avg_nofb, mit.det_nofb, mit.det_nofb - qp.delta_tls, qp.t2)
+        results.append(result)
+        avg_nofb.append(result.no_feedback.mean(axis=0))
+        avg_fb.append(result.feedback.mean(axis=0))
+        mix = fit_two_frequency_mixture(taus, avg_nofb[-1], mit.det_nofb, mit.det_nofb - qp.delta_tls, qp.t2)
         side = quadrature_amplitudes(
-            taus, avg_fb, [mit.det_fb, mit.det_fb - qp.delta_tls, mit.det_fb + qp.delta_tls], qp.t2
+            taus, avg_fb[-1], [mit.det_fb, mit.det_fb - qp.delta_tls, mit.det_fb + qp.delta_tls], qp.t2
         )
         fits[f"replica_{replica}"] = {
             "no_feedback_mixture_ok": mix.ok,
@@ -463,22 +473,33 @@ def _run_mitigate(cfg: RunConfig) -> tuple[dict, dict]:
             "feedback_sideband_amplitude_high": side[2],
             "feedback_sideband_ratio": max(side[1], side[2]) / side[0] if side[0] > 0 else None,
         }
+
+    def stacked(name: str) -> np.ndarray:
+        """Field ``name`` of every replica's result, stacked on a leading replica axis."""
+        return np.stack([getattr(result, name) for result in results])
+
+    shape = (cfg.replicas, mit.rows, len(taus))  # the fringes' (replica, row, tau_index) grid
+    fringe_columns = [*np.indices(shape, sparse=True), np.array(taus), stacked("row_times")[:, :, None]]
     header6 = ["replica", "row", "tau_index", "tau_s", "lab_time_s", "p_m1"]
     files = {
-        "mitigate_nofb.csv": (header6, nofb_rows),
-        "mitigate_fb.csv": (header6, fb_rows),
+        "mitigate_nofb.csv": (header6, [*fringe_columns, stacked("no_feedback")]),
+        "mitigate_fb.csv": (header6, [*fringe_columns, stacked("feedback")]),
         "mitigate_trace.csv": (
             ["replica", "row", "tau_index", "rep", "lab_time_s", "true_xi", "est_xi", "outcome"],
-            trace_rows,
+            [*np.indices((*shape, mit.n_reps), sparse=True),
+             *map(stacked, ("syndrome_time", "true_xi", "est_xi", "outcome"))],
         ),
-        "mitigate_avg.csv": (["replica", "tau_s", "p_nofb", "p_fb"], avg_rows),
+        "mitigate_avg.csv": (
+            ["replica", "tau_s", "p_nofb", "p_fb"],
+            [np.arange(cfg.replicas)[:, None], np.array(taus), np.stack(avg_nofb), np.stack(avg_fb)],
+        ),
     }
     return files, {"fringe_fits": fits, "draws": draws}
 
 
 def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
     qp = cfg.qubit
-    ts_rows, surv_rows = [], []
+    wins, replica_of, window_of = [], [], []  # every replica's windows, in order
     shots = cfg.rb.n_sequences * cfg.rb.shots_per_sequence  # per window, arm and depth
     summary = {
         "gates_per_clifford": GATES_PER_CLIFFORD,
@@ -488,25 +509,9 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
     draws: dict = {}
     for replica, env in _replicas(cfg, draws):
         windows = run_rb_interleaved(env, cfg.rb)
-        for w, win in enumerate(windows):
-            mid = 0.5 * (win.lab_time_start + win.lab_time_end)
-            ts_rows.append(
-                (
-                    replica,
-                    w,
-                    mid,
-                    win.fit_nofb.r_native,
-                    win.fit_nofb.r_native_err,
-                    int(win.fit_nofb.ok),
-                    win.fit_fb.r_native,
-                    win.fit_fb.r_native_err,
-                    int(win.fit_fb.ok),
-                    win.mode_fraction_l,
-                )
-            )
-            for depth, s_nofb, s_fb in zip(cfg.rb.depths, win.survivals_nofb.tolist(), win.survivals_fb.tolist()):
-                surv_rows.append((replica, w, depth, "nofb", s_nofb, shots))
-                surv_rows.append((replica, w, depth, "fb", s_fb, shots))
+        wins += windows
+        replica_of += [replica] * len(windows)
+        window_of += range(len(windows))
         # A window enters the mean only when its fit converged and determined the decay.
         valid_nofb = [win.fit_nofb.r_native for win in windows if win.fit_nofb.ok and win.fit_nofb.decay_err <= 1]
         valid_fb = [win.fit_fb.r_native for win in windows if win.fit_fb.ok and win.fit_fb.decay_err <= 1]
@@ -516,6 +521,11 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
             "n_windows_flagged_nofb": len(windows) - len(valid_nofb),
             "n_windows_flagged_fb": len(windows) - len(valid_fb),
         }
+    ts_columns = [replica_of, window_of, [0.5 * (win.lab_time_start + win.lab_time_end) for win in wins]]
+    for fit in ([win.fit_nofb for win in wins], [win.fit_fb for win in wins]):
+        ts_columns += [[f.r_native for f in fit], [f.r_native_err for f in fit], [int(f.ok) for f in fit]]
+    ts_columns.append([win.mode_fraction_l for win in wins])
+    survivals = np.stack([np.stack([win.survivals_nofb, win.survivals_fb], axis=-1) for win in wins])
     files = {
         "rb_timeseries.csv": (
             [
@@ -530,11 +540,12 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
                 "ok_fb",
                 "mode_fraction_l",
             ],
-            ts_rows,
+            ts_columns,
         ),
         "rb_survivals.csv": (
             ["replica", "window", "depth", "arm", "survival", "shots"],
-            surv_rows,
+            [np.array(replica_of)[:, None, None], np.array(window_of)[:, None, None],
+             np.array(cfg.rb.depths)[:, None], ["nofb", "fb"], survivals, np.array(shots)],
         ),
     }
     return files, {"rb_summary": summary, "draws": draws}
@@ -543,13 +554,14 @@ def _run_rb(cfg: RunConfig) -> tuple[dict, dict]:
 def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     qp = cfg.qubit
+    gammas = p["gammas_hz"]
     t_walls = [float(v) for v in p["t_walls_s"]] or [qp.t_wall]
-    rows = []
+    p_mc = np.empty((cfg.replicas, len(gammas), len(t_walls)))
     draws: dict = {}
     for replica in range(cfg.replicas):
         counts: Counter = Counter()
-        for gamma in p["gammas_hz"]:
-            for t_wall in t_walls:
+        for g, gamma in enumerate(gammas):
+            for w, t_wall in enumerate(t_walls):
                 rng = substream(cfg.seed, cfg.experiment, "replica", replica, f"{gamma}", f"{t_wall}")
                 qp_run = replace(qp, t_readout=0.0, t_reset=t_wall)
                 tlsp = TelegraphParams.symmetric(float(gamma))
@@ -557,21 +569,14 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
                 pinned = cfg.pinned_mode if cfg.pinned_mode is not None else (0 if frozen else None)
                 env = make_environment(qp_run, tlsp, rng, pinned, cfg.finite_pulses)
                 resample = frozen and cfg.pinned_mode is None
-                p_mc = syndrome_error_rate(env, p["n_cycles"], cfg.tau_probe, resample)
+                p_mc[replica, g, w] = syndrome_error_rate(env, p["n_cycles"], cfg.tau_probe, resample)
                 counts.update(env.draw_counts())
-                rows.append(
-                    (
-                        replica,
-                        gamma,
-                        t_wall,
-                        p["n_cycles"],
-                        p_mc,
-                        analytics.p_err_bandwidth_exact(qp.delta_tls, gamma, qp.alpha, qp.t2, t_wall),
-                        analytics.p_err_bandwidth(qp.delta_tls, gamma, qp.alpha, qp.t2, t_wall),
-                        analytics.p_err_static(qp.delta_tls, qp.t2, qp.alpha),
-                    )
-                )
         draws[f"replica_{replica}"] = dict(counts)
+
+    def budget(p_err) -> np.ndarray:
+        """``p_err`` of the qubit's splitting, T2 and alpha per (gamma, t_wall)."""
+        return np.array([[p_err(qp.delta_tls, g, qp.alpha, qp.t2, t_wall) for t_wall in t_walls] for g in gammas])
+
     files = {
         "syndrome_sweep.csv": (
             [
@@ -584,7 +589,16 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
                 "p_err_expanded",
                 "p_err_static",
             ],
-            rows,
+            [
+                np.arange(cfg.replicas)[:, None, None],
+                np.array(gammas, dtype=object)[:, None],  # the config's ints and floats, as they are
+                t_walls,
+                np.array(p["n_cycles"]),
+                p_mc,
+                budget(analytics.p_err_bandwidth_exact),
+                budget(analytics.p_err_bandwidth),
+                np.array(analytics.p_err_static(qp.delta_tls, qp.t2, qp.alpha)),
+            ],
         )
     }
     return files, {"draws": draws}
@@ -593,24 +607,19 @@ def _run_syndrome_sweep(cfg: RunConfig) -> tuple[dict, dict]:
 def _run_perr(cfg: RunConfig) -> tuple[dict, dict]:
     p = cfg.params
     delta = cfg.qubit.delta_tls
-    rows = []
-    for gamma in p["gammas_hz"]:
-        rows.append(
-            (
-                gamma,
-                analytics.p_err_static(delta, p["t2_s"], p["alpha"]),
-                analytics.p_err_bandwidth_exact(delta, gamma, p["alpha"], p["t2_s"], p["t_wall_s"]),
-                analytics.p_err_bandwidth(delta, gamma, p["alpha"], p["t2_s"], p["t_wall_s"]),
-            )
-        )
+    gammas = p["gammas_hz"]
     taus = np.linspace(0.0, 2.0 / delta, 200)
-    contrast_rows = list(zip(taus.tolist(), analytics.contrast(delta, taus, p["alpha"], p["t2_s"]).tolist()))
     files = {
         "perr.csv": (
             ["gamma_hz", "p_err_static", "p_err_exact", "p_err_expanded"],
-            rows,
+            [
+                gammas,
+                np.array(analytics.p_err_static(delta, p["t2_s"], p["alpha"])),
+                [analytics.p_err_bandwidth_exact(delta, g, p["alpha"], p["t2_s"], p["t_wall_s"]) for g in gammas],
+                [analytics.p_err_bandwidth(delta, g, p["alpha"], p["t2_s"], p["t_wall_s"]) for g in gammas],
+            ],
         ),
-        "perr_contrast.csv": (["tau_s", "contrast"], contrast_rows),
+        "perr_contrast.csv": (["tau_s", "contrast"], [taus, analytics.contrast(delta, taus, p["alpha"], p["t2_s"])]),
     }
     return files, {}
 
@@ -627,23 +636,15 @@ def _run_heatmap(cfg: RunConfig) -> tuple[dict, dict]:
     amap = analytics.improvement_map(
         axis("splitting"), axis("switching"), p["alpha"], p["t_pi_s"], p["t2_s"], p["t_wall_s"]
     )
-    switching = amap.switching.tolist()
-    rows = [
-        (x, y, value)
-        for x, values in zip(amap.splittings.tolist(), amap.values.tolist())
-        for y, value in zip(switching, values)
-    ]
-    contour_rows = [
-        (x, y) for x, y in zip(amap.splittings.tolist(), amap.zero_contour.tolist()) if not math.isnan(y)
-    ]
+    crossed = ~np.isnan(amap.zero_contour)
     files = {
         "heatmap.csv": (
             ["splitting_2pi_delta_over_omega", "gamma_t_cyc", "log10_improvement"],
-            rows,
+            [amap.splittings[:, None], amap.switching, amap.values],
         ),
         "heatmap_zero_contour.csv": (
             ["splitting_2pi_delta_over_omega", "gamma_t_cyc"],
-            contour_rows,
+            [amap.splittings[crossed], amap.zero_contour[crossed]],
         ),
     }
     return files, {}
@@ -663,13 +664,7 @@ def _run_ak(cfg: RunConfig) -> tuple[dict, dict]:
     if p["n_trajectories"] > 0:
         rng = substream(cfg.seed, cfg.experiment, "mc")
         mc = analytics.ak_coherence_mc(delta, p["gamma_hz"], t_grid, p["n_trajectories"], rng)
-    no_mc = [None] * t_grid.size
-    columns = (t_grid, ak.c_eq, ak.c_plus.real, ak.c_plus.imag, ak.c_minus.real, ak.c_minus.imag, ak.s_ak)
-    rows = list(zip(
-        *(column.tolist() for column in columns),
-        mc.real.tolist() if mc is not None else no_mc,
-        mc.imag.tolist() if mc is not None else no_mc,
-    ))
+    mc_columns = (mc.real, mc.imag) if mc is not None else (np.array(None),) * 2
     files = {
         "ak.csv": (
             [
@@ -683,7 +678,7 @@ def _run_ak(cfg: RunConfig) -> tuple[dict, dict]:
                 "c_eq_mc_re",
                 "c_eq_mc_im",
             ],
-            rows,
+            [t_grid, ak.c_eq, ak.c_plus.real, ak.c_plus.imag, ak.c_minus.real, ak.c_minus.imag, ak.s_ak, *mc_columns],
         )
     }
     return files, {}
@@ -709,8 +704,8 @@ def run(cfg: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     files, extras = EXPERIMENTS[cfg.experiment][0](cfg)
     outputs = []
-    for name, (header, rows) in files.items():
-        sha256, size = _write_csv(out_dir / name, header, rows)
+    for name, (header, columns) in files.items():
+        sha256, size = _write_csv(out_dir / name, header, columns)
         outputs.append({"file": name, "sha256": sha256, "bytes": size})
     manifest = {
         "experiment": cfg.experiment,

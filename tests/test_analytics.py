@@ -597,6 +597,11 @@ class TestImprovementMap:
         switch_hi=st.floats(0.1, 300.0),
         n_switch=st.integers(1, 15),
     )
+    # One switching column: no pair of cells, so every contour is NaN.
+    @example(log_axes=True, split_lo=0.01, split_hi=0.5, n_split=4, switch_hi=3.0, n_switch=1)
+    # At this splitting and no switching, blind driving and active estimation tie
+    # to the last bit: the first row's first cell is exactly 0, and so is its contour.
+    @example(log_axes=False, split_lo=0.0017883755588612986, split_hi=0.5, n_split=3, switch_hi=1.0, n_switch=5)
     def test_map_equals_per_cell_loop(self, log_axes, split_lo, split_hi, n_split, switch_hi, n_switch):
         # switch_hi up to 300 reaches cells where p_err clamps at 1/2.
         if log_axes:
@@ -609,6 +614,12 @@ class TestImprovementMap:
         values, contour = _reference_improvement_map(splittings, switching)
         assert np.array_equal(amap.values, values)
         assert np.array_equal(amap.zero_contour, contour, equal_nan=True)
+
+    def test_exact_zero_cell_is_the_contour(self):
+        # The second @example above: its tie must stay exact for the example to test the a == 0 branch.
+        amap = analytics.improvement_map(np.linspace(0.0017883755588612986, 0.5, 3), np.linspace(0.0, 1.0, 5))
+        assert amap.values[0, 0] == 0.0 and amap.values[0, 1] != 0.0
+        assert amap.zero_contour[0] == 0.0
 
     def test_map_squares_like_the_scalar_formula(self):
         # On this linear grid a few rows' (2 pi delta / omega) ** 2 (the C pow)

@@ -600,29 +600,55 @@ def _reference_csv(header, rows):
     return ",".join(header) + "\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
 
 
+def _broadcast_rows(columns):
+    """The rows of broadcast ``columns``: each list as an object array of its elements as they are."""
+    arrays = [c if isinstance(c, np.ndarray) else np.array(c, dtype=object) for c in columns]
+    return list(zip(*(a.ravel() for a in np.broadcast_arrays(*arrays))))
+
+
 def test_csv_writer_prints_every_value_as_fmt(tmp_path):
     floats = [0.1, math.nan, math.inf, -math.inf, -0.0, 1e-300, 5e-324, 123456789012.5, 2.0, -1 / 3]
-    rows = [
-        (
-            x,  # float
-            i * 7 - 20,  # int
-            f"arm{i}",  # str
-            i % 2 == 0,  # bool
-            None,  # None
-            None if i % 3 == 0 else x,  # None in some rows, float in others
-            np.float64(x),  # numpy float
-            np.int64(i - 3),  # numpy int
-            np.bool_(i % 2),  # numpy bool
-            [x, i, "s", None, True, np.float64(x), np.int64(i), np.bool_(i % 2), 1e-300, -0.0][i],  # one of each
-        )
-        for i, x in enumerate(floats)
+    lists = [  # 1-D columns along the table's last axis
+        floats,
+        [i * 7 - 20 for i in range(10)],  # int
+        [f"arm{i}" for i in range(10)],  # str
+        [i % 2 == 0 for i in range(10)],  # bool
+        [None] * 10,
+        [None if i % 3 == 0 else x for i, x in enumerate(floats)],  # None in some rows, float in others
+        [np.float64(x) for x in floats],  # numpy float
+        [np.int64(i - 3) for i in range(10)],  # numpy int
+        [np.bool_(i % 2) for i in range(10)],  # numpy bool
+        [floats[0], 1, "s", None, True, np.float64(2.5), np.int64(4), np.bool_(1), 1e-300, -0.0],  # one of each
+        [10**13, 0.5, 3, 2.0, 10**13 + 1, -0.0, 7, 1e13, 0, 5e-324],  # ints and floats: 10**13 keeps its digits
+        [10**13],  # one value, spread over the table
     ]
-    header = [f"c{k}" for k in range(len(rows[0]))]
+    arrays = [
+        np.array(floats),  # float, a row broadcast
+        np.array(floats).reshape(10, 1)[:3],  # float, a column broadcast
+        np.array(floats[::-1] * 3).reshape(3, 10),  # float, the full table
+        np.array(-0.0),  # float, 0-d
+        np.array(5e-324),
+        np.array([[-(2**63)], [0], [2**62]]),  # int, a column broadcast
+        np.arange(30, dtype=np.uint64).reshape(3, 10),  # unsigned int, the full table
+        np.array(10**13),  # int, 0-d
+        np.array([True, False, True]).reshape(3, 1),  # bool, a column broadcast
+        np.arange(10) % 3 == 0,  # bool, a row broadcast
+        np.array(None),  # object, 0-d
+        np.array([None, 1.5, "s", None, 2, True, np.float64(-0.0), math.nan, 10**13, None], dtype=object),
+        np.array(floats, dtype=np.float32),  # float32: the value widened exactly, as _fmt prints it
+    ]
+    columns = lists + arrays
+    header = [f"c{k}" for k in range(len(columns))]
     path = tmp_path / "mixed.csv"
-    cli._write_csv(path, header, rows)
+    cli._write_csv(path, header, columns)
+    rows = _broadcast_rows(columns)
+    assert len(rows) == 30
     assert path.read_bytes() == _reference_csv(header, rows).encode("utf-8")
-    cli._write_csv(path, header, [])
-    assert path.read_bytes() == _reference_csv(header, []).encode("utf-8")
+    # Zero-row tables: an empty axis empties the broadcast, whatever the other columns hold.
+    for columns in ([np.zeros((0, 2)), np.array(1.5), [3, 4.5]], [[], np.array([]), np.array(None)]):
+        cli._write_csv(path, ["a", "b", "c"], columns)
+        assert _broadcast_rows(columns) == []
+        assert path.read_bytes() == b"a,b,c\n"
 
 
 # Golden outputs: data-file SHA-256 of small pinned configs, as written by
@@ -644,6 +670,22 @@ GOLDEN = {
             "mitigate_fb.csv": "19c2b06bed1142bab7981da8a3807363211b67b1da2fcb7a22ec18ffcfd714f8",
             "mitigate_trace.csv": "ce0829fb9e53b489c96aa24239c7c8e807322dee2cefc3c41e19d51f1597922c",
             "mitigate_avg.csv": "b4ccbd721bafcb9002cfd0a20c2ede65d5459ff17b92d97a4b59cc267123ac47",
+        },
+    ),
+    # Two replicas: the data files stack each replica's (row, tau, rep) grids.
+    "mitigate-switching-replicas": (
+        {
+            "experiment": "mitigate",
+            "seed": 59,
+            "replicas": 2,
+            "tls": {"gamma_hl_hz": 5e4, "gamma_lh_hz": 5e4},
+            "mitigate": {"rows": 2, "n_tau": 10, "n_reps": 4, "block_size": 2},
+        },
+        {
+            "mitigate_nofb.csv": "07ed3420d22a5e85fc7748f50bd5a73159cf2169618c6d075c0e454b26281617",
+            "mitigate_fb.csv": "2b60c2fe3c629d90af4bd0496bdbcede111db56b40fecd476ff1963f035a10aa",
+            "mitigate_trace.csv": "95ef7f1cddadbb8f188d7123e71b8f59d27d25522d97f79d3ccb414fb5f6ce8a",
+            "mitigate_avg.csv": "37c4a3791a6747c67e70de928d9067c8674edca17672e945383a51dacf93c5f0",
         },
     ),
     # Instantaneous pulses under switching: cycles a switch lands in, in both
@@ -823,6 +865,20 @@ GOLDEN = {
             "heatmap_zero_contour.csv": "5d2929d70a74a7fdb9e3c836b1d947db438838ae10b06b7acaa25bf408ebbab5",
         },
     ),
+    # At the smallest splitting p_err clamps at 1/2, so blind driving wins over
+    # the whole switching axis: that row's contour is NaN and the contour file
+    # leaves it out.
+    "heatmap-nan-contour": (
+        {
+            "experiment": "heatmap",
+            "seed": 60,
+            "heatmap": {"splitting_min": 1e-3, "splitting_max": 1.0, "n_splitting": 7, "n_switching": 9},
+        },
+        {
+            "heatmap.csv": "b084df766bf51026d6b882a6417cfd2ad164739fac583812f2c9f3479d93794d",
+            "heatmap_zero_contour.csv": "9c3e89a64d4780b348f4060669fbbad4a5dc82caebf40b0648e89cf7224a41f1",
+        },
+    ),
     "ak-mc-two-chunks": (
         {"experiment": "ak", "seed": 49, "ak": {"gamma_hz": 1e6, "n_t": 9, "n_trajectories": 20003}},
         {"ak.csv": "775b63e366fc7e90197b56b596c5dd0c6715cc60c696ee175709bfae49ea3f3f"},
@@ -876,7 +932,7 @@ print(json.dumps(hashes))
 
 def test_golden_data_files_do_not_depend_on_the_simd_kernels():
     docs = {name: doc for name, (doc, _) in GOLDEN.items() if doc["experiment"] != "rb"}
-    assert len(docs) == 13
+    assert len(docs) == 15
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=SIMD_OFF,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -6,12 +6,14 @@ scipy."""
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import bistable_qubit
 from bistable_qubit import cli
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -140,3 +142,9 @@ def test_no_experiment_imports_scipy():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []  # the steps after which scipy was loaded
+
+
+def test_project_version_is_the_package_version():
+    # A regex, not tomllib: the package supports Python 3.10, whose standard library has no TOML reader.
+    found = re.findall(r'^version = "([^"]*)"$', (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    assert found == [bistable_qubit.__version__]

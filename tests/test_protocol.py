@@ -627,6 +627,13 @@ def _per_cycle_ramsey(cfg):
     return {"ramsey.csv": (["replica", "tau_s", "shots", "p_m1", "p_model"], rows)}, {"draws": draws}
 
 
+def _ramsey_rows(cfg):
+    """``cli._run_ramsey`` with each table's broadcast columns read out as rows."""
+    files, extras = cli._run_ramsey(cfg)
+    return {name: (header, list(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns)))))
+            for name, (header, columns) in files.items()}, extras
+
+
 def _env_state(env):
     return env.clock, env.xi, env.switch_at, env.draw_counts()
 
@@ -688,7 +695,7 @@ class TestStagedRepeats:
                "ramsey": {"frame": frame, "n_tau": n_tau, "shots": shots}}
         cfg = parse_config(json.dumps(doc))
         runs = []
-        for runner in (cli._run_ramsey, _per_cycle_ramsey):
+        for runner in (_ramsey_rows, _per_cycle_ramsey):
             envs = []
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(cli, "make_environment", lambda *args: envs.append(make_environment(*args)) or envs[-1])
