@@ -24,7 +24,6 @@ import numpy as np
 from .bloch import IDENTITY, QubitParams, compose, detuning, free_map, pulse_duration, pulse_map, readout_bits
 from .fitting import _least_squares
 from .protocol import HALF_PI, Environment, _switch_free_state, calibrate_decode_map, syndrome_cycle
-from .streams import BLOCK
 
 
 def decomposition_unitary(pulses: tuple) -> np.ndarray:
@@ -183,9 +182,7 @@ class SequenceExecutor:
         while p < n:
             free = min(n, int(np.searchsorted(ends, env.switch_at, side="right")) // per)
             if free > p:  # sequences p to free - 1 end by the next switch: one stage
-                count = (free - p) * draws
-                block = np.concatenate([env.uniforms.take(min(BLOCK, count - i)) for i in range(0, count, BLOCK)])
-                block = block.reshape(free - p, 2 * shots + 1, 2)
+                block = env.uniforms.take((free - p) * draws).reshape(free - p, 2 * shots + 1, 2)
                 xi = env.xi
                 syndrome_z = _switch_free_state(qp, env.finite_pulses, qp.f_high, xi, tau_probe, 0.0)[2]
                 estimates = np.take(decode, readout_bits(syndrome_z, block[:, shots, 0], block[:, shots, 1], qp))

@@ -9,7 +9,7 @@ stream has consumed.
 A stream that yields one kind of draw can be read in blocks with no change in
 value: n ``random()`` calls equal ``random(n)``, and n ``exponential(scale)``
 calls equal ``standard_exponential(n) * scale``, bit for bit.  ``Draws`` reads
-such a stream through a buffer of at most ``BLOCK`` draws.
+such a stream through a buffer of ``BLOCK`` draws, or of a longer take.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from numpy.random import Generator, Philox, SeedSequence  # loaded with the package, not at the first draw
 
 _MASK64 = (1 << 64) - 1
-BLOCK = 2048  # the most draws a Draws buffer holds
+BLOCK = 2048  # the draws a Draws buffer holds, unless a take reads more
 
 
 def _label_entropy(label) -> int:
@@ -48,16 +48,16 @@ def words_drawn(generator: Generator) -> int:
 
 
 class Draws:
-    """The draws of one kind from ``generator``, read through a buffer of at most ``BLOCK``.
+    """The draws of one kind from ``generator``, read through a buffer of ``BLOCK`` draws.
 
     ``kind`` is ``"random"`` (uniforms) or ``"standard_exponential"``.  ``next``
-    reads one draw as a Python float and ``take(n)`` reads the next n
-    (n <= BLOCK) as an array.  ``taken`` counts the draws read, the ``taken``
-    draws of ``generator`` made before the buffer included.  ``random()`` and
-    ``exponential(scale)`` are the Generator calls that ``bloch.measure`` and
-    ``telegraph.next_switch`` make, served from a uniform and an exponential
-    buffer respectively, with the values the generator's own calls would
-    return.
+    reads one draw as a Python float and ``take(n)`` reads the next n as an
+    array, for any n (a longer take tops the buffer up to n).  ``taken`` counts
+    the draws read, the ``taken`` draws of ``generator`` made before the buffer
+    included.  ``random()`` and ``exponential(scale)`` are the Generator calls
+    that ``bloch.measure`` and ``telegraph.next_switch`` make, served from a
+    uniform and an exponential buffer respectively, with the values the
+    generator's own calls would return.
     """
 
     def __init__(self, generator: Generator, kind: str, taken: int = 0):
@@ -71,9 +71,9 @@ class Draws:
     def taken(self) -> int:
         return self._filled - len(self._values) + self._pos
 
-    def _refill(self) -> None:
-        """Keep the unread draws and top the block up to ``BLOCK`` from the generator."""
-        fresh = self._fill(BLOCK - len(self._values) + self._pos)
+    def _refill(self, n: int) -> None:
+        """Keep the unread draws and top the block up to ``max(n, BLOCK)`` from the generator."""
+        fresh = self._fill(max(n, BLOCK) - len(self._values) + self._pos)
         self._filled += fresh.size
         self._block = np.concatenate((self._block[self._pos:], fresh))
         self._values = self._block.tolist()
@@ -82,7 +82,7 @@ class Draws:
     def next(self) -> float:
         pos = self._pos
         if pos == len(self._values):
-            self._refill()
+            self._refill(1)
             pos = 0
         self._pos = pos + 1
         return self._values[pos]
@@ -93,9 +93,7 @@ class Draws:
         return self.next() * scale
 
     def take(self, n: int) -> np.ndarray:
-        if n > BLOCK:
-            raise ValueError("a take reads at most BLOCK draws")
         if len(self._values) - self._pos < n:
-            self._refill()
+            self._refill(n)
         self._pos += n
         return self._block[self._pos - n:self._pos]

@@ -4,7 +4,6 @@ import copy
 import itertools
 import math
 import tracemalloc
-from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -12,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit import benchmarking as rb
-from bistable_qubit import streams, telegraph
+from bistable_qubit import telegraph
 from bistable_qubit.bloch import (
     GROUND,
     QubitParams,
     apply,
     detuning,
     free_map,
-    measure,
     pulse_duration,
     pulse_map,
     readout_bits,
@@ -60,83 +58,6 @@ def _slot_by_slot(executor, indices, f_c, segments):
                 xi, seg_rem = segments[seg_idx]
             seg_rem = max(seg_rem - spent, 0.0)
     return state
-
-
-def _reference_run(executor, indices, f_c):
-    """The executor's run without its memo: every run steps the whole sequence, drawing from the environment's streams.
-
-    Advances ``executor.env.clock``; returns (outcome, state handed to readout).
-    """
-    env = executor.env
-    qp = env.qubit
-    durations = executor.durations
-    slot = executor.slot
-    total = 0.0
-    for i in indices:
-        total += durations[i]
-    segments, env.xi, env.switch_at = telegraph.dwell_segments(
-        env.xi, env.switch_at, env.tls_params, env.clock, total, env.dwells
-    )
-    env.clock += total
-    ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
-    seg = 0
-    table = executor._maps[segments[0][0] if segments else env.xi, f_c]
-    end = ends[0]
-    t = 0.0
-    state = GROUND
-    for i in indices:
-        if t + durations[i] - slot <= end:
-            steps = table[i][0]
-        else:
-            steps = []
-            for k in range(len(table[i][1])):
-                while t + k * slot > end:
-                    seg += 1
-                    end = ends[seg]
-                    table = executor._maps[segments[seg][0], f_c]
-                steps.append(table[i][1][k])
-        t += durations[i]
-        for m in steps:
-            state = apply(m, state)
-    outcome = measure(state[2], qp, env.uniforms)
-    env.xi, env.switch_at = telegraph.evolve(env.xi, env.switch_at, env.tls_params, env.clock, qp.t_wall, env.dwells)
-    env.clock += qp.t_wall
-    return outcome, state
-
-
-def _reference_rb(env, config):
-    """``run_rb_interleaved`` run by run: the window loop drawing one sequence at a
-    time, each run stepped in full by ``_reference_run`` and read out at once, each
-    syndrome cycle run alone by ``syndrome_cycle``."""
-    executor = rb.SequenceExecutor(env)
-    qp = env.qubit
-    shots = config.n_sequences * config.shots_per_sequence
-    windows = []
-    for _ in range(config.n_windows):
-        t_start = env.clock
-        k = np.zeros((2, len(config.depths)))
-        xi_sum = 0
-        for di, length in enumerate(config.depths):
-            for _ in range(config.n_sequences):
-                sequence = rb.random_sequence(length, env.sequences)[0].tolist()
-                xi_sum += env.xi
-                f_c = qp.f_high
-                for arm in (0, 1):
-                    if arm:
-                        f_c = qp.mode_frequency(syndrome_cycle(env, config.tau_probe)[1])
-                    for _ in range(config.shots_per_sequence):
-                        k[arm, di] += _reference_run(executor, sequence, f_c)[0] == 0
-        fits = [rb.fit_exponential(config.depths, k[arm] / shots, rb._survival_weights(k[arm], shots)) for arm in (0, 1)]
-        windows.append(rb.RbWindow(t_start, env.clock, k[0] / shots, k[1] / shots, *fits,
-                                   xi_sum / (len(config.depths) * config.n_sequences)))
-        if config.idle_between_windows > 0:
-            env.advance(config.idle_between_windows)
-    return windows
-
-
-def _window_fields(window):
-    """Every field of an ``RbWindow``, arrays as lists, as its exact repr (nan equals nan)."""
-    return repr([v.tolist() if isinstance(v, np.ndarray) else v for v in vars(window).values()])
 
 
 class TestCliffordTable:
@@ -497,40 +418,6 @@ class TestFitExponential:
 
 
 class TestInterleavedRun:
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        rate=st.sampled_from([0.0, 1e3, 1e4, 3e4, 1e5]),
-        pinned=st.sampled_from([None, 0, 1]),
-        finite=st.booleans(),
-        depths=st.sets(st.integers(0, 40), min_size=3, max_size=4).map(sorted),
-        n_sequences=st.integers(1, 4),
-        shots=st.integers(1, 4),
-        n_windows=st.integers(1, 3),
-        idle=st.sampled_from([0.0, 2e-5, 1e-3]),
-        small_blocks=st.booleans(),
-    )
-    def test_staged_run_equals_the_scalar_reference(
-        self, seed, rate, pinned, finite, depths, n_sequences, shots, n_windows, idle, small_blocks
-    ):
-        # Pinned and switching defects, from switches between sequences to several
-        # in most sequences; a stage of a few draws when the blocks are small.
-        tls = TelegraphParams(rate, 0.6 * rate)
-        pinned = 0 if rate == 0.0 and pinned is None else pinned
-        env = make_environment(QP, tls, substream(524, "staged", seed), pinned_mode=pinned, finite_pulses=finite)
-        ref_env = copy.deepcopy(env)
-        cfg = rb.RbConfig(tau_probe=default_tau_probe(QP), depths=tuple(depths), n_sequences=n_sequences,
-                          shots_per_sequence=shots, n_windows=n_windows, idle_between_windows=idle)
-        with pytest.MonkeyPatch.context() as mp:
-            if small_blocks:
-                mp.setattr(streams, "BLOCK", 5)
-                mp.setattr(rb, "BLOCK", 5)
-            windows = rb.run_rb_interleaved(env, cfg)
-        expected = _reference_rb(ref_env, cfg)
-        assert list(map(_window_fields, windows)) == list(map(_window_fields, expected))
-        assert (env.clock, env.xi, env.switch_at) == (ref_env.clock, ref_env.xi, ref_env.switch_at)
-        assert env.draw_counts() == ref_env.draw_counts()
-
     def test_noiseless_survival_is_spam_floor(self):
         qp = QubitParams.defaults(t1=math.inf, t_phi=math.inf, readout_eps_1to0=0.0)
         rng = substream(511, "spamfloor")

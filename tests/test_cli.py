@@ -17,9 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bistable_qubit import benchmarking, cli
+from bistable_qubit import benchmarking, cli, protocol, streams
 from bistable_qubit.bloch import QubitParams
 from bistable_qubit.cli import ConfigError, parse_config
+from bistable_qubit.protocol import make_environment
+
+from scalar_engine import executor_run, schedule_run
 
 
 def _leaves(schema, path=()):
@@ -543,8 +546,8 @@ def _fuzz_value(path, default):
 
 
 @st.composite
-def fuzz_configs(draw):
-    experiment = draw(st.sampled_from(list(cli.EXPERIMENTS)))
+def fuzz_configs(draw, experiments=tuple(cli.EXPERIMENTS)):
+    experiment = draw(st.sampled_from(experiments))
     section = experiment.replace("-", "_")
     doc = {"experiment": experiment}
     for path, (default, _) in LEAVES:
@@ -593,6 +596,53 @@ def test_schema_drawn_config_runs_or_names_its_key(doc):
             manifest = _strict_json((out / "manifest.json").read_text())
             data.append({o["file"]: (out / o["file"]).read_bytes() for o in manifest["outputs"]})
         assert data[0] == data[1]
+
+
+def _recorded_run(doc, out, scalar):
+    """``cli.run`` of ``doc`` into ``out``, with the scalar engine's stand-ins patched in if ``scalar``:
+    its data files, its manifest's report and every environment's clock, mode, next switch and draws."""
+    envs = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "make_environment", lambda *args: envs.append(make_environment(*args)) or envs[-1])
+        if scalar:
+            mp.setattr(protocol.CycleSchedule, "run", schedule_run)
+            mp.setattr(benchmarking.SequenceExecutor, "run", executor_run)
+        assert cli.run(parse_config(json.dumps(dict(doc, out_dir=str(out))))) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    files = {o["file"]: (out / o["file"]).read_bytes() for o in manifest["outputs"]}
+    return files, manifest["report"], [(env.clock, env.xi, env.switch_at, env.draw_counts()) for env in envs]
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(doc=fuzz_configs(("ramsey", "mitigate", "rb", "syndrome-sweep")), small_blocks=st.booleans())
+# Rows of 2250 cycles, several stages each; about one cycle in a few hundred has a switch land in it.
+@example(doc={"experiment": "mitigate", "tls": {"gamma_hl_hz": 400.0, "gamma_lh_hz": 150.0},
+              "mitigate": {"n_tau": 25, "n_reps": 30, "rows": 2, "block_size": 4, "idle_between_rows_s": 1e-4}},
+         small_blocks=False)
+# Runs longer than two schedules: redrawn each cycle, or switching so fast that most cycles run alone.
+@example(doc={"experiment": "syndrome-sweep", "syndrome_sweep": {"n_cycles": 2 * protocol.CHUNK + 3,
+                                                                 "gammas_hz": [0.0, 1e6], "t_walls_s": [0.0, 8e-6]}},
+         small_blocks=False)
+@example(doc={"experiment": "ramsey", "replicas": 2, "tls": {"gamma_hl_hz": 1e6, "gamma_lh_hz": 3e5},
+              "ramsey": {"n_tau": 4, "shots": 40}}, small_blocks=True)
+# Switches between sequences and within most of them, depth 0 included, over windows and idles.
+@example(doc={"experiment": "rb", "tls": {"gamma_hl_hz": 1e5, "gamma_lh_hz": 6e4},
+              "rb": {"depths": [0, 8, 40], "n_sequences": 4, "shots_per_sequence": 3, "n_windows": 3,
+                     "idle_between_windows_s": 2e-5}}, small_blocks=True)
+def test_staged_runs_equal_the_scalar_engine(doc, small_blocks):
+    # The staged cycle and RB runs against every cycle and run on its own: the same
+    # bytes, draws and final environments.  With small blocks, a run spans many stages
+    # and the buffers refill within them.
+    try:
+        parse_config(json.dumps(doc))
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if small_blocks:
+            mp.setattr(protocol, "CHUNK", 3)
+            mp.setattr(streams, "BLOCK", 12)
+        staged, scalar = (_recorded_run(doc, Path(tmp) / str(flag), flag) for flag in (False, True))
+        assert staged == scalar
 
 
 def _reference_csv(header, rows):

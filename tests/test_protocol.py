@@ -1,7 +1,6 @@
 """Feedback cycles: syndrome estimation, detuned probing, interleaved runs."""
 
 import copy
-import json
 import math
 from dataclasses import replace
 from itertools import accumulate
@@ -11,15 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bistable_qubit import analytics, cli, protocol, streams, telegraph
+from bistable_qubit import analytics, protocol, telegraph
 from bistable_qubit import benchmarking as rb
 from bistable_qubit.bloch import GROUND, QubitParams, apply, detuning, free_map, pulse_duration, pulse_map
-from bistable_qubit.cli import parse_config
 from bistable_qubit.fitting import fit_cosine, fit_two_frequency_mixture
 from bistable_qubit.protocol import (
     HALF_PI,
     MitigationConfig,
-    MitigationResult,
     calibrate_decode_map,
     cycle_bandwidth,
     default_tau_probe,
@@ -34,16 +31,13 @@ from bistable_qubit.protocol import _switch_free_state, _two_pulse_cycle
 from bistable_qubit.streams import substream
 from bistable_qubit.telegraph import TelegraphParams
 
+from scalar_engine import scalar_ramsey_cycle, schedule_run
+
 QP = QubitParams.defaults()
 IDEAL = QubitParams.defaults(
     t1=math.inf, t_phi=math.inf, readout_eps_0to1=0.0, readout_eps_1to0=0.0
 )
 FROZEN = TelegraphParams(0.0, 0.0)
-
-
-def scalar_ramsey_cycle(env, f_c, tau, virtual_detuning):
-    """One probing cycle run alone, the scalar reference of the staged runs: its outcome."""
-    return env.readout(_two_pulse_cycle(env, f_c, tau, 2.0 * math.pi * virtual_detuning * tau)[2])
 
 
 def ideal_env(rng, pinned=0, finite=False):
@@ -342,13 +336,13 @@ class TestEnvironment:
     @pytest.mark.parametrize(
         "run",
         [
-            # The per-cycle loop: the staged run equals it, clock included (TestStagedMitigation).
-            lambda env: _per_cycle_mitigation(
+            # Cycle by cycle: the staged run equals the scalar engine, clock included (tests/test_cli.py).
+            lambda env, mp: mp.setattr(protocol.CycleSchedule, "run", schedule_run) or run_mitigation(
                 env,
                 MitigationConfig(tau_grid=(0.3e-6, 1.1e-6), tau_probe=default_tau_probe(QP), n_reps=3, rows=3,
                                  idle_between_rows=2e-5),
             ),
-            lambda env: rb.run_rb_interleaved(
+            lambda env, mp: rb.run_rb_interleaved(
                 env,
                 rb.RbConfig(tau_probe=default_tau_probe(QP), depths=(1, 8, 64), n_sequences=3,
                             shots_per_sequence=2, n_windows=2, idle_between_windows=2e-5),
@@ -373,7 +367,7 @@ class TestEnvironment:
         monkeypatch.setattr(telegraph, "evolve", record_evolve)
         rng = substream(419, "clock-sum")
         env = make_environment(QP, TelegraphParams(1e5, 1e5), rng, finite_pulses=True)
-        run(env)
+        run(env, monkeypatch)
         assert sum(switches) > 10
         assert env.clock == list(accumulate(advanced, initial=0.0))[-1]
 
@@ -504,91 +498,7 @@ class TestCycleMemo:
         assert 100 < switched < 300
 
 
-def _per_cycle_mitigation(env, config):
-    """The mitigation run one cycle at a time: ``scalar_ramsey_cycle`` and ``syndrome_cycle`` in run order."""
-    qp = env.qubit
-    shape = (config.rows, len(config.tau_grid), config.n_reps)
-    counts_nofb, counts_fb = np.zeros((2, *shape[:2]))
-    row_times = np.zeros(config.rows)
-    syndrome_time = np.zeros(shape)
-    true_xi, est_xi, outcome = np.zeros((3, *shape), dtype=int)
-    for row in range(config.rows):
-        row_times[row] = env.clock
-        for i, tau in enumerate(config.tau_grid):
-            for first in range(0, config.n_reps, config.block_size):
-                block = range(first, min(first + config.block_size, config.n_reps))
-                for _ in block:
-                    counts_nofb[row, i] += scalar_ramsey_cycle(env, qp.f_high, tau, config.det_nofb)
-                for rep in block:
-                    cell = row, i, rep
-                    outcome[cell], est_xi[cell] = syndrome_cycle(env, config.tau_probe)
-                    syndrome_time[cell], true_xi[cell] = env.clock, env.xi
-                    counts_fb[row, i] += scalar_ramsey_cycle(env, qp.mode_frequency(est_xi[cell]), tau, config.det_fb)
-        if config.idle_between_rows > 0:
-            env.advance(config.idle_between_rows)
-    return MitigationResult(
-        counts_nofb / config.n_reps, counts_fb / config.n_reps, row_times, syndrome_time, true_xi, est_xi, outcome
-    )
-
-
-RATES = st.sampled_from([0.0, 1.0, 1e3, 3e4, 1e5])
-
-
 class TestStagedMitigation:
-    def _assert_equal_runs(self, env, config):
-        ref_env = copy.deepcopy(env)
-        result = run_mitigation(env, config)
-        expected = _per_cycle_mitigation(ref_env, config)
-        for name in MitigationResult.__dataclass_fields__:
-            assert np.array_equal(getattr(result, name), getattr(expected, name)), name
-            assert getattr(result, name).dtype == getattr(expected, name).dtype, name
-        assert (env.clock, env.xi, env.draw_counts()) == (ref_env.clock, ref_env.xi, ref_env.draw_counts())
-        return result
-
-    @settings(max_examples=80, derandomize=True, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        rates=st.tuples(RATES, RATES),
-        pinned=st.sampled_from([None, 0, 1]),
-        finite=st.booleans(),
-        n_tau=st.integers(1, 4),
-        from_zero=st.booleans(),
-        n_reps=st.integers(1, 5),
-        rows=st.integers(1, 3),
-        block_size=st.integers(1, 4),
-        idle=st.sampled_from([0.0, 3e-6, 1e-3]),
-        small_blocks=st.booleans(),
-    )
-    def test_staged_run_equals_the_per_cycle_loop(
-        self, seed, rates, pinned, finite, n_tau, from_zero, n_reps, rows, block_size, idle, small_blocks
-    ):
-        # Switching up to 1e5/s with asymmetric rates, a pinned or frozen mode,
-        # instantaneous pulses, tau = 0, blocks and row idles; with small
-        # blocks, rows span several stages and the buffers refill within them.
-        tls = TelegraphParams(*rates)
-        if tls.total_rate == 0 and pinned is None:
-            pinned = seed % 2
-        taus = tuple(np.linspace(0.0 if from_zero else 0.3e-6, 2.0e-6, n_tau).tolist())
-        config = MitigationConfig(tau_grid=taus, tau_probe=default_tau_probe(QP), n_reps=n_reps, rows=rows,
-                                  block_size=block_size, idle_between_rows=idle)
-        env = make_environment(QP, tls, substream(421, "staged", seed), pinned, finite)
-        with pytest.MonkeyPatch.context() as mp:
-            if small_blocks:
-                mp.setattr(protocol, "CHUNK", 3)
-                mp.setattr(streams, "BLOCK", 12)
-            self._assert_equal_runs(env, config)
-
-    def test_rows_longer_than_a_stage(self):
-        # 2250 cycles a row, several stages of CHUNK cycles; about one cycle in
-        # a few hundred has a switch land in it.
-        taus = tuple(np.linspace(0.0, 2.5e-6, 25).tolist())
-        config = MitigationConfig(tau_grid=taus, tau_probe=default_tau_probe(QP), n_reps=30, rows=2,
-                                  block_size=4, idle_between_rows=1e-4)
-        env = make_environment(QP, TelegraphParams(400.0, 150.0), substream(422, "long-rows"))
-        result = self._assert_equal_runs(env, config)
-        assert 3 * result.outcome[0].size > protocol.CHUNK
-        assert env.draw_counts()["readout_draws"] == 2 * 3 * result.outcome.size
-
     def test_frozen_run_draws_two_uniforms_a_cycle_and_no_dwell(self):
         config = MitigationConfig(tau_grid=(0.0, 1e-6), tau_probe=default_tau_probe(QP), n_reps=3, rows=2,
                                   idle_between_rows=1.0)
@@ -598,113 +508,7 @@ class TestStagedMitigation:
         assert env.draw_counts() == {"defect_draws": 0, "readout_draws": 2 * cycles, "sequences_words": 0}
 
 
-def _per_cycle_error_rate(env, n_cycles, tau_probe, resample_each_cycle):
-    """``syndrome_error_rate`` one cycle at a time: a redraw of the mode, then ``syndrome_cycle``."""
-    errors = 0
-    for _ in range(n_cycles):
-        if resample_each_cycle:
-            env.xi = telegraph.XI_L if env.uniforms.next() < 0.5 else telegraph.XI_H
-        _, xi_hat = syndrome_cycle(env, tau_probe)
-        if xi_hat != env.xi:
-            errors += 1
-    return errors / n_cycles
-
-
-def _per_cycle_ramsey(cfg):
-    """``cli._run_ramsey`` one cycle at a time: ``scalar_ramsey_cycle`` per shot."""
-    p, qp = cfg.params, cfg.qubit
-    f_c = qp.f_high if p["frame"] == "high" else qp.f_low
-    rows, draws = [], {}
-    for replica, env in cli._replicas(cfg, draws):
-        for tau in np.linspace(0.0, p["tau_max_s"], p["n_tau"]).tolist():
-            hits = 0
-            for _ in range(p["shots"]):
-                hits += scalar_ramsey_cycle(env, f_c, tau, p["virtual_detuning_hz"])
-            model = None
-            if cfg.pinned_mode is not None and cfg.tls.total_rate == 0:
-                model = ramsey_probability(qp, f_c, cfg.pinned_mode, tau, p["virtual_detuning_hz"], cfg.finite_pulses)
-            rows.append((replica, tau, p["shots"], hits / p["shots"], model))
-    return {"ramsey.csv": (["replica", "tau_s", "shots", "p_m1", "p_model"], rows)}, {"draws": draws}
-
-
-def _ramsey_rows(cfg):
-    """``cli._run_ramsey`` with each table's broadcast columns read out as rows."""
-    files, extras = cli._run_ramsey(cfg)
-    return {name: (header, list(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*columns)))))
-            for name, (header, columns) in files.items()}, extras
-
-
-def _env_state(env):
-    return env.clock, env.xi, env.switch_at, env.draw_counts()
-
-
 class TestStagedRepeats:
-    """The staged ``syndrome_error_rate`` and ramsey runner equal their per-cycle loops."""
-
-    @settings(max_examples=60, derandomize=True, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        rates=st.tuples(*[st.sampled_from([0.0, 1.0, 1e3, 3e4, 1e5, 1e6])] * 2),
-        resample=st.booleans(),
-        pinned=st.sampled_from([None, 0, 1]),
-        finite=st.booleans(),
-        n=st.one_of(st.integers(1, 40), st.integers(protocol.CHUNK - 3, 2 * protocol.CHUNK + 3)),
-        t_wall=st.sampled_from([0.0, 2e-6, 8e-6]),
-        small_blocks=st.booleans(),
-    )
-    def test_syndrome_error_rate_equals_the_per_cycle_loop(
-        self, seed, rates, resample, pinned, finite, n, t_wall, small_blocks
-    ):
-        # A frozen defect redrawn every cycle, or one switching up to 1e6/s
-        # (most cycles then run alone); with small blocks, n spans many stages
-        # and CHUNK-sized schedules, and is mostly not a multiple of either.
-        tls = FROZEN if resample else TelegraphParams(*rates)
-        if tls.total_rate == 0 and pinned is None:
-            pinned = seed % 2
-        qp = replace(QP, t_readout=0.0, t_reset=t_wall)
-        env = make_environment(qp, tls, substream(428, "staged-rate", seed), pinned, finite)
-        ref_env = copy.deepcopy(env)
-        with pytest.MonkeyPatch.context() as mp:
-            if small_blocks:
-                mp.setattr(protocol, "CHUNK", 3)
-                mp.setattr(streams, "BLOCK", 12)
-            rate = syndrome_error_rate(env, n, default_tau_probe(qp), resample)
-            assert rate == _per_cycle_error_rate(ref_env, n, default_tau_probe(qp), resample)
-        assert _env_state(env) == _env_state(ref_env)
-
-    @settings(max_examples=30, derandomize=True, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        rates=st.tuples(*[st.sampled_from([0.0, 1.0, 1e3, 1e4, 1e5, 1e6])] * 2),
-        pinned=st.sampled_from([None, "H", "L"]),
-        finite=st.booleans(),
-        frame=st.sampled_from(["high", "low"]),
-        n_tau=st.integers(1, 4),
-        shots=st.integers(1, 40),
-        replicas=st.integers(1, 2),
-        small_blocks=st.booleans(),
-    )
-    def test_ramsey_runner_equals_the_per_cycle_loop(
-        self, seed, rates, pinned, finite, frame, n_tau, shots, replicas, small_blocks
-    ):
-        if rates == (0.0, 0.0) and pinned is None:
-            pinned = "L"
-        doc = {"experiment": "ramsey", "seed": seed, "replicas": replicas,
-               "tls": {"gamma_hl_hz": rates[0], "gamma_lh_hz": rates[1], "pinned_mode": pinned},
-               "protocol": {"finite_pulses": finite},
-               "ramsey": {"frame": frame, "n_tau": n_tau, "shots": shots}}
-        cfg = parse_config(json.dumps(doc))
-        runs = []
-        for runner in (_ramsey_rows, _per_cycle_ramsey):
-            envs = []
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(cli, "make_environment", lambda *args: envs.append(make_environment(*args)) or envs[-1])
-                if small_blocks:
-                    mp.setattr(protocol, "CHUNK", 3)
-                    mp.setattr(streams, "BLOCK", 12)
-                runs.append((runner(cfg), [_env_state(env) for env in envs]))
-        assert runs[0] == runs[1]
-
     @pytest.mark.parametrize("resample", [True, False])
     def test_error_rate_rejects_a_zero_probe_time_before_any_draw(self, resample):
         env = make_environment(QP, FROZEN, substream(429, "zero-probe"), pinned_mode=0)
@@ -715,7 +519,7 @@ class TestStagedRepeats:
 
 
 # The laws of the streams, checked on many cheap replicas within 4 binomial
-# sigma: a fault that the staged run and the per-cycle loop share (a dwell
+# sigma: a fault that the staged run and the scalar engine share (a dwell
 # drawn at the other mode's rate, a readout uniform used twice) keeps them
 # equal, but breaks these.
 LAW_TLS = TelegraphParams(1500.0, 500.0)  # asymmetric: the stationary L share is 3/4

@@ -33,8 +33,10 @@ def test_take_reads_across_a_refill_and_at_most_a_block():
     assert draws.taken == BLOCK + 4
     assert taken.tolist() == substream(602, "take").random(BLOCK + 4)[-6:].tolist()
     assert [draws.next() for _ in range(3)] == substream(602, "take").random(BLOCK + 7)[-3:].tolist()
-    with pytest.raises(ValueError, match="BLOCK"):
-        draws.take(BLOCK + 1)
+    longer = draws.take(3 * BLOCK + 1)  # a take longer than a block tops the buffer up to its length
+    assert longer.tolist() == substream(602, "take").random(4 * BLOCK + 8)[-(3 * BLOCK + 1):].tolist()
+    assert draws.taken == 4 * BLOCK + 8
+    assert draws.next() == substream(602, "take").random(4 * BLOCK + 9)[-1]
 
 
 def test_taken_starts_at_the_draws_made_before_the_buffer():
