@@ -21,9 +21,10 @@ from itertools import accumulate
 
 import numpy as np
 
+from . import telegraph
 from .bloch import IDENTITY, QubitParams, compose, detuning, free_map, pulse_duration, pulse_map, readout_bits
 from .fitting import _least_squares
-from .protocol import HALF_PI, Environment, _switch_free_state, calibrate_decode_map, syndrome_cycle
+from .protocol import HALF_PI, Environment, _cycle_state, _switch_free_state, calibrate_decode_map
 
 
 def decomposition_unitary(pulses: tuple) -> np.ndarray:
@@ -151,67 +152,56 @@ class SequenceExecutor:
         runs in the frame of its estimate; a run is reset -> sequence -> readout
         and reset dead time.
 
-        The defect path and the clock never depend on an outcome, so the sequences
-        that end by the defect's next switch (``env.switch_at``) are decided in a
-        stage, with the draws and arithmetic of running them one by one: the clock
-        as the running sum of the advances, a block of readout uniforms, the
-        syndrome bits from the memoised switch-free state, and the feedback frames
-        from them.  A sequence a switch is due in runs alone: per run
-        ``env.dwell`` (and ``_step`` if the switch lands in the run), and the
-        syndrome through ``syndrome_cycle``.  A switch-free run's state depends
-        only on its (sequence, mode, frame) key; each distinct key is stepped once,
-        by ``_step_batch``, and then ``readout_bits`` decides every run.
+        The defect path and the clock never depend on an outcome, so the depth first
+        makes the draws and arithmetic of running the sequences one by one: the clock
+        as the running sum of the advances, the defect's switches up to its end (one
+        ``searchsorted`` locates them among the advances) and a block of readout
+        uniforms.  A syndrome takes the memoised switch-free state unless a switch lands
+        in its tau or between its pulses' starts.  A switch-free run's state depends only
+        on its (sequence, mode, frame) key, and each distinct key is stepped once, by
+        ``_step_batch``.  Any other syndrome or run is stepped over its dwell segments
+        (``telegraph.cut``) by ``_cycle_state`` or ``_step``; ``readout_bits`` decides every run.
         """
         env, qp = self.env, self.env.qubit
-        n = len(sequences)
+        n, s, per = len(sequences), 2 * shots, 4 * shots + 4  # per sequence: per advances, the syndrome's from s
         decode = calibrate_decode_map(qp, tau_probe, env.finite_pulses)
         totals = np.cumsum(np.array(self.durations)[sequences], axis=1)[:, -1].copy()  # summed left to right
         # Per sequence its advances in run order: shots x (sequence, readout and reset),
         # the syndrome's pulse, tau, pulse, readout and reset, then shots x again.
-        steps = np.empty((n, 2 * shots + 2, 2))
-        steps[..., 0], steps[..., 1] = totals[:, None], qp.t_wall
-        steps[:, shots, 0] = steps[:, shots + 1, 0] = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
-        steps[:, shots, 1] = tau_probe
-        ends = np.cumsum(np.append(env.clock, steps))[1:]  # the clock += chain, per advance
-        per, draws = steps[0].size, 4 * shots + 2  # advances and readout uniforms per sequence
+        runs = np.array([*range(0, s, 2), *range(s + 4, per, 2)])  # the runs' advances, open-loop arm first
+        steps = np.full((n, per), qp.t_wall)
+        steps[:, runs], steps[:, s:s + 3] = totals[:, None], (env.pulse_time, tau_probe, env.pulse_time)
+        clock = np.cumsum(np.append(env.clock, steps))  # the clock += chain: advance k is clock[k] to clock[k + 1]
+        xi, switches, env.clock = env.xi, [], float(clock[-1])
+        env.xi, env.switch_at = telegraph.walk(xi, env.switch_at, env.tls_params, env.clock, env.dwells, switches)
+        before = np.searchsorted(switches, clock, "left")  # per clock the switches before it
+        modes = (xi ^ (before[:-1] & 1)).reshape(n, per)  # per advance its mode at its start
+        switched = (before[1:] > before[:-1]).reshape(n, per)  # per advance whether a switch lands in it
+        u = env.uniforms.take(n * (2 * s + 2)).reshape(n, s + 1, 2)
+
+        def segments(k: int) -> list[tuple[int, float]]:  # the dwell segments of advance k
+            first, last = before[k:k + 2].tolist()
+            return telegraph.cut(int(modes.flat[k]), switches[first:last], float(clock[k]), float(steps.flat[k]))
+
+        memo = [_switch_free_state(qp, env.finite_pulses, qp.f_high, x, tau_probe, 0.0)[2] for x in (0, 1)]
+        syndrome_z = np.take(memo, modes[:, s])
+        for p in np.flatnonzero(switched[:, s + 1] | (modes[:, s] != modes[:, s + 2])).tolist():
+            syndrome_z[p] = _cycle_state(qp, env.finite_pulses, qp.f_high, int(modes[p, s]), segments(p * per + s + 1),
+                                         int(modes[p, s + 2]), 0.0)[2]
+        estimates = np.take(decode, readout_bits(syndrome_z, u[:, shots, 0], u[:, shots, 1], qp))
+        keys = 4 * np.arange(n)[:, None, None] + 2 * modes[:, runs].reshape(n, 2, shots)
+        keys[:, 1] += estimates[:, None]  # per run 4 * row + 2 * mode + (frame is f_low)
         z = np.empty((n, 2, shots))  # per run the z it is read out from
-        keys = np.full((n, 2, shots), -1)  # per switch-free run 4 * row + 2 * mode + (frame is f_low)
-        u = np.empty((n, 2, shots, 2))  # per run its two readout uniforms
-        modes = np.empty(n, dtype=int)
-        p = 0
-        while p < n:
-            free = min(n, int(np.searchsorted(ends, env.switch_at, side="right")) // per)
-            if free > p:  # sequences p to free - 1 end by the next switch: one stage
-                block = env.uniforms.take((free - p) * draws).reshape(free - p, 2 * shots + 1, 2)
-                xi = env.xi
-                syndrome_z = _switch_free_state(qp, env.finite_pulses, qp.f_high, xi, tau_probe, 0.0)[2]
-                estimates = np.take(decode, readout_bits(syndrome_z, block[:, shots, 0], block[:, shots, 1], qp))
-                rows = 4 * np.arange(p, free) + 2 * xi
-                keys[p:free, 0] = rows[:, None]
-                keys[p:free, 1] = (rows + estimates)[:, None]  # estimate 1 runs in the low-mode frame
-                u[p:free, 0], u[p:free, 1] = block[:, :shots], block[:, shots + 1:]
-                modes[p:free], env.clock = xi, float(ends[free * per - 1])
-                p = free
-            else:  # a switch is due in sequence p: it runs alone
-                sequence, total, f_c = sequences[p].tolist(), float(totals[p]), qp.f_high
-                modes[p] = env.xi
-                for arm in (0, 1):
-                    if arm:
-                        f_c = qp.mode_frequency(syndrome_cycle(env, tau_probe)[1])
-                    for shot in range(shots):
-                        segments = env.dwell(total)
-                        if len(segments) > 1:
-                            z[p, arm, shot] = self._step(sequence, f_c, segments)[2]
-                        else:  # env.xi: the one mode of a switch-free run
-                            keys[p, arm, shot] = 4 * p + 2 * env.xi + (f_c == qp.f_low)
-                        u[p, arm, shot] = env.readout_draws()
-                p += 1
-        keyed = keys >= 0
-        distinct, inverse = np.unique(keys[keyed], return_inverse=True)
+        segmented = switched[:, runs].reshape(n, 2, shots)
+        for p, arm, shot in np.argwhere(segmented).tolist():
+            f_c = qp.mode_frequency(estimates[p] if arm else telegraph.XI_H)
+            z[p, arm, shot] = self._step(sequences[p].tolist(), f_c, segments(p * per + runs[arm * shots + shot]))[2]
+        distinct, inverse = np.unique(keys[~segmented], return_inverse=True)
         if distinct.size:
             rows, columns = np.divmod(distinct, 4)
-            z[keyed] = self._step_batch(sequences[rows], len(PULSES) * columns)[inverse]
-        return readout_bits(z, u[..., 0], u[..., 1], qp), modes
+            z[~segmented] = self._step_batch(sequences[rows], len(PULSES) * columns)[inverse]
+        u = np.delete(u, shots, axis=1).reshape(n, 2, shots, 2)
+        return readout_bits(z, u[..., 0], u[..., 1], qp), modes[:, 0]
 
     def _step_batch(self, sequences: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         """Bloch z after each row of ``sequences`` from ground, switch-free in the

@@ -81,6 +81,11 @@ class Environment:
     finite_pulses: bool = True
     clock: float = 0.0
 
+    @property
+    def pulse_time(self) -> float:
+        """Duration of a cycle's pi/2 pulse: 0 for idealized instantaneous rotations."""
+        return pulse_duration(HALF_PI, self.qubit) if self.finite_pulses else 0.0
+
     def advance(self, dt: float) -> None:
         """Let ``dt`` of lab time pass: the defect evolves and the clock moves on."""
         self.xi, self.switch_at = telegraph.evolve(
@@ -101,17 +106,6 @@ class Environment:
         m = measure(z, self.qubit, self.uniforms)
         self.advance(self.qubit.t_wall)
         return m
-
-    def readout_draws(self) -> tuple[float, float]:
-        """``readout`` with its decision deferred: draw the two uniforms ``measure``
-        draws, wait out the readout and reset, and return the uniforms.
-
-        ``bloch.readout_bit(z, u1, u2, qubit)`` on them later gives the bit that
-        ``readout(z)`` would return now: the same draws in the same order.
-        """
-        u = self.uniforms.next(), self.uniforms.next()
-        self.advance(self.qubit.t_wall)
-        return u
 
     def draw_counts(self) -> dict[str, int]:
         """Draws read from each stream so far; counting draws no random number.
@@ -219,8 +213,7 @@ def _two_pulse_cycle(
     pulse 2 in turn; a cycle that one mode covers takes its state from the
     memo.  Returns the state before readout.
     """
-    qp = env.qubit
-    pulse_time = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
+    qp, pulse_time = env.qubit, env.pulse_time
     xi_first = env.xi
     env.advance(pulse_time)
     segments = env.dwell(tau)
@@ -345,7 +338,7 @@ class CycleSchedule:
         self.kinds, self.keys, self.columns, self.resample = kinds, keys, columns, resample
         self.decode = (0, 0) if tau_probe is None else calibrate_decode_map(qp, tau_probe, env.finite_pulses)
         self.steps = np.empty((kinds.size, 4))
-        self.steps[:, 0::2] = pulse_duration(HALF_PI, qp) if env.finite_pulses else 0.0
+        self.steps[:, 0::2] = env.pulse_time
         self.steps[:, 1] = np.array([key[1] for key in keys])[columns[0]]
         self.steps[:, 3] = qp.t_wall
         self.z = np.full((2, len(keys)), math.nan)  # per mode the keys' switch-free z, made as it is first staged

@@ -96,36 +96,51 @@ def next_switch(params: TelegraphParams, xi: int, t: float, dwells) -> float:
     return t + dwells.exponential(1.0 / rate) if rate > 0.0 else math.inf
 
 
+def walk(
+    xi: int, switch_at: float, params: TelegraphParams, end: float, dwells, switches: list[float] | None = None
+) -> tuple[int, float]:
+    """Walk the switch times of mode ``xi``, next switching at ``switch_at``, to lab time
+    ``end``; return the end mode and its ``switch_at``.
+
+    A switch at the end time has not happened by it.  Each switch draws the
+    dwell of the mode it enters (``next_switch``), so any partition of the walk
+    gives the same mode, switch time and draws.  The switch times go to
+    ``switches`` if given (else memory stays constant).
+    """
+    while switch_at < end:
+        if switches is not None:
+            switches.append(switch_at)
+        xi = 1 - xi
+        switch_at = next_switch(params, xi, switch_at, dwells)
+    return xi, switch_at
+
+
+def cut(xi: int, switches: list[float], start: float, dt: float) -> list[tuple[int, float]]:
+    """The (xi, duration) segments of mode ``xi`` from lab time ``start`` to ``start + dt``, cut
+    at ``switches``, its switch times: durations are differences of lab times, but an
+    interval no switch cuts is the one segment ``(xi, dt)``, and ``dt = 0`` has none."""
+    segments, t = [], start
+    for switch_at in switches:
+        segments.append((xi, switch_at - t))
+        t, xi = switch_at, 1 - xi
+    if dt > 0.0:
+        segments.append((xi, dt if t == start else start + dt - t))
+    return segments
+
+
+def evolve(
+    xi: int, switch_at: float, params: TelegraphParams, start: float, dt: float, dwells, switches: list | None = None
+) -> tuple[int, float]:
+    """``walk`` from lab time ``start`` to ``start + dt``."""
+    if not 0 <= dt < math.inf:
+        raise ValueError("dt must be finite and nonnegative")
+    return walk(xi, switch_at, params, start + dt, dwells, switches)
+
+
 def dwell_segments(
     xi: int, switch_at: float, params: TelegraphParams, start: float, dt: float, dwells
 ) -> tuple[list[tuple[int, float]], int, float]:
     """``evolve``, also returning the visited (xi, duration) segments: ``(segments, xi, switch_at)``."""
-    segments: list[tuple[int, float]] = []
-    xi, switch_at = evolve(xi, switch_at, params, start, dt, dwells, segments)
-    return segments, xi, switch_at
-
-
-def evolve(
-    xi: int, switch_at: float, params: TelegraphParams, start: float, dt: float, dwells,
-    segments: list[tuple[int, float]] | None = None,
-) -> tuple[int, float]:
-    """Walk the switch times of mode ``xi``, next switching at ``switch_at``, from lab
-    time ``start`` to ``start + dt``; return the end mode and its ``switch_at``.
-
-    A switch at the end time has not happened by it.  Each switch draws the
-    dwell of the mode it enters (``next_switch``), so any partition of the walk
-    gives the same mode, switch time and draws.  Segments go to ``segments``
-    if given (else memory stays constant): durations are differences of lab
-    times, but an interval no switch cuts is the one segment ``(xi, dt)``.
-    """
-    if not 0 <= dt < math.inf:
-        raise ValueError("dt must be finite and nonnegative")
-    end, t = start + dt, start
-    while switch_at < end:
-        if segments is not None:
-            segments.append((xi, switch_at - t))
-        t, xi = switch_at, 1 - xi
-        switch_at = next_switch(params, xi, t, dwells)
-    if segments is not None and dt > 0.0:
-        segments.append((xi, dt if t == start else end - t))
-    return xi, switch_at
+    switches: list[float] = []
+    end_xi, switch_at = evolve(xi, switch_at, params, start, dt, dwells, switches)
+    return cut(xi, switches, start, dt), end_xi, switch_at

@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from bistable_qubit import telegraph
-from bistable_qubit.bloch import readout_bit
 from bistable_qubit.protocol import FEEDBACK, SYNDROME, _two_pulse_cycle, syndrome_cycle
 
 
@@ -34,7 +33,7 @@ def schedule_run(self, env, n):
 
 
 def executor_run(self, sequences, shots, tau_probe):
-    """``SequenceExecutor.run`` one run at a time: every run stepped by ``_step`` and read out at once."""
+    """``SequenceExecutor.run`` one run at a time: every run stepped by ``_step`` and read out by ``env.readout``."""
     env, qp = self.env, self.env.qubit
     bits = np.empty((len(sequences), 2, shots), dtype=int)
     modes = np.empty(len(sequences), dtype=int)
@@ -49,7 +48,7 @@ def executor_run(self, sequences, shots, tau_probe):
             for shot in range(shots):
                 segments = env.dwell(total) or [(env.xi, 0.0)]  # a depth-0 run has no segment
                 z = self._step(sequence, f_c, segments)[2]
-                bits[p, arm, shot] = readout_bit(z, *env.readout_draws(), qp)
+                bits[p, arm, shot] = env.readout(z)
     return bits, modes
 
 

@@ -1,5 +1,6 @@
 """Clifford group, decay fitting, interleaved benchmarking execution."""
 
+import collections
 import copy
 import itertools
 import math
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bistable_qubit import benchmarking as rb
-from bistable_qubit import telegraph
+from bistable_qubit import protocol, telegraph
 from bistable_qubit.bloch import (
     GROUND,
     QubitParams,
@@ -25,6 +26,8 @@ from bistable_qubit.bloch import (
 from bistable_qubit.protocol import default_tau_probe, make_environment, syndrome_cycle
 from bistable_qubit.streams import substream, words_drawn
 from bistable_qubit.telegraph import TelegraphParams
+
+from scalar_engine import executor_run
 
 QP = QubitParams.defaults()
 IDEAL = QubitParams.defaults(
@@ -239,7 +242,7 @@ class TestExecutor:
             switched += len(segments) > 1
             ahead = copy.deepcopy(env)  # the open-loop run, its readout and the syndrome cycle
             ahead.dwell(total)
-            ahead.readout_draws()
+            ahead.readout(1.0)
             estimate = syndrome_cycle(ahead, default_tau_probe(QP))[1]
             fb_segments = ahead.dwell(total)
             executor.run(np.array([seq]), 1, default_tau_probe(QP))
@@ -321,13 +324,57 @@ class TestExecutor:
                     segmented += 1
                 else:
                     switch_free.add((bytes(row), 24 * (2 * ahead.xi + frame)))
-                ahead.readout_draws()
+                ahead.readout(1.0)
         batches, stepped = _record_stepping(monkeypatch)
         executor.run(sequences, 1, default_tau_probe(QP))
         (batch,) = batches
         assert segmented >= 10 and len(switch_free) >= 10
         assert sorted(batch) == sorted(switch_free) and len(stepped) == segmented
         assert all(n > 1 for n in stepped)  # _step runs only the runs a switch lands in
+
+    def test_stepped_segments_equal_the_scalar_engine(self, monkeypatch):
+        # Bits cannot show an ulp, so this compares what is stepped: the (mode, segments) the
+        # depth hands to ``_step`` and ``_cycle_state`` equal, as multisets, those the scalar
+        # engine hands them for its runs and syndromes that a switch lands in or between.
+        # At 1.5e6/s a switch lands in most syndromes and in some runs, and now and then in a
+        # syndrome's first pulse alone, whose uncut tau is stepped as the one segment (xi, tau).
+        fast, tau = TelegraphParams(1.5e6, 1.5e6), default_tau_probe(QP)
+        protocol.calibrate_decode_map(QP, tau, True)  # memoised first, so every recorded cycle is a switched one
+        for xi in (0, 1):
+            protocol._switch_free_state(QP, True, QP.f_high, xi, tau, 0.0)
+        step, cycle_state, calls = rb.SequenceExecutor._step, protocol._cycle_state, []
+
+        def record_step(self, indices, f_c, segments):
+            if len(segments) > 1:  # the scalar engine steps every run, the depth only these
+                calls.append((bytes(indices), f_c, tuple(segments)))
+            return step(self, indices, f_c, segments)
+
+        def record_cycle(qp, finite_pulses, f_c, xi_first, segments, xi_second, phase):
+            calls.append((f_c, xi_first, tuple(segments), xi_second, phase))
+            return cycle_state(qp, finite_pulses, f_c, xi_first, segments, xi_second, phase)
+
+        monkeypatch.setattr(rb.SequenceExecutor, "_step", record_step)
+        monkeypatch.setattr(rb, "_cycle_state", record_cycle)
+        monkeypatch.setattr(protocol, "_cycle_state", record_cycle)
+        seen = collections.Counter()
+        for k in range(5):
+            env = make_environment(QP, fast, substream(521, "segments", k))
+            twin = copy.deepcopy(env)
+            staged, scalar, draw = rb.SequenceExecutor(env), rb.SequenceExecutor(twin), np.random.default_rng(k)
+            for length in (0,) * 10 + (1, 3):
+                sequences = rb.random_sequence(length, draw, 60)
+                bits, modes = staged.run(sequences, 1, tau)
+                staged_calls = collections.Counter(calls)
+                calls.clear()
+                expected = executor_run(scalar, sequences, 1, tau)
+                assert collections.Counter(calls) == staged_calls
+                assert bits.tolist() == expected[0].tolist() and modes.tolist() == expected[1].tolist()
+                calls.clear()
+                for call in staged_calls.elements():  # runs are 3-tuples, cycles 5-tuples
+                    seen["run" if len(call) == 3 else "first pulse alone" if len(call[2]) == 1 else "cycle"] += 1
+            assert (env.clock, env.xi, env.switch_at) == (twin.clock, twin.xi, twin.switch_at)
+            assert env.draw_counts() == twin.draw_counts()
+        assert seen["run"] >= 200 and seen["cycle"] >= 2000 and seen["first pulse alone"] >= 10
 
     def test_resolving_an_rb_depth_stays_small(self):
         # The bench rb-slow depth: 84 sequences of 2048 Cliffords plus recovery,

@@ -31,7 +31,7 @@ from bistable_qubit.protocol import _switch_free_state, _two_pulse_cycle
 from bistable_qubit.streams import substream
 from bistable_qubit.telegraph import TelegraphParams
 
-from scalar_engine import scalar_ramsey_cycle, schedule_run
+from scalar_engine import executor_run, scalar_ramsey_cycle, schedule_run
 
 QP = QubitParams.defaults()
 IDEAL = QubitParams.defaults(
@@ -99,9 +99,9 @@ class TestSyndromeCycle:
         advanced = []
         evolve = telegraph.evolve
 
-        def record(xi, switch_at, params, start, dt, dwells, segments=None):  # every interval the defect is advanced over
+        def record(xi, switch_at, params, start, dt, dwells, switches=None):  # every interval the defect is advanced over
             advanced.append(dt)
-            return evolve(xi, switch_at, params, start, dt, dwells, segments)
+            return evolve(xi, switch_at, params, start, dt, dwells, switches)
 
         monkeypatch.setattr(telegraph, "evolve", record)
         env.clock = 3.0
@@ -336,13 +336,14 @@ class TestEnvironment:
     @pytest.mark.parametrize(
         "run",
         [
-            # Cycle by cycle: the staged run equals the scalar engine, clock included (tests/test_cli.py).
+            # Cycle by cycle and run by run: the staged runs equal the scalar engine, clock included
+            # (tests/test_cli.py).
             lambda env, mp: mp.setattr(protocol.CycleSchedule, "run", schedule_run) or run_mitigation(
                 env,
                 MitigationConfig(tau_grid=(0.3e-6, 1.1e-6), tau_probe=default_tau_probe(QP), n_reps=3, rows=3,
                                  idle_between_rows=2e-5),
             ),
-            lambda env, mp: rb.run_rb_interleaved(
+            lambda env, mp: mp.setattr(rb.SequenceExecutor, "run", executor_run) or rb.run_rb_interleaved(
                 env,
                 rb.RbConfig(tau_probe=default_tau_probe(QP), depths=(1, 8, 64), n_sequences=3,
                             shots_per_sequence=2, n_windows=2, idle_between_windows=2e-5),
@@ -357,11 +358,11 @@ class TestEnvironment:
         switches = []
         evolve = telegraph.evolve
 
-        def record_evolve(xi, switch_at, params, start, dt, dwells, segments=None):
+        def record_evolve(xi, switch_at, params, start, dt, dwells, seen=None):
             advanced.append(dt)
-            seen = [] if segments is None else segments  # a list to fill draws nothing more
+            seen = [] if seen is None else seen  # a list to fill draws nothing more
             walked = evolve(xi, switch_at, params, start, dt, dwells, seen)
-            switches.append(max(len(seen) - 1, 0))
+            switches.append(len(seen))
             return walked
 
         monkeypatch.setattr(telegraph, "evolve", record_evolve)
