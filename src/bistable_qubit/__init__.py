@@ -8,7 +8,7 @@ mode-estimation feedback protocol with interleaved validation experiments
 closed-form error budgets as an oracle layer.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .bloch import QubitParams
 from .protocol import Environment

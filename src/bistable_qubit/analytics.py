@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,8 @@ import numpy as np
 from .bloch import QubitParams, rabi_transition_probability
 
 # Trajectories drawn per chunk by ak_coherence_mc; the chunk size fixes the draw
-# order and bounds the (chunk, dwell) arrays.
+# order and bounds the per-segment arrays of a chunk's passes.
 MC_CHUNK = 20000
-# Rows per block of ak_coherence_mc's segment pass; it bounds the (block, segment)
-# arrays beside the chunk's draws.
-MC_BLOCK_ROWS = 2048
 
 
 def ramsey_likelihood(m: int, xi: int, tau, delta_f: float, params: QubitParams):
@@ -275,28 +271,30 @@ def ak_coherence_mc(
     cos(w*phi) = cos(a) cos(theta) - s sin(a) sin(theta) and
     sin(w*phi) = sin(a) cos(theta) + s cos(a) sin(theta).  On the sorted grid
     segment c covers the indices [lo_c, hi_c), with hi_c = searchsorted(t,
-    flip_c, "left") and lo_c = hi_{c-1}, lo_0 = 0: a flip at a grid time
+    end_c, "left") and lo_c = hi_{c-1}, lo_0 = 0: a flip at a grid time
     counts as before it.  Each covering segment adds cos(a), s sin(a),
     s cos(a) and sin(a) at lo and subtracts them at hi of a (4, grid + 1)
     difference array; one cumulative sum along the grid gives the four sums
-    over the trajectories, and one angle addition per time the coherence.  A
-    frozen trajectory is one segment with a = 0 over the whole grid.  The
-    work is O(trajectories x segments + grid).
+    over the trajectories, and one angle addition per time the coherence.
+    Segment 0 has a = 0, so its terms are 1, 0, s and 0.  The work is
+    O(trajectories x segments + grid).
 
     This differs from summing exp(1j*w*phi) trajectory by trajectory by
     rounding alone: each of the n unit terms carries an angle error of order
     eps (1 + w t_max), and sums of n terms in another order differ by order
     n eps, so the two agree to a few eps n (1 + w t_max).
 
-    Each chunk of MC_CHUNK trajectories is drawn whole, and its segment pass
-    runs in blocks of MC_BLOCK_ROWS rows up to the first flip past the grid
-    in every row, so memory is the chunk's draws, a few (block, segment)
-    arrays and the grid's sums.
+    Each chunk of MC_CHUNK trajectories draws its branches, then runs one
+    pass per segment: a pass draws one dwell for each trajectory still on the
+    grid, in trajectory order, and keeps for the next pass the trajectories
+    whose segment ends at or before the last grid time.  So only the dwells
+    that open a segment on the grid, plus one past it per trajectory, are
+    drawn, and memory is a few arrays of a chunk's segments and the grid's
+    sums.
 
-    A rate so low that a row of dwell draws could sum past the largest float
-    (numpy draws no standard exponential above 45) reads as frozen, like
+    A rate whose mean dwell 2/gamma is not finite reads as frozen, like
     gamma = 0: such a defect does not flip within any grid of this model's
-    time scales, and the overflowing sums would turn the phase to inf - inf.
+    time scales.
     """
     if initial not in ("equal", "plus", "minus"):
         raise ValueError("initial must be 'equal', 'plus' or 'minus'")
@@ -307,36 +305,45 @@ def ak_coherence_mc(
         raise ValueError("t_grid must be finite and nonnegative")
     order = np.argsort(t_grid, kind="stable")
     t_sorted = t_grid[order]
+    grid_index = _grid_index(t_sorted)
     w = math.pi * delta_tls
     horizon = float(t_grid.max(initial=0.0))
-    switching = False
-    if gamma > 0.0:
-        scale = 2.0 / gamma  # the mean dwell
-        n_dwell = max(16, int(0.5 * gamma * horizon + 8.0 * math.sqrt(0.5 * gamma * horizon) + 8))
-        switching = 45.0 * n_dwell * scale <= sys.float_info.max
+    scale = 2.0 / gamma if gamma > 0.0 else math.inf  # the mean dwell
     diff = np.zeros((4, t_sorted.size + 1))
     remaining = n_trajectories
     while remaining > 0:
         n = min(MC_CHUNK, remaining)
         remaining -= n
         if initial == "equal":
-            s0 = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            s = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         else:
-            s0 = np.full(n, 1.0 if initial == "plus" else -1.0)
-        if switching:
-            dwells = rng.exponential(scale, size=(n, n_dwell))
-            flips = np.cumsum(dwells, axis=1)
-            while flips[:, -1].min() <= horizon:
-                extra = rng.exponential(scale, size=(n, n_dwell))
-                dwells = np.hstack([dwells, extra])
-                flips = np.cumsum(dwells, axis=1)
-            segments = int(np.argmax(flips > horizon, axis=1).max()) + 1
-        else:
-            dwells = flips = np.full((n, 1), math.inf)
-            segments = 1
-        for lo in range(0, n, MC_BLOCK_ROWS):
-            rows = slice(lo, lo + MC_BLOCK_ROWS)
-            _add_segments(diff, s0[rows], dwells[rows, :segments], flips[rows, :segments], t_sorted, w)
+            s = np.full(n, 1.0 if initial == "plus" else -1.0)
+        end = rng.exponential(scale, size=n) if scale < math.inf else np.full(n, math.inf)
+        hi = grid_index(end)
+        # Segment 0 covers [0, hi) with the terms 1, 0, s and 0, exact integer sums.
+        diff[0, 0] += n
+        diff[2, 0] += s.sum()
+        diff[0] -= np.bincount(hi, minlength=diff.shape[1])
+        diff[2] -= np.bincount(hi, s, diff.shape[1])
+        segments = []  # (lo, hi, s, a) of each later covering segment
+        prefix = s * end
+        while True:
+            live = end <= horizon
+            if not live.any():
+                break
+            start, lo, prefix, s = end[live], hi[live], prefix[live], -s[live]
+            dwell = rng.exponential(scale, size=start.size)
+            end = start + dwell
+            hi = grid_index(end)
+            covers = hi > lo
+            a = w * (prefix - s * start)
+            segments.append((lo[covers], hi[covers], s[covers], a[covers]))
+            prefix = prefix + s * dwell
+        if segments:
+            lo, hi, s, a = map(np.concatenate, zip(*segments))
+            cos_a, sin_a = np.cos(a), np.sin(a)
+            for q, value in enumerate((cos_a, s * sin_a, s * cos_a, sin_a)):
+                diff[q] += np.bincount(lo, value, diff.shape[1]) - np.bincount(hi, value, diff.shape[1])
     sums = np.cumsum(diff[:, :-1], axis=1)
     cos_t, sin_t = np.cos(w * t_sorted), np.sin(w * t_sorted)
     total = np.empty(t_grid.shape, dtype=complex)
@@ -345,22 +352,40 @@ def ak_coherence_mc(
     return 0.5 * total / n_trajectories
 
 
-def _add_segments(diff, s0, dwells, flips, t, w):
-    """Add each covering segment's cos(a), s sin(a), s cos(a) and sin(a) to
-    ``diff`` at its first sorted grid index and subtract them past its last."""
-    sign = s0[:, None] * np.where(np.arange(flips.shape[1]) % 2 == 1, -1.0, 1.0)
-    a = np.zeros(flips.shape)
-    np.cumsum(sign[:, :-1] * dwells[:, :-1], axis=1, out=a[:, 1:])  # prefix
-    a[:, 1:] -= sign[:, 1:] * flips[:, :-1]  # minus s * start
-    a *= w
-    hi = np.searchsorted(t, flips, side="left")
-    runs = np.diff(hi, axis=1, prepend=0)
-    covers = runs > 0
-    hi, sign, a = hi[covers], sign[covers], a[covers]
-    lo = hi - runs[covers]
-    cos_a, sin_a = np.cos(a), np.sin(a)
-    for q, value in enumerate((cos_a, sign * sin_a, sign * cos_a, sin_a)):
-        diff[q] += np.bincount(lo, value, diff.shape[1]) - np.bincount(hi, value, diff.shape[1])
+def _grid_index(t: np.ndarray):
+    """``np.searchsorted(t, keys, side="left")`` on the sorted grid ``t``, as a function of ``keys``.
+
+    A key's bucket is floor((key - t[0]) * m / span) on m = 4 * t.size buckets,
+    with the key first clipped to [t[0], t[-1]], and the same formula gives
+    each grid point's bucket.  Subtraction and multiplication round
+    monotonically, so a grid point in an earlier bucket than a key lies below
+    it and one in a later bucket above it: the count of grid points in
+    earlier buckets, a table lookup, is the answer up to the points that
+    share the key's bucket, and one pass per point the fullest bucket holds
+    steps over those that lie below the key.
+    A grid of fewer than 2 points, or of a span so small (zero or subnormal)
+    that m / span is not finite, has no buckets and takes ``np.searchsorted``.
+    """
+    m = 4 * t.size
+    per_span = m / float(t[-1] - t[0]) if t.size > 1 and t[-1] > t[0] else math.inf
+    if per_span == math.inf:
+        return lambda keys: np.searchsorted(t, keys, side="left")
+    origin, top = float(t[0]), float(t[-1])
+
+    def bucket(x):
+        return ((np.clip(x, origin, top) - origin) * per_span).astype(np.intp)
+
+    table = np.searchsorted(bucket(t), np.arange(m + 2), side="left")  # grid points in earlier buckets
+    passes = int(np.diff(table).max())
+    padded = np.append(t, math.inf)
+
+    def grid_index(keys):
+        index = table[bucket(keys)]
+        for _ in range(passes):
+            index += padded[index] < keys
+        return index
+
+    return grid_index
 
 
 def p_err_bandwidth(delta_tls, gamma, alpha: float, t2: float, t_wall: float):

@@ -61,18 +61,22 @@ UNITARIES = np.stack([decomposition_unitary(pulses) for pulses in PULSES])
 GATES_PER_CLIFFORD = sum(map(len, PULSES)) / len(PULSES)  # average physical-pulse count
 
 
-def match_element(u: np.ndarray) -> int:
-    """Index of the table element equal to ``u`` up to global phase."""
-    scores = np.abs(np.einsum("nij,ji->n", UNITARIES.conj().transpose(0, 2, 1), u)) / 2.0
-    idx = int(np.argmax(scores))
-    if scores[idx] < 1.0 - 1e-9:
+def match_element(u: np.ndarray):
+    """Index of the table element equal to ``u`` up to global phase.
+
+    ``u`` may be a stack of unitaries, shape (..., 2, 2); the result is then
+    the array of their indices, shape (...).
+    """
+    scores = np.abs(np.einsum("nij,...ji->...n", UNITARIES.conj().transpose(0, 2, 1), u)) / 2.0
+    idx = np.argmax(scores, axis=-1)
+    if np.any(np.take_along_axis(scores, idx[..., None], axis=-1) < 1.0 - 1e-9):
         raise ValueError("unitary is not a Clifford element of the table")
-    return idx
+    return int(idx) if idx.ndim == 0 else idx
 
 
 # PRODUCT[a, b] is the index of U_a @ U_b (group closure).
-PRODUCT = np.array([[match_element(a @ b) for b in UNITARIES] for a in UNITARIES])
-INVERSE = tuple(match_element(u.conj().T) for u in UNITARIES)
+PRODUCT = match_element(UNITARIES[:, None] @ UNITARIES[None, :])
+INVERSE = tuple(match_element(UNITARIES.conj().transpose(0, 2, 1)).tolist())
 IDENTITY_INDEX = match_element(np.eye(2, dtype=complex))
 
 
@@ -309,6 +313,14 @@ class FitResult:
 _FAILED_FIT = FitResult(*[math.nan] * 6, ok=False)
 
 
+def _pow(p: float, n: float) -> float:
+    """``math.pow(p, n)``, inf past the largest float as ``np.power`` gives."""
+    try:
+        return math.pow(p, n)
+    except OverflowError:
+        return math.inf
+
+
 def fit_exponential(depths, survivals, weights=None) -> FitResult:
     """Weighted least-squares fit of A*p^L + B.
 
@@ -334,7 +346,8 @@ def fit_exponential(depths, survivals, weights=None) -> FitResult:
         sigma = 1.0 / np.sqrt(weights)
 
     def model(length, a, p, b):
-        return a * np.power(p, length) + b
+        # p**L by the C library's pow: numpy's SIMD power kernels round differently by CPU.
+        return a * np.array([_pow(p, n) for n in length.tolist()]) + b
 
     b0 = 0.5
     a0 = float(np.clip(survivals[np.argmin(depths)] - b0, 0.05, 1.0))

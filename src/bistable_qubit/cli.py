@@ -250,7 +250,7 @@ def _config_from_dict(data) -> RunConfig:
             raise ConfigError(f"protocol.tau_probe_s: {exc}") from exc
     if experiment == "ak":
         ak = merged["ak"]
-        if 0.5 * ak["gamma_hz"] * _ak_t_max(ak, qubit) > 10**7:  # the flips are drawn into arrays
+        if 0.5 * ak["gamma_hz"] * _ak_t_max(ak, qubit) > 10**7:  # the Monte Carlo makes one pass per flip
             raise ConfigError(
                 "ak.gamma_hz: the expected flips per trajectory, 0.5 * gamma_hz * t_max, must be <= 10**7,"
                 f" got {json.dumps(ak['gamma_hz'])}"

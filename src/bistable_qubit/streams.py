@@ -63,27 +63,29 @@ class Draws:
     def __init__(self, generator: Generator, kind: str, taken: int = 0):
         self._fill = getattr(generator, kind)
         self._block = np.empty(0)
-        self._values: list[float] = []  # the block as Python floats, for scalar reads
+        self._values: list[float] | None = None  # the block as Python floats, built at its first scalar read
         self._pos = 0
         self._filled = taken  # draws made from the generator, ``taken`` of them before this buffer
 
     @property
     def taken(self) -> int:
-        return self._filled - len(self._values) + self._pos
+        return self._filled - self._block.size + self._pos
 
     def _refill(self, n: int) -> None:
         """Keep the unread draws and top the block up to ``max(n, BLOCK)`` from the generator."""
-        fresh = self._fill(max(n, BLOCK) - len(self._values) + self._pos)
+        fresh = self._fill(max(n, BLOCK) - self._block.size + self._pos)
         self._filled += fresh.size
         self._block = np.concatenate((self._block[self._pos:], fresh))
-        self._values = self._block.tolist()
+        self._values = None
         self._pos = 0
 
     def next(self) -> float:
         pos = self._pos
-        if pos == len(self._values):
+        if pos == self._block.size:
             self._refill(1)
             pos = 0
+        if self._values is None:
+            self._values = self._block.tolist()
         self._pos = pos + 1
         return self._values[pos]
 
@@ -93,7 +95,7 @@ class Draws:
         return self.next() * scale
 
     def take(self, n: int) -> np.ndarray:
-        if len(self._values) - self._pos < n:
+        if self._block.size - self._pos < n:
             self._refill(n)
         self._pos += n
         return self._block[self._pos - n:self._pos]

@@ -32,7 +32,8 @@ def argmax_contrast(delta_tls, t2, alpha=1.0):
 def _reference_ak_mc(delta_tls, gamma, t_grid, n_trajectories, rng, initial="equal"):
     """ak_coherence_mc as a segment-by-segment clip of every dwell against every
     grid time, summing exp(1j * w * phase) over whole chunks: the reference for
-    the per-segment sums."""
+    the per-segment sums.  Each pass draws one dwell per trajectory still on the
+    grid, in trajectory order."""
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     w = math.pi * delta_tls
     horizon = float(t_grid.max(initial=0.0))
@@ -49,25 +50,17 @@ def _reference_ak_mc(delta_tls, gamma, t_grid, n_trajectories, rng, initial="equ
             phase = s0[:, None] * (w * t_grid)[None, :]
             total += np.exp(1j * phase).sum(axis=0)
             continue
-        scale = 2.0 / gamma
-        n_dwell = max(16, int(0.5 * gamma * horizon + 8.0 * math.sqrt(0.5 * gamma * horizon) + 8))
-        dwells = rng.exponential(scale, size=(n, n_dwell))
-        flips = np.cumsum(dwells, axis=1)
-        while flips[:, -1].min() <= horizon:
-            extra = rng.exponential(scale, size=(n, n_dwell))
-            dwells = np.hstack([dwells, extra])
-            flips = np.cumsum(dwells, axis=1)
         phase = np.zeros((n, t_grid.size))
         seg_start = np.zeros(n)
         sign = s0.copy()
-        for j in range(dwells.shape[1]):
-            seg_end = flips[:, j]
-            overlap = np.clip(t_grid[None, :] - seg_start[:, None], 0.0, dwells[:, j][:, None])
-            phase += sign[:, None] * overlap
-            seg_start = seg_end
-            sign = -sign
-            if seg_start.min() > horizon:
-                break
+        live = np.arange(n)
+        while live.size:
+            dwell = rng.exponential(2.0 / gamma, size=live.size)
+            overlap = np.clip(t_grid[None, :] - seg_start[live, None], 0.0, dwell[:, None])
+            phase[live] += sign[live, None] * overlap
+            seg_start[live] += dwell
+            sign[live] = -sign[live]
+            live = live[seg_start[live] <= horizon]
         total += np.exp(1j * w * phase).sum(axis=0)
     return 0.5 * total / n_trajectories
 
@@ -86,13 +79,14 @@ def _rounding_bound(n_trajectories, t, delta_tls):
     return 4.0 * np.finfo(float).eps * n_trajectories * (1.0 + math.pi * delta_tls * float(np.max(t)))
 
 
-class _ShortFirstBlock:
-    """A generator whose first block of dwells is 100x shorter, so that no
-    trajectory outlasts the grid on it and ak_coherence_mc must refill."""
+class _ShortFirstCall:
+    """A generator whose first exponential call returns dwells 100x shorter, so
+    that every trajectory of the first chunk flips many times before the grid's
+    end: a long tail of passes, each on fewer trajectories."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.blocks = 0
+        self.calls = 0
 
     def random(self, n):
         return self._rng.random(n)
@@ -101,8 +95,8 @@ class _ShortFirstBlock:
         return self._rng.bit_generator.state
 
     def exponential(self, scale, size):
-        self.blocks += 1
-        return self._rng.exponential(scale, size) * (0.01 if self.blocks == 1 else 1.0)
+        self.calls += 1
+        return self._rng.exponential(scale, size) * (0.01 if self.calls == 1 else 1.0)
 
 
 def _reference_improvement_map(splittings, switching, alpha=0.94, t_pi=48e-9, t2=61e-6, t_wall=8e-6):
@@ -469,16 +463,34 @@ class TestAndersonKubo:
         assert rng.bit_generator.state == reference_rng.bit_generator.state  # the same draws
         assert np.max(np.abs(got - want)) <= _rounding_bound(n_trajectories, t, self.DELTA)
 
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        grid=st.lists(st.floats(0.0, 10.0), max_size=30),
+        duplicate=st.integers(0, 29),
+        keys=st.lists(st.floats(0.0, 12.0), max_size=30),
+        on_grid=st.lists(st.integers(0, 29), max_size=6),
+    )
+    @example(grid=[], duplicate=0, keys=[1.0], on_grid=[])
+    @example(grid=[2.0, 2.0, 2.0], duplicate=0, keys=[1.0, 3.0], on_grid=[0])
+    @example(grid=[5.0, 0.0, 1e-300, 2e-300, 3e-300], duplicate=2, keys=[1e-300, 2.5e-300], on_grid=[1, 2, 3])
+    @example(grid=[0.0, 1.1e-308], duplicate=0, keys=[5e-309], on_grid=[1])
+    def test_grid_index_equals_searchsorted(self, grid, duplicate, keys, on_grid):
+        # An unsorted grid with a duplicate time, sorted as ak_coherence_mc sorts it;
+        # keys on grid points and their float neighbours, 0 and inf.
+        t = np.sort(np.array(grid + grid[duplicate % len(grid):][:1] if grid else []))
+        points = t[np.array(on_grid, dtype=int) % t.size] if t.size else np.empty(0)
+        keys = np.concatenate([keys, points, np.nextafter(points, -1.0), np.nextafter(points, 20.0), [0.0, math.inf]])
+        assert np.array_equal(analytics._grid_index(t)(keys), np.searchsorted(t, keys, side="left"))
+
     @pytest.mark.parametrize("initial", ["equal", "plus", "minus"])
-    def test_monte_carlo_refill_equals_clip_loop(self, initial):
+    def test_monte_carlo_long_tail_equals_clip_loop(self, initial):
         t = np.linspace(3.0, 0.0, 25) / self.DELTA
         n = analytics.MC_CHUNK + 5
-        reference = _ShortFirstBlock(11)
+        reference = _ShortFirstCall(11)
         want = _reference_ak_mc(self.DELTA, 0.4 * self.W2, t, n, reference, initial)
-        fast = _ShortFirstBlock(11)
+        fast = _ShortFirstCall(11)
         got = analytics.ak_coherence_mc(self.DELTA, 0.4 * self.W2, t, n, fast, initial)
-        assert fast.blocks > 2  # two chunks, and at least one refill
-        assert fast.blocks == reference.blocks
+        assert fast.calls == reference.calls > 2  # two chunks, each a tail of passes
         assert fast.state() == reference.state()
         assert np.max(np.abs(got - want)) <= _rounding_bound(n, t, self.DELTA)
 

@@ -84,6 +84,11 @@ class TestCliffordTable:
                 idx = rb.match_element(a @ b)
                 assert 0 <= idx < 24
 
+    def test_tables_equal_a_per_pair_build(self):
+        product = [[rb.match_element(a @ b) for b in rb.UNITARIES] for a in rb.UNITARIES]
+        assert rb.PRODUCT.tolist() == product
+        assert rb.INVERSE == tuple(rb.match_element(u.conj().T) for u in rb.UNITARIES)
+
     def test_product_table_is_a_group_action(self):
         prod = np.array(rb.PRODUCT)
         identity = rb.IDENTITY_INDEX
@@ -109,6 +114,8 @@ class TestCliffordTable:
         )
         with pytest.raises(ValueError):
             rb.match_element(u)
+        with pytest.raises(ValueError):
+            rb.match_element(np.stack([rb.UNITARIES[3], u]))
 
 
 class TestRandomSequence:

@@ -702,11 +702,11 @@ def test_csv_writer_prints_every_value_as_fmt(tmp_path):
 
 
 # Golden outputs: data-file SHA-256 of small pinned configs, as written by
-# artifact version 0.5.0.  Speed-ups must keep them byte-identical.  A
+# artifact version 0.6.0.  Speed-ups must keep them byte-identical.  A
 # deliberate change of the random streams, of the arithmetic behind a state or
 # of the fit solver must update these hashes together with a bump of
 # ``__version__`` (the manifest's ``artifact_version``).
-GOLDEN_VERSION = "0.5.0"
+GOLDEN_VERSION = "0.6.0"
 GOLDEN = {
     "mitigate-switching-blocks": (
         {
@@ -815,7 +815,7 @@ GOLDEN = {
             "rb": {"depths": [1, 4, 16, 64], "n_sequences": 4, "shots_per_sequence": 2, "n_windows": 2},
         },
         {
-            "rb_timeseries.csv": "117198dc5d59b48e1acaa8d02e25da736c1ddc0724fe397744e078792eefbf79",
+            "rb_timeseries.csv": "642fdba2b186e1197941ed9520276019df4c67820d5de507aa8eaebd7bb14216",
             "rb_survivals.csv": "163d77eaa8d2a8616d699c7b79b9af7b1a734b63179e3b30a13e07d001c00e06",
         },
     ),
@@ -835,7 +835,7 @@ GOLDEN = {
             },
         },
         {
-            "rb_timeseries.csv": "8cceb7cf734172bea0bc81324eb4c78541f193cdbb232f57761301bba49be982",
+            "rb_timeseries.csv": "186a1855d96358d94e6aa515e32a67ae6552a7ae9a1d221a609934c63ec965a5",
             "rb_survivals.csv": "9f5175fedba74573aa4efbdbdf409d0e2bd603df8f0306e13b2026aa55ce0e6f",
         },
     ),
@@ -856,7 +856,7 @@ GOLDEN = {
             },
         },
         {
-            "rb_timeseries.csv": "fefbcd7c368c62d4ff39d040835dccd2cc6c34dbd9f1821168270baa701d65b1",
+            "rb_timeseries.csv": "39433afba66679060a7288653939396448280288c2300cad8ce6cab7ac3ae1c2",
             "rb_survivals.csv": "5ce0c8fbbabd1da59670784a655fa3b712c85825cc6194542dd988c430c654fa",
         },
     ),
@@ -873,7 +873,7 @@ GOLDEN = {
             "rb": {"depths": [0, 2, 8, 32], "n_sequences": 6, "shots_per_sequence": 3},
         },
         {
-            "rb_timeseries.csv": "6bc0ce059bc2ed372763ec186ac00be46e334134bdadff77e066ed54779267e5",
+            "rb_timeseries.csv": "14731c202d98f7dca776a463997ecefea8f5264fab79bbb3effc988155ad55fb",
             "rb_survivals.csv": "ed550c1b37172165ed3f1ee053ed530bc646e42e61187077ecd0e58246399d18",
         },
     ),
@@ -894,7 +894,7 @@ GOLDEN = {
             },
         },
         {
-            "rb_timeseries.csv": "ebf2246a48ebf4c1b1da9b2f9cd109c86c79ffed5531615e2dab6bfb4717160a",
+            "rb_timeseries.csv": "af99016f3757c247a9a18cc14c448e7cec371a5ca5ab51f92e945b0eaf6743a1",
             "rb_survivals.csv": "b8745a636836d0c809e045c251868c66f5e0d94ed0e20b9165fe35b726d07067",
         },
     ),
@@ -931,17 +931,17 @@ GOLDEN = {
     ),
     "ak-mc-two-chunks": (
         {"experiment": "ak", "seed": 49, "ak": {"gamma_hz": 1e6, "n_t": 9, "n_trajectories": 20003}},
-        {"ak.csv": "775b63e366fc7e90197b56b596c5dd0c6715cc60c696ee175709bfae49ea3f3f"},
+        {"ak.csv": "953b90a11547ede39c2518e35f5fd16981f01c81d28b0db5a2117641323798ae"},
     ),
-    # Two chunks on 200 grid points, so each chunk's segment pass spans several
-    # row blocks: frozen and switching.
+    # Two chunks on 200 grid points: frozen, and switching with a tail of passes
+    # per chunk, each on the trajectories still on the grid.
     "ak-mc-frozen": (
         {"experiment": "ak", "seed": 53, "ak": {"gamma_hz": 0, "n_trajectories": 20003}},
         {"ak.csv": "64f2d352c41a693ad5021ca3bae3b30845c89e285aba2eef829790f088074d06"},
     ),
     "ak-mc-blocks": (
         {"experiment": "ak", "seed": 54, "ak": {"gamma_hz": 1e6, "n_t": 200, "n_trajectories": 20003}},
-        {"ak.csv": "14e05b4c331621545bb9a505022ac52fe936b9156774c392eef537a20f823a17"},
+        {"ak.csv": "6577c8c272df83018a999aa79b05d29fee36f44b709dcad8f6b16b3cc21c6f2a"},
     ),
     "perr": (
         {"experiment": "perr", "seed": 50},
@@ -965,7 +965,6 @@ def test_golden_data_files(tmp_path, name):
 # numpy picks its SIMD kernels by CPU, and some of them round differently from
 # others (np.exp and np.power under AVX-512).  Switching the highest groups off
 # in a child process stands in for an older CPU: the data files must not move.
-# The rb configs are left out: their fit digits still follow the dispatch.
 SIMD_OFF = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"
 GOLDEN_HASHES = """
 import json, os, sys, tempfile
@@ -981,8 +980,8 @@ print(json.dumps(hashes))
 
 
 def test_golden_data_files_do_not_depend_on_the_simd_kernels():
-    docs = {name: doc for name, (doc, _) in GOLDEN.items() if doc["experiment"] != "rb"}
-    assert len(docs) == 15
+    docs = {name: doc for name, (doc, _) in GOLDEN.items()}
+    assert len(docs) == 20
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=SIMD_OFF,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -4,6 +4,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bistable_qubit.streams import BLOCK, Draws, substream, words_drawn
 
@@ -37,6 +39,36 @@ def test_take_reads_across_a_refill_and_at_most_a_block():
     assert longer.tolist() == substream(602, "take").random(4 * BLOCK + 8)[-(3 * BLOCK + 1):].tolist()
     assert draws.taken == 4 * BLOCK + 8
     assert draws.next() == substream(602, "take").random(4 * BLOCK + 9)[-1]
+
+
+READS = st.one_of(
+    st.tuples(st.just("next"), st.none()),
+    st.tuples(st.just("take"), st.integers(0, 3 * BLOCK)),
+    st.tuples(st.just("exponential"), st.floats(1e-3, 1e3)),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(kind=st.sampled_from(["random", "standard_exponential"]), before=st.integers(0, 3),
+       reads=st.lists(READS, max_size=30))
+def test_interleaved_reads_give_the_generators_own_draws(kind, before, reads):
+    generator = substream(607, "interleave", kind)
+    getattr(generator, kind)(before)
+    draws = Draws(generator, kind, taken=before)
+    got, scales = [], []
+    for read, arg in reads:
+        if read == "next":
+            got.append(draws.next())
+            scales.append(None)
+        elif read == "take":
+            got += draws.take(arg).tolist()
+            scales += [None] * arg
+        else:
+            got.append(draws.exponential(arg))
+            scales.append(arg)
+        assert draws.taken == before + len(got)
+    own = getattr(substream(607, "interleave", kind), kind)(before + len(got))[before:].tolist()
+    assert got == [v if scale is None else v * scale for v, scale in zip(own, scales)]
 
 
 def test_taken_starts_at_the_draws_made_before_the_buffer():
