@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -109,15 +108,30 @@ def random_sequence(length: int, rng: np.random.Generator, n: int = 1) -> np.nda
 # Execution
 
 
+def _pairs(a, b) -> np.ndarray:
+    """The pairs (a, b), broadcast, as complex numbers a + bj: numpy orders complex numbers
+    lexicographically, so sorted pairs are one array that ``np.searchsorted`` searches exactly."""
+    pairs = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    pairs.real, pairs.imag = a, b
+    return pairs
+
+
+# The six native pulses, and per element the index among them of each of its (at most three) slots' pulse.
+NATIVE = sorted({pulse for pulses in PULSES for pulse in pulses})
+SLOTS = np.array([len(pulses) for pulses in PULSES])
+KINDS = np.array([[NATIVE.index(pulse) for pulse in pulses] + [0] * (3 - len(pulses)) for pulses in PULSES])
+
+
 class SequenceExecutor:
     """Runs Clifford sequences against the environment's defect trajectory.
 
     Each native pulse occupies one slot and runs in the mode at the slot's
     start: the mode is held over a slot and switches take effect at slot
     boundaries.  Per (mode, frame) combination every element is precompiled
-    into the affine Bloch maps of its slots and their composition, so an
-    element that one dwell segment covers costs a single map application and
-    only an element a switch lands inside is stepped slot by slot.
+    into the affine Bloch maps of its slots and their composition, one gather
+    table of codes, so a run is a row of codes: an element that one dwell
+    segment covers is one composed code and an element a switch lands inside
+    is its slot codes.  ``_step_batch`` applies every row of a depth at once.
     """
 
     def __init__(self, env: Environment):
@@ -125,26 +139,24 @@ class SequenceExecutor:
         qp = env.qubit
         self.slot = qp.t_pi
         self.durations = tuple(len(pulses) * self.slot for pulses in PULSES)
-        # Per (mode, frame), in the column order of the gather table: per element
-        # (its composed map,) and the maps of its slots.
-        self._maps: dict[tuple[int, float], list[tuple[tuple, tuple]]] = {}
+        composed, slots = [], []
         for xi in (0, 1):
             for f_c in (qp.f_high, qp.f_low):
                 delta_q = detuning(qp, f_c, xi)
-                entries = []
-                for pulses in PULSES:
-                    slots = []
-                    for axis_phase, angle in pulses:
-                        duration = pulse_duration(angle, qp)
-                        steps = [pulse_map(axis_phase, angle, delta_q, qp, True)]
-                        if self.slot > duration:
-                            steps.append(free_map(delta_q, self.slot - duration, qp))
-                        slots.append(compose(*steps))
-                    entries.append(((compose(IDENTITY, *slots),), tuple(slots)))
-                self._maps[xi, f_c] = entries
-        # Every element's composed map per (mode, frame), as the (4, 3, 24 * 4) gather table.
-        m = np.array([entry[0][0] for entries in self._maps.values() for entry in entries]).T
-        self._composed_table = np.ascontiguousarray([m[0:9:3], m[1:9:3], m[2:9:3], m[9:12]])
+                maps = {}  # per native pulse the map of its slot
+                for axis_phase, angle in NATIVE:
+                    duration = pulse_duration(angle, qp)
+                    steps = [pulse_map(axis_phase, angle, delta_q, qp, True)]
+                    if self.slot > duration:
+                        steps.append(free_map(delta_q, self.slot - duration, qp))
+                    maps[axis_phase, angle] = compose(*steps)
+                composed += [compose(IDENTITY, *map(maps.get, pulses)) for pulses in PULSES]
+                slots += maps.values()
+        # The (4, 3, 4 * (24 + 6)) gather table: per column the coefficients of x, y, z and the
+        # offset, per row.  In (mode, frame) block b = 2 * mode + (frame is f_low), element i's
+        # composed map is code 24 * b + i and a slot of native pulse n is code 96 + 6 * b + n.
+        m = np.array(composed + slots).T
+        self._table = np.ascontiguousarray([m[0:9:3], m[1:9:3], m[2:9:3], m[9:12]])
 
     def run(self, sequences: np.ndarray, shots: int, tau_probe: float) -> tuple[np.ndarray, np.ndarray]:
         """Run one depth of interleaved sequences; return the (n, 2, shots) reported bits,
@@ -161,10 +173,11 @@ class SequenceExecutor:
         as the running sum of the advances, the defect's switches up to its end (one
         ``searchsorted`` locates them among the advances) and a block of readout
         uniforms.  A syndrome takes the memoised switch-free state unless a switch lands
-        in its tau or between its pulses' starts.  A switch-free run's state depends only
-        on its (sequence, mode, frame) key, and each distinct key is stepped once, by
-        ``_step_batch``.  Any other syndrome or run is stepped over its dwell segments
-        (``telegraph.cut``) by ``_cycle_state`` or ``_step``; ``readout_bits`` decides every run.
+        in its tau or between its pulses' starts, when ``_cycle_state`` steps it over its
+        dwell segments (``telegraph.cut``).  A switch-free run's state depends only on its
+        (sequence, mode, frame) key, so each distinct key is one code row; each run a
+        switch lands in is its own row (``_with_segmented_rows``).  One ``_step_batch`` call
+        steps every row and ``readout_bits`` decides every run.
         """
         env, qp = self.env, self.env.qubit
         n, s, per = len(sequences), 2 * shots, 4 * shots + 4  # per sequence: per advances, the syndrome's from s
@@ -195,82 +208,122 @@ class SequenceExecutor:
         estimates = np.take(decode, readout_bits(syndrome_z, u[:, shots, 0], u[:, shots, 1], qp))
         keys = 4 * np.arange(n)[:, None, None] + 2 * modes[:, runs].reshape(n, 2, shots)
         keys[:, 1] += estimates[:, None]  # per run 4 * row + 2 * mode + (frame is f_low)
-        z = np.empty((n, 2, shots))  # per run the z it is read out from
         segmented = switched[:, runs].reshape(n, 2, shots)
-        for p, arm, shot in np.argwhere(segmented).tolist():
-            f_c = qp.mode_frequency(estimates[p] if arm else telegraph.XI_H)
-            z[p, arm, shot] = self._step(sequences[p].tolist(), f_c, segments(p * per + runs[arm * shots + shot]))[2]
         distinct, inverse = np.unique(keys[~segmented], return_inverse=True)
-        if distinct.size:
-            rows, columns = np.divmod(distinct, 4)
-            z[~segmented] = self._step_batch(sequences[rows], len(PULSES) * columns)[inverse]
+        codes = sequences[distinct // 4] + 24 * (distinct % 4).astype(np.uint8)[:, None]  # a row per distinct key
+        rows, arms, shot = np.nonzero(segmented)  # the runs a switch lands in, in run order
+        if rows.size:  # then a row per such run
+            k = rows * per + runs[arms * shots + shot]  # their advances
+            codes = self._with_segmented_rows(codes, sequences, rows, 2 * modes.flat[k] + arms * estimates[rows],
+                                              clock[k], np.array(switches), before[k], before[k + 1])
+        z = np.empty((n, 2, shots))  # per run the z it is read out from
+        states = self._step_batch(codes)
+        z[~segmented], z[segmented] = states[inverse], states[distinct.size:]
         u = np.delete(u, shots, axis=1).reshape(n, 2, shots, 2)
         return readout_bits(z, u[..., 0], u[..., 1], qp), modes[:, 0]
 
-    def _step_batch(self, sequences: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-        """Bloch z after each row of ``sequences`` from ground, switch-free in the
-        (mode, frame) whose gather-table columns start at its ``offsets`` entry,
-        24 * (2 * mode + (frame is f_low)).
+    def _with_segmented_rows(self, codes, sequences, rows, blocks, starts, switches, first, last) -> np.ndarray:
+        """The code matrix ``codes`` of a depth's switch-free rows, then one row per run a switch
+        lands in, every row front-padded with ``IDENTITY_INDEX`` to one length.
 
-        This is the arithmetic of ``_step`` on a (3, n) state array: per Clifford
-        the composed maps are gathered from one (4, 3, 24 * 4) table (coefficients
-        of x, y, z and the offset, per row, per (mode, frame) and element) and
-        applied as ((m0*x + m1*y) + m2*z) + m9 elementwise: the scalar operations
-        in the scalar order, so every z equals ``_step``'s bit for bit.
+        Run r is the sequence ``rows[r]`` from (mode, frame) block ``blocks[r]`` (2 * mode +
+        (frame is f_low)), starting at lab time ``starts[r]``, and ``switches[first[r]:last[r]]``
+        land in it.  Its elements are the codes ``_slot_steps`` finds.
         """
-        table = self._composed_table
-        n = len(sequences)
-        codes = np.empty(sequences.shape[::-1], dtype=np.intp)  # per Clifford, each row's table column
-        np.add(sequences.T, offsets, out=codes)
-        state = np.zeros((3, n))
+        width, blocks, counts = sequences.shape[1], blocks.astype(np.uint8), last - first
+        # Each switch's run and its dwell segment's end from the run's start: the running sum of
+        # the segment durations ``telegraph.cut`` gives, differences of lab times.
+        owner = np.repeat(np.arange(rows.size), counts)
+        rank = np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]
+        at = first[owner] + rank
+        durations = np.zeros((rows.size, counts.max()))
+        durations[owner, rank] = switches[at] - np.where(rank > 0, switches[at - 1], starts[owner])
+        parity, at, slot_codes = self._slot_steps(sequences, rows, blocks, owner,
+                                                  np.cumsum(durations, axis=1)[owner, rank])
+        composed = sequences[rows] + 24 * (blocks[:, None] ^ 2 * parity)
+        # An element stepped slot by slot is its last slot's code, the others inserted before it.
+        final = np.diff(at, append=-1) != 0  # the last of its element's slots
+        composed.ravel()[at[final]] = slot_codes[final]
+        lengths = np.bincount(at[~final] // width, minlength=rows.size) + width
+        length = lengths.max()
+        pads = np.repeat(np.arange(rows.size) * width, length - lengths)
+        padded = np.full((len(codes) + rows.size, length), IDENTITY_INDEX, dtype=np.uint8)
+        padded[:len(codes), length - width:] = codes
+        padded[len(codes):] = np.insert(composed.ravel(), np.concatenate((pads, at[~final])), np.concatenate(
+            (np.full(pads.size, IDENTITY_INDEX), slot_codes[~final]))).reshape(rows.size, -1)
+        return padded
+
+    def _slot_steps(self, sequences, rows, blocks, owner, dwell_ends) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The elements of the runs a switch lands in that run slot by slot: run r is the sequence
+        ``rows[r]`` from block ``blocks[r]``, and its dwell segments but the last end at
+        ``dwell_ends[owner == r]`` from its start.
+
+        An element runs as its composed map in the mode of the dwell segment reached if its last
+        slot starts by that segment's end, ``t + durations[i] - slot <= end`` with t the running
+        sum of the durations before it; else each slot runs in the mode of the segment it starts
+        in (``t + k * slot``), and the last slot's segment is reached.  Each pass takes every run's
+        next such element at once, found by one ``searchsorted`` for the first element after the
+        last one whose last slot starts past the end of the segment reached.  (The identity
+        element has no slot: it keeps its composed code, the identity map, which returns any
+        state unchanged but for the sign of a zero.)
+
+        Returns, per run and element, the parity of the switches passed before it, and each slot
+        stepped: its place (run * width + element) and its code, sorted by place, in slot order.
+        """
+        width, slot, n = sequences.shape[1], self.slot, len(rows)
+        used, row = np.unique(rows, return_inverse=True)
+        ends = np.cumsum(np.array(self.durations)[sequences[used]], axis=1)  # per element t + durations[i]
+        last_starts = _pairs(np.arange(used.size)[:, None], ends - slot).ravel()  # sorted per row
+        segment_ends = _pairs(owner, dwell_ends)  # sorted per run
+        counts = np.bincount(owner, minlength=n)
+        offset = np.cumsum(counts) - counts  # per run its first switch
+        reached = np.zeros(n, dtype=np.intp)  # per run the index of its dwell segment reached
+        element = np.full(n, -1)  # per run its last element stepped slot by slot
+        parity = np.zeros((n, width + 1), dtype=np.uint8)  # flips, then their running xor
+        at, codes = [], []
+        live = np.arange(n)
+        while live.size:
+            after = np.searchsorted(last_starts, _pairs(row[live], dwell_ends[offset[live] + reached[live]]), "right")
+            j = np.maximum(element[live] + 1, after - row[live] * width)
+            live, j = live[j < width], j[j < width]
+            element[live], index, passed = j, sequences[rows[live], j], reached[live]
+            t = np.where(j > 0, ends[row[live], j - 1], 0.0)
+            for k in range(3):
+                has = k < SLOTS[index]
+                segment = np.searchsorted(segment_ends, _pairs(live, t + k * slot), "left") - offset[live]
+                at.append((live * width + j)[has])
+                codes.append((96 + 6 * (blocks[live] ^ 2 * (segment & 1)) + KINDS[index, k])[has].astype(np.uint8))
+                reached[live[has]] = segment[has]
+            parity[live, j + 1] = (reached[live] - passed) & 1
+            live = live[reached[live] < counts[live]]
+        np.bitwise_xor.accumulate(parity, axis=1, out=parity)
+        at = np.concatenate(at)
+        order = np.argsort(at, kind="stable")
+        return parity[:, :width], at[order], np.concatenate(codes)[order]
+
+    def _step_batch(self, codes: np.ndarray) -> np.ndarray:
+        """Bloch z after each row of the (n, width) ``codes`` from ground, each code a column of the gather table.
+
+        Per column of ``codes`` the maps are gathered from one (4, 3, 120) table
+        (coefficients of x, y, z and the offset, per row, per code) and applied to a
+        (3, n) state array as ((m0*x + m1*y) + m2*z) + m9 elementwise: the scalar
+        operations in the scalar order, so every z equals the scalar stepping of the
+        same maps bit for bit.  The identity element's map, which front-pads rows,
+        takes the ground state to itself exactly.
+        """
+        table = self._table
+        state = np.zeros((3, len(codes)))
         state[2] = 1.0
-        m = np.empty((4, 3, n))
+        m = np.empty((4, 3, len(codes)))
         products, (m_x, m_y, m_z, shift) = m[:3], m
-        for column in codes:
-            table.take(column, axis=2, out=m)
-            products *= state[:, None]  # m_x, m_y, m_z now hold m0*x, m1*y, m2*z per row
-            np.add(m_x, m_y, out=state)
-            state += m_z
-            state += shift
+        for start in range(0, codes.shape[1], 256):  # the codes as table indices, 256 columns at a time
+            for column in codes[:, start:start + 256].T.astype(np.intp, order="C"):
+                table.take(column, axis=2, out=m)
+                products *= state[:, None]  # m_x, m_y, m_z now hold m0*x, m1*y, m2*z per row
+                np.add(m_x, m_y, out=state)
+                state += m_z
+                state += shift
         return state[2]
-
-    def _step(
-        self, indices: list[int] | bytes, f_c: float, segments: list[tuple[int, float]]
-    ) -> tuple[float, float, float]:
-        """Bloch vector after the sequence from ground, over the run's dwell segments.
-
-        Steps the runs a switch lands in, and is the reference that ``_step_batch`` equals.
-        """
-        durations = self.durations
-        slot = self.slot
-        # Segment end times from the sequence start; the last segment covers the rest.
-        ends = list(accumulate(dt for _, dt in segments))[:-1] + [math.inf]
-        seg = 0
-        table = self._maps[segments[0][0], f_c]
-        end = ends[0]
-        t = 0.0
-        x, y, z = 0.0, 0.0, 1.0
-        for i in indices:
-            if t + durations[i] - slot <= end:  # every slot starts in this segment
-                steps = table[i][0]
-            else:  # a switch lands inside the element: step it slot by slot
-                steps = []
-                for k in range(len(table[i][1])):
-                    while t + k * slot > end:
-                        seg += 1
-                        end = ends[seg]
-                        table = self._maps[segments[seg][0], f_c]
-                    steps.append(table[i][1][k])
-            t += durations[i]
-            # bloch.apply, inlined: a call per step would dominate runs of a
-            # few million Cliffords.
-            for m in steps:
-                x, y, z = (
-                    m[0] * x + m[1] * y + m[2] * z + m[9],
-                    m[3] * x + m[4] * y + m[5] * z + m[10],
-                    m[6] * x + m[7] * y + m[8] * z + m[11],
-                )
-        return x, y, z
 
 
 # ---------------------------------------------------------------------------

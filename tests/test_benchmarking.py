@@ -27,7 +27,8 @@ from bistable_qubit.protocol import default_tau_probe, make_environment, syndrom
 from bistable_qubit.streams import substream, words_drawn
 from bistable_qubit.telegraph import TelegraphParams
 
-from scalar_engine import executor_run
+import scalar_engine
+from scalar_engine import executor_run, slot_steps, step
 
 QP = QubitParams.defaults()
 IDEAL = QubitParams.defaults(
@@ -201,22 +202,47 @@ def _capture_decisions(monkeypatch):
 
 
 def _record_stepping(monkeypatch):
-    """Record the keys ``_step_batch`` steps, as (sequence bytes, column offset) per row,
-    one list per call, and the segment counts of the ``_step`` calls."""
-    batches, stepped = [], []
-    step_batch, step = rb.SequenceExecutor._step_batch, rb.SequenceExecutor._step
+    """Record the code rows of every ``_step_batch`` call, one list of rows per call, and per
+    call the rows that runs a switch lands in take, the last ones."""
+    batches, segmented = [], []
+    step_batch, with_segmented_rows = rb.SequenceExecutor._step_batch, rb.SequenceExecutor._with_segmented_rows
 
-    def record_batch(self, sequences, offsets):
-        batches.append([(bytes(row), int(o)) for row, o in zip(sequences.tolist(), offsets)])
-        return step_batch(self, sequences, offsets)
+    def record_rows(self, codes, sequences, rows, *args):
+        padded = with_segmented_rows(self, codes, sequences, rows, *args)
+        segmented.append(padded[len(codes):].tolist())
+        return padded
 
-    def record_step(self, indices, f_c, segments):
-        stepped.append(len(segments))
-        return step(self, indices, f_c, segments)
+    def record_batch(self, codes):
+        batches.append(codes.tolist())
+        if len(segmented) < len(batches):  # no run of the depth has a switch land in it
+            segmented.append([])
+        return step_batch(self, codes)
 
     monkeypatch.setattr(rb.SequenceExecutor, "_step_batch", record_batch)
-    monkeypatch.setattr(rb.SequenceExecutor, "_step", record_step)
-    return batches, stepped
+    monkeypatch.setattr(rb.SequenceExecutor, "_with_segmented_rows", record_rows)
+    return batches, segmented
+
+
+def _key(row):
+    """The (sequence bytes, block offset) of a switch-free code row: every code composed, in one block."""
+    offset = 24 * (row[-1] // 24)
+    return bytes(code - offset for code in row), offset
+
+
+def _reference_codes(qp, indices, f_c, segments):
+    """The gather-table codes of the maps ``scalar_engine.slot_steps`` applies, leading IDENTITY_INDEX codes dropped."""
+    frame, codes = int(f_c == qp.f_low), []
+    for xi, i, k in slot_steps(qp, indices, segments):
+        block = 2 * xi + frame
+        codes.append(24 * block + i if k is None else 96 + 6 * block + int(rb.KINDS[i, k]))
+    return _unpadded(codes)
+
+
+def _unpadded(row):
+    """A code row without its leading IDENTITY_INDEX codes."""
+    while row and row[0] == rb.IDENTITY_INDEX:
+        row = row[1:]
+    return row
 
 
 class TestExecutor:
@@ -256,12 +282,12 @@ class TestExecutor:
             if frame == "high":
                 expected = _slot_by_slot(executor, seq, f_c, segments)
                 assert captured[-2] == pytest.approx(expected[2], abs=1e-12)
-                assert executor._step(seq, f_c, segments) == pytest.approx(expected, abs=1e-12)
+                assert step(QP, seq, f_c, segments) == pytest.approx(expected, abs=1e-12)
                 checked += 1
             if QP.mode_frequency(estimate) == f_c:
                 expected = _slot_by_slot(executor, seq, f_c, fb_segments)
                 assert captured[-1] == pytest.approx(expected[2], abs=1e-12)
-                assert executor._step(seq, f_c, fb_segments) == pytest.approx(expected, abs=1e-12)
+                assert step(QP, seq, f_c, fb_segments) == pytest.approx(expected, abs=1e-12)
                 checked += 1
         assert switched >= 30 and checked >= 15
 
@@ -273,32 +299,37 @@ class TestExecutor:
         ),
     )
     def test_batched_state_equals_the_scalar_step(self, seed, lengths):
-        # Batches of lengths 0, 1, odd and 2049, each row in both modes and both frames.
+        # Batches of lengths 0, 1, odd and 2049, each row in both modes and both frames; then
+        # all of them in one batch, each row front-padded with IDENTITY_INDEX.
         env = make_environment(QP, FROZEN, substream(518, "batch", seed), pinned_mode=0)
         executor = rb.SequenceExecutor(env)
         draw = np.random.default_rng(seed)
+        padded, everything = np.full((0, max(lengths)), rb.IDENTITY_INDEX, dtype=np.uint8), []
         for length in lengths:
             if length == 1:  # distinct single elements
                 sequences = draw.permutation(24)[:3, None]
             else:
                 sequences = draw.integers(0, 24, size=(1 if length == 0 else 3, length))
-            rows, offsets, expected = [], [], []
+            rows, expected = [], []
             for seq in sequences.tolist():
                 total = sum(executor.durations[i] for i in seq)
                 for xi in (0, 1):
                     for frame, f_c in enumerate((QP.f_high, QP.f_low)):
-                        rows.append(seq)
-                        offsets.append(24 * (2 * xi + frame))
-                        expected.append(executor._step(seq, f_c, [(xi, total)])[2])
-            got = executor._step_batch(np.array(rows, dtype=np.uint8).reshape(len(rows), length), np.array(offsets))
-            assert got.tolist() == expected
+                        rows.append([i + 24 * (2 * xi + frame) for i in seq])
+                        expected.append(step(QP, seq, f_c, [(xi, total)])[2])
+            codes = np.array(rows, dtype=np.uint8).reshape(len(rows), length)
+            assert executor._step_batch(codes).tolist() == expected
+            padded = np.concatenate((padded, np.full((len(rows), max(lengths)), rb.IDENTITY_INDEX, dtype=np.uint8)))
+            padded[len(padded) - len(rows):, max(lengths) - length:] = codes
+            everything += expected
+        assert [z.hex() for z in executor._step_batch(padded).tolist()] == [z.hex() for z in everything]
 
     def test_each_distinct_key_is_stepped_once(self, monkeypatch):
-        # A frozen defect: every run is switch-free, so no run is stepped alone,
+        # A frozen defect: every run is switch-free, so no run has a row of its own,
         # and one batch per depth holds each sequence's keys once, in row order:
         # the open-loop key in the high frame, then the feedback key if its
         # estimate retunes to the low frame.
-        batches, stepped = _record_stepping(monkeypatch)
+        batches, segmented = _record_stepping(monkeypatch)
         for pinned in (0, 1):
             env = make_environment(QP, FROZEN, substream(516, "distinct-keys", pinned), pinned_mode=pinned)
             executor = rb.SequenceExecutor(env)
@@ -306,63 +337,69 @@ class TestExecutor:
             for length in (0, 2, 30):
                 sequences = rb.random_sequence(length, env.sequences, 12)
                 executor.run(sequences, 3, default_tau_probe(QP))
-                (batch,) = batches
+                (batch,) = map(lambda rows: list(map(_key, rows)), batches)
                 batches.clear()
                 starts = [i for i, (_, offset) in enumerate(batch) if offset == high]
                 assert [batch[i][0] for i in starts] == [bytes(row) for row in sequences.tolist()]
                 groups = [batch[i:j] for i, j in zip(starts, starts[1:] + [len(batch)])]
                 assert all(group[1:] in ([], [(group[0][0], low)]) for group in groups)
-        assert stepped == []
+        assert not any(segmented)
 
-    def test_segmented_runs_never_enter_the_batch(self, monkeypatch):
+    def test_segmented_runs_join_the_batch(self, monkeypatch):
+        # One batch per depth: each distinct switch-free key once, then a row per run a switch
+        # lands in, in run order, holding the codes of the maps the scalar engine applies.
         fast = TelegraphParams(1e5, 1e5)  # 10 us dwells against ~6 us sequences
         env = make_environment(QP, fast, substream(517, "segmented"), pinned_mode=0)
         executor = rb.SequenceExecutor(env)
         sequences = np.random.default_rng(517).integers(0, 24, size=(40, 64))  # distinct rows
-        # The runs' dwells, read ahead on a copy: the switch-free runs' keys and the segmented count.
-        ahead, switch_free, segmented = copy.deepcopy(env), set(), 0
+        # The runs' dwells, read ahead on a copy: the switch-free runs' keys and the segmented runs' codes.
+        ahead, switch_free, expected = copy.deepcopy(env), set(), []
         for row in sequences.tolist():
             total = sum(executor.durations[i] for i in row)
             frame = 0
             for arm in (0, 1):
                 if arm:
                     frame = syndrome_cycle(ahead, default_tau_probe(QP))[1]
-                if len(ahead.dwell(total)) > 1:
-                    segmented += 1
+                dwelt = ahead.dwell(total)
+                if len(dwelt) > 1:
+                    expected.append(_reference_codes(QP, row, QP.mode_frequency(frame), dwelt))
                 else:
                     switch_free.add((bytes(row), 24 * (2 * ahead.xi + frame)))
                 ahead.readout(1.0)
-        batches, stepped = _record_stepping(monkeypatch)
+        batches, segmented = _record_stepping(monkeypatch)
         executor.run(sequences, 1, default_tau_probe(QP))
-        (batch,) = batches
-        assert segmented >= 10 and len(switch_free) >= 10
-        assert sorted(batch) == sorted(switch_free) and len(stepped) == segmented
-        assert all(n > 1 for n in stepped)  # _step runs only the runs a switch lands in
+        (batch,), (rows,) = batches, segmented
+        assert len(expected) >= 10 and len(switch_free) >= 10
+        assert sorted(_key(row[-64:]) for row in batch[:len(switch_free)]) == sorted(switch_free)
+        assert batch[len(switch_free):] == rows and [_unpadded(row) for row in rows] == expected
+        assert any(code >= 96 for row in rows for code in row)  # some element is stepped slot by slot
 
     def test_stepped_segments_equal_the_scalar_engine(self, monkeypatch):
-        # Bits cannot show an ulp, so this compares what is stepped: the (mode, segments) the
-        # depth hands to ``_step`` and ``_cycle_state`` equal, as multisets, those the scalar
-        # engine hands them for its runs and syndromes that a switch lands in or between.
-        # At 1.5e6/s a switch lands in most syndromes and in some runs, and now and then in a
-        # syndrome's first pulse alone, whose uncut tau is stepped as the one segment (xi, tau).
+        # Bits cannot show an ulp, so this compares what is stepped: the code rows of the runs a
+        # switch lands in equal, in run order, the codes of the maps the scalar engine applies
+        # to them, and the (mode, segments) the depth hands to ``_cycle_state`` equal, as
+        # multisets, those the scalar engine hands it for the syndromes a switch lands in or
+        # between.  At 1.5e6/s a switch lands in most syndromes and in some runs, and now and
+        # then in a syndrome's first pulse alone, whose uncut tau is stepped as the one segment (xi, tau).
         fast, tau = TelegraphParams(1.5e6, 1.5e6), default_tau_probe(QP)
         protocol.calibrate_decode_map(QP, tau, True)  # memoised first, so every recorded cycle is a switched one
         for xi in (0, 1):
             protocol._switch_free_state(QP, True, QP.f_high, xi, tau, 0.0)
-        step, cycle_state, calls = rb.SequenceExecutor._step, protocol._cycle_state, []
+        cycle_state, calls, runs = protocol._cycle_state, [], []
 
-        def record_step(self, indices, f_c, segments):
-            if len(segments) > 1:  # the scalar engine steps every run, the depth only these
-                calls.append((bytes(indices), f_c, tuple(segments)))
-            return step(self, indices, f_c, segments)
+        def record_step(qp, indices, f_c, segments):
+            if len(segments) > 1:  # the scalar engine steps every run, the depth gives only these a row
+                runs.append(_reference_codes(qp, indices, f_c, segments))
+            return step(qp, indices, f_c, segments)
 
         def record_cycle(qp, finite_pulses, f_c, xi_first, segments, xi_second, phase):
             calls.append((f_c, xi_first, tuple(segments), xi_second, phase))
             return cycle_state(qp, finite_pulses, f_c, xi_first, segments, xi_second, phase)
 
-        monkeypatch.setattr(rb.SequenceExecutor, "_step", record_step)
+        monkeypatch.setattr(scalar_engine, "step", record_step)
         monkeypatch.setattr(rb, "_cycle_state", record_cycle)
         monkeypatch.setattr(protocol, "_cycle_state", record_cycle)
+        _, segmented = _record_stepping(monkeypatch)
         seen = collections.Counter()
         for k in range(5):
             env = make_environment(QP, fast, substream(521, "segments", k))
@@ -375,29 +412,87 @@ class TestExecutor:
                 calls.clear()
                 expected = executor_run(scalar, sequences, 1, tau)
                 assert collections.Counter(calls) == staged_calls
+                assert [_unpadded(row) for row in segmented[-1]] == runs
                 assert bits.tolist() == expected[0].tolist() and modes.tolist() == expected[1].tolist()
+                seen["run"] += len(runs)
                 calls.clear()
-                for call in staged_calls.elements():  # runs are 3-tuples, cycles 5-tuples
-                    seen["run" if len(call) == 3 else "first pulse alone" if len(call[2]) == 1 else "cycle"] += 1
+                runs.clear()
+                for call in staged_calls.elements():
+                    seen["first pulse alone" if len(call[2]) == 1 else "cycle"] += 1
             assert (env.clock, env.xi, env.switch_at) == (twin.clock, twin.xi, twin.switch_at)
             assert env.draw_counts() == twin.draw_counts()
         assert seen["run"] >= 200 and seen["cycle"] >= 2000 and seen["first pulse alone"] >= 10
 
+    def test_segmented_rows_equal_the_scalar_step(self, monkeypatch):
+        # Every run a switch lands in is a row of its depth's one ``_step_batch`` call, and its z
+        # there equals the scalar ``step`` over its dwell segments bit for bit.  At 1.5e6/s a
+        # switch lands in most runs of depths up to 64, often inside an element, in both frames.
+        fast, tau = TelegraphParams(1.5e6, 1.5e6), default_tau_probe(QP)
+        batches, segmented = _record_stepping(monkeypatch)
+        record_batch, states, expected, frames = rb.SequenceExecutor._step_batch, [], [], set()
+        monkeypatch.setattr(rb.SequenceExecutor, "_step_batch",
+                            lambda self, codes: states.append(record_batch(self, codes)) or states[-1])
+
+        def record_step(qp, indices, f_c, segments):
+            z = step(qp, indices, f_c, segments)[2]
+            if len(segments) > 1:
+                expected.append(z.hex())
+                frames.add(f_c)
+            return 0.0, 0.0, z
+
+        monkeypatch.setattr(scalar_engine, "step", record_step)
+        env = make_environment(QP, fast, substream(524, "rows"))
+        twin = copy.deepcopy(env)
+        staged, scalar, draw = rb.SequenceExecutor(env), rb.SequenceExecutor(twin), np.random.default_rng(524)
+        checked = 0
+        for length in range(65):
+            sequences = rb.random_sequence(length, draw, 6)
+            bits, modes = staged.run(sequences, 2, tau)
+            reference = executor_run(scalar, sequences, 2, tau)
+            assert bits.tolist() == reference[0].tolist() and modes.tolist() == reference[1].tolist()
+            (z,), (rows,) = states, segmented
+            assert len(rows) == len(expected)
+            assert [value.hex() for value in z[len(z) - len(rows):].tolist()] == expected
+            checked += len(rows)
+            for recorded in (batches, segmented, states, expected):
+                recorded.clear()
+        assert checked >= 500 and frames == {QP.f_high, QP.f_low}
+
+    @pytest.mark.parametrize("sequence", [0, 1, 3])
+    def test_a_switch_on_an_advance_boundary(self, sequence):
+        # A switch exactly at the clock a sequence starts at lands in its first run, which
+        # starts in the mode before the switch, as the scalar engine's walk has it.
+        tau = default_tau_probe(QP)
+        env = make_environment(QP, TelegraphParams(1e3, 1e3), substream(525, "boundary"))
+        sequences = rb.random_sequence(40, substream(525, "sequences"), 4)
+        ahead = copy.deepcopy(env)
+        executor_run(rb.SequenceExecutor(ahead), sequences[:sequence], 2, tau)
+        env.switch_at, xi = ahead.clock, env.xi  # a value of the depth's own clock chain
+        twin = copy.deepcopy(env)
+        bits, modes = rb.SequenceExecutor(env).run(sequences, 2, tau)
+        expected = executor_run(rb.SequenceExecutor(twin), sequences, 2, tau)
+        assert bits.tolist() == expected[0].tolist() and modes.tolist() == expected[1].tolist()
+        assert (env.clock, env.xi, env.switch_at) == (twin.clock, twin.xi, twin.switch_at)
+        assert env.draw_counts() == twin.draw_counts()
+        assert modes[sequence] == xi
+
     def test_resolving_an_rb_depth_stays_small(self):
-        # The bench rb-slow depth: 84 sequences of 2048 Cliffords plus recovery,
-        # four shots per arm, the two arms in different frames.
-        rng = substream(520, "memory")
-        env = make_environment(QP, FROZEN, rng, pinned_mode=1)
-        executor = rb.SequenceExecutor(env)
-        sequences = rb.random_sequence(2048, rng, 84)
-        tracemalloc.start()
-        try:
-            bits, _ = executor.run(sequences, 4, default_tau_probe(QP))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert bits.shape == (84, 2, 4)
-        assert peak < 8_000_000
+        # The bench rb-slow depth: 84 sequences of 2048 Cliffords plus recovery, four shots per
+        # arm, the two arms in different frames; frozen, and switching at 1e4/s per direction,
+        # where a switch lands in most runs and each such run is a code row of its own.
+        for tls in (FROZEN, TelegraphParams(1e4, 1e4)):
+            rng = substream(520, "memory")
+            env = make_environment(QP, tls, rng, pinned_mode=1)
+            executor = rb.SequenceExecutor(env)
+            sequences = rb.random_sequence(2048, rng, 84)
+            tracemalloc.start()
+            try:
+                bits, _ = executor.run(sequences, 4, default_tau_probe(QP))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert bits.shape == (84, 2, 4)
+            assert peak < 8_000_000
 
     def test_clock_advances_by_sequence_plus_dead_time(self):
         rng = substream(507, "clock")
