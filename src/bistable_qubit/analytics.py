@@ -481,8 +481,8 @@ def improvement_map(
     floor = 1.0 - alpha * math.exp(-t_pi / t2)
     blind = floor + 0.25 * coherent
     active = floor + p_err * coherent
-    ratio = (blind / active).tolist()
-    values = np.array([[math.log10(r) for r in row] for row in ratio]).reshape(gamma.shape)
+    ratio = blind / active
+    values = np.fromiter(map(math.log10, ratio.ravel().tolist()), float, ratio.size).reshape(gamma.shape)
     contour = np.full(splittings.size, np.nan)
     if switching.size > 1:  # a row's contour lies in its first pair of cells that meets or crosses 0
         a, b = values[:, :-1], values[:, 1:]

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics
+from . import __version__, analytics, textfmt
 from .benchmarking import GATES_PER_CLIFFORD, RbConfig, decoherence_floor_per_gate, run_rb_interleaved
 from .bloch import QubitParams
 from .fitting import fit_two_frequency_mixture, quadrature_amplitudes
@@ -334,6 +334,36 @@ def _fmt(value) -> str:
 # (``%d`` prints a bool as 1 or 0), or by the one exact built-in type of a list's values.
 _KIND_SPECS = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%d"}
 _TYPE_SPECS = {float: "%.12g", int: "%d", str: "%s"}
+# A numeric array of fewer values is printed by % value by value: the ``textfmt`` kernels
+# cost ~0.1 ms a call, more than % takes (~0.35 us a value) for a few hundred values.
+_KERNEL_MIN_VALUES = 256
+_BLOCK_ROWS = 4096  # table rows laid out at a time
+
+
+def _fields(values, name: str) -> np.ndarray:
+    """The text of a column's ``values`` (a 1-D array or a list), one NUL-padded uint8 row
+    each, printed as ``_fmt`` prints them.
+
+    A float (up to 64 bits), integer or bool array of at least ``_KERNEL_MIN_VALUES``
+    values goes through the ``textfmt`` kernels.  Any other array takes the %-conversion of
+    its dtype kind in ``_KIND_SPECS``, a list the one of its values' type when they share
+    one in ``_TYPE_SPECS``, and the rest pass through ``_fmt`` value by value.  A str cell
+    holding a NUL byte raises ValueError, as the writer drops NUL bytes.
+    """
+    if isinstance(values, np.ndarray):
+        spec = _KIND_SPECS.get(values.dtype.kind)
+        if spec and values.size >= _KERNEL_MIN_VALUES and values.dtype.itemsize <= 8:
+            return textfmt.float_fields(values) if values.dtype.kind == "f" else textfmt.int_fields(values)
+        values = values.tolist()
+    else:
+        kinds = set(map(type, values))
+        spec = _TYPE_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
+    data = [text.encode("utf-8") for text in ([spec % v for v in values] if spec else map(_fmt, values))]
+    fields = np.array(data, dtype=bytes)
+    fields = fields.view(np.uint8).reshape(fields.size, fields.itemsize)
+    if np.count_nonzero(fields) < sum(map(len, data)):
+        raise ValueError(f"column {name!r}: a str cell holds a NUL byte, which the CSV writer drops")
+    return fields
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> tuple[str, int]:
@@ -342,34 +372,49 @@ def _write_csv(path: Path, header: list[str], columns: list) -> tuple[str, int]:
     A column is a numpy array or a plain list, which is a 1-D column of its
     elements as they are (never converted to an array, so ints and floats stay
     apart).  The columns broadcast to one table shape, and the table's cells in
-    C order are the rows.  Each column's conversion is chosen once: an array's
-    from its dtype kind in ``_KIND_SPECS``, a list's from its values' type when
-    they share one in ``_TYPE_SPECS``, and any other column passes through
-    ``_fmt`` value by value.  Each stored value is formatted once: a column
-    smaller than the table is turned into strings before it is spread over the
-    table's shape.  A row is then one %-format of one line pattern.
+    C order are the rows (``_table_bytes``).
     Returns the SHA-256 hex digest and the length of the bytes written.
     """
+    digest, size = hashlib.sha256(), 0
+    with path.open("wb") as fh:
+        for chunk in _table_bytes(header, columns):
+            fh.write(chunk)
+            digest.update(chunk)
+            size += len(chunk)
+    return digest.hexdigest(), size
+
+
+def _table_bytes(header: list[str], columns: list):
+    """The bytes of ``_write_csv``'s file: the header line, then the rows ``_BLOCK_ROWS`` at a time.
+
+    Each stored value is formatted once (``_fields``).  A column smaller than the table
+    is formatted at its own shape, and a block takes its rows by each row's index among
+    the column's values; a column as large as the table is formatted block by block.  A
+    block is one NUL-padded uint8 matrix, fields and separators in place, whose bytes are
+    yielded with the NULs dropped.
+    """
+    yield (",".join(header) + "\n").encode("utf-8")
     shapes = [column.shape if isinstance(column, np.ndarray) else (len(column),) for column in columns]
     shape = np.broadcast_shapes(*shapes)
-    specs, cells = [], []
-    for column, own in zip(columns, shapes):
-        if isinstance(column, np.ndarray):
-            values, spec = column.ravel().tolist(), _KIND_SPECS.get(column.dtype.kind)
-        else:
-            kinds = set(map(type, column))
-            values, spec = column, _TYPE_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
-        if spec is None:
-            values, spec = [_fmt(v) for v in values], "%s"
-        if math.prod(own) < math.prod(shape):
-            strings = np.array([spec % v for v in values], dtype=object).reshape(own)
-            values, spec = np.broadcast_to(strings, shape).ravel().tolist(), "%s"
-        specs.append(spec)
-        cells.append(values)
-    line = ",".join(specs) + "\n"
-    data = (",".join(header) + "\n" + "".join(map(line.__mod__, zip(*cells)))).encode("utf-8")
-    path.write_bytes(data)
-    return hashlib.sha256(data).hexdigest(), len(data)
+    n = math.prod(shape)
+    flat = [column.ravel() if isinstance(column, np.ndarray) else column for column in columns]
+    spread = {}
+    for k, own in enumerate(shapes):
+        if math.prod(own) < n:
+            index = np.arange(math.prod(own), dtype=np.min_scalar_type(math.prod(own))).reshape(own)
+            spread[k] = np.ascontiguousarray(_fields(flat[k], header[k])), np.broadcast_to(index, shape).ravel()
+    for start in range(0, n, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n)
+        parts = [np.take(spread[k][0], spread[k][1][start:stop], axis=0) if k in spread
+                 else _fields(flat[k][start:stop], header[k]) for k in range(len(flat))]
+        ends = np.cumsum([part.shape[1] + 1 for part in parts])
+        table = np.empty((stop - start, ends[-1]), dtype=np.uint8)
+        for part, end in zip(parts, ends):
+            table[:, end - 1 - part.shape[1]:end - 1] = part
+            table[:, end - 1] = ord(",")
+        table[:, -1] = ord("\n")
+        table = table.ravel()
+        yield table[table != 0]
 
 
 def _json_safe(obj):

@@ -422,6 +422,28 @@ class TestExecutor:
             assert (env.clock, env.xi, env.switch_at) == (twin.clock, twin.xi, twin.switch_at)
             assert env.draw_counts() == twin.draw_counts()
         assert seen["run"] >= 200 and seen["cycle"] >= 2000 and seen["first pulse alone"] >= 10
+        # A switch exactly at the start of a syndrome's first pulse: the advance before ends
+        # there, and a switch at an advance's end has not happened (``walk``), so the pulse
+        # runs in the old mode and the uncut tau in the new one.  Counting that switch among
+        # the ones before the pulse (``searchsorted`` side "right") would run the pulse in the
+        # new mode and take the memoised switch-free state.
+        env = make_environment(QP, TelegraphParams(1e3, 1e3), substream(521, "segments", "edge"))
+        sequences, starts = rb.random_sequence(3, np.random.default_rng(5), 4), []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scalar_engine, "syndrome_cycle",
+                       lambda env, tau_probe: starts.append(env.clock) or syndrome_cycle(env, tau_probe))
+            executor_run(rb.SequenceExecutor(copy.deepcopy(env)), sequences, 1, tau)
+        old, env.switch_at = env.xi, starts[2]  # the clock at the third syndrome's start
+        twin = copy.deepcopy(env)
+        calls.clear()
+        bits, modes = rb.SequenceExecutor(env).run(sequences, 1, tau)
+        staged_calls = collections.Counter(calls)
+        calls.clear()
+        expected = executor_run(rb.SequenceExecutor(twin), sequences, 1, tau)
+        assert staged_calls == collections.Counter(calls) == {(QP.f_high, old, ((1 - old, tau),), 1 - old, 0.0): 1}
+        assert bits.tolist() == expected[0].tolist() and modes.tolist() == expected[1].tolist()
+        assert (env.clock, env.xi, env.switch_at) == (twin.clock, twin.xi, twin.switch_at)
+        assert env.draw_counts() == twin.draw_counts()
 
     def test_segmented_rows_equal_the_scalar_step(self, monkeypatch):
         # Every run a switch lands in is a row of its depth's one ``_step_batch`` call, and its z

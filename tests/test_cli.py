@@ -699,6 +699,40 @@ def test_csv_writer_prints_every_value_as_fmt(tmp_path):
         cli._write_csv(path, ["a", "b", "c"], columns)
         assert _broadcast_rows(columns) == []
         assert path.read_bytes() == b"a,b,c\n"
+    # Tables longer than three blocks: a column as large as the table is formatted block by block,
+    # a broadcasting one once and taken by index; the float kernel's boundary values included.
+    n = 3 * cli._BLOCK_ROWS + 1
+    edges = boundary_floats()
+    narrow = edges[np.abs(edges) < 1e38].astype(np.float32)
+    for columns in (
+        [np.resize(edges, n), np.arange(n) - 5000, np.resize(narrow, n), np.arange(n) % 3 == 0, np.array(2.5), [10**13],
+         np.array(["s"])],
+        [np.arange(4)[:, None] - 2, edges[:3100], (np.arange(3100) * 7919).astype(np.uint64),
+         np.resize(edges[3100:], (4, 3100)), np.array([[None]], dtype=object), [f"c{j}" for j in range(3100)],
+         np.resize(narrow, (4, 1))],
+    ):
+        header = [f"c{k}" for k in range(len(columns))]
+        cli._write_csv(path, header, columns)
+        rows = _broadcast_rows(columns)
+        assert len(rows) >= n
+        assert path.read_bytes() == _reference_csv(header, rows).encode("utf-8")
+    # A NUL byte would vanish with the padding: a str cell holding one is refused, naming its column.
+    for cell in (["a", "b\x00"], np.array(["a", "\x00b"], dtype=object)):
+        with pytest.raises(ValueError, match="'c1'"):
+            cli._write_csv(path, ["c0", "c1"], [[1, 2], cell])
+
+
+def boundary_floats() -> np.ndarray:
+    """Floats at every edge of the ``textfmt`` float kernel, both signs: each power of ten and
+    its neighbours, 12-digit ties and ties that carry into the next decade, the exponents where
+    '%.12g' changes notation (e = -5, -4, 11, 12) and the specials."""
+    powers = [float(f"1e{j}") for j in range(-323, 309)]
+    values = [math.nextafter(p, to) for p in powers for to in (0.0, math.inf)] + powers
+    values += [(k + 0.5) * 10.0**j for j in range(-30, 40) for k in (10**11, 123456789012, 10**12 - 2)]
+    values += [999999999999.5 * 10.0**j for j in range(-30, 40)]
+    values += [m * 10.0**e for e in (-5, -4, 11, 12) for m in (1.0, 9.999999999994, 9.999999999995, 9.9999999999999)]
+    values += [0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    return np.concatenate([values, np.negative(values)])
 
 
 # Golden outputs: data-file SHA-256 of small pinned configs, as written by
