@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -330,13 +331,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# %-conversions that print a value as ``_fmt`` does: by an array's dtype kind
+# %-conversions that print a number as ``_fmt`` does: by an array's dtype kind
 # (``%d`` prints a bool as 1 or 0), or by the one exact built-in type of a list's values.
 _KIND_SPECS = {"f": "%.12g", "i": "%d", "u": "%d", "b": "%d"}
-_TYPE_SPECS = {float: "%.12g", int: "%d", str: "%s"}
-# A numeric array of fewer values is printed by % value by value: the ``textfmt`` kernels
-# cost ~0.1 ms a call, more than % takes (~0.35 us a value) for a few hundred values.
-_KERNEL_MIN_VALUES = 256
+_TYPE_SPECS = {float: "%.12g", int: "%d"}
+_KERNEL_MIN_VALUES = 256  # fewer numbers are printed by % value by value: see ``_fields``
 _BLOCK_ROWS = 4096  # table rows laid out at a time
 
 
@@ -345,9 +344,11 @@ def _fields(values, name: str) -> np.ndarray:
     each, printed as ``_fmt`` prints them.
 
     A float (up to 64 bits), integer or bool array of at least ``_KERNEL_MIN_VALUES``
-    values goes through the ``textfmt`` kernels.  Any other array takes the %-conversion of
-    its dtype kind in ``_KIND_SPECS``, a list the one of its values' type when they share
-    one in ``_TYPE_SPECS``, and the rest pass through ``_fmt`` value by value.  A str cell
+    values goes through the ``textfmt`` kernels.  A smaller one takes the %-conversion of
+    its dtype kind in ``_KIND_SPECS``: a kernel call has a fixed cost of ~30-70 us, and
+    written as a table, % is faster below ~250 floats and ~130 ints.  A list takes the
+    one of its values' type when they share one in ``_TYPE_SPECS``, and the rest pass
+    through ``_fmt`` value by value.  A number's text is ASCII without NUL; a str cell
     holding a NUL byte raises ValueError, as the writer drops NUL bytes.
     """
     if isinstance(values, np.ndarray):
@@ -358,12 +359,14 @@ def _fields(values, name: str) -> np.ndarray:
     else:
         kinds = set(map(type, values))
         spec = _TYPE_SPECS.get(kinds.pop()) if len(kinds) == 1 else None
-    data = [text.encode("utf-8") for text in ([spec % v for v in values] if spec else map(_fmt, values))]
-    fields = np.array(data, dtype=bytes)
-    fields = fields.view(np.uint8).reshape(fields.size, fields.itemsize)
-    if np.count_nonzero(fields) < sum(map(len, data)):
-        raise ValueError(f"column {name!r}: a str cell holds a NUL byte, which the CSV writer drops")
-    return fields
+    if spec:
+        fields = np.array([spec % v for v in values], dtype=bytes)  # numpy encodes the ASCII
+    else:
+        texts = [_fmt(v).encode("utf-8") for v in values]
+        if any(b"\0" in text for text in texts):
+            raise ValueError(f"column {name!r}: a str cell holds a NUL byte, which the CSV writer drops")
+        fields = np.array(texts, dtype=bytes)
+    return fields.view(np.uint8).reshape(fields.size, fields.itemsize)
 
 
 def _write_csv(path: Path, header: list[str], columns: list) -> tuple[str, int]:
@@ -407,11 +410,11 @@ def _table_bytes(header: list[str], columns: list):
         stop = min(start + _BLOCK_ROWS, n)
         parts = [np.take(spread[k][0], spread[k][1][start:stop], axis=0) if k in spread
                  else _fields(flat[k][start:stop], header[k]) for k in range(len(flat))]
-        ends = np.cumsum([part.shape[1] + 1 for part in parts])
+        ends = list(itertools.accumulate(part.shape[1] + 1 for part in parts))  # past each field's separator
         table = np.empty((stop - start, ends[-1]), dtype=np.uint8)
         for part, end in zip(parts, ends):
             table[:, end - 1 - part.shape[1]:end - 1] = part
-            table[:, end - 1] = ord(",")
+        table[:, [end - 1 for end in ends]] = ord(",")
         table[:, -1] = ord("\n")
         table = table.ravel()
         yield table[table != 0]

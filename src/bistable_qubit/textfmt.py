@@ -107,19 +107,9 @@ def float_fields(values) -> np.ndarray:
 
 def int_fields(values) -> np.ndarray:
     """Per value of the integer or bool array ``values`` (C order) its ``'%d'`` text as a
-    NUL-padded row, over the full int64 and uint64 range.  A column whose range is
-    smaller than half its size takes its rows from a table of that range."""
+    NUL-padded row, over the full int64 and uint64 range: divisions by 100 and the
+    digit-pair tables."""
     v = np.asarray(values).ravel()
-    v = v.astype(np.int64 if v.dtype.kind == "i" else np.uint64)  # differences below stay exact
-    low, high = (int(v.min()), int(v.max())) if v.size else (0, 0)
-    if high - low < v.size // 2:  # few distinct values: a table of the range, rows taken by index
-        table = _digit_pairs(np.arange(high - low + 1).astype(v.dtype) + v.dtype.type(low))
-        return np.take(table, v - v.dtype.type(low), axis=0)
-    return _digit_pairs(v)
-
-
-def _digit_pairs(v: np.ndarray) -> np.ndarray:
-    """``int_fields`` of the 1-D integer array ``v`` by divisions by 100 and the digit-pair tables."""
     negative = v < 0
     magnitude = v.astype(np.uint64)
     magnitude = np.where(negative, ~magnitude + np.uint64(1), magnitude)  # |v|, exact for -2**63

@@ -59,15 +59,15 @@ INT64 = st.integers(-(2**63), 2**63 - 1)
     st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.uint64)),
     st.lists(st.booleans(), min_size=1, max_size=40).map(np.array),
     st.lists(st.integers(-128, 127), min_size=1, max_size=40).map(lambda v: np.array(v, dtype=np.int8)),
-    st.lists(st.integers(-3, 3), min_size=8, max_size=40).map(lambda v: np.array(v, dtype=np.int16)),  # a table
+    st.lists(st.integers(-3, 3), min_size=8, max_size=40).map(lambda v: np.array(v, dtype=np.int16)),  # few distinct values
 ))
 @example(values=np.array([-(2**63), 2**63 - 1, 0, -1, 99, 100, -100], dtype=np.int64))
 @example(values=np.array([2**64 - 1, 0, 10**19, 9], dtype=np.uint64))
-@example(values=np.array([2**63 - 1, 2**63 - 2] * 4, dtype=np.int64))  # tables at the ends of the ranges
+@example(values=np.array([2**63 - 1, 2**63 - 2] * 4, dtype=np.int64))  # the ends of the ranges
 @example(values=np.array([-(2**63), -(2**63) + 1] * 4, dtype=np.int64))
 @example(values=np.array([2**64 - 1, 2**64 - 2] * 4, dtype=np.uint64))
 @example(values=np.array([True, False] * 4))
-@example(values=np.array(list(range(-128, 128)) * 3, dtype=np.int8))  # a table whose span overflows int8
+@example(values=np.array(list(range(-128, 128)) * 3, dtype=np.int8))  # every int8
 def test_int_kernel_prints_as_percent_d(values):
     assert _texts(textfmt.int_fields(values)) == ["%d" % v for v in values.tolist()]
 
